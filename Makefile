@@ -1,6 +1,8 @@
 # Developer entry points. `make verify` is the tier-1 recipe CI and the
 # ROADMAP reference: build + vet + full tests + race over the packages
-# with real concurrency (the observability substrate and flow solvers).
+# with real concurrency (the observability substrate, the flow solvers,
+# the server, the solver with its decomposition fan-out, and the
+# streamed trace solve).
 
 GO ?= go
 
@@ -17,8 +19,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs internal/opt with -short: its differential sweeps take
+# minutes at full size under the race detector, and `make test` runs
+# them in full.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/...
+	$(GO) test -race -short ./internal/opt/...
+	$(GO) test -race -run 'SolveTraceStream|Decomposition' .
 
 # cli-smoke exercises every CLI end to end and fails when any tool exits
 # outside the documented {0,1,2} convention or prints a panic trace.
@@ -56,9 +63,12 @@ apidoc:
 	$(GO) run ./cmd/mpss-apidoc -o docs/API.md
 
 # fuzz-smoke runs the solver-boundary fuzz harness briefly: enough to
-# catch a reintroduced panic path, cheap enough for every CI run.
+# catch a reintroduced panic path, cheap enough for every CI run. The
+# second leg fuzzes instance shapes against the one-removal-per-round
+# reference of the phase loop (internal/opt/reference_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
 
 # trace-smoke streams a 50k-job diurnal trace through the decomposed
 # solve end to end: component counters asserted against the summary, a

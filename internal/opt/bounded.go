@@ -361,7 +361,7 @@ func bracketSpeed(ctx context.Context, in *job.Instance, par int, contract bool,
 			}
 			continue
 		}
-		if e.solveRound() {
+		if e.solveRound() == 0 {
 			return e.speed, nil
 		}
 		var empty bool

@@ -32,8 +32,8 @@ import "math/big"
 //     contracted max-flow value equals the raw one (exactly in rational
 //     arithmetic; within ulps — far inside the acceptance slack — in
 //     float64);
-//   - the excluded-job rule picks the first candidate co-reachable to
-//     the sink, and co-reachability of job nodes is a min-cut property
+//   - the excluded-job rule takes the candidates co-reachable to the
+//     sink, and co-reachability of job nodes is a min-cut property
 //     preserved by the proportional-split equivalence above.
 //
 // Schedule emission, however, needs per-raw-interval times, so accept()

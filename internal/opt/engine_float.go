@@ -15,7 +15,7 @@ import (
 // arenas reused across phases and Schedule calls.
 //
 // Warm path (default): beginPhase builds G(J, m, s) once; every
-// rejection drains the removed job's flow and updates capacities in
+// rejection drains the excluded jobs' flow and updates capacities in
 // place, and the next round's MaxFlow re-augments from the surviving
 // flow. When a phase accepts after at least one removal the flow is
 // canonicalized (ResetFlow + one solve from zero) so the emitted
@@ -84,9 +84,9 @@ type floatEngine struct {
 	midIv      []int32
 	midID      []flow.EdgeID
 	prevOps    flow.DinicOps
-	warmRound  bool // true once the current network has been solved
-	removals   int
-	pending    int // candidate position selected for removal
+	warmRound  bool  // true once the current network has been solved
+	removals   int   // warm rejecting rounds this phase
+	excluded   []int // candidate positions the last rejected round excluded
 	accepted   []int
 }
 
@@ -416,7 +416,7 @@ func (e *floatEngine) solveFlow() {
 	e.publish()
 }
 
-func (e *floatEngine) solveRound() bool {
+func (e *floatEngine) solveRound() int {
 	if e.needBuild {
 		e.buildGraph()
 	}
@@ -431,54 +431,61 @@ func (e *floatEngine) solveRound() bool {
 	}
 	slack := e.tol * math.Max(1, e.totalTime)
 	if value >= e.totalTime-slack {
-		return true
+		return 0
 	}
-	// Rejected: select the excluded job by the flow-invariant rule. A
+	// Rejected: select the excluded jobs by the flow-invariant rule. A
 	// candidate can reach the sink in the residual graph exactly when
 	// some maximum flow leaves both one of its interval edges and that
 	// interval's sink edge unsaturated — the exclusion condition of the
 	// paper's Lemma 4 — and the co-reachable set is the same for every
-	// maximum flow, so warm and cold solves remove the same job.
+	// maximum flow, so warm and cold solves exclude the same jobs. Each
+	// one is outside J_i on its own, so all of them go in one round.
 	mark := e.g.CoReachable(e.sink)
-	e.pending = -1
+	e.excluded = e.excluded[:0]
 	for pos := range e.cand0 {
 		if e.alive[pos] && mark[e.jobNode[pos]] {
-			e.pending = pos
-			break
+			e.excluded = append(e.excluded, pos)
 		}
 	}
 	// No excludable candidate despite the value shortfall: only possible
 	// through accumulated rounding. Accept, as the cold path always has.
-	return e.pending < 0
+	return len(e.excluded)
 }
 
 func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
-	pos := e.pending
-	k := e.cand0[pos]
-	e.alive[pos] = false
-	e.aliveCount--
+	e.aliveCount -= len(e.excluded)
 	if e.aliveCount == 0 {
 		return false, true
 	}
 	var drained float64
-	if !e.cold {
-		drained += e.g.RemoveJobEdge(e.srcEdges[pos])
-		if e.sessPhase {
-			// The rounds zeroed this slot's source and job edges on the
-			// persistent network; if the job is still in the session, the
-			// next attach must restore those capacities before reuse.
-			e.sess.zeroed[e.sess.slotOf[pos]] = true
+	for _, pos := range e.excluded {
+		e.alive[pos] = false
+		for _, jx := range e.jobIvs[e.cand0[pos]] {
+			e.activeCount[jx]--
+		}
+		if !e.cold {
+			drained += e.g.RemoveJobEdge(e.srcEdges[pos])
+			if e.sessPhase {
+				// The rounds zeroed this slot's source and job edges on the
+				// persistent network; if the job is still in the session,
+				// the next attach must restore those capacities before reuse.
+				e.sess.zeroed[e.sess.slotOf[pos]] = true
+			}
 		}
 	}
-	// With contraction on, every member of a run changes identically (the
-	// removed job is active in all of a run or none of it, and equal m_j
-	// stay equal), so the run's sink edge is updated once — lastSup
-	// dedupes the consecutive members, skipping over m_j = 0 gaps.
-	lastSup := int32(-1)
-	for _, jx := range e.jobIvs[k] {
-		e.activeCount[jx]--
-		nm := min(e.activeCount[jx], e.free[jx])
-		if nm < e.mj[jx] {
+	// Lower the sink capacities once, after every count has dropped: an
+	// interval shared by several excluded jobs is re-set a single time.
+	// With contraction on, every member of a run changes identically (a
+	// job is active in all of a run or none of it, and equal m_j stay
+	// equal), so the run's sink edge is updated once — lastSup dedupes
+	// the consecutive members, skipping over m_j = 0 gaps.
+	for _, pos := range e.excluded {
+		lastSup := int32(-1)
+		for _, jx := range e.jobIvs[e.cand0[pos]] {
+			nm := min(e.activeCount[jx], e.free[jx])
+			if nm >= e.mj[jx] {
+				continue
+			}
 			e.mj[jx] = nm
 			if e.cold {
 				continue

@@ -16,7 +16,7 @@ import (
 // are exact; only the final segment emission rounds back to float64.
 //
 // The warm path reuses the float engine's structure — build once per
-// phase, drain the removed job, rescale, re-augment — but because the
+// phase, drain the excluded jobs, rescale, re-augment — but because the
 // arithmetic is exact it can rescale the source capacities
 // multiplicatively with flow.RatGraph.ScaleSourceCaps: w/s_old *
 // (s_old/s_new) equals w/s_new as a rational, so no absolute re-set is
@@ -67,8 +67,8 @@ type exactEngine struct {
 	midIv     []int32
 	midID     []flow.EdgeID
 	prevOps   flow.DinicOps
-	removals  int
-	pending   int
+	removals  int   // warm rejecting rounds this phase
+	excluded  []int // candidate positions the last rejected round excluded
 	accepted  []int
 }
 
@@ -313,7 +313,7 @@ func (e *exactEngine) publish() {
 	e.prevOps = ops
 }
 
-func (e *exactEngine) solveRound() bool {
+func (e *exactEngine) solveRound() int {
 	if e.needBuild {
 		e.buildGraph()
 	}
@@ -332,38 +332,46 @@ func (e *exactEngine) solveRound() bool {
 		}
 	}
 	if value.Cmp(e.totalTime) >= 0 {
-		return true
+		return 0
 	}
+	// Every co-reachable candidate is outside J_i (see floatEngine's
+	// solveRound), so the round excludes all of them at once.
 	mark := e.g.CoReachable(e.sink)
-	e.pending = -1
+	e.excluded = e.excluded[:0]
 	for pos := range e.cand0 {
 		if e.alive[pos] && mark[e.jobNode[pos]] {
-			e.pending = pos
-			break
+			e.excluded = append(e.excluded, pos)
 		}
 	}
 	// Unreachable by Lemma 4's counting argument; accept defensively.
-	return e.pending < 0
+	return len(e.excluded)
 }
 
 func (e *exactEngine) removeExcluded() (degenerate, empty bool) {
-	pos := e.pending
-	k := e.cand0[pos]
-	e.alive[pos] = false
-	e.aliveCount--
+	e.aliveCount -= len(e.excluded)
 	if e.aliveCount == 0 {
 		return false, true
 	}
 	drained := new(big.Rat)
-	if !e.cold {
-		drained.Add(drained, e.g.RemoveJobEdge(e.srcEdges[pos]))
+	for _, pos := range e.excluded {
+		e.alive[pos] = false
+		for _, jx := range e.jobIvs[e.cand0[pos]] {
+			e.activeCount[jx]--
+		}
+		if !e.cold {
+			drained.Add(drained, e.g.RemoveJobEdge(e.srcEdges[pos]))
+		}
 	}
+	// Sink capacities are lowered once per interval after every count
+	// has dropped; lastSup dedupes run members, as in the float engine.
 	c := new(big.Rat)
-	lastSup := int32(-1) // dedupes run members, as in the float engine
-	for _, jx := range e.jobIvs[k] {
-		e.activeCount[jx]--
-		nm := min(e.activeCount[jx], e.free[jx])
-		if nm < e.mj[jx] {
+	for _, pos := range e.excluded {
+		lastSup := int32(-1)
+		for _, jx := range e.jobIvs[e.cand0[pos]] {
+			nm := min(e.activeCount[jx], e.free[jx])
+			if nm >= e.mj[jx] {
+				continue
+			}
 			e.mj[jx] = nm
 			if e.cold {
 				continue

@@ -11,7 +11,8 @@ import (
 
 // FuzzSchedule drives the offline optimum with fuzzer-chosen instance
 // shapes and checks the full invariant set: feasibility, phase structure,
-// and agreement with YDS at m = 1.
+// agreement with YDS at m = 1, and bit-equality of every engine variant
+// with the one-removal-per-round reference (reference_test.go).
 func FuzzSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(1))
 	f.Add(int64(2), uint8(10), uint8(2))
@@ -51,6 +52,8 @@ func FuzzSchedule(f *testing.F) {
 					res.Phases[i-1].Speed, res.Phases[i].Speed)
 			}
 		}
+		checkAgainstReference(t, "fuzz", in, refFloat)
+		checkAgainstReference(t, "fuzz", in, refExact)
 		if m == 1 {
 			p := power.MustAlpha(2)
 			want, err := yds.Energy(in.Jobs, p)

@@ -13,20 +13,21 @@
 // computation on the network G(J, m, s) — source -> job edges of capacity
 // w_k/s, job -> interval edges of capacity |I_j|, interval -> sink edges
 // of capacity m_j|I_j| — and, when the flow does not saturate the source,
-// removes one provably-excluded job and retries. The final flow values
+// removes every provably-excluded job and retries. The final flow values
 // are per-interval execution times; McNaughton's wrap-around rule turns
 // them into an explicit schedule.
 //
-// Consecutive rounds of a phase differ only by one removed job and a
+// Consecutive rounds of a phase differ only by the removed jobs and a
 // uniform rescaling of the source capacities, so the solver runs them on
 // an incremental flow engine: the network is built once per phase, each
-// rejection drains the removed job's flow and rescales capacities in
+// rejection drains the removed jobs' flow and rescales capacities in
 // place (flow.RemoveJobEdge / flow.SetCapacity), and the next round
 // re-augments from the surviving feasible flow instead of restarting
-// Dinic at zero. The excluded job is chosen by a flow-invariant rule —
-// the first candidate whose node can still reach the sink in the
-// residual graph (flow.CoReachable) — so the warm path removes exactly
-// the jobs a cold from-scratch path would. See DESIGN.md ("Incremental
+// Dinic at zero. The excluded jobs are chosen by a flow-invariant rule —
+// every candidate whose node can still reach the sink in the residual
+// graph (flow.CoReachable) — so the warm path removes exactly the jobs a
+// cold from-scratch path would. Each of them is outside J_i on its own,
+// so one rejected round removes them all. See DESIGN.md ("Incremental
 // warm-started flow engine") for the invariants; ColdStart disables the
 // warm path for differential testing.
 //
@@ -330,12 +331,14 @@ type phaseEngine interface {
 	// the flow network G(J, m, s) once. degenerate reports a network with
 	// no capacity at all (every m_ij = 0).
 	beginPhase(used, cand []int, span *obs.Span) (degenerate bool)
-	// solveRound (re-)solves the max flow and reports whether the
-	// conjecture was accepted. When it was not, the engine has already
-	// selected the excluded job for removeExcluded.
-	solveRound() (accepted bool)
-	// removeExcluded removes the job selected by the last solveRound
-	// from the network (draining its flow on the warm path).
+	// solveRound (re-)solves the max flow and returns the number of
+	// candidates the residual graph certifies as excluded; 0 accepts the
+	// conjecture. A positive count leaves those candidates selected for
+	// removeExcluded.
+	solveRound() (excluded int)
+	// removeExcluded removes every candidate selected by the last
+	// solveRound from the network (draining their flow on the warm path)
+	// and re-derives the phase speed once.
 	removeExcluded() (degenerate, empty bool)
 	// dropLeastWork removes the least-work candidate; the driver calls
 	// it to make progress on degenerate (zero-capacity) networks.
@@ -428,11 +431,12 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 			if testHookRound != nil {
 				testHookRound(isExact)
 			}
-			if eng.solveRound() {
+			excluded := eng.solveRound()
+			if excluded == 0 {
 				break
 			}
-			rec.Add("opt.jobs_removed", 1)
-			span.Add("jobs_removed", 1)
+			rec.Add("opt.jobs_removed", int64(excluded))
+			span.Add("jobs_removed", int64(excluded))
 			var empty bool
 			degenerate, empty = eng.removeExcluded()
 			if empty {

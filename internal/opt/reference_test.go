@@ -1,0 +1,341 @@
+package opt
+
+import (
+	"fmt"
+	"math"
+	"math/big"
+	"testing"
+
+	"mpss/internal/flow"
+	"mpss/internal/job"
+	"mpss/internal/schedule"
+	"mpss/internal/workload"
+)
+
+// The engines remove every candidate the residual graph certifies as
+// excluded in one round, on an incrementally mutated network. The
+// reference below is the paper's Fig. 2 taken literally instead: every
+// round rebuilds G(J, m, s) from nothing and removes only the first
+// co-reachable candidate. Whether a job belongs to J_i does not depend on
+// the removal order, so both loops stop at the same saturating set, and
+// the emitted phases and segments must agree bit for bit.
+
+// refRound solves one conjecture round on a freshly built network for
+// the candidate set cand (instance job indices) and the per-interval
+// processor counts mj. It returns the candidate index to remove, or -1
+// when the conjecture is accepted together with the phase speed and the
+// per-job interval times.
+type refRound func(in *job.Instance, ivs []job.Interval, cand, mj []int) (remove int, speed float64, tkj map[int][]pieceTime)
+
+// refSchedule runs the phase loop of Fig. 2 with the given round
+// arithmetic, one removal per rejected round.
+func refSchedule(in *job.Instance, round refRound) (*Result, error) {
+	ivs := job.Partition(in.Jobs)
+	used := make([]int, len(ivs))
+	remaining := make([]int, len(in.Jobs))
+	for k := range remaining {
+		remaining[k] = k
+	}
+	res := &Result{Schedule: schedule.New(in.M), Intervals: ivs}
+	for len(remaining) > 0 {
+		cand := append([]int(nil), remaining...)
+		for {
+			if len(cand) == 0 {
+				return nil, fmt.Errorf("phase %d emptied its candidate set", len(res.Phases)+1)
+			}
+			mj := make([]int, len(ivs))
+			open := false
+			for jx, iv := range ivs {
+				n := 0
+				for _, k := range cand {
+					if in.Jobs[k].ActiveIn(iv.Start, iv.End) {
+						n++
+					}
+				}
+				mj[jx] = min(n, max(0, in.M-used[jx]))
+				open = open || mj[jx] > 0
+			}
+			if !open {
+				// No capacity anywhere: drop the least-work candidate.
+				least := 0
+				for i, k := range cand {
+					if in.Jobs[k].Work < in.Jobs[cand[least]].Work {
+						least = i
+					}
+				}
+				cand = append(cand[:least], cand[least+1:]...)
+				continue
+			}
+			remove, speed, tkj := round(in, ivs, cand, mj)
+			if remove >= 0 {
+				cand = append(cand[:remove], cand[remove+1:]...)
+				continue
+			}
+			if err := emitPhase(in, ivs, used, cand, speed, mj, tkj, res); err != nil {
+				return nil, err
+			}
+			break
+		}
+		remaining = subtract(remaining, cand)
+	}
+	res.Schedule.Normalize()
+	return res, nil
+}
+
+// refLayout numbers the network's vertices: 0 = source, 1..len(cand) =
+// jobs, then the intervals with mj > 0, last = sink.
+func refLayout(cand, mj []int) (ivNode []int, sink int) {
+	node := 1 + len(cand)
+	ivNode = make([]int, len(mj))
+	for jx := range mj {
+		ivNode[jx] = -1
+		if mj[jx] > 0 {
+			ivNode[jx] = node
+			node++
+		}
+	}
+	return ivNode, node
+}
+
+// refMid is one job -> interval edge of a reference network.
+type refMid struct {
+	k, jx int
+	id    flow.EdgeID
+}
+
+func refRoundFloat(in *job.Instance, ivs []job.Interval, cand, mj []int) (int, float64, map[int][]pieceTime) {
+	tw, tt := 0.0, 0.0
+	for _, k := range cand {
+		tw += in.Jobs[k].Work
+	}
+	for jx, iv := range ivs {
+		if mj[jx] > 0 {
+			tt += float64(mj[jx]) * iv.Len()
+		}
+	}
+	speed := tw / tt
+	ivNode, sink := refLayout(cand, mj)
+	g := flow.NewGraph(sink + 1)
+	src := make([]flow.EdgeID, len(cand))
+	for i, k := range cand {
+		src[i] = g.AddEdge(0, 1+i, in.Jobs[k].Work/speed)
+	}
+	var mids []refMid
+	for jx, iv := range ivs {
+		if mj[jx] == 0 {
+			continue
+		}
+		for i, k := range cand {
+			if in.Jobs[k].ActiveIn(iv.Start, iv.End) {
+				mids = append(mids, refMid{k, jx, g.AddEdge(1+i, ivNode[jx], iv.Len())})
+			}
+		}
+		g.AddEdge(ivNode[jx], sink, float64(mj[jx])*iv.Len())
+	}
+	g.MaxFlow(0, sink)
+	value := 0.0
+	for _, id := range src {
+		value += g.Flow(id)
+	}
+	if value < tt-flow.SolveTolerance*math.Max(1, tt) {
+		mark := g.CoReachable(sink)
+		for i := range cand {
+			if mark[1+i] {
+				return i, 0, nil
+			}
+		}
+	}
+	tkj := make(map[int][]pieceTime)
+	for _, e := range mids {
+		if f := g.Flow(e.id); f > 1e-15 {
+			tkj[e.k] = append(tkj[e.k], pieceTime{ivIdx: e.jx, t: f})
+		}
+	}
+	return -1, speed, tkj
+}
+
+func refRoundExact(in *job.Instance, ivs []job.Interval, cand, mj []int) (int, float64, map[int][]pieceTime) {
+	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	tw, tt := new(big.Rat), new(big.Rat)
+	for _, k := range cand {
+		tw.Add(tw, rat(in.Jobs[k].Work))
+	}
+	for jx, iv := range ivs {
+		if mj[jx] > 0 {
+			tt.Add(tt, new(big.Rat).Mul(big.NewRat(int64(mj[jx]), 1), rat(iv.Len())))
+		}
+	}
+	speed := new(big.Rat).Quo(tw, tt)
+	ivNode, sink := refLayout(cand, mj)
+	g := flow.NewRatGraph(sink + 1)
+	src := make([]flow.EdgeID, len(cand))
+	for i, k := range cand {
+		src[i] = g.AddEdge(0, 1+i, new(big.Rat).Quo(rat(in.Jobs[k].Work), speed))
+	}
+	var mids []refMid
+	for jx, iv := range ivs {
+		if mj[jx] == 0 {
+			continue
+		}
+		for i, k := range cand {
+			if in.Jobs[k].ActiveIn(iv.Start, iv.End) {
+				mids = append(mids, refMid{k, jx, g.AddEdge(1+i, ivNode[jx], rat(iv.Len()))})
+			}
+		}
+		g.AddEdge(ivNode[jx], sink, new(big.Rat).Mul(big.NewRat(int64(mj[jx]), 1), rat(iv.Len())))
+	}
+	g.MaxFlow(0, sink)
+	value := new(big.Rat)
+	for _, id := range src {
+		value.Add(value, g.Flow(id))
+	}
+	if value.Cmp(tt) < 0 {
+		mark := g.CoReachable(sink)
+		for i := range cand {
+			if mark[1+i] {
+				return i, 0, nil
+			}
+		}
+	}
+	tkj := make(map[int][]pieceTime)
+	for _, e := range mids {
+		if f := g.Flow(e.id); f.Sign() > 0 {
+			fv, _ := f.Float64()
+			tkj[e.k] = append(tkj[e.k], pieceTime{ivIdx: e.jx, t: fv})
+		}
+	}
+	sp, _ := speed.Float64()
+	return -1, sp, tkj
+}
+
+// resultDiff describes the first difference between two results' phases
+// (job IDs, processor counts, speed bits) and segments, compared bit for
+// bit, or returns "".
+func resultDiff(a, b *Result) string {
+	if len(a.Phases) != len(b.Phases) {
+		return fmt.Sprintf("phase counts %d vs %d", len(a.Phases), len(b.Phases))
+	}
+	for i, p := range a.Phases {
+		q := b.Phases[i]
+		if math.Float64bits(p.Speed) != math.Float64bits(q.Speed) {
+			return fmt.Sprintf("phase %d speed %v vs %v", i, p.Speed, q.Speed)
+		}
+		if fmt.Sprint(p.JobIDs) != fmt.Sprint(q.JobIDs) {
+			return fmt.Sprintf("phase %d jobs %v vs %v", i, p.JobIDs, q.JobIDs)
+		}
+		if fmt.Sprint(p.Procs) != fmt.Sprint(q.Procs) {
+			return fmt.Sprintf("phase %d procs %v vs %v", i, p.Procs, q.Procs)
+		}
+	}
+	sa, sb := a.Schedule.Segments, b.Schedule.Segments
+	if len(sa) != len(sb) {
+		return fmt.Sprintf("segment counts %d vs %d", len(sa), len(sb))
+	}
+	for i := range sa {
+		x, y := sa[i], sb[i]
+		if x.Proc != y.Proc || x.JobID != y.JobID ||
+			math.Float64bits(x.Start) != math.Float64bits(y.Start) ||
+			math.Float64bits(x.End) != math.Float64bits(y.End) ||
+			math.Float64bits(x.Speed) != math.Float64bits(y.Speed) {
+			return fmt.Sprintf("segment %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return ""
+}
+
+// refVariants are the engine settings a reference comparison of in runs:
+// warm/cold x contraction on/off x decomposition on/off. Decomposition
+// is left out for a single-component instance, which Solver.Schedule
+// then solves on the monolithic path it already runs with it off.
+func refVariants(in *job.Instance) map[string][]Option {
+	decomposes := []bool{false}
+	if len(componentRanges(in.Jobs)) > 1 {
+		decomposes = append(decomposes, true)
+	}
+	out := make(map[string][]Option)
+	for _, cold := range []bool{false, true} {
+		for _, contract := range []bool{true, false} {
+			for _, decompose := range decomposes {
+				name := fmt.Sprintf("cold=%v/contract=%v/decompose=%v", cold, contract, decompose)
+				opts := []Option{WithContraction(contract), WithDecomposition(decompose)}
+				if cold {
+					opts = append(opts, ColdStart())
+				}
+				out[name] = opts
+			}
+		}
+	}
+	return out
+}
+
+// refArith pairs a reference round with the options selecting the
+// engine arithmetic it must match.
+type refArith struct {
+	name  string
+	round refRound
+	extra []Option
+}
+
+var (
+	refFloat = refArith{"float", refRoundFloat, nil}
+	refExact = refArith{"exact", refRoundExact, []Option{Exact()}}
+)
+
+// checkAgainstReference solves in with every engine variant in the given
+// arithmetic and reports each result that is not bit-equal to the
+// one-at-a-time reference.
+func checkAgainstReference(t *testing.T, label string, in *job.Instance, arith refArith) {
+	t.Helper()
+	want, err := refSchedule(in, arith.round)
+	if err != nil {
+		t.Fatalf("%s: %s reference: %v", label, arith.name, err)
+	}
+	for name, opts := range refVariants(in) {
+		got, err := Schedule(in, append(opts, arith.extra...)...)
+		if err != nil {
+			t.Fatalf("%s: %s %s: %v", label, arith.name, name, err)
+		}
+		if d := resultDiff(want, got); d != "" {
+			t.Errorf("%s: %s %s differs from the one-at-a-time reference: %s", label, arith.name, name, d)
+		}
+	}
+}
+
+// TestBatchExclusionMatchesReference pins the batch removal rule against
+// the literal one-at-a-time loop on every workload generator. The exact
+// reference stops at n = 24: one big.Rat max flow per removed job costs
+// seconds per 64-job instance, while n = 64 runs in float64. -short
+// keeps n <= 24 in float64 and n = 8 in exact arithmetic.
+func TestBatchExclusionMatchesReference(t *testing.T) {
+	sizes := []struct {
+		n     int
+		arith []refArith
+	}{
+		{8, []refArith{refFloat, refExact}},
+		{24, []refArith{refFloat, refExact}},
+		{64, []refArith{refFloat}},
+	}
+	if testing.Short() {
+		sizes[1].arith = sizes[1].arith[:1]
+		sizes = sizes[:2]
+	}
+	for _, gen := range workload.All() {
+		t.Run(gen.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, size := range sizes {
+				for _, m := range []int{1, 2, 4, 8} {
+					for seed := int64(1); seed <= 4; seed++ {
+						in, err := gen.Make(workload.Spec{N: size.n, M: m, Seed: seed})
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("n=%d m=%d seed=%d", size.n, m, seed)
+						for _, arith := range size.arith {
+							checkAgainstReference(t, label, in, arith)
+						}
+					}
+				}
+			}
+		})
+	}
+}

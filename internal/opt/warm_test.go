@@ -54,40 +54,8 @@ func TestWarmMatchesColdExact(t *testing.T) {
 
 func comparePhases(t *testing.T, seed int64, warm, cold *Result) {
 	t.Helper()
-	if len(warm.Phases) != len(cold.Phases) {
-		t.Fatalf("seed %d: phase counts differ: warm %d vs cold %d",
-			seed, len(warm.Phases), len(cold.Phases))
-	}
-	for i := range warm.Phases {
-		w, c := warm.Phases[i], cold.Phases[i]
-		if w.Speed != c.Speed {
-			t.Fatalf("seed %d phase %d: speed warm %v != cold %v", seed, i, w.Speed, c.Speed)
-		}
-		if len(w.JobIDs) != len(c.JobIDs) {
-			t.Fatalf("seed %d phase %d: job counts differ", seed, i)
-		}
-		for j := range w.JobIDs {
-			if w.JobIDs[j] != c.JobIDs[j] {
-				t.Fatalf("seed %d phase %d: job sets differ: %v vs %v",
-					seed, i, w.JobIDs, c.JobIDs)
-			}
-		}
-		for j := range w.Procs {
-			if w.Procs[j] != c.Procs[j] {
-				t.Fatalf("seed %d phase %d: proc reservations differ: %v vs %v",
-					seed, i, w.Procs, c.Procs)
-			}
-		}
-	}
-	if len(warm.Schedule.Segments) != len(cold.Schedule.Segments) {
-		t.Fatalf("seed %d: segment counts differ: warm %d vs cold %d",
-			seed, len(warm.Schedule.Segments), len(cold.Schedule.Segments))
-	}
-	for i := range warm.Schedule.Segments {
-		if warm.Schedule.Segments[i] != cold.Schedule.Segments[i] {
-			t.Fatalf("seed %d: segment %d differs:\nwarm %v\ncold %v",
-				seed, i, warm.Schedule.Segments[i], cold.Schedule.Segments[i])
-		}
+	if d := resultDiff(warm, cold); d != "" {
+		t.Fatalf("seed %d: %s", seed, d)
 	}
 }
 
@@ -130,5 +98,53 @@ func TestWarmBuildsOncePerPhase(t *testing.T) {
 	}
 	if snap2.Counters["flow.warm_hits"] != 0 {
 		t.Fatalf("cold solve recorded %d warm hits", snap2.Counters["flow.warm_hits"])
+	}
+}
+
+// Each phase starts from the jobs no earlier phase accepted; every one
+// of them is either removed by a rejected round or saturated in the
+// phase, so per phase span jobs_removed + jobs_saturated = candidates,
+// and over the solve opt.jobs_removed + sum_i |J_i| = sum_i |C_i|. A
+// rejected round that excludes several jobs must count each of them.
+func TestJobsRemovedCountsEveryJob(t *testing.T) {
+	in, err := workload.Bursty(workload.Spec{N: 48, M: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string][]Option{
+		"warm":  nil,
+		"cold":  {ColdStart()},
+		"exact": {Exact()},
+	} {
+		rec := obs.New()
+		res, err := Schedule(in, append(opts, WithRecorder(rec))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := rec.Snapshot()
+		if len(snap.Trace) != len(res.Phases) {
+			t.Fatalf("%s: %d phase spans for %d phases", name, len(snap.Trace), len(res.Phases))
+		}
+		var candidates, saturated int64
+		left := int64(in.N())
+		for i, sp := range snap.Trace {
+			c := sp.Counters
+			if c["candidates"] != left || c["jobs_saturated"] != int64(len(res.Phases[i].JobIDs)) ||
+				c["jobs_removed"]+c["jobs_saturated"] != c["candidates"] {
+				t.Errorf("%s phase %d: span counters %v, want candidates=%d = jobs_removed + jobs_saturated=%d",
+					name, i+1, c, left, len(res.Phases[i].JobIDs))
+			}
+			candidates += left
+			saturated += int64(len(res.Phases[i].JobIDs))
+			left -= int64(len(res.Phases[i].JobIDs))
+		}
+		removed := snap.Counters["opt.jobs_removed"]
+		if removed+saturated != candidates {
+			t.Errorf("%s: opt.jobs_removed %d + saturated %d != candidates %d", name, removed, saturated, candidates)
+		}
+		if rejecting := int64(res.Stats.Rounds - res.Stats.Phases); rejecting >= removed {
+			t.Errorf("%s: %d rejecting rounds for %d removed jobs: no round excluded more than one job",
+				name, rejecting, removed)
+		}
 	}
 }

@@ -149,3 +149,23 @@ func TestSolveTraceStreamRejectsBadInput(t *testing.T) {
 		t.Error("IsTraceStream rejected a trace header")
 	}
 }
+
+// Rounds are the solver's cost center, and a deterministic count, so
+// they gate regressions where wall time on a shared box cannot. A
+// rejected round removes every job the residual graph certifies as
+// excluded, which keeps a diurnal trace near two rounds per job; removing
+// one job per round costs about sixteen.
+func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
+	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
+	sum, err := SolveTraceStream(bytes.NewReader(data), MustAlpha(3), WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Jobs != 2048 {
+		t.Fatalf("jobs = %d, want 2048", sum.Jobs)
+	}
+	if limit := 5 * sum.Jobs / 2; sum.Rounds > limit {
+		t.Fatalf("rounds = %d for %d jobs (%.2f per job), want <= %d",
+			sum.Rounds, sum.Jobs, float64(sum.Rounds)/float64(sum.Jobs), limit)
+	}
+}
