@@ -72,7 +72,9 @@ fuzz-smoke:
 
 # trace-smoke streams a 50k-job diurnal trace through the decomposed
 # solve end to end: component counters asserted against the summary, a
-# 1-vs-4-worker differential, and the mpss-gen trace | mpss-opt pipe.
+# 1-vs-4-worker differential, the mpss-gen trace | mpss-opt pipe, and a
+# 4096-job monolithic (-decompose=false) solve checked against its
+# decomposed summary.
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
@@ -103,7 +105,8 @@ bench:
 
 # bench-trace archives streamed-trace throughput (jobs/sec, peak RSS at
 # 100k and 1M jobs, decompose on vs bounded-off baseline) on its own;
-# BENCH_TRACE_OFF_TIMEOUT caps the monolithic baseline (see the script).
+# BENCH_TRACE_OFF_TIMEOUT caps the monolithic baseline's time and a
+# fixed 2 GB limit its address space (see the script).
 bench-trace:
 	sh scripts/bench_trace.sh
 

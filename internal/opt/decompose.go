@@ -14,9 +14,9 @@ import (
 // Windowed decomposition.
 //
 // The flow network of the paper spans every atomic interval of the whole
-// instance, and the phase algorithm's round loop starts each phase with
-// ALL remaining jobs as candidates — so the solve cost grows roughly
-// quadratically with n. But an instance often separates in time: at a
+// instance, and every phase walks all of them and records a processor
+// count for each — so the solve cost grows roughly quadratically with
+// n. But an instance often separates in time: at a
 // time t that no job window strictly crosses (no job with Release < t <
 // Deadline), the instance splits into the jobs entirely before t and the
 // jobs entirely after, and no phase of the optimal schedule can move

@@ -452,6 +452,13 @@ func (e *floatEngine) solveRound() int {
 	return len(e.excluded)
 }
 
+func (e *floatEngine) excludedJobs(dst []int) []int {
+	for _, pos := range e.excluded {
+		dst = append(dst, e.cand0[pos])
+	}
+	return dst
+}
+
 func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 	e.aliveCount -= len(e.excluded)
 	if e.aliveCount == 0 {

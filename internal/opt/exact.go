@@ -347,6 +347,13 @@ func (e *exactEngine) solveRound() int {
 	return len(e.excluded)
 }
 
+func (e *exactEngine) excludedJobs(dst []int) []int {
+	for _, pos := range e.excluded {
+		dst = append(dst, e.cand0[pos])
+	}
+	return dst
+}
+
 func (e *exactEngine) removeExcluded() (degenerate, empty bool) {
 	e.aliveCount -= len(e.excluded)
 	if e.aliveCount == 0 {

@@ -8,14 +8,23 @@
 // that an optimal schedule runs at the i-th highest speed s_i, together
 // with the number m_ij of processors that set occupies in every event
 // interval I_j (Lemma 3 pins m_ij = min{n_ij, m - sum_{l<i} m_lj}).
-// Within a phase the algorithm iterates rounds: it conjectures that all
-// remaining jobs form J_i, checks the conjecture with a maximum-flow
+// Within a phase the algorithm iterates rounds: it conjectures that a
+// candidate set forms J_i, checks the conjecture with a maximum-flow
 // computation on the network G(J, m, s) — source -> job edges of capacity
 // w_k/s, job -> interval edges of capacity |I_j|, interval -> sink edges
 // of capacity m_j|I_j| — and, when the flow does not saturate the source,
 // removes every provably-excluded job and retries. The final flow values
 // are per-interval execution times; McNaughton's wrap-around rule turns
 // them into an explicit schedule.
+//
+// The paper conjectures all remaining jobs at the start of every phase.
+// runPhases instead keeps the jobs each rejected round excluded as a
+// block on a stack and starts the next phase from the most recent block:
+// a rejected round's maximal min cut splits its candidates by optimal
+// speed, so the blocks of one phase are ordered fastest-last and the
+// next phase's job set lies entirely in the last one. The first phase
+// starts from every job, as in the paper; every later phase reaches the
+// same J_i from a smaller candidate set, in fewer and smaller rounds.
 //
 // Consecutive rounds of a phase differ only by the removed jobs and a
 // uniform rescaling of the source capacities, so the solver runs them on
@@ -328,14 +337,18 @@ type phaseEngine interface {
 	// importantly the job×interval activity index.
 	prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder)
 	// beginPhase conjectures cand as the next phase's job set and builds
-	// the flow network G(J, m, s) once. degenerate reports a network with
-	// no capacity at all (every m_ij = 0).
+	// the flow network G(J, m, s) once. It copies cand: runPhases reuses
+	// that storage for the blocks the phase's rounds exclude. degenerate
+	// reports a network with no capacity at all (every m_ij = 0).
 	beginPhase(used, cand []int, span *obs.Span) (degenerate bool)
 	// solveRound (re-)solves the max flow and returns the number of
 	// candidates the residual graph certifies as excluded; 0 accepts the
 	// conjecture. A positive count leaves those candidates selected for
-	// removeExcluded.
+	// excludedJobs and removeExcluded.
 	solveRound() (excluded int)
+	// excludedJobs appends the candidates selected by the last solveRound
+	// to dst as instance job indices, in candidate order.
+	excludedJobs(dst []int) []int
 	// removeExcluded removes every candidate selected by the last
 	// solveRound from the network (draining their flow on the warm path)
 	// and re-derives the phase speed once.
@@ -368,6 +381,18 @@ var testHookRound func(exact bool)
 // becomes ErrInternal — annotated with the phase/round position the
 // solver had reached, mirroring the span trace internal/obs records.
 //
+// Candidate sets live on a stack of job blocks, each in input order. It
+// starts as one block holding every job; each phase pops the top block
+// as its candidates, and each rejected round pushes the jobs it excluded
+// as a new block. A rejected round at speed s splits its candidates by
+// optimal speed — the excluded jobs all run below s, the rest at s or
+// above — so the blocks one phase pushes get faster towards the top and
+// the next phase's job set lies entirely in the top block (DESIGN.md §7,
+// "Excluded blocks are solved next, not re-derived"). A phase that
+// excludes nothing resumes the older blocks below. Jobs dropped on a
+// degenerate network are not pushed: dropping never adds capacity, so
+// such a phase always ends in the emptied-candidate error.
+//
 // It is also the cancellation boundary: a non-nil ctx is polled once
 // per round (each round is one max-flow solve, the natural quantum),
 // and a canceled context unwinds with ErrCanceled before the next
@@ -394,19 +419,26 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 
 	ivs := job.Partition(in.Jobs)
 	used := make([]int, len(ivs)) // processors occupied by earlier phases
-	remaining := make([]int, 0, in.N())
-	for i := range in.Jobs {
-		remaining = append(remaining, i)
+	// The block stack, stored flat: block b is jobs[starts[b]:starts[b+1]],
+	// the top block runs to the end. Every unaccepted job sits in exactly
+	// one block or in the running phase, so jobs never outgrows n.
+	jobs := make([]int, in.N())
+	for i := range jobs {
+		jobs[i] = i
 	}
+	starts := []int{0}
 
 	res = &Result{Schedule: schedule.New(in.M), Intervals: ivs}
 	eng.prepare(in, ivs, &res.Stats, rec)
 	_, isExact := eng.(*exactEngine)
 
-	for len(remaining) > 0 {
+	for len(starts) > 0 {
+		top := starts[len(starts)-1]
+		starts = starts[:len(starts)-1]
 		span := parent.StartSpan(eng.spanName(len(res.Phases) + 1))
-		span.Add("candidates", int64(len(remaining)))
-		degenerate := eng.beginPhase(used, remaining, span)
+		span.Add("candidates", int64(len(jobs)-top))
+		degenerate := eng.beginPhase(used, jobs[top:], span)
+		jobs = jobs[:top]
 		for {
 			if cerr := canceled(ctx, len(res.Phases)+1, res.Stats.Rounds); cerr != nil {
 				rec.Add("opt.canceled", 1)
@@ -437,6 +469,8 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 			}
 			rec.Add("opt.jobs_removed", int64(excluded))
 			span.Add("jobs_removed", int64(excluded))
+			starts = append(starts, len(jobs))
+			jobs = eng.excludedJobs(jobs)
 			var empty bool
 			degenerate, empty = eng.removeExcluded()
 			if empty {
@@ -458,7 +492,6 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 		span.Add("jobs_saturated", int64(len(cand)))
 		span.SetValue("speed", speed)
 		span.End()
-		remaining = subtract(remaining, cand)
 	}
 
 	res.Schedule.Normalize()
@@ -565,18 +598,4 @@ func publishExact(rec *obs.Recorder, span *obs.Span, ops flow.DinicOps) {
 	span.Add("bfs_passes", ops.BFSPasses)
 	span.Add("aug_paths", ops.AugPaths)
 	span.Add("edges_scanned", ops.EdgesScanned)
-}
-
-func subtract(all, remove []int) []int {
-	drop := make(map[int]bool, len(remove))
-	for _, k := range remove {
-		drop[k] = true
-	}
-	out := all[:0]
-	for _, k := range all {
-		if !drop[k] {
-			out = append(out, k)
-		}
-	}
-	return out
 }

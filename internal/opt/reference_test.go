@@ -339,3 +339,19 @@ func TestBatchExclusionMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// subtract returns all without the jobs in remove, keeping the order of
+// all; it reuses the backing array of all.
+func subtract(all, remove []int) []int {
+	drop := make(map[int]bool, len(remove))
+	for _, k := range remove {
+		drop[k] = true
+	}
+	out := all[:0]
+	for _, k := range all {
+		if !drop[k] {
+			out = append(out, k)
+		}
+	}
+	return out
+}

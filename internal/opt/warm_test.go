@@ -101,11 +101,13 @@ func TestWarmBuildsOncePerPhase(t *testing.T) {
 	}
 }
 
-// Each phase starts from the jobs no earlier phase accepted; every one
-// of them is either removed by a rejected round or saturated in the
-// phase, so per phase span jobs_removed + jobs_saturated = candidates,
-// and over the solve opt.jobs_removed + sum_i |J_i| = sum_i |C_i|. A
-// rejected round that excludes several jobs must count each of them.
+// Phase 1 starts from every job; every later phase starts from the block
+// of jobs the most recent rejected round excluded. Each candidate is
+// either removed by a rejected round or saturated in the phase, so per
+// phase span jobs_removed + jobs_saturated = candidates. Every removed
+// job is pushed as a candidate of exactly one later phase, so over the
+// solve sum_i candidates_i = n + opt.jobs_removed. A rejected round that
+// excludes several jobs must count each of them.
 func TestJobsRemovedCountsEveryJob(t *testing.T) {
 	in, err := workload.Bursty(workload.Spec{N: 48, M: 3, Seed: 5})
 	if err != nil {
@@ -125,22 +127,22 @@ func TestJobsRemovedCountsEveryJob(t *testing.T) {
 		if len(snap.Trace) != len(res.Phases) {
 			t.Fatalf("%s: %d phase spans for %d phases", name, len(snap.Trace), len(res.Phases))
 		}
-		var candidates, saturated int64
-		left := int64(in.N())
+		if got := snap.Trace[0].Counters["candidates"]; got != int64(in.N()) {
+			t.Errorf("%s phase 1: candidates = %d, want every job (%d)", name, got, in.N())
+		}
+		var candidates int64
 		for i, sp := range snap.Trace {
 			c := sp.Counters
-			if c["candidates"] != left || c["jobs_saturated"] != int64(len(res.Phases[i].JobIDs)) ||
+			if c["jobs_saturated"] != int64(len(res.Phases[i].JobIDs)) ||
 				c["jobs_removed"]+c["jobs_saturated"] != c["candidates"] {
-				t.Errorf("%s phase %d: span counters %v, want candidates=%d = jobs_removed + jobs_saturated=%d",
-					name, i+1, c, left, len(res.Phases[i].JobIDs))
+				t.Errorf("%s phase %d: span counters %v, want candidates = jobs_removed + jobs_saturated=%d",
+					name, i+1, c, len(res.Phases[i].JobIDs))
 			}
-			candidates += left
-			saturated += int64(len(res.Phases[i].JobIDs))
-			left -= int64(len(res.Phases[i].JobIDs))
+			candidates += c["candidates"]
 		}
 		removed := snap.Counters["opt.jobs_removed"]
-		if removed+saturated != candidates {
-			t.Errorf("%s: opt.jobs_removed %d + saturated %d != candidates %d", name, removed, saturated, candidates)
+		if candidates != int64(in.N())+removed {
+			t.Errorf("%s: sum of candidates %d != n %d + opt.jobs_removed %d", name, candidates, in.N(), removed)
 		}
 		if rejecting := int64(res.Stats.Rounds - res.Stats.Phases); rejecting >= removed {
 			t.Errorf("%s: %d rejecting rounds for %d removed jobs: no round excluded more than one job",

@@ -3,14 +3,19 @@
 # for the decomposed streaming solve at 100k and 1M jobs, plus the
 # decompose=off monolithic baseline at 100k, into BENCH_trace.json.
 #
-# The monolithic baseline cannot be run to completion: the phase
-# algorithm's round loop is ~quadratic in n, and a 2k-job diurnal trace
-# already takes >10 minutes monolithically (vs ~0.5s decomposed), so
-# 100k would run for days. The baseline is therefore bounded by
-# BENCH_TRACE_OFF_TIMEOUT (default 300s) and, when it times out, its
-# throughput is recorded as the UPPER BOUND jobs/timeout — every jobs/sec
-# the monolithic solve could possibly have achieved is below it, so the
-# reported speedup is a lower bound on the true speedup.
+# The monolithic baseline cannot be run to completion at 100k. Each
+# phase starts from the block of jobs the last rejected round excluded,
+# so rounds stay near one per job, but every phase still walks all event
+# intervals and its Phase.Procs vector holds one entry per interval:
+# time and memory both grow as phases x intervals. A 4k-job diurnal
+# trace solves monolithically in ~0.7s and ~240 MB, a 16k-job one in
+# ~10s and ~3.5 GB, so 100k would need tens of GB. The baseline is
+# therefore bounded by BENCH_TRACE_OFF_TIMEOUT (default 300s) and by a
+# fixed 2048 MB address-space cap (OFF_MEM_MB). When it stops
+# at either bound after t seconds without finishing, its throughput is
+# recorded as the UPPER BOUND jobs/t — every jobs/sec the monolithic
+# solve could possibly have achieved is below it, so the reported
+# speedup is a lower bound on the true speedup.
 #
 # Run from the repository root (make bench does).
 set -u
@@ -19,6 +24,7 @@ GO=${GO:-go}
 N100K=${BENCH_TRACE_JOBS:-100000}
 N1M=${BENCH_TRACE_JOBS_LARGE:-1000000}
 OFF_TIMEOUT=${BENCH_TRACE_OFF_TIMEOUT:-300}
+OFF_MEM_MB=2048
 OUT=${BENCH_TRACE_OUT:-BENCH_trace.json}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -34,10 +40,15 @@ echo "bench-trace: generating $N100K- and $N1M-job traces"
 echo "bench-trace: $N100K jobs, decompose=on"
 "$tmp/mpss-opt" -in "$tmp/t100k.jsonl" -summary-json "$tmp/on100k.json" || exit 1
 
-echo "bench-trace: $N100K jobs, decompose=off (timeout ${OFF_TIMEOUT}s)"
-timeout -k 10 "${OFF_TIMEOUT}s" \
-    "$tmp/mpss-opt" -in "$tmp/t100k.jsonl" -decompose=false -summary-json "$tmp/off100k.json"
+echo "bench-trace: $N100K jobs, decompose=off (timeout ${OFF_TIMEOUT}s, address space ${OFF_MEM_MB} MB)"
+start=$(date +%s.%N)
+(
+    ulimit -v $((OFF_MEM_MB * 1024))
+    exec timeout -k 10 "${OFF_TIMEOUT}s" \
+        "$tmp/mpss-opt" -in "$tmp/t100k.jsonl" -decompose=false -summary-json "$tmp/off100k.json"
+) 2> "$tmp/off100k.err"
 rc=$?
+elapsed=$(awk "BEGIN { print $(date +%s.%N) - $start }")
 if [ "$rc" -eq 0 ]; then
     off=$(jq '. + {timed_out: false}' "$tmp/off100k.json")
 elif [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
@@ -45,7 +56,13 @@ elif [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
     off=$(jq -n --argjson n "$N100K" --argjson t "$OFF_TIMEOUT" \
         '{jobs: $n, decompose: false, timed_out: true, timeout_sec: $t,
           jobs_per_sec: ($n / $t), jobs_per_sec_is_upper_bound: true}')
+elif grep -q "out of memory" "$tmp/off100k.err"; then
+    echo "bench-trace: monolithic baseline ran out of its ${OFF_MEM_MB} MB after ${elapsed}s (expected); recording throughput upper bound"
+    off=$(jq -n --argjson n "$N100K" --argjson t "$elapsed" --argjson mb "$OFF_MEM_MB" \
+        '{jobs: $n, decompose: false, timed_out: false, out_of_memory: true, mem_limit_mb: $mb,
+          elapsed_sec: $t, jobs_per_sec: ($n / $t), jobs_per_sec_is_upper_bound: true}')
 else
+    cat "$tmp/off100k.err" >&2
     echo "bench-trace: monolithic baseline failed with exit $rc" >&2
     exit 1
 fi
@@ -63,7 +80,7 @@ jq -n \
     --argjson off100k "$off" \
     --argjson speedup "$speedup" \
     '{
-      note: "decompose=off is a bounded run: timed_out=true means jobs_per_sec is the upper bound jobs/timeout_sec, so speedup_100k is a lower bound",
+      note: "decompose=off is a bounded run: timed_out=true or out_of_memory=true means it stopped unfinished and jobs_per_sec is the upper bound jobs/seconds run, so speedup_100k is a lower bound",
       "100k_decompose_on": $on100k[0],
       "100k_decompose_off": $off100k,
       "1m_decompose_on": $on1m[0],

@@ -8,7 +8,11 @@
 #     opt.component_jobs_max) agree with the summary,
 #   - 4 solver workers produce the byte-identical summary as 1 worker
 #     (the decomposition differential at the CLI level),
-#   - the pipe form (mpss-gen trace | mpss-opt) streams end to end.
+#   - the pipe form (mpss-gen trace | mpss-opt) streams end to end,
+#   - a 4096-job trace solved monolithically (-decompose=false, one flow
+#     network over every job) agrees with its decomposed solve on jobs,
+#     phases and energy. Each phase starts from the block of jobs the
+#     last rejected round excluded, so this takes about a second.
 #
 # Run from the repository root (make trace-smoke does).
 set -u
@@ -102,8 +106,33 @@ elif [ "$(field "$tmp/pipe.json" .jobs)" != "2000" ]; then
     fail=1
 fi
 
+# Monolithic leg: the same summary with and without decomposition.
+NM=4096
+if ! "$tmp/mpss-gen" trace -n "$NM" -m 8 -seed 42 -o "$tmp/mono.jsonl"; then
+    echo "trace-smoke: monolithic-leg trace generation failed" >&2
+    exit 1
+fi
+if ! "$tmp/mpss-opt" -in "$tmp/mono.jsonl" -summary-json "$tmp/mono_on.json" > /dev/null ||
+    ! "$tmp/mpss-opt" -in "$tmp/mono.jsonl" -decompose=false -summary-json "$tmp/mono_off.json" > /dev/null; then
+    echo "trace-smoke: monolithic-leg solve failed" >&2
+    fail=1
+else
+    [ "$(field "$tmp/mono_off.json" .decompose)" = "false" ] || {
+        echo "trace-smoke: -decompose=false solve decomposed" >&2
+        fail=1
+    }
+    for key in .jobs .phases .energy; do
+        a=$(field "$tmp/mono_on.json" $key)
+        b=$(field "$tmp/mono_off.json" $key)
+        if [ "$a" != "$b" ]; then
+            echo "trace-smoke: $key diverged between decomposed and monolithic solves: $a vs $b" >&2
+            fail=1
+        fi
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "trace-smoke: FAILED" >&2
     exit 1
 fi
-echo "trace-smoke: OK ($N jobs, $components components, largest $largest, energy $energy)"
+echo "trace-smoke: OK ($N jobs, $components components, largest $largest, energy $energy; $NM-job monolithic leg agrees)"

@@ -150,22 +150,58 @@ func TestSolveTraceStreamRejectsBadInput(t *testing.T) {
 	}
 }
 
-// Rounds are the solver's cost center, and a deterministic count, so
-// they gate regressions where wall time on a shared box cannot. A
-// rejected round removes every job the residual graph certifies as
-// excluded, which keeps a diurnal trace near two rounds per job; removing
-// one job per round costs about sixteen.
+// Rounds and edges scanned are the solver's cost, and deterministic
+// counts, so they gate regressions where wall time on a shared box
+// cannot. A rejected round removes every job the residual graph
+// certifies as excluded, and each later phase starts from the block the
+// last rejected round excluded instead of from every remaining job; that
+// keeps a diurnal trace near one round and ~1,500 scanned edges per job.
+// Restarting each phase from every remaining job costs about two rounds
+// and ~7,500 edges per job, removing one job per round about sixteen
+// rounds.
 func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
 	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
-	sum, err := SolveTraceStream(bytes.NewReader(data), MustAlpha(3), WithParallelism(1))
+	rec := NewRecorder()
+	sum, err := SolveTraceStream(bytes.NewReader(data), MustAlpha(3), WithParallelism(1), WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Jobs != 2048 {
 		t.Fatalf("jobs = %d, want 2048", sum.Jobs)
 	}
-	if limit := 5 * sum.Jobs / 2; sum.Rounds > limit {
+	if limit := 5 * sum.Jobs / 4; sum.Rounds > limit {
 		t.Fatalf("rounds = %d for %d jobs (%.2f per job), want <= %d",
 			sum.Rounds, sum.Jobs, float64(sum.Rounds)/float64(sum.Jobs), limit)
+	}
+	edges := rec.Snapshot().Counters["flow.dinic.edges_scanned"]
+	if limit := int64(2500 * sum.Jobs); edges == 0 || edges > limit {
+		t.Fatalf("flow.dinic.edges_scanned = %d for %d jobs (%.0f per job), want in (0, %d]",
+			edges, sum.Jobs, float64(edges)/float64(sum.Jobs), limit)
+	}
+}
+
+// The same trace solved monolithically: one flow network over all 2048
+// jobs. Each phase starts from the last excluded block, so even here the
+// rounds stay near one per job (a phase loop that restarted from every
+// remaining job needs ~4.5 per job and ~45× the time), and the summary
+// must agree with the streamed solve.
+func TestSolveTraceMonolithicRoundsPerJob(t *testing.T) {
+	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
+	p := MustAlpha(3)
+	streamed, err := SolveTraceStream(bytes.NewReader(data), p, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := SolveTraceStream(bytes.NewReader(data), p, WithDecomposition(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mono.Jobs != streamed.Jobs || mono.Phases != streamed.Phases || mono.Energy != streamed.Energy {
+		t.Fatalf("monolithic jobs/phases/energy %d/%d/%v, streamed %d/%d/%v",
+			mono.Jobs, mono.Phases, mono.Energy, streamed.Jobs, streamed.Phases, streamed.Energy)
+	}
+	if limit := 5 * mono.Jobs / 4; mono.Rounds > limit {
+		t.Fatalf("monolithic rounds = %d for %d jobs (%.2f per job), want <= %d",
+			mono.Rounds, mono.Jobs, float64(mono.Rounds)/float64(mono.Jobs), limit)
 	}
 }
