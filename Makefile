@@ -1,8 +1,8 @@
 # Developer entry points. `make verify` is the tier-1 recipe CI and the
 # ROADMAP reference: build + vet + full tests + race over the packages
 # with real concurrency (the observability substrate, the flow solvers,
-# the server, the solver with its decomposition fan-out, and the
-# streamed trace solve).
+# the server, the cluster front tier, the solver with its decomposition
+# fan-out, and the streamed trace solve).
 
 GO ?= go
 
@@ -23,7 +23,7 @@ test:
 # minutes at full size under the race detector, and `make test` runs
 # them in full.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/...
+	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/opt/...
 	$(GO) test -race -run 'SolveTraceStream|Decomposition' .
 
@@ -80,9 +80,8 @@ trace-smoke:
 
 # contract-smoke runs the contracted-vs-raw differential solves under
 # the race detector: the contraction pass shares per-phase state with
-# the warm engine and the parallel flow dispatch, so one racy write
-# there would silently corrupt the active-set runs. -short keeps it to
-# the small sizes.
+# the warm engine, so one racy write there would silently corrupt the
+# active-set runs. -short keeps it to the small sizes.
 contract-smoke:
 	$(GO) test -race -short -run 'TestContractedMatchesRaw|TestTwoTierCap' ./internal/opt/
 

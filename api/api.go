@@ -29,12 +29,8 @@
 //	GET    /metrics                Prometheus text exposition
 //	GET    /v1/cluster/status      cluster topology + autoscaler (front tier)
 //
-// Error envelope: every non-2xx body is an ErrorBody whose "error"
-// object carries {"kind","message","request_id"}. The pre-cluster
-// releases stamped "kind" and "request_id" at the top level (and the
-// message as a top-level "error" string); the top-level "kind" and
-// "request_id" fields are still mirrored for one release — see
-// ErrorBody for the deprecation note.
+// Error envelope: every non-2xx body is an ErrorBody, whose only
+// top-level key "error" holds {"kind","message","request_id"}.
 package api
 
 import "mpss"

@@ -178,26 +178,16 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 }
 
 // DecodeError turns a non-2xx body into the typed *Error, falling back
-// to the deprecated top-level fields and then to the bare status when
-// the envelope is missing or malformed.
+// to the bare status when the envelope is missing or malformed.
 func DecodeError(status int, requestID string, body []byte) *Error {
 	e := &Error{Status: status, Kind: "http_" + strconv.Itoa(status), Message: statusText(status), RequestID: requestID}
 	var eb ErrorBody
-	if json.Unmarshal(body, &eb) != nil {
+	if json.Unmarshal(body, &eb) != nil || eb.Error.Kind == "" {
 		return e
 	}
-	switch {
-	case eb.Error.Kind != "":
-		e.Kind, e.Message = eb.Error.Kind, eb.Error.Message
-		if eb.Error.RequestID != "" {
-			e.RequestID = eb.Error.RequestID
-		}
-	case eb.Kind != "":
-		// A pre-envelope server: top-level "kind" only.
-		e.Kind = eb.Kind
-		if eb.RequestID != "" {
-			e.RequestID = eb.RequestID
-		}
+	e.Kind, e.Message = eb.Error.Kind, eb.Error.Message
+	if eb.Error.RequestID != "" {
+		e.RequestID = eb.Error.RequestID
 	}
 	return e
 }

@@ -2,6 +2,7 @@ package api_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"testing"
@@ -127,14 +128,22 @@ func TestClientSessionLifecycle(t *testing.T) {
 	}
 }
 
-// The deprecated top-level mirrors must keep satisfying a pre-envelope
-// client for one release: decode with only the old fields visible.
-func TestErrorBodyBackCompat(t *testing.T) {
-	body := api.NewErrorBody("infeasible", "no schedule", "req-1")
-	if body.Kind != "infeasible" || body.RequestID != "req-1" {
-		t.Errorf("deprecated mirrors not populated: %+v", body)
+// An error body's only top-level key is "error", and DecodeError reads
+// the envelope back into the typed error.
+func TestErrorBodyEnvelopeOnly(t *testing.T) {
+	data, err := json.Marshal(api.NewErrorBody("infeasible", "no schedule", "req-1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if body.Error.Kind != "infeasible" || body.Error.Message != "no schedule" || body.Error.RequestID != "req-1" {
-		t.Errorf("nested envelope wrong: %+v", body.Error)
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(data, &top); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := top["error"]; !ok || len(top) != 1 {
+		t.Errorf("top-level keys of %s: want exactly \"error\"", data)
+	}
+	e := api.DecodeError(422, "", data)
+	if e.Kind != "infeasible" || e.Message != "no schedule" || e.RequestID != "req-1" {
+		t.Errorf("decoded %+v", e)
 	}
 }

@@ -24,33 +24,17 @@ type ErrorDetail struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// ErrorBody is the body of every non-2xx response:
+// ErrorBody is the body of every non-2xx response, and "error" is its
+// only top-level key:
 //
 //	{"error":{"kind":"...","message":"...","request_id":"..."}}
-//
-// Deprecated mirrors: pre-cluster releases stamped "kind" and
-// "request_id" at the top level and carried the message as a top-level
-// "error" string. The top-level "kind" and "request_id" fields are
-// still populated for one release so existing clients keep parsing;
-// they will be dropped — read Error.Kind / Error.RequestID instead.
-// (The top-level "error" string could not survive: the key now holds
-// the error object. That is the one breaking change of the redesign.)
 type ErrorBody struct {
 	Error ErrorDetail `json:"error"`
-	// Deprecated: mirror of Error.Kind, removed next release.
-	Kind string `json:"kind,omitempty"`
-	// Deprecated: mirror of Error.RequestID, removed next release.
-	RequestID string `json:"request_id,omitempty"`
 }
 
-// NewErrorBody builds the envelope with the deprecated mirrors
-// populated.
+// NewErrorBody builds the envelope.
 func NewErrorBody(kind, message, requestID string) ErrorBody {
-	return ErrorBody{
-		Error:     ErrorDetail{Kind: kind, Message: message, RequestID: requestID},
-		Kind:      kind,
-		RequestID: requestID,
-	}
+	return ErrorBody{Error: ErrorDetail{Kind: kind, Message: message, RequestID: requestID}}
 }
 
 // Error is the typed client-side form of a non-2xx response.

@@ -22,7 +22,6 @@ func main() {
 
 	type entry struct {
 		Iterations int64              `json:"iterations"`
-		Workers    int                `json:"workers,omitempty"`
 		Metrics    map[string]float64 `json:"metrics"`
 	}
 	results := map[string]entry{}
@@ -44,15 +43,6 @@ func main() {
 		if i := strings.LastIndex(name, "-"); i > 0 { // strip -GOMAXPROCS
 			name = name[:i]
 		}
-		// Sub-benchmarks named .../workers=N carry the parallelism axis;
-		// surface it as a structured field so BENCH_opt.json can be
-		// filtered and diffed along the workers dimension.
-		workers := 0
-		if i := strings.LastIndex(name, "/workers="); i >= 0 {
-			if w, err := strconv.Atoi(name[i+len("/workers="):]); err == nil {
-				workers = w
-			}
-		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			continue
@@ -68,7 +58,7 @@ func main() {
 		if _, seen := results[name]; !seen {
 			order = append(order, name)
 		}
-		results[name] = entry{Iterations: iters, Workers: workers, Metrics: metrics}
+		results[name] = entry{Iterations: iters, Metrics: metrics}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

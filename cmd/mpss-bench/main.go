@@ -40,7 +40,6 @@ func main() {
 		seeds      = flag.Int("seeds", 0, "seeds per cell (0 = default)")
 		n          = flag.Int("n", 0, "jobs per instance (0 = default)")
 		workers    = flag.Int("workers", 0, "experiments run concurrently (0 = GOMAXPROCS, 1 = sequential)")
-		parallel   = flag.Int("parallel", 1, "flow-solver workers inside each solve (<=1 sequential)")
 		contract   = flag.Bool("contract", true, "interval contraction in the offline solves (off = raw-graph A/B baseline)")
 		approx     = flag.Bool("approx", true, "approximate first tier for cap searches (off = raw probes only)")
 		decompose  = flag.Bool("decompose", false, "zero-active-boundary decomposition in the offline solves (bit-identical results)")
@@ -65,7 +64,6 @@ func main() {
 	if *n > 0 {
 		cfg.N = *n
 	}
-	cfg.Parallelism = *parallel
 	cfg.NoContraction = !*contract
 	cfg.NoApprox = !*approx
 	cfg.Decompose = *decompose

@@ -40,7 +40,7 @@ func main() {
 		inPath     = flag.String("in", "", "instance JSON or trace JSONL file (default stdin)")
 		alpha      = flag.Float64("alpha", 3, "power function exponent (P(s) = s^alpha)")
 		exact      = flag.Bool("exact", false, "use exact rational arithmetic for phase decisions")
-		parallel   = flag.Int("parallel", 1, "flow-solver / component workers (<=1 sequential; ignored with -exact)")
+		parallel   = flag.Int("parallel", 1, "component workers (<=1 sequential; ignored with -exact)")
 		contract   = flag.Bool("contract", true, "merge equal-active-set interval runs before each phase solve (bit-identical results; off = A/B baseline)")
 		decompose  = flag.Bool("decompose", false, "cut the instance at zero-active boundaries and solve components independently (bit-identical results; streamed traces default to true)")
 		gantt      = flag.Bool("gantt", false, "print an ASCII Gantt chart")

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"mpss/internal/opt"
 )
 
 // FuzzSolvePipeline feeds raw, hostile job fields — NaN, infinities,
@@ -27,8 +25,7 @@ func FuzzSolvePipeline(f *testing.F) {
 	// tiny volumes in huge windows (speed underflow).
 	f.Add(int8(1), 0.0, 5e-324, math.MaxFloat64, -1e300, 1e300, 5e-324, 0.0, 1.0, 1.0)
 	// Overlapping staggered windows on three processors: valid and sane,
-	// so the body's second solve routes through the parallel push-relabel
-	// dispatch (see testdata/fuzz/FuzzSolvePipeline/parallel-dispatch).
+	// so every differential leg of the body runs.
 	f.Add(int8(3), 0.0, 6.0, 9.0, 1.0, 7.0, 4.0, 2.0, 8.0, 5.0)
 	// Grid-aligned windows: two jobs share a window and the third spans
 	// both, so multiple atomic intervals carry identical active sets and
@@ -80,15 +77,9 @@ func FuzzSolvePipeline(f *testing.F) {
 
 		// Contraction must be output-invisible on every accepted
 		// instance: re-solve on the raw interval graph and demand the
-		// bit-identical phase speeds. The parallelism toggle is derived
-		// from the input bits so the fuzzer also drives the raw path
-		// through both engines.
+		// bit-identical phase speeds.
 		if err == nil && sane(in) {
-			rawOpts := []SolveOption{WithContraction(false)}
-			if math.Float64bits(w1)&1 == 1 {
-				rawOpts = append(rawOpts, WithParallelism(2))
-			}
-			rres, rerr := OptimalSchedule(in, rawOpts...)
+			rres, rerr := OptimalSchedule(in, WithContraction(false))
 			check("OptimalSchedule(raw)", rerr)
 			if rerr == nil {
 				if len(rres.Phases) != len(res.Phases) {
@@ -133,26 +124,6 @@ func FuzzSolvePipeline(f *testing.F) {
 				e, de := res.Schedule.Energy(p), dres.Schedule.Energy(p)
 				if diff := math.Abs(e - de); diff > 1e-9*math.Max(1, math.Abs(e)) {
 					t.Errorf("decomposition changed energy: %v vs %v", e, de)
-				}
-			}
-		}
-
-		// Same instance through the parallel flow engine. The edge
-		// threshold is lowered so even these tiny networks dispatch to
-		// the concurrent push-relabel solver, extending the no-panic /
-		// typed-error contract to the worker goroutine path.
-		if err == nil && sane(in) {
-			oldThreshold := opt.ParallelEdgeThreshold
-			opt.ParallelEdgeThreshold = 1
-			pres, perr := OptimalSchedule(in, WithParallelism(2))
-			opt.ParallelEdgeThreshold = oldThreshold
-			check("OptimalSchedule(parallel)", perr)
-			if perr == nil {
-				if pres == nil || pres.Schedule == nil {
-					t.Fatal("OptimalSchedule(parallel): nil result without error")
-				}
-				if verr := Verify(pres.Schedule, in); verr != nil {
-					t.Errorf("OptimalSchedule(parallel): infeasible schedule: %v", verr)
 				}
 			}
 		}

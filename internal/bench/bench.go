@@ -32,11 +32,6 @@ type Config struct {
 	Seeds int // random seeds per cell
 	N     int // jobs per instance
 
-	// Parallelism is the worker count handed to the solver's parallel
-	// flow layer (opt.WithParallelism / speculative feasibility probes).
-	// <= 1 keeps every solve sequential, the reproducible default.
-	Parallelism int
-
 	// Recorder, when non-nil, collects solver-internal metrics (flow
 	// operation counts, phase structure, online-event counters) from the
 	// experiments that exercise instrumented code paths. cmd/mpss-bench
@@ -73,9 +68,6 @@ func (c Config) normalize() Config {
 	}
 	if c.N <= 0 {
 		c.N = 12
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = 1
 	}
 	return c
 }

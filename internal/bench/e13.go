@@ -48,17 +48,13 @@ func E13(cfg Config) ([]E13Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				optRes, err := opt.Schedule(in, append(cfg.solveOpts(),
-					opt.WithParallelism(cfg.Parallelism), opt.WithRecorder(cfg.Recorder))...)
+				optRes, err := opt.Schedule(in, append(cfg.solveOpts(), opt.WithRecorder(cfg.Recorder))...)
 				if err != nil {
 					return nil, fmt.Errorf("E13 %s seed=%d: %w", gname, seed, err)
 				}
 				capOpts := []opt.CapOption{
 					opt.WithCapContraction(!cfg.NoContraction),
 					opt.WithApproxFirst(!cfg.NoApprox),
-				}
-				if cfg.Parallelism > 1 {
-					capOpts = append(capOpts, opt.WithProbeParallelism(cfg.Parallelism))
 				}
 				minCap, err := opt.MinFeasibleCapObserved(in, 1e-6, cfg.Recorder, capOpts...)
 				if err != nil {

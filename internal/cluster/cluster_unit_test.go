@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"mpss"
+	"mpss/internal/pool"
 )
 
 func TestFlightGroupCoalesces(t *testing.T) {
-	var g flightGroup
-	lead, isLeader := g.join("k")
+	var g pool.Group[proxied]
+	lead, isLeader := g.Join("k")
 	if !isLeader {
 		t.Fatal("first join must lead")
 	}
@@ -23,18 +24,18 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		joined.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f, leader := g.join("k")
+			f, leader := g.Join("k")
 			joined.Done()
 			if leader {
 				t.Error("follower became leader while flight open")
 			}
-			<-f.done
-			results[i] = f.resp
+			<-f.Done()
+			results[i] = f.Val()
 		}(i)
 	}
 	want := proxied{status: 200, body: []byte(`{"x":1}`), replica: "r1"}
 	joined.Wait() // every follower is on the flight before it lands
-	g.finish("k", lead, want)
+	g.Finish("k", lead, want)
 	wg.Wait()
 	for i, got := range results {
 		if got.status != want.status || string(got.body) != string(want.body) {
@@ -42,8 +43,17 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		}
 	}
 	// The key is retired: the next join leads a fresh flight.
-	if _, leader := g.join("k"); !leader {
+	next, leader := g.Join("k")
+	if !leader {
 		t.Fatal("join after finish must lead")
+	}
+	// A leader that aborts publishes the zero proxied, which followers
+	// must not replay.
+	follower, _ := g.Join("k")
+	g.Finish("k", next, proxied{})
+	<-follower.Done()
+	if follower.Val().cacheable() {
+		t.Fatal("aborted flight replayed as a cacheable answer")
 	}
 }
 

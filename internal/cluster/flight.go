@@ -1,11 +1,13 @@
 package cluster
 
-import "sync"
-
 // proxied is one replica answer held by the front: the upstream status,
 // the raw JSON body, and which replica produced it. The cluster
-// singleflight replays these to followers; like the in-replica cache,
-// only deterministic domain answers (200, 422) qualify.
+// singleflight (a pool.Group[proxied] keyed on the canonical request
+// key) replays these to followers, so K identical requests arriving at
+// the front execute one solve on one replica, however many replicas
+// exist. Like the in-replica cache, only deterministic domain answers
+// (200, 422) qualify; a zero proxied (status 0) means the leader
+// aborted without an answer.
 type proxied struct {
 	status  int
 	body    []byte
@@ -18,46 +20,4 @@ type proxied struct {
 // result cache: deterministic domain answers only.
 func (p proxied) cacheable() bool {
 	return p.status == 200 || p.status == 422
-}
-
-// flight is one cluster-wide in-flight solve; followers wait on done.
-// A zero resp (status 0) means the leader aborted without an answer.
-type flight struct {
-	done chan struct{}
-	resp proxied
-}
-
-// flightGroup coalesces duplicate concurrent solves across the whole
-// cluster, keyed on the canonical request key. Same leader/follower
-// protocol as the per-replica group (internal/server singleflight.go),
-// lifted one tier: K identical requests arriving at the front execute
-// ONE solve on one replica, regardless of how many replicas exist.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-// join returns the flight for key, creating it if absent; the creator
-// is the leader (second return true) and must eventually call finish.
-func (g *flightGroup) join(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f, false
-	}
-	if g.m == nil {
-		g.m = make(map[string]*flight)
-	}
-	f := &flight{done: make(chan struct{})}
-	g.m[key] = f
-	return f, true
-}
-
-// finish publishes the leader's response and retires the key.
-func (g *flightGroup) finish(key string, f *flight, resp proxied) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	f.resp = resp
-	close(f.done)
 }

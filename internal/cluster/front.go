@@ -16,6 +16,7 @@ import (
 
 	"mpss/api"
 	"mpss/internal/obs"
+	"mpss/internal/pool"
 )
 
 // Config parameterizes a Front. Spawner is required; everything else
@@ -98,7 +99,7 @@ type Front struct {
 	rec *obs.Recorder
 	log *slog.Logger
 	mux *http.ServeMux
-	sf  flightGroup
+	sf  pool.Group[proxied]
 	as  *autoscaler
 
 	mu       sync.RWMutex
@@ -650,13 +651,13 @@ func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 
 		// Cluster-wide singleflight: concurrent identical requests —
 		// arriving for ANY replica — share one proxied solve.
-		call, leader := f.sf.join(key)
+		call, leader := f.sf.Join(key)
 		if !leader {
 			f.rec.Add("cluster.coalesced", 1)
 			select {
-			case <-call.done:
-				if call.resp.cacheable() {
-					f.writeProxied(w, call.resp, reqID)
+			case <-call.Done():
+				if resp := call.Val(); resp.cacheable() {
+					f.writeProxied(w, resp, reqID)
 					return
 				}
 			case <-r.Context().Done():
@@ -670,7 +671,7 @@ func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 		var resp proxied
 		var ok bool
 		func() {
-			defer func() { f.sf.finish(key, call, resp) }()
+			defer func() { f.sf.Finish(key, call, resp) }()
 			resp, ok = f.routeMigrated(r.Context(), key, path, body, reqID)
 		}()
 		if !ok {

@@ -150,12 +150,6 @@ type Graph struct {
 	level, iter, queue []int32
 	upPath             []int32
 	mark               []bool
-
-	// Parallel push-relabel state (parallel.go): scratch arenas are
-	// allocated lazily on the first MaxFlowParallel call and reused —
-	// sequential users never pay for them.
-	parOps ParOps
-	par    *parScratch
 }
 
 // Ops returns the operation counts accumulated by MaxFlow since the last
@@ -187,7 +181,6 @@ func (g *Graph) Reset(n int) {
 	g.maxCapOK = true
 	g.tol = 0
 	g.ops = DinicOps{}
-	g.parOps = ParOps{}
 	g.haveST = false
 }
 
@@ -223,10 +216,6 @@ func (g *Graph) Grow(nv, ne int) {
 		g.ensureScratch(n)
 	}
 }
-
-// EdgeCount returns the number of forward edges added so far — the size
-// measure the solver's parallel-dispatch threshold is expressed in.
-func (g *Graph) EdgeCount() int { return len(g.edges) / 2 }
 
 // SetTolerance overrides the absolute saturation tolerance. A zero value
 // restores the default (DefaultTolerance times the largest capacity).

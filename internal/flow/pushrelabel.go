@@ -174,9 +174,7 @@ func (g *PRGraph) MaxFlow(s, t int) float64 {
 	// vertices reaching neither. Each height only moves up (the max of
 	// two valid labelings is valid), which preserves the termination
 	// argument; the exact labels make subsequent pushes head straight
-	// for the sink instead of wandering. Same policy as the concurrent
-	// solver's stop-the-world pass, so the E11 ablation compares equal
-	// heuristics.
+	// for the sink instead of wandering.
 	dist := make([]int, n)
 	bfsQueue := make([]int, 0, n)
 	reverseBFS := func(root int) {

@@ -14,15 +14,6 @@ import (
 // the tentpole replaces). Custom metrics expose the solver-internal
 // counters next to ns/op.
 func benchOptSchedule(b *testing.B, n int, cold bool) {
-	benchOptScheduleWorkers(b, n, cold, 1)
-}
-
-// benchOptScheduleWorkers is the same family with the parallel flow
-// layer engaged: par > 1 dispatches cold solves above the edge
-// threshold to the concurrent push-relabel engine, and the parallel
-// counters land next to ns/op so BENCH_opt.json records whether the
-// dispatch actually fired.
-func benchOptScheduleWorkers(b *testing.B, n int, cold bool, par int) {
 	in, err := workload.Uniform(workload.Spec{N: n, M: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -30,9 +21,6 @@ func benchOptScheduleWorkers(b *testing.B, n int, cold bool, par int) {
 	opts := []Option{}
 	if cold {
 		opts = append(opts, ColdStart())
-	}
-	if par > 1 {
-		opts = append(opts, WithParallelism(par))
 	}
 	rec := obs.New()
 	s := NewSolver()
@@ -49,11 +37,6 @@ func benchOptScheduleWorkers(b *testing.B, n int, cold bool, par int) {
 	b.ReportMetric(float64(snap.Counters["opt.rounds"])/div, "opt.rounds/op")
 	b.ReportMetric(float64(snap.Counters["flow.warm_hits"])/div, "flow.warm_hits/op")
 	b.ReportMetric(float64(snap.Counters["opt.graph_rebuilds"])/div, "opt.graph_rebuilds/op")
-	if par > 1 {
-		b.ReportMetric(float64(snap.Counters["flow.parallel_solves"])/div, "flow.parallel_solves/op")
-		b.ReportMetric(float64(snap.Counters["flow.global_relabels"])/div, "flow.global_relabels/op")
-		b.ReportMetric(float64(snap.Counters["flow.steals"])/div, "flow.steals/op")
-	}
 }
 
 func BenchmarkOptSchedule64Jobs(b *testing.B)   { benchOptSchedule(b, 64, false) }
@@ -63,19 +46,6 @@ func BenchmarkOptSchedule1024Jobs(b *testing.B) { benchOptSchedule(b, 1024, fals
 func BenchmarkOptScheduleCold64Jobs(b *testing.B)   { benchOptSchedule(b, 64, true) }
 func BenchmarkOptScheduleCold256Jobs(b *testing.B)  { benchOptSchedule(b, 256, true) }
 func BenchmarkOptScheduleCold1024Jobs(b *testing.B) { benchOptSchedule(b, 1024, true) }
-
-// The workers dimension of the cold benchmark: workers=1 is the
-// sequential Dinic baseline, workers>1 routes the cold solves through
-// the concurrent push-relabel engine. benchjson parses the /workers=N
-// suffix into a "workers" field so BENCH_opt.json can be diffed along
-// this axis.
-func BenchmarkOptScheduleColdParallel1024Jobs(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchOptScheduleWorkers(b, 1024, true, w)
-		})
-	}
-}
 
 // The contraction benchmark family: the slotted workload aligns all
 // windows to a shared grid, so once the fine tiers finish, long runs
@@ -158,34 +128,24 @@ func BenchmarkFeasibleAtSpeed256Jobs(b *testing.B) {
 	}
 }
 
-// The minimum-cap search along the workers dimension: workers=1 is
-// plain bisection, workers=k runs speculative k-section waves that
-// shrink the bracket (k+1)x per wave over pooled per-worker graphs.
+// The minimum-cap search: one bracketing solve, then bisection probes.
 func BenchmarkMinFeasibleCap256Jobs(b *testing.B) {
 	in, err := workload.Uniform(workload.Spec{N: 256, M: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var capOpts []CapOption
-			if w > 1 {
-				capOpts = append(capOpts, WithProbeParallelism(w))
-			}
-			rec := obs.New()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := MinFeasibleCapObserved(in, 1e-6, rec, capOpts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			snap := rec.Snapshot()
-			div := float64(b.N)
-			b.ReportMetric(float64(snap.Counters["opt.probe_waves"])/div, "opt.probe_waves/op")
-			b.ReportMetric(float64(snap.Counters["opt.feasibility_probes"])/div, "opt.feasibility_probes/op")
-			b.ReportMetric(float64(snap.Counters["opt.bracket_solves"])/div, "opt.bracket_solves/op")
-		})
+	rec := obs.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinFeasibleCapObserved(in, 1e-6, rec); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	snap := rec.Snapshot()
+	div := float64(b.N)
+	b.ReportMetric(float64(snap.Counters["opt.probe_waves"])/div, "opt.probe_waves/op")
+	b.ReportMetric(float64(snap.Counters["opt.feasibility_probes"])/div, "opt.feasibility_probes/op")
+	b.ReportMetric(float64(snap.Counters["opt.bracket_solves"])/div, "opt.bracket_solves/op")
 }

@@ -9,7 +9,6 @@ import (
 	"mpss/internal/job"
 	"mpss/internal/mpsserr"
 	"mpss/internal/obs"
-	"mpss/internal/pool"
 )
 
 // FeasibleAtSpeed reports whether the instance can be completed when every
@@ -42,36 +41,8 @@ func FeasibleAtSpeedCtx(ctx context.Context, in *job.Instance, s float64, rec *o
 	return feasibleProbe(in, job.Partition(in.Jobs), s, rec)
 }
 
-// FeasibleAtSpeedBatch evaluates many candidate caps concurrently, each
-// probe on its own pooled graph, with up to workers goroutines (<= 0
-// selects GOMAXPROCS). The result slice is index-aligned with caps. One
-// interval partition is shared across all probes, so a k-probe batch
-// does strictly less setup work than k FeasibleAtSpeed calls.
-func FeasibleAtSpeedBatch(in *job.Instance, caps []float64, workers int, rec *obs.Recorder) ([]bool, error) {
-	return FeasibleAtSpeedBatchCtx(nil, in, caps, workers, rec)
-}
-
-// FeasibleAtSpeedBatchCtx is FeasibleAtSpeedBatch with a cancellation
-// context checked before each probe (nil disables the checks).
-func FeasibleAtSpeedBatchCtx(ctx context.Context, in *job.Instance, caps []float64, workers int, rec *obs.Recorder) ([]bool, error) {
-	if err := validateForSolve(in); err != nil {
-		return nil, err
-	}
-	if len(caps) == 0 {
-		return nil, nil
-	}
-	ivs := job.Partition(in.Jobs)
-	return pool.Map(len(caps), workers, func(i int) (bool, error) {
-		if cerr := canceled(ctx, 0, i); cerr != nil {
-			return false, cerr
-		}
-		return feasibleProbe(in, ivs, caps[i], rec)
-	})
-}
-
 // feasibleProbe is one feasibility max-flow test at cap s on a pooled
-// graph. Safe for concurrent invocation (each call acquires its own
-// graph; the recorder is concurrency-safe).
+// graph.
 func feasibleProbe(in *job.Instance, ivs []job.Interval, s float64, rec *obs.Recorder) (bool, error) {
 	if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		return false, fmt.Errorf("opt: invalid speed cap %v: %w", s, mpsserr.ErrInvalidInstance)
@@ -120,7 +91,6 @@ type CapOption func(*capConfig)
 type capConfig struct {
 	lo, hi      float64
 	haveBracket bool
-	probes      int
 	noApprox    bool
 	noContract  bool
 	ctx         context.Context
@@ -131,14 +101,6 @@ type capConfig struct {
 // the upper bound from the unbounded optimum's top phase speed.
 func WithBracket(lo, hi float64) CapOption {
 	return func(c *capConfig) { c.lo, c.hi, c.haveBracket = lo, hi, true }
-}
-
-// WithProbeParallelism evaluates k candidate caps per wave concurrently
-// (speculative k-section search): the bracket shrinks by a factor of
-// k+1 per wave instead of 2 per probe, at the price of probes whose
-// answers the wave outcome makes redundant. k <= 1 is plain bisection.
-func WithProbeParallelism(k int) CapOption {
-	return func(c *capConfig) { c.probes = k }
 }
 
 // WithCapContext makes the cap search cancelable: ctx is polled before
@@ -190,9 +152,6 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.probes < 1 {
-		cfg.probes = 1
-	}
 	if err := validateForSolve(in); err != nil {
 		return 0, err
 	}
@@ -211,7 +170,7 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 			return 0, fmt.Errorf("opt: bracket upper bound %v is not feasible: %w", hi, mpsserr.ErrInvalidInstance)
 		}
 	} else {
-		top, err := bracketSpeed(cfg.ctx, in, cfg.probes, !cfg.noContract, rec)
+		top, err := bracketSpeed(cfg.ctx, in, !cfg.noContract, rec)
 		if err != nil {
 			if !retryable(err) {
 				return 0, err
@@ -241,65 +200,44 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 		lo = 0
 	}
 
-	// Speculative k-section: each wave probes k interior caps at once
-	// (concurrently for k > 1) and keeps the leftmost feasible one as the
-	// new upper bound. Feasibility is monotone in the cap, so the
-	// infeasible probe just below it tightens the lower bound. k = 1 is
-	// classic bisection.
+	// Bisection: each wave probes the bracket midpoint, which becomes the
+	// new upper bound when feasible and the new lower bound otherwise
+	// (feasibility is monotone in the cap).
 	//
 	// Two-tier dispatch: wide-bracket waves probe on the packed network
 	// (approx.go), the final near-boundary waves on the raw one. The
-	// per-wave probe points depend only on the bracket, never on which
-	// tier answered, so both dispatch modes walk the same cap sequence.
+	// probe points depend only on the bracket, never on which tier
+	// answered, so both dispatch modes walk the same cap sequence.
 	ivs := job.Partition(in.Jobs)
 	var pk *packedProbe
 	if !cfg.noApprox && !cfg.noContract && hi-lo > approxCapWidth*hi {
 		pk = newPackedProbe(in, ivs, rec)
 	}
-	k := cfg.probes
-	speeds := make([]float64, k)
 	for hi-lo > rel*hi {
 		if cerr := canceled(cfg.ctx, 0, 0); cerr != nil {
 			rec.Add("opt.canceled", 1)
 			return 0, cerr
 		}
-		for i := 1; i <= k; i++ {
-			speeds[i-1] = lo + (hi-lo)*float64(i)/float64(k+1)
-		}
-		if speeds[0] <= 0 {
+		mid := lo + (hi-lo)/2
+		if mid <= 0 {
 			break
 		}
 		rec.Add("opt.probe_waves", 1)
-		probe := func(i int) (bool, error) { return feasibleProbe(in, ivs, speeds[i], rec) }
+		var ok bool
+		var err error
 		if pk != nil && hi-lo > approxCapWidth*hi {
 			rec.Add("opt.approx_waves", 1)
-			probe = func(i int) (bool, error) { return pk.feasible(speeds[i]) }
-		}
-		var feas []bool
-		var err error
-		if k == 1 {
-			ok, perr := probe(0)
-			feas, err = []bool{ok}, perr
+			ok, err = pk.feasible(mid)
 		} else {
-			feas, err = pool.Map(k, k, probe)
+			ok, err = feasibleProbe(in, ivs, mid, rec)
 		}
 		if err != nil {
 			return 0, err
 		}
-		first := -1
-		for i, ok := range feas {
-			if ok {
-				first = i
-				break
-			}
-		}
-		if first < 0 {
-			lo = speeds[k-1]
+		if ok {
+			hi = mid
 		} else {
-			hi = speeds[first]
-			if first > 0 {
-				lo = speeds[first-1]
-			}
+			lo = mid
 		}
 	}
 	return hi, nil
@@ -312,7 +250,7 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 // double-solving every later phase; this path stops at the first
 // acceptance and skips schedule emission entirely. Shares the solver
 // pool and panic-containment conventions of Solver.Schedule.
-func bracketSpeed(ctx context.Context, in *job.Instance, par int, contract bool, rec *obs.Recorder) (top float64, err error) {
+func bracketSpeed(ctx context.Context, in *job.Instance, contract bool, rec *obs.Recorder) (top float64, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -333,7 +271,6 @@ func bracketSpeed(ctx context.Context, in *job.Instance, par int, contract bool,
 	e.tol = flow.SolveTolerance
 	e.cold = false
 	e.contract = contract
-	e.par = par
 
 	ivs := job.Partition(in.Jobs)
 	used := make([]int, len(ivs))

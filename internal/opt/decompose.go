@@ -143,12 +143,11 @@ func scheduleDecomposed(in *job.Instance, comps [][]int, cfg *config, opts []Opt
 	cfg.rec.Add("opt.decompose_cuts", int64(len(comps)-1))
 	cfg.rec.Add("opt.component_jobs_max", int64(maxJobs))
 
-	// Sub-solves re-apply the caller's options, then pin the two knobs
-	// the decomposed layer owns: no nested decomposition (the components
-	// cannot separate further at their own cuts, and the sweep is pure
-	// overhead), and sequential flow solves (the parallelism budget is
-	// spent at component granularity).
-	subOpts := append(slices.Clone(opts), WithDecomposition(false), WithParallelism(1))
+	// Sub-solves re-apply the caller's options, then turn decomposition
+	// off: the components cannot separate further at their own cuts, and
+	// the sweep is pure overhead. WithParallelism is spent here: up to
+	// that many components are solved at once, one per worker.
+	subOpts := append(slices.Clone(opts), WithDecomposition(false))
 	workers := max(1, cfg.par)
 
 	results, err := pool.Map(len(comps), workers, func(i int) (*Result, error) {

@@ -32,7 +32,6 @@ type floatEngine struct {
 	tol      float64
 	cold     bool
 	contract bool // merge flow-equivalent interval runs before solving
-	par      int  // workers for cold solves above ParallelEdgeThreshold; <= 1 = sequential
 
 	in        *job.Instance
 	ivs       []job.Interval
@@ -386,25 +385,13 @@ func (e *floatEngine) publish() {
 	e.prevOps = ops
 }
 
-// solveFlow runs one max-flow computation with the dispatch policy:
-// cold solves (freshly built network, zero flow) above the size
-// threshold go to the concurrent push-relabel engine when parallelism
-// was requested; everything else — small networks and every warm
-// re-augmentation — stays on sequential Dinic, whose incremental restart
-// is the fast path parallelism must not regress.
+// solveFlow runs one sequential Dinic max-flow computation: from zero
+// on a freshly built network, or as an incremental re-augmentation of
+// the warm one.
 func (e *floatEngine) solveFlow() {
 	var t0 time.Time
 	if e.solveHist != nil {
 		t0 = time.Now()
-	}
-	if e.par > 1 && !e.warmRound && e.g.EdgeCount() >= ParallelEdgeThreshold {
-		prev := e.g.ParOps()
-		e.g.MaxFlowParallel(0, e.sink, e.par)
-		if e.solveHist != nil {
-			e.solveHist.Observe(time.Since(t0).Seconds())
-		}
-		publishParallel(e.rec, e.span, e.g.ParOps().Sub(prev))
-		return
 	}
 	e.g.MaxFlow(0, e.sink)
 	if e.solveHist != nil {

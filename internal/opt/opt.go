@@ -146,24 +146,11 @@ func WithDecomposition(on bool) Option {
 	return func(c *config) { c.decompose = on }
 }
 
-// ParallelEdgeThreshold is the network size (in forward edges) above
-// which a cold solve dispatches to the concurrent push-relabel engine
-// when WithParallelism is in effect. Below it the sequential Dinic
-// solver wins outright — goroutine startup and atomic traffic cost more
-// than the solve. Exposed as a variable so benchmarks and tests can move
-// the boundary.
-var ParallelEdgeThreshold = 4096
-
-// WithParallelism lets the float engine solve cold flow networks with n
-// concurrent workers (n <= 1 keeps everything sequential, the default).
-// Only from-zero solves on networks of at least ParallelEdgeThreshold
-// edges are dispatched to the concurrent engine; warm re-augmentations
-// stay on the sequential incremental path, which is already faster than
-// re-solving. The maximum-flow *value* — and therefore every phase
-// decision — is independent of n; the flow decomposition an accepted
-// phase emits may legitimately differ from the sequential one's (both
-// are optimal schedules). Runs that must be bit-reproducible against
-// the sequential solver should leave parallelism off.
+// WithParallelism sets how many decomposition components (see
+// WithDecomposition) are solved at once; n <= 1, the default, solves
+// them one after another. Every max-flow computation is sequential
+// Dinic whatever n is, so results are bit-identical at any n, and the
+// option has no effect on a solve that is not decomposed.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.par = n }
 }
@@ -268,7 +255,6 @@ func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 	s.fe.tol = cfg.tol
 	s.fe.cold = cfg.cold
 	s.fe.contract = !cfg.noContract
-	s.fe.par = cfg.par
 	res, err := runPhases(cfg.ctx, in, &s.fe, cfg.rec, cfg.span)
 	if err == nil || !retryable(err) {
 		return res, err
@@ -565,24 +551,6 @@ func publishDinic(rec *obs.Recorder, span *obs.Span, ops flow.DinicOps) {
 	span.Add("bfs_passes", ops.BFSPasses)
 	span.Add("aug_paths", ops.AugPaths)
 	span.Add("edges_scanned", ops.EdgesScanned)
-}
-
-// publishParallel folds one concurrent max-flow solve's operation
-// counts into the recorder and the enclosing phase span.
-func publishParallel(rec *obs.Recorder, span *obs.Span, ops flow.ParOps) {
-	if !rec.Enabled() && span == nil {
-		return
-	}
-	rec.Add("flow.parallel_solves", 1)
-	rec.Add("flow.global_relabels", ops.GlobalRelabels)
-	rec.Add("flow.steals", ops.Steals)
-	rec.Add("flow.par.pushes", ops.Pushes)
-	rec.Add("flow.par.relabels", ops.Relabels)
-	rec.Add("flow.par.discharges", ops.Discharges)
-	rec.Add("flow.par.gap_firings", ops.GapFirings)
-	span.Add("parallel_solves", 1)
-	span.Add("global_relabels", ops.GlobalRelabels)
-	span.Add("steals", ops.Steals)
 }
 
 // publishExact is publishDinic for the exact rational solver.

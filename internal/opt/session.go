@@ -240,8 +240,8 @@ type SessionResult struct {
 
 // NewSession starts a session over the instance. Options become the
 // session defaults for every resolve: Exact() pins the exact engine,
-// WithRecorder/WithParallelism/WithTolerance/WithContraction behave as
-// in Schedule. Unlike the round loop, sessions address jobs by ID
+// WithRecorder/WithTolerance/WithContraction behave as in Schedule.
+// Unlike the round loop, sessions address jobs by ID
 // (RemoveJob), so duplicate IDs are rejected here.
 func (s *Solver) NewSession(in *job.Instance, opts ...Option) (*Session, error) {
 	cfg := config{tol: flow.SolveTolerance}
@@ -406,7 +406,6 @@ func (ss *Session) scheduleOpts(ctx context.Context) []Option {
 	opts := []Option{
 		WithRecorder(ss.cfg.rec), UnderSpan(ss.cfg.span), WithContext(ctx),
 		WithTolerance(ss.cfg.tol), WithContraction(!ss.cfg.noContract),
-		WithParallelism(ss.cfg.par),
 	}
 	if ss.cfg.exact {
 		opts = append(opts, Exact())
@@ -431,7 +430,6 @@ func (ss *Session) resolveFloat(ctx context.Context, in *job.Instance, rec *obs.
 	fe.tol = ss.cfg.tol
 	fe.cold = false
 	fe.contract = !ss.cfg.noContract
-	fe.par = ss.cfg.par
 	fe.sess = &ss.net
 	res, err := runPhases(ctx, in, fe, rec, span)
 	fe.sess = nil
@@ -447,7 +445,7 @@ func (ss *Session) resolveFloat(ctx context.Context, in *job.Instance, rec *obs.
 	rec.Add("opt.session_fallbacks", 1)
 	return ss.solver.Schedule(in,
 		WithRecorder(rec), UnderSpan(span), WithContext(ctx), WithTolerance(ss.cfg.tol),
-		WithContraction(!ss.cfg.noContract), WithParallelism(ss.cfg.par))
+		WithContraction(!ss.cfg.noContract))
 }
 
 // capFeasible answers FeasibleAtSpeed for the session's cap, with the

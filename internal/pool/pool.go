@@ -1,8 +1,9 @@
-// Package pool provides the bounded-parallelism helper used by the
-// experiment harness: fan a fixed index range out over a worker pool,
-// collect results in order, and stop on the first error. It is a small,
-// allocation-light alternative to pulling in errgroup, built only on
-// goroutines and channels.
+// Package pool provides small concurrency helpers built only on the
+// standard library. Map fans a fixed index range out over a worker pool,
+// collects results in order and stops on the first error (a small,
+// allocation-light alternative to pulling in errgroup); FreeList
+// recycles solver arenas; Group coalesces duplicate concurrent
+// computations.
 package pool
 
 import (

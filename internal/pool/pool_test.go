@@ -98,3 +98,23 @@ func TestMapMatchesSequentialProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestGroupCoalesces(t *testing.T) {
+	var g Group[int]
+	lead, leader := g.Join("k")
+	follow, again := g.Join("k")
+	if !leader || again || follow != lead {
+		t.Fatalf("join: leader=%v again=%v same=%v", leader, again, follow == lead)
+	}
+	if other, ok := g.Join("other"); !ok || other == lead {
+		t.Fatal("a second key must lead its own call")
+	}
+	g.Finish("k", lead, 7)
+	<-follow.Done()
+	if follow.Val() != 7 {
+		t.Fatalf("follower got %d, want 7", follow.Val())
+	}
+	if _, ok := g.Join("k"); !ok {
+		t.Fatal("join after finish must lead a fresh call")
+	}
+}

@@ -73,6 +73,7 @@ import (
 
 	"mpss"
 	"mpss/internal/obs"
+	"mpss/internal/pool"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -218,7 +219,7 @@ type Server struct {
 	// streaming session are routed to the one worker owning its solver.
 	sessQ    []chan *task
 	sessions *sessionRegistry
-	sf       flightGroup // coalesces duplicate concurrent solves
+	sf       pool.Group[response] // coalesces duplicate concurrent solves
 
 	workers  sync.WaitGroup // worker goroutines
 	inflight sync.WaitGroup // admitted, not yet answered tasks
@@ -498,14 +499,14 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		// Coalesce the stampede: concurrent identical requests (same key,
 		// result not cached yet) share one solve instead of queuing one
 		// each.
-		call, leader := s.sf.join(key)
+		call, leader := s.sf.Join(key)
 		if !leader {
 			s.rec.Add("server.coalesced", 1)
 			spanFromContext(r.Context()).SetTag("flight", "coalesced")
 			select {
-			case <-call.done:
-				if call.resp.cacheable() {
-					call.resp.write(w, reqID)
+			case <-call.Done():
+				if resp := call.Val(); resp.cacheable() {
+					resp.write(w, reqID)
 					return
 				}
 				// The leader's answer was transient (5xx/503/timeout) — it
@@ -525,9 +526,9 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		}
 		var resp response
 		func() {
-			// finish runs even if runSolve panics: followers then observe a
+			// Finish runs even if runSolve panics: followers then observe a
 			// zero (uncacheable) response and solve on their own.
-			defer func() { s.sf.finish(key, call, resp) }()
+			defer func() { s.sf.Finish(key, call, resp) }()
 			resp = runSolve()
 		}()
 		if resp.cacheable() {

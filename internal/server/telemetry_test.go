@@ -64,8 +64,8 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatalf("bad instance: status %d, want 400", resp.StatusCode)
 	}
 	var e api.ErrorBody
-	if err := json.Unmarshal(errBody, &e); err != nil || e.RequestID != errID {
-		t.Errorf("error body request_id = %q, want %q (%s)", e.RequestID, errID, errBody)
+	if err := json.Unmarshal(errBody, &e); err != nil || e.Error.RequestID != errID {
+		t.Errorf("error body request_id = %q, want %q (%s)", e.Error.RequestID, errID, errBody)
 	}
 
 	// No inbound ID: one is generated, non-empty and well-formed.
@@ -441,8 +441,19 @@ func TestCachedErrorCarriesFreshRequestID(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Fatalf("status %d, want 422", resp.StatusCode)
 		}
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(data, &top); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := top["error"]; !ok || len(top) != 1 {
+			t.Fatalf("top-level keys of %s: want exactly \"error\"", data)
+		}
 		var e api.ErrorBody
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		if err := json.Unmarshal(data, &e); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -451,10 +462,6 @@ func TestCachedErrorCarriesFreshRequestID(t *testing.T) {
 	first := send("cache-fill-1")
 	if first.Error.RequestID != "cache-fill-1" || first.Error.Kind != "infeasible" {
 		t.Fatalf("first 422 = %+v", first)
-	}
-	// The deprecated top-level mirrors must match the nested envelope.
-	if first.Kind != first.Error.Kind || first.RequestID != first.Error.RequestID {
-		t.Fatalf("deprecated mirrors diverge from envelope: %+v", first)
 	}
 	second := send("cache-replay-2")
 	if second.Error.RequestID != "cache-replay-2" {

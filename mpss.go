@@ -151,14 +151,12 @@ func WithRecorder(r *Recorder) SolveOption {
 	return func(c *solveConfig) { c.rec = r }
 }
 
-// WithParallelism runs the solver's flow computations with up to n
-// concurrent workers (n <= 1, the default, keeps everything sequential
-// and bit-reproducible). OptimalSchedule dispatches large cold max-flow
-// solves to a concurrent push-relabel engine; MinFeasibleCap and
-// FeasibleAtSpeedBatch evaluate up to n feasibility probes
-// speculatively in parallel. The computed speeds, energy and
-// feasibility answers are independent of n; only the (non-unique)
-// work decomposition inside a phase may differ from a sequential run.
+// WithParallelism sets how many decomposition components (see
+// WithDecomposition) are solved at once; n <= 1, the default, solves
+// them one after another. Every max-flow computation is sequential, so
+// results are bit-identical at any n, and the option has no effect on
+// solves that are not decomposed, on MinFeasibleCap or on
+// FeasibleAtSpeed.
 func WithParallelism(n int) SolveOption {
 	return func(c *solveConfig) { c.par = n }
 }
@@ -365,28 +363,17 @@ func UniformSpeedMenu(max float64, k int) ([]float64, error) {
 // FeasibleAtSpeed reports whether the instance fits under a maximum
 // processor speed cap (the speed-bounded setting), via one max-flow
 // test. Options: WithRecorder counts the probe and the flow-solver
-// operations, WithContext makes it cancelable; WithParallelism only
-// affects the Batch form.
+// operations, WithContext makes it cancelable.
 func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, error) {
 	s, release := oneShot(opts)
 	defer release()
 	return s.FeasibleAtSpeed(in, cap)
 }
 
-// FeasibleAtSpeedBatch answers FeasibleAtSpeed for many candidate caps
-// at once, evaluating probes concurrently on pooled flow graphs when
-// WithParallelism(n > 1) is given. The result is index-aligned with
-// caps.
-func FeasibleAtSpeedBatch(in *Instance, caps []float64, opts ...SolveOption) ([]bool, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.FeasibleAtSpeedBatch(in, caps)
-}
-
 // MinFeasibleCap returns the smallest processor speed cap at which the
-// instance remains feasible, to relative tolerance rel. With
-// WithParallelism(k > 1) each search wave probes k caps speculatively
-// in parallel; WithBracket skips the initial bracketing solve.
+// instance remains feasible, to relative tolerance rel, by bisection
+// with feasibility probes; WithBracket skips the initial bracketing
+// solve.
 func MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	s, release := oneShot(opts)
 	defer release()

@@ -108,17 +108,6 @@ func (s *Solver) FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption)
 	return opt.FeasibleAtSpeedCtx(cfg.ctx, in, cap, cfg.rec)
 }
 
-// FeasibleAtSpeedBatch answers FeasibleAtSpeed for many candidate caps
-// at once; see the package-level function.
-func (s *Solver) FeasibleAtSpeedBatch(in *Instance, caps []float64, opts ...SolveOption) ([]bool, error) {
-	cfg := s.merge(opts)
-	workers := cfg.par
-	if workers < 1 {
-		workers = 1
-	}
-	return opt.FeasibleAtSpeedBatchCtx(cfg.ctx, in, caps, workers, cfg.rec)
-}
-
 // MinFeasibleCap returns the smallest processor speed cap at which the
 // instance remains feasible, to relative tolerance rel; see the
 // package-level function.
@@ -256,9 +245,6 @@ func (cfg *solveConfig) capOptions() []opt.CapOption {
 		opt.WithCapContext(cfg.ctx),
 		opt.WithCapContraction(!cfg.noContract),
 		opt.WithApproxFirst(!cfg.noApprox),
-	}
-	if cfg.par > 1 {
-		capOpts = append(capOpts, opt.WithProbeParallelism(cfg.par))
 	}
 	if cfg.capBracket {
 		capOpts = append(capOpts, opt.WithBracket(cfg.capLo, cfg.capHi))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -211,6 +212,50 @@ func TestCancellationAllEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameJSON(t, "uniform", 2, "ctx vs no-ctx schedule", plain.Schedule, withBG.Schedule)
+}
+
+// TestParallelismOnlyFansOutComponents pins the one meaning
+// WithParallelism has: how many decomposition components are solved at
+// once. Without decomposition, a solve and a cap search must be
+// bit-identical to the default's, down to the number of feasibility
+// probes the search spends. The 256-job instance builds flow networks
+// well past 4096 edges, so no size-gated engine switch can hide.
+func TestParallelismOnlyFansOutComponents(t *testing.T) {
+	cases := []struct {
+		gen  string
+		spec mpss.WorkloadSpec
+	}{
+		{"uniform", mpss.WorkloadSpec{N: 24, M: 3, Seed: 1}},
+		{"bursty", mpss.WorkloadSpec{N: 24, M: 2, Seed: 2}},
+		{"uniform", mpss.WorkloadSpec{N: 256, M: 8, Seed: 1}},
+	}
+	for _, c := range cases {
+		in, err := mpss.GenerateWorkload(c.gen, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := c.spec.Seed
+		base, err1 := mpss.OptimalSchedule(in)
+		par, err2 := mpss.OptimalSchedule(in, mpss.WithParallelism(4))
+		requireSameResult(t, c.gen, seed, "optimal", err1, err2)
+		requireSameJSON(t, c.gen, seed, "optimal vs parallelism 4", base, par)
+		ses, err2 := mpss.NewSolver(mpss.WithParallelism(4)).Solve(in)
+		requireSameResult(t, c.gen, seed, "solver", err1, err2)
+		requireSameJSON(t, c.gen, seed, "solver vs parallelism 4", base, ses)
+
+		baseRec, parRec := mpss.NewRecorder(), mpss.NewRecorder()
+		baseCap, err1 := mpss.MinFeasibleCap(in, 1e-9, mpss.WithRecorder(baseRec))
+		parCap, err2 := mpss.MinFeasibleCap(in, 1e-9, mpss.WithRecorder(parRec), mpss.WithParallelism(4))
+		requireSameResult(t, c.gen, seed, "mincap", err1, err2)
+		if math.Float64bits(baseCap) != math.Float64bits(parCap) {
+			t.Errorf("%s/%d mincap: %v by default, %v at parallelism 4", c.gen, seed, baseCap, parCap)
+		}
+		for _, name := range []string{"opt.feasibility_probes", "opt.probe_waves"} {
+			if a, b := baseRec.Value(name), parRec.Value(name); a != b {
+				t.Errorf("%s/%d mincap %s: %d by default, %d at parallelism 4", c.gen, seed, name, a, b)
+			}
+		}
+	}
 }
 
 // TestFeasibleAtSpeedVariadic pins the redesigned signature: cap as a
