@@ -88,7 +88,8 @@ contract-smoke:
 verify: build vet test race cli-smoke serve-smoke session-smoke loadgen-smoke cluster-smoke trace-smoke
 
 # bench runs the solver benchmark family (warm incremental engine vs the
-# cold per-round-rebuild baseline) and archives the numbers — ns/op,
+# cold per-round-rebuild baseline, plus BenchmarkOptScheduleTraceComponents,
+# the trace-stream solve per component) and archives the numbers — ns/op,
 # allocs/op and the solver-internal counters reported via b.ReportMetric
 # — as BENCH_opt.json. The raw benchstat-compatible text lands in
 # bench_opt.txt for `benchstat old.txt bench_opt.txt` comparisons.
@@ -109,9 +110,10 @@ bench:
 bench-trace:
 	sh scripts/bench_trace.sh
 
-# bench-smoke is the fast CI variant: one iteration of the small sizes.
+# bench-smoke is the fast CI variant: one iteration of the small sizes
+# and of the trace-component solve.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkOptSchedule(Cold)?64Jobs' \
+	$(GO) test -run xxx -bench 'BenchmarkOptSchedule(Cold)?64Jobs|BenchmarkOptScheduleTraceComponents' \
 		-benchtime 1x -count 1 ./internal/opt/
 
 clean:

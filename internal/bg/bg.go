@@ -213,12 +213,10 @@ func buildSchedule(in *job.Instance, ivs []job.Interval, pairs []pair, grid, x [
 			}
 			return pieces[a].Speed < pieces[b].Speed
 		})
-		segs, err := schedule.WrapAround(iv.Start, iv.End, procs, pieces)
+		var err error
+		sched.Segments, err = schedule.WrapAround(sched.Segments, iv.Start, iv.End, procs, pieces)
 		if err != nil {
 			return nil, fmt.Errorf("bg: packing %v: %w", iv, err)
-		}
-		for _, s := range segs {
-			sched.Add(s)
 		}
 	}
 	sched.Normalize()

@@ -2,8 +2,10 @@ package flow
 
 import (
 	"encoding/binary"
+	"math"
 	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -258,4 +260,280 @@ func FuzzDifferentialSolvers(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(b[:]))))
 		checkDifferential(t, rng)
 	})
+}
+
+// The Dinic BFS stops as soon as it labels the sink. parentMaxFlow and
+// parentRatMaxFlow keep the earlier BFS, which expanded every reachable
+// vertex, as a test-local reference: on every network below the two must
+// route bit-equal per-edge flows through the same augmenting paths and
+// level graphs, and the stopping BFS may only scan fewer edges.
+
+func parentMaxFlow(g *Graph, s, t int) float64 {
+	g.build()
+	g.ensureScratch(g.nv)
+	g.lastS, g.lastT, g.haveST = s, t, true
+	tol := g.tolerance()
+	n := g.nv
+	level, iter := g.level, g.iter
+	var bfsPasses, augPaths, edgesScanned int64
+	bfs := func() bool {
+		bfsPasses++
+		for i := 0; i < n; i++ {
+			level[i] = -1
+		}
+		level[s] = 0
+		queue := append(g.queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			edgesScanned += int64(g.adjOff[v+1] - g.adjOff[v])
+			for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+				e := &g.edges[g.adjLst[i]]
+				if e.cap > tol && level[e.to] < 0 {
+					level[e.to] = level[v] + 1
+					queue = append(queue, e.to)
+				}
+			}
+		}
+		g.queue = queue[:0]
+		return level[t] >= 0
+	}
+	var dfs func(v int32, f float64) float64
+	dfs = func(v int32, f float64) float64 {
+		if int(v) == t {
+			return f
+		}
+		for ; iter[v] < g.adjOff[v+1]; iter[v]++ {
+			edgesScanned++
+			eid := g.adjLst[iter[v]]
+			e := &g.edges[eid]
+			if e.cap > tol && level[v] < level[e.to] {
+				d := dfs(e.to, math.Min(f, e.cap))
+				if d > 0 {
+					e.cap -= d
+					g.edges[eid^1].cap += d
+					return d
+				}
+			}
+		}
+		return 0
+	}
+	var total float64
+	for bfs() {
+		copy(iter[:n], g.adjOff[:n])
+		for {
+			f := dfs(int32(s), math.Inf(1))
+			if f <= 0 {
+				break
+			}
+			augPaths++
+			total += f
+		}
+	}
+	g.ops.Add(DinicOps{BFSPasses: bfsPasses, AugPaths: augPaths, EdgesScanned: edgesScanned})
+	return total
+}
+
+func parentRatMaxFlow(g *RatGraph, s, t int) *big.Rat {
+	g.build()
+	g.ensureScratch(g.nv)
+	g.lastS, g.lastT, g.haveST = s, t, true
+	n := g.nv
+	level, iter := g.level, g.iter
+	var bfsPasses, augPaths, edgesScanned int64
+	bfs := func() bool {
+		bfsPasses++
+		for i := 0; i < n; i++ {
+			level[i] = -1
+		}
+		level[s] = 0
+		queue := append(g.queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			edgesScanned += int64(g.adjOff[v+1] - g.adjOff[v])
+			for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+				e := &g.edges[g.adjLst[i]]
+				if e.cap.Sign() > 0 && level[e.to] < 0 {
+					level[e.to] = level[v] + 1
+					queue = append(queue, e.to)
+				}
+			}
+		}
+		g.queue = queue[:0]
+		return level[t] >= 0
+	}
+	var dfs func(v int32, f *big.Rat) *big.Rat
+	dfs = func(v int32, f *big.Rat) *big.Rat {
+		if int(v) == t {
+			return new(big.Rat).Set(f)
+		}
+		for ; iter[v] < g.adjOff[v+1]; iter[v]++ {
+			edgesScanned++
+			eid := g.adjLst[iter[v]]
+			e := &g.edges[eid]
+			if e.cap.Sign() > 0 && level[v] < level[e.to] {
+				push := e.cap
+				if f != nil && f.Cmp(e.cap) < 0 {
+					push = f
+				}
+				d := dfs(e.to, push)
+				if d != nil && d.Sign() > 0 {
+					e.cap.Sub(e.cap, d)
+					p := &g.edges[eid^1]
+					p.cap.Add(p.cap, d)
+					return d
+				}
+			}
+		}
+		return nil
+	}
+	total := new(big.Rat)
+	for bfs() {
+		copy(iter[:n], g.adjOff[:n])
+		for {
+			bound := new(big.Rat)
+			for i := g.adjOff[s]; i < g.adjOff[s+1]; i++ {
+				bound.Add(bound, g.edges[g.adjLst[i]].cap)
+			}
+			if bound.Sign() == 0 {
+				break
+			}
+			d := dfs(int32(s), bound)
+			if d == nil || d.Sign() == 0 {
+				break
+			}
+			augPaths++
+			total.Add(total, d)
+		}
+	}
+	g.ops.Add(DinicOps{BFSPasses: bfsPasses, AugPaths: augPaths, EdgesScanned: edgesScanned})
+	return total
+}
+
+// bfsStopTally sums the edges scanned by the stopping BFS and by the
+// parent BFS over a suite of networks.
+type bfsStopTally struct{ got, parent int64 }
+
+// checkFloatTwins solves g with MaxFlow and its twin p (built by the same
+// calls) with parentMaxFlow, then compares the two bit for bit.
+func (tl *bfsStopTally) checkFloatTwins(t *testing.T, label string, g, p *Graph, s, sink int) {
+	t.Helper()
+	before, pbefore := g.Ops(), p.Ops()
+	v, pv := g.MaxFlow(s, sink), parentMaxFlow(p, s, sink)
+	if math.Float64bits(v) != math.Float64bits(pv) {
+		t.Fatalf("%s: flow value %v, parent BFS %v", label, v, pv)
+	}
+	for i := range g.edges {
+		if math.Float64bits(g.edges[i].cap) != math.Float64bits(p.edges[i].cap) {
+			t.Fatalf("%s: edge %d residual %v, parent BFS %v", label, i, g.edges[i].cap, p.edges[i].cap)
+		}
+	}
+	tl.compareOps(t, label, g.Ops().Sub(before), p.Ops().Sub(pbefore))
+}
+
+// checkRatTwins is checkFloatTwins for the exact solver.
+func (tl *bfsStopTally) checkRatTwins(t *testing.T, label string, g, p *RatGraph, s, sink int) {
+	t.Helper()
+	before, pbefore := g.Ops(), p.Ops()
+	v, pv := g.MaxFlow(s, sink), parentRatMaxFlow(p, s, sink)
+	if v.Cmp(pv) != 0 {
+		t.Fatalf("%s: exact flow value %v, parent BFS %v", label, v, pv)
+	}
+	for i := range g.edges {
+		if g.edges[i].cap.Cmp(p.edges[i].cap) != 0 {
+			t.Fatalf("%s: exact edge %d residual %v, parent BFS %v", label, i, g.edges[i].cap, p.edges[i].cap)
+		}
+	}
+	tl.compareOps(t, label, g.Ops().Sub(before), p.Ops().Sub(pbefore))
+}
+
+func (tl *bfsStopTally) compareOps(t *testing.T, label string, got, parent DinicOps) {
+	t.Helper()
+	if got.AugPaths != parent.AugPaths || got.BFSPasses != parent.BFSPasses {
+		t.Fatalf("%s: aug paths/BFS passes %d/%d, parent BFS %d/%d",
+			label, got.AugPaths, got.BFSPasses, parent.AugPaths, parent.BFSPasses)
+	}
+	if got.EdgesScanned > parent.EdgesScanned {
+		t.Fatalf("%s: %d edges scanned, parent BFS %d", label, got.EdgesScanned, parent.EdgesScanned)
+	}
+	tl.got += got.EdgesScanned
+	tl.parent += parent.EdgesScanned
+}
+
+// randomDigraph builds the same arbitrary directed network (not layered:
+// back edges, skips and parallel arcs) into a float and an exact graph,
+// with integer capacities.
+func randomDigraph(rng *rand.Rand) (g *Graph, rg *RatGraph, n int) {
+	n = 3 + rng.Intn(10)
+	g, rg = NewGraph(n), NewRatGraph(n)
+	for i := 3 * n; i > 0; i-- {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		c := int64(rng.Intn(12))
+		g.AddEdge(u, v, float64(c))
+		rg.AddEdge(u, v, new(big.Rat).SetInt64(c))
+	}
+	return g, rg, n
+}
+
+func TestBFSStopMatchesParentBFS(t *testing.T) {
+	var tl bfsStopTally
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := randomNet(rng)
+		s, sink := 0, net.sink()
+		kill := rng.Intn(net.nJobs)
+		shrink := rng.Intn(net.nIvs)
+		factor := float64(1+rng.Intn(3)) / float64(1+rng.Intn(3))
+
+		// The cold solve, then the warm mutation sequence of
+		// checkDifferential and a from-zero re-solve, on twin graphs.
+		g, p := NewGraph(net.vertices()), NewGraph(net.vertices())
+		src, snk := net.buildFloat(g)
+		net.buildFloat(p)
+		label := func(step string) string { return "net seed " + strconv.FormatInt(seed, 10) + " " + step }
+		tl.checkFloatTwins(t, label("cold"), g, p, s, sink)
+		for _, h := range []*Graph{g, p} {
+			h.RemoveJobEdge(src[kill])
+			h.SetCapacity(snk[shrink], float64(net.sinkCap[shrink]/2)/float64(net.denom))
+			h.ScaleSourceCaps(factor)
+		}
+		tl.checkFloatTwins(t, label("warm"), g, p, s, sink)
+		g.ResetFlow()
+		p.ResetFlow()
+		tl.checkFloatTwins(t, label("re-solve"), g, p, s, sink)
+
+		r, rp := NewRatGraph(net.vertices()), NewRatGraph(net.vertices())
+		rsrc, rsnk := net.buildRat(r)
+		net.buildRat(rp)
+		tl.checkRatTwins(t, label("exact cold"), r, rp, s, sink)
+		half := new(big.Rat).SetFrac64(net.sinkCap[shrink]/2, net.denom)
+		ratio := new(big.Rat).SetFloat64(factor)
+		for _, h := range []*RatGraph{r, rp} {
+			h.RemoveJobEdge(rsrc[kill])
+			h.SetCapacity(rsnk[shrink], half)
+			h.ScaleSourceCaps(ratio)
+		}
+		tl.checkRatTwins(t, label("exact warm"), r, rp, s, sink)
+
+		// The bipartite networks of flow_test.go.
+		nj, ni := 1+rng.Intn(8), 1+rng.Intn(8)
+		bseed := rng.Int63()
+		fg, rg, _, bs, bt := buildRandomBipartite(rand.New(rand.NewSource(bseed)), nj, ni)
+		pfg, prg, _, _, _ := buildRandomBipartite(rand.New(rand.NewSource(bseed)), nj, ni)
+		tl.checkFloatTwins(t, label("bipartite"), fg, pfg, bs, bt)
+		tl.checkRatTwins(t, label("exact bipartite"), rg, prg, bs, bt)
+
+		// Arbitrary digraphs, where t's level is shared with other vertices.
+		dseed := rng.Int63()
+		dg, drg, dn := randomDigraph(rand.New(rand.NewSource(dseed)))
+		pdg, pdrg, _ := randomDigraph(rand.New(rand.NewSource(dseed)))
+		tl.checkFloatTwins(t, label("digraph"), dg, pdg, 0, dn-1)
+		tl.checkRatTwins(t, label("exact digraph"), drg, pdrg, 0, dn-1)
+	}
+	if tl.got >= tl.parent {
+		t.Errorf("stopping BFS scanned %d edges over the suite, parent BFS %d: want fewer", tl.got, tl.parent)
+	}
+	t.Logf("edges scanned: %d, parent BFS %d (%.1f%%)", tl.got, tl.parent, 100*float64(tl.got)/float64(tl.parent))
 }

@@ -154,7 +154,8 @@ func (g *RatGraph) MaxFlow(s, t int) *big.Rat {
 		}
 		level[s] = 0
 		queue := append(g.queue[:0], int32(s))
-		for head := 0; head < len(queue); head++ {
+		// Stop once t is labelled, as Graph's BFS does.
+		for head := 0; head < len(queue) && level[t] < 0; head++ {
 			v := queue[head]
 			edgesScanned += int64(g.adjOff[v+1] - g.adjOff[v])
 			for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {

@@ -88,9 +88,11 @@ func NewInstance(m int, jobs []Job) (*Instance, error) {
 // Validate checks the instance against the full rejection catalogue: a
 // nil or empty instance, m < 1, any malformed job (see Job.Validate) and
 // duplicate job IDs. All errors wrap mpsserr.ErrInvalidInstance. The
-// solver entry points call it on every instance — including ones built
-// as struct literals that never went through NewInstance — so hostile
-// values are rejected before they reach the flow arenas.
+// solver entry points (internal/opt) call it on every instance they
+// solve — including ones built as struct literals that never went
+// through NewInstance, and each component of a decomposed or streamed
+// solve — so hostile values are rejected before they reach the flow
+// arenas.
 func (in *Instance) Validate() error {
 	if in == nil {
 		return fmt.Errorf("%w: nil instance", mpsserr.ErrInvalidInstance)

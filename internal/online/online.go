@@ -345,15 +345,13 @@ func AVR(in *job.Instance, opts ...Option) (*AVRResult, error) {
 			for i := range procs {
 				procs[i] = proc + i
 			}
-			segs, err := schedule.WrapAround(iv.Start, iv.End, procs, pieces)
+			var err error
+			res.Schedule.Segments, err = schedule.WrapAround(res.Schedule.Segments, iv.Start, iv.End, procs, pieces)
 			if err != nil {
 				// Mathematically every pooled piece fits its interval
 				// (density <= pool speed), so a packing failure means the
 				// float arithmetic overflowed or lost the margin.
 				return nil, fmt.Errorf("online: AVR packing %v: %v: %w", iv, err, mpsserr.ErrNumeric)
-			}
-			for _, s := range segs {
-				res.Schedule.Add(s)
 			}
 		}
 		rec.Add("avr.dedicated_jobs", int64(len(level.Dedicated)))

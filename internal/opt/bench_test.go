@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpss/internal/job"
 	"mpss/internal/obs"
 	"mpss/internal/workload"
 )
@@ -46,6 +47,48 @@ func BenchmarkOptSchedule1024Jobs(b *testing.B) { benchOptSchedule(b, 1024, fals
 func BenchmarkOptScheduleCold64Jobs(b *testing.B)   { benchOptSchedule(b, 64, true) }
 func BenchmarkOptScheduleCold256Jobs(b *testing.B)  { benchOptSchedule(b, 256, true) }
 func BenchmarkOptScheduleCold1024Jobs(b *testing.B) { benchOptSchedule(b, 1024, true) }
+
+// BenchmarkOptScheduleTraceComponents is the streamed trace solve without
+// the stream: the separable components of a 2048-job diurnal instance
+// (the trace TestSolveTraceStreamRoundsPerJob gates), solved one after
+// another on one Solver, as a trace component worker does. The timed
+// loop runs with observability off, so allocs/op is the production
+// figure; one observed pass before it supplies the per-job counters.
+func BenchmarkOptScheduleTraceComponents(b *testing.B) {
+	in, err := workload.Diurnal(workload.Spec{N: 2048, M: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var parts []*job.Instance
+	for _, c := range componentRanges(in.Jobs) {
+		part := &job.Instance{M: in.M}
+		for _, k := range c {
+			part.Jobs = append(part.Jobs, in.Jobs[k])
+		}
+		parts = append(parts, part)
+	}
+	s := NewSolver()
+	solveAll := func(opts ...Option) {
+		for _, part := range parts {
+			if _, err := s.Schedule(part, opts...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rec := obs.New()
+	solveAll(WithRecorder(rec))
+	snap := rec.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveAll()
+	}
+	b.StopTimer()
+	jobs := float64(in.N())
+	b.ReportMetric(float64(snap.Counters["flow.dinic.edges_scanned"])/jobs, "edges_scanned/job")
+	b.ReportMetric(float64(snap.Counters["opt.rounds"])/jobs, "opt.rounds/job")
+	b.ReportMetric(float64(len(parts)), "components")
+}
 
 // The contraction benchmark family: the slotted workload aligns all
 // windows to a shared grid, so once the fine tiers finish, long runs

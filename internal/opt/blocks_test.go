@@ -30,6 +30,7 @@ type scriptEngine struct {
 	gotCand [][]int // candidates of each beginPhase, in call order
 	gotUsed [][]int // used vector at each beginPhase
 	mjs     [][]int // m_ij each accept returned
+	emitScratch
 }
 
 func (e *scriptEngine) prepare(in *job.Instance, ivs []job.Interval, _ *Stats, _ *obs.Recorder) {
@@ -76,10 +77,10 @@ func (e *scriptEngine) dropLeastWork() (bool, bool) { panic("scriptEngine: degen
 // accept gives every interval min(active survivors, free processors) and
 // spreads that much time evenly over the survivors active in it, so each
 // accepted phase occupies processors the next phase's used vector shows.
-func (e *scriptEngine) accept() (float64, []int, map[int][]pieceTime) {
+func (e *scriptEngine) accept() (float64, []int, []piece) {
 	used := e.gotUsed[len(e.gotUsed)-1]
 	mj := make([]int, len(e.ivs))
-	tkj := make(map[int][]pieceTime)
+	var pieces []piece
 	for jx, iv := range e.ivs {
 		var active []int
 		for _, k := range e.acceptedCand() {
@@ -93,12 +94,12 @@ func (e *scriptEngine) accept() (float64, []int, map[int][]pieceTime) {
 		}
 		t := iv.Len() * float64(mj[jx]) / float64(len(active))
 		for _, k := range active {
-			tkj[k] = append(tkj[k], pieceTime{ivIdx: jx, t: t})
+			pieces = append(pieces, piece{k: k, ivIdx: jx, t: t})
 		}
 	}
 	e.mjs = append(e.mjs, mj)
 	e.phase++
-	return 1, mj, tkj
+	return 1, mj, pieces
 }
 
 func (e *scriptEngine) acceptedCand() []int {

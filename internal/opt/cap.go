@@ -87,12 +87,10 @@ func ScheduleAtCap(in *job.Instance, cap float64) (*schedule.Schedule, error) {
 		if len(pieces) == 0 {
 			continue
 		}
-		segs, err := schedule.WrapAround(ivs[jx].Start, ivs[jx].End, procs, pieces)
+		var err error
+		out.Segments, err = schedule.WrapAround(out.Segments, ivs[jx].Start, ivs[jx].End, procs, pieces)
 		if err != nil {
 			return nil, fmt.Errorf("opt: packing %v at cap: %w", ivs[jx], err)
-		}
-		for _, s := range segs {
-			out.Add(s)
 		}
 	}
 	out.Normalize()

@@ -87,6 +87,7 @@ type floatEngine struct {
 	removals   int   // warm rejecting rounds this phase
 	excluded   []int // candidate positions the last rejected round excluded
 	accepted   []int
+	emitScratch
 }
 
 func (e *floatEngine) spanName(phase int) string { return fmt.Sprintf("phase %d", phase) }
@@ -540,7 +541,7 @@ func (e *floatEngine) dropLeastWork() (degenerate, empty bool) {
 	return false, false
 }
 
-func (e *floatEngine) accept() (float64, []int, map[int][]pieceTime) {
+func (e *floatEngine) accept() (float64, []int, []piece) {
 	if e.con.on {
 		// Rounds ran on the contracted network, whose flows have no
 		// per-raw-interval meaning. Rebuild the raw-shaped network for
@@ -562,7 +563,9 @@ func (e *floatEngine) accept() (float64, []int, map[int][]pieceTime) {
 		e.g.ResetFlow()
 		e.solveEmit()
 	}
-	tkj := make(map[int][]pieceTime, e.aliveCount)
+	// The mid edges were added interval by interval (rawEdges), so the
+	// pieces come out in interval order, as emitPhase requires.
+	e.pieces = e.pieces[:0]
 	for i, pos := range e.midPos {
 		if pos < 0 || !e.alive[pos] {
 			continue
@@ -571,11 +574,10 @@ func (e *floatEngine) accept() (float64, []int, map[int][]pieceTime) {
 		// threshold would lose work proportional to the edge count on
 		// large instances.
 		if f := e.g.Flow(e.midID[i]); f > 1e-15 {
-			k := e.cand0[pos]
-			tkj[k] = append(tkj[k], pieceTime{ivIdx: int(e.midIv[i]), t: f})
+			e.pieces = append(e.pieces, piece{k: e.cand0[pos], ivIdx: int(e.midIv[i]), t: f})
 		}
 	}
-	return e.speed, e.mj, tkj
+	return e.speed, e.mj, e.pieces
 }
 
 // solveEmit runs the emission-time from-zero solve (histogram-timed,

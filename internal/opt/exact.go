@@ -70,6 +70,7 @@ type exactEngine struct {
 	removals  int   // warm rejecting rounds this phase
 	excluded  []int // candidate positions the last rejected round excluded
 	accepted  []int
+	emitScratch
 }
 
 func (e *exactEngine) spanName(phase int) string { return fmt.Sprintf("phase %d (exact)", phase) }
@@ -445,7 +446,7 @@ func (e *exactEngine) dropLeastWork() (degenerate, empty bool) {
 	return false, false
 }
 
-func (e *exactEngine) accept() (float64, []int, map[int][]pieceTime) {
+func (e *exactEngine) accept() (float64, []int, []piece) {
 	if e.con.on {
 		// See floatEngine.accept: emission needs raw per-interval flows,
 		// so rebuild the raw-shaped network and solve from zero.
@@ -462,19 +463,20 @@ func (e *exactEngine) accept() (float64, []int, map[int][]pieceTime) {
 		stop()
 		e.publish()
 	}
-	tkj := make(map[int][]pieceTime, e.aliveCount)
+	// Interval order, as in the float engine: buildRaw adds the mid
+	// edges interval by interval.
+	e.pieces = e.pieces[:0]
 	for i, pos := range e.midPos {
 		if !e.alive[pos] {
 			continue
 		}
 		if f := e.g.Flow(e.midID[i]); f.Sign() > 0 {
 			fv, _ := f.Float64()
-			k := e.cand0[pos]
-			tkj[k] = append(tkj[k], pieceTime{ivIdx: int(e.midIv[i]), t: fv})
+			e.pieces = append(e.pieces, piece{k: e.cand0[pos], ivIdx: int(e.midIv[i]), t: fv})
 		}
 	}
 	sp, _ := e.speed.Float64()
-	return sp, e.mj, tkj
+	return sp, e.mj, e.pieces
 }
 
 func (e *exactEngine) acceptedCand() []int {

@@ -47,12 +47,10 @@
 package opt
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"mpss/internal/flow"
 	"mpss/internal/job"
@@ -291,28 +289,12 @@ func retryable(err error) bool {
 	return errors.Is(err, mpsserr.ErrNumeric) || errors.Is(err, mpsserr.ErrInternal)
 }
 
-// validateForSolve is the solver-boundary input check: structural
-// validity only (processor count, non-empty, well-formed job fields).
-// Duplicate-ID detection is left to the public API's ValidateInstance —
-// the round loop is indifferent to IDs, and this runs on every replan of
-// the online planner, where an extra map allocation per arrival would
-// show up in the profiles.
+// validateForSolve is the solver-boundary input check: the full
+// job.Instance.Validate catalogue, duplicate job IDs included. Emission
+// orders each interval's pieces by job ID, so an ID shared by two jobs
+// would leave that order to the flow network's edge layout.
 func validateForSolve(in *job.Instance) error {
-	if in == nil {
-		return fmt.Errorf("%w: nil instance", mpsserr.ErrInvalidInstance)
-	}
-	if in.M < 1 {
-		return fmt.Errorf("%w: need at least one processor, got %d", mpsserr.ErrInvalidInstance, in.M)
-	}
-	if len(in.Jobs) == 0 {
-		return fmt.Errorf("%w: empty instance", mpsserr.ErrInvalidInstance)
-	}
-	for _, j := range in.Jobs {
-		if err := j.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return in.Validate()
 }
 
 // phaseEngine is the round loop's arithmetic backend. floatEngine runs
@@ -343,11 +325,15 @@ type phaseEngine interface {
 	// it to make progress on degenerate (zero-capacity) networks.
 	dropLeastWork() (degenerate, empty bool)
 	// accept finalizes the phase: canonicalize the warm flow and return
-	// the phase speed, m_ij vector and per-job interval times.
-	accept() (speed float64, mj []int, tkj map[int][]pieceTime)
+	// the phase speed, the m_ij vector and every positive job -> interval
+	// flow as a piece, in interval order (ivIdx non-decreasing). The
+	// pieces live in the engine's emitScratch until the next accept.
+	accept() (speed float64, mj []int, pieces []piece)
 	// acceptedCand returns the accepted candidate set (instance job
 	// indices, in input order). Valid until the next beginPhase.
 	acceptedCand() []int
+	// scratch returns the engine's emission storage (emitScratch).
+	scratch() *emitScratch
 	spanName(phase int) string
 	emptyErr() error
 }
@@ -421,7 +407,10 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 	for len(starts) > 0 {
 		top := starts[len(starts)-1]
 		starts = starts[:len(starts)-1]
-		span := parent.StartSpan(eng.spanName(len(res.Phases) + 1))
+		var span *obs.Span
+		if parent != nil {
+			span = parent.StartSpan(eng.spanName(len(res.Phases) + 1))
+		}
 		span.Add("candidates", int64(len(jobs)-top))
 		degenerate := eng.beginPhase(used, jobs[top:], span)
 		jobs = jobs[:top]
@@ -463,9 +452,9 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 				return nil, eng.emptyErr()
 			}
 		}
-		speed, mj, tkj := eng.accept()
+		speed, mj, pieces := eng.accept()
 		cand := eng.acceptedCand()
-		if err := emitPhase(in, ivs, used, cand, speed, mj, tkj, res); err != nil {
+		if err := emitPhase(in, ivs, used, cand, speed, mj, pieces, eng.scratch(), res); err != nil {
 			// Packing can only fail when the flow the engine certified
 			// does not fit its intervals: precision loss on the float
 			// path (the ladder retries), a bug on the exact path.
@@ -484,50 +473,67 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 	return res, nil
 }
 
-// pieceTime is the time job (by instance index) runs in one interval.
-type pieceTime struct {
+// piece is one positive job -> interval flow of an accepted phase: job
+// k (instance index) runs for time t in event interval ivIdx.
+type piece struct {
+	k     int
 	ivIdx int
 	t     float64
 }
 
+// emitScratch is an engine's reusable emission storage: accept fills
+// pieces, emitPhase packs them interval by interval through group and
+// procs. It lives on the engine, never in a package variable, because
+// decomposition workers run solvers concurrently.
+type emitScratch struct {
+	pieces []piece
+	group  []schedule.Piece
+	procs  []int
+}
+
+func (s *emitScratch) scratch() *emitScratch { return s }
+
 // emitPhase converts the accepted round's flow into schedule segments and
-// bookkeeping.
-func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed float64, mj []int, tkj map[int][]pieceTime, res *Result) error {
-	phase := Phase{Speed: speed, Procs: append([]int(nil), mj...)}
-	for _, k := range cand {
-		phase.JobIDs = append(phase.JobIDs, in.Jobs[k].ID)
+// bookkeeping. The pieces arrive in interval order, so each interval's
+// group is a contiguous run (one to a few pieces, one per job): it is
+// insertion-sorted by job ID and packed by McNaughton's wrap-around rule
+// straight into the schedule, on the m_ij processors above those earlier
+// phases occupy.
+func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed float64, mj []int, pieces []piece, sc *emitScratch, res *Result) error {
+	phase := Phase{Speed: speed, Procs: append([]int(nil), mj...), JobIDs: make([]int, len(cand))}
+	for i, k := range cand {
+		phase.JobIDs[i] = in.Jobs[k].ID
 	}
-	// Group pieces per interval.
-	perIv := make([][]schedule.Piece, len(ivs))
-	for k, pieces := range tkj {
-		for _, p := range pieces {
-			dur := math.Min(p.t, ivs[p.ivIdx].Len())
-			perIv[p.ivIdx] = append(perIv[p.ivIdx], schedule.Piece{
-				JobID:    in.Jobs[k].ID,
-				Duration: dur,
-				Speed:    speed,
-			})
+	prev := -1
+	for i := 0; i < len(pieces); {
+		jx := pieces[i].ivIdx
+		if jx <= prev {
+			panic(fmt.Sprintf("opt: accepted pieces out of interval order (interval %d after %d)", jx, prev))
 		}
-	}
-	for jx := range ivs {
-		if mj[jx] == 0 || len(perIv[jx]) == 0 {
+		prev = jx
+		group := sc.group[:0]
+		for ; i < len(pieces) && pieces[i].ivIdx == jx; i++ {
+			p := schedule.Piece{JobID: in.Jobs[pieces[i].k].ID, Duration: math.Min(pieces[i].t, ivs[jx].Len()), Speed: speed}
+			at := len(group)
+			group = append(group, p)
+			for ; at > 0 && group[at-1].JobID > p.JobID; at-- {
+				group[at] = group[at-1]
+			}
+			group[at] = p
+		}
+		sc.group = group
+		if mj[jx] == 0 {
 			continue
 		}
-		// tkj is a map, so piece order is otherwise nondeterministic;
-		// sort by job ID to make the solver's output reproducible.
-		slices.SortFunc(perIv[jx], func(a, b schedule.Piece) int {
-			return cmp.Compare(a.JobID, b.JobID)
-		})
-		procs := make([]int, mj[jx])
-		for i := range procs {
-			procs[i] = used[jx] + i
+		procs := sc.procs[:0]
+		for p := used[jx]; p < used[jx]+mj[jx]; p++ {
+			procs = append(procs, p)
 		}
-		segs, err := schedule.WrapAround(ivs[jx].Start, ivs[jx].End, procs, perIv[jx])
+		sc.procs = procs
+		var err error
+		res.Schedule.Segments, err = schedule.WrapAround(res.Schedule.Segments, ivs[jx].Start, ivs[jx].End, procs, group)
 		if err != nil {
 			return fmt.Errorf("opt: packing interval %v: %w", ivs[jx], err)
-		}
-		for _, s := range segs {
-			res.Schedule.Add(s)
 		}
 		used[jx] += mj[jx]
 	}

@@ -1,13 +1,16 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"mpss/internal/flow"
 	"mpss/internal/job"
+	"mpss/internal/obs"
 	"mpss/internal/schedule"
 	"mpss/internal/workload"
 )
@@ -71,7 +74,7 @@ func refSchedule(in *job.Instance, round refRound) (*Result, error) {
 				cand = append(cand[:remove], cand[remove+1:]...)
 				continue
 			}
-			if err := emitPhase(in, ivs, used, cand, speed, mj, tkj, res); err != nil {
+			if err := emitPhaseRef(in, ivs, used, cand, speed, mj, tkj, res); err != nil {
 				return nil, err
 			}
 			break
@@ -80,6 +83,59 @@ func refSchedule(in *job.Instance, round refRound) (*Result, error) {
 	}
 	res.Schedule.Normalize()
 	return res, nil
+}
+
+// pieceTime is the time a job runs in one interval.
+type pieceTime struct {
+	ivIdx int
+	t     float64
+}
+
+// emitPhaseRef is the map-based emission the engines used before they
+// returned pieces in interval order: group every job's pieces per
+// interval, sort each group by job ID (map order is random), pack it by
+// wrap-around and Add the segments one by one. The reference loop emits
+// through it, and TestEmissionMatchesReference holds the engines'
+// emitPhase to it bit for bit.
+func emitPhaseRef(in *job.Instance, ivs []job.Interval, used, cand []int, speed float64, mj []int, tkj map[int][]pieceTime, res *Result) error {
+	phase := Phase{Speed: speed, Procs: append([]int(nil), mj...)}
+	for _, k := range cand {
+		phase.JobIDs = append(phase.JobIDs, in.Jobs[k].ID)
+	}
+	perIv := make([][]schedule.Piece, len(ivs))
+	for k, pieces := range tkj {
+		for _, p := range pieces {
+			dur := math.Min(p.t, ivs[p.ivIdx].Len())
+			perIv[p.ivIdx] = append(perIv[p.ivIdx], schedule.Piece{
+				JobID:    in.Jobs[k].ID,
+				Duration: dur,
+				Speed:    speed,
+			})
+		}
+	}
+	for jx := range ivs {
+		if mj[jx] == 0 || len(perIv[jx]) == 0 {
+			continue
+		}
+		slices.SortFunc(perIv[jx], func(a, b schedule.Piece) int {
+			return cmp.Compare(a.JobID, b.JobID)
+		})
+		procs := make([]int, mj[jx])
+		for i := range procs {
+			procs[i] = used[jx] + i
+		}
+		segs, err := schedule.WrapAround(nil, ivs[jx].Start, ivs[jx].End, procs, perIv[jx])
+		if err != nil {
+			return fmt.Errorf("opt: packing interval %v: %w", ivs[jx], err)
+		}
+		for _, s := range segs {
+			res.Schedule.Add(s)
+		}
+		used[jx] += mj[jx]
+	}
+	res.Phases = append(res.Phases, phase)
+	res.Stats.Phases++
+	return nil
 }
 
 // refLayout numbers the network's vertices: 0 = source, 1..len(cand) =
@@ -337,6 +393,106 @@ func TestBatchExclusionMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// refEmitEngine runs a real engine under runPhases and feeds every
+// accepted phase a second time to emitPhaseRef on a shadow result, with
+// the pieces regrouped into the per-job map the engines used to return.
+type refEmitEngine struct {
+	phaseEngine
+	in   *job.Instance
+	used []int
+	ref  *Result
+	err  error
+}
+
+func (e *refEmitEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
+	e.phaseEngine.prepare(in, ivs, st, rec)
+	e.in = in
+	e.used = make([]int, len(ivs))
+	e.ref = &Result{Schedule: schedule.New(in.M), Intervals: ivs}
+}
+
+func (e *refEmitEngine) accept() (float64, []int, []piece) {
+	speed, mj, pieces := e.phaseEngine.accept()
+	tkj := make(map[int][]pieceTime)
+	for _, p := range pieces {
+		tkj[p.k] = append(tkj[p.k], pieceTime{ivIdx: p.ivIdx, t: p.t})
+	}
+	if err := emitPhaseRef(e.in, e.ref.Intervals, e.used, e.phaseEngine.acceptedCand(), speed, mj, tkj, e.ref); err != nil && e.err == nil {
+		e.err = err
+	}
+	return speed, mj, pieces
+}
+
+// TestEmissionMatchesReference holds the interval-ordered emission to the
+// map-based one it replaced, bit for bit: every accepted phase of the
+// float and the exact engine, contraction on and off, is emitted both
+// ways from the same flow, and the decomposed solve must land on the same
+// schedule. -short keeps n <= 24, and n = 8 in exact arithmetic.
+func TestEmissionMatchesReference(t *testing.T) {
+	sizes := []struct {
+		n      int
+		exacts []bool
+	}{
+		{8, []bool{false, true}},
+		{24, []bool{false, true}},
+		{64, []bool{false, true}},
+	}
+	if testing.Short() {
+		sizes[1].exacts = sizes[1].exacts[:1]
+		sizes = sizes[:2]
+	}
+	for _, gen := range workload.All() {
+		t.Run(gen.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, size := range sizes {
+				for _, m := range []int{1, 2, 4} {
+					for seed := int64(1); seed <= 3; seed++ {
+						in, err := gen.Make(workload.Spec{N: size.n, M: m, Seed: seed})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, exact := range size.exacts {
+							for _, contract := range []bool{true, false} {
+								label := fmt.Sprintf("n=%d m=%d seed=%d exact=%v contract=%v", size.n, m, seed, exact, contract)
+								checkEmission(t, label, in, exact, contract)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func checkEmission(t *testing.T, label string, in *job.Instance, exact, contract bool) {
+	t.Helper()
+	var eng phaseEngine = &floatEngine{tol: flow.SolveTolerance, contract: contract}
+	opts := []Option{WithContraction(contract), WithDecomposition(true)}
+	if exact {
+		eng = &exactEngine{contract: contract}
+		opts = append(opts, Exact())
+	}
+	w := &refEmitEngine{phaseEngine: eng}
+	got, err := runPhases(nil, in, w, nil, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if w.err != nil {
+		t.Fatalf("%s: reference emission: %v", label, w.err)
+	}
+	w.ref.Schedule.Normalize()
+	if d := resultDiff(w.ref, got); d != "" {
+		t.Errorf("%s: emission differs from the map-based reference: %s", label, d)
+	}
+	dec, err := Schedule(in, opts...)
+	if err != nil {
+		t.Fatalf("%s: decomposed: %v", label, err)
+	}
+	if d := resultDiff(w.ref, dec); d != "" {
+		t.Errorf("%s: decomposed emission differs from the map-based reference: %s", label, d)
 	}
 }
 

@@ -42,7 +42,7 @@ func FuzzWrapAround(f *testing.F) {
 			return
 		}
 		start := rng.Float64() * 10
-		segs, err := WrapAround(start, start+length, procs, pieces)
+		segs, err := WrapAround(nil, start, start+length, procs, pieces)
 		if err != nil {
 			t.Fatalf("valid packing rejected: %v", err)
 		}

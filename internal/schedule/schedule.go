@@ -13,8 +13,10 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,19 +73,10 @@ func (s *Schedule) Extend(other *Schedule) {
 	s.Segments = append(s.Segments, other.Segments...)
 }
 
-// Normalize sorts segments by (processor, start) and merges abutting
+// Normalize sorts segments by (processor, start, end) and merges abutting
 // segments of the same job and speed on the same processor.
 func (s *Schedule) Normalize() {
-	sort.Slice(s.Segments, func(a, b int) bool {
-		x, y := s.Segments[a], s.Segments[b]
-		if x.Proc != y.Proc {
-			return x.Proc < y.Proc
-		}
-		if x.Start != y.Start {
-			return x.Start < y.Start
-		}
-		return x.End < y.End
-	})
+	slices.SortFunc(s.Segments, compareSegments)
 	merged := s.Segments[:0]
 	for _, seg := range s.Segments {
 		if n := len(merged); n > 0 {
@@ -98,6 +91,33 @@ func (s *Schedule) Normalize() {
 		merged = append(merged, seg)
 	}
 	s.Segments = merged
+}
+
+// compareSegments orders segments by (processor, start, end). It is
+// negative exactly when the less function Normalize used with sort.Slice
+// reported true, ties and NaNs included; sort.Slice and slices.SortFunc
+// run the same pdqsort and consult only that sign, so the sorted
+// permutation is unchanged.
+func compareSegments(x, y Segment) int {
+	if x.Proc != y.Proc {
+		return cmp.Compare(x.Proc, y.Proc)
+	}
+	if x.Start != y.Start {
+		return floatOrder(x.Start, y.Start)
+	}
+	return floatOrder(x.End, y.End)
+}
+
+// floatOrder is -1 when a < b, +1 when a > b and 0 otherwise (equal, or
+// either is NaN).
+func floatOrder(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Energy returns the total energy of the schedule under power function p.
@@ -331,28 +351,33 @@ type Piece struct {
 // the two halves of a split piece (end of processor mu, start of mu+1)
 // never overlap in real time, so the job is not executed in parallel.
 //
+// The segments are appended to dst, in packing order, and the extended
+// slice is returned. Segments Schedule.Add would drop (End-Start <= 0 or
+// Speed <= 0) are left out, so dst may be a schedule's Segments. On error
+// dst is returned at its original length.
+//
 // The total duration must not exceed the available capacity; pieces must
 // individually fit in the interval.
-func WrapAround(start, end float64, procs []int, pieces []Piece) ([]Segment, error) {
+func WrapAround(dst []Segment, start, end float64, procs []int, pieces []Piece) ([]Segment, error) {
 	length := end - start
 	if length <= 0 {
-		return nil, fmt.Errorf("schedule: empty interval [%g,%g)", start, end)
+		return dst, fmt.Errorf("schedule: empty interval [%g,%g)", start, end)
 	}
 	var total float64
 	for _, p := range pieces {
 		if p.Duration < 0 {
-			return nil, fmt.Errorf("schedule: negative duration for job %d", p.JobID)
+			return dst, fmt.Errorf("schedule: negative duration for job %d", p.JobID)
 		}
 		if p.Duration > length*(1+1e-9)+1e-12 {
-			return nil, fmt.Errorf("schedule: piece of job %d (%g) exceeds interval length %g", p.JobID, p.Duration, length)
+			return dst, fmt.Errorf("schedule: piece of job %d (%g) exceeds interval length %g", p.JobID, p.Duration, length)
 		}
 		total += p.Duration
 	}
 	if total > float64(len(procs))*length*(1+1e-9)+1e-12 {
-		return nil, fmt.Errorf("schedule: pieces (%g) exceed capacity %g", total, float64(len(procs))*length)
+		return dst, fmt.Errorf("schedule: pieces (%g) exceed capacity %g", total, float64(len(procs))*length)
 	}
 
-	var segs []Segment
+	n0 := len(dst)
 	const eps = 1e-12
 	proc := 0
 	pos := 0.0 // offset within the current processor's copy of the interval
@@ -360,14 +385,17 @@ func WrapAround(start, end float64, procs []int, pieces []Piece) ([]Segment, err
 		if dur <= eps {
 			return
 		}
-		segs = append(segs, Segment{
+		seg := Segment{
 			Proc:  procs[proc],
 			Start: start + pos,
 			End:   math.Min(start+pos+dur, end),
 			JobID: jobID,
 			Speed: speed,
-		})
+		}
 		pos += dur
+		if seg.End-seg.Start > 0 && seg.Speed > 0 {
+			dst = append(dst, seg)
+		}
 	}
 	for _, p := range pieces {
 		remaining := p.Duration
@@ -381,7 +409,7 @@ func WrapAround(start, end float64, procs []int, pieces []Piece) ([]Segment, err
 			emit(p.JobID, room, p.Speed)
 			remaining -= room
 			if proc+1 >= len(procs) {
-				return nil, fmt.Errorf("schedule: ran out of processors packing job %d", p.JobID)
+				return dst[:n0], fmt.Errorf("schedule: ran out of processors packing job %d", p.JobID)
 			}
 			proc++
 			pos = 0
@@ -395,7 +423,7 @@ func WrapAround(start, end float64, procs []int, pieces []Piece) ([]Segment, err
 			pos = 0
 		}
 	}
-	return segs, nil
+	return dst, nil
 }
 
 // Gantt renders an ASCII chart of the schedule, one row per processor,

@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -200,7 +201,7 @@ func TestVerifyMMismatch(t *testing.T) {
 }
 
 func TestWrapAroundSimple(t *testing.T) {
-	segs, err := WrapAround(0, 2, []int{0, 1}, []Piece{
+	segs, err := WrapAround(nil, 0, 2, []int{0, 1}, []Piece{
 		{JobID: 1, Duration: 2, Speed: 3},
 		{JobID: 2, Duration: 1, Speed: 3},
 		{JobID: 3, Duration: 1, Speed: 3},
@@ -219,7 +220,7 @@ func TestWrapAroundSimple(t *testing.T) {
 
 func TestWrapAroundSplitNoOverlap(t *testing.T) {
 	// Piece of job 2 must split across processors without self-overlap.
-	segs, err := WrapAround(0, 2, []int{0, 1}, []Piece{
+	segs, err := WrapAround(nil, 0, 2, []int{0, 1}, []Piece{
 		{JobID: 1, Duration: 1.5, Speed: 1},
 		{JobID: 2, Duration: 1.5, Speed: 1},
 		{JobID: 3, Duration: 1, Speed: 1},
@@ -247,20 +248,104 @@ func TestWrapAroundSplitNoOverlap(t *testing.T) {
 }
 
 func TestWrapAroundErrors(t *testing.T) {
-	if _, err := WrapAround(2, 2, []int{0}, nil); err == nil {
+	if _, err := WrapAround(nil, 2, 2, []int{0}, nil); err == nil {
 		t.Error("empty interval accepted")
 	}
-	if _, err := WrapAround(0, 1, []int{0}, []Piece{{JobID: 1, Duration: 2, Speed: 1}}); err == nil {
+	if _, err := WrapAround(nil, 0, 1, []int{0}, []Piece{{JobID: 1, Duration: 2, Speed: 1}}); err == nil {
 		t.Error("oversized piece accepted")
 	}
-	if _, err := WrapAround(0, 1, []int{0}, []Piece{
+	if _, err := WrapAround(nil, 0, 1, []int{0}, []Piece{
 		{JobID: 1, Duration: 1, Speed: 1},
 		{JobID: 2, Duration: 0.5, Speed: 1},
 	}); err == nil {
 		t.Error("over-capacity packing accepted")
 	}
-	if _, err := WrapAround(0, 1, []int{0}, []Piece{{JobID: 1, Duration: -1, Speed: 1}}); err == nil {
+	if _, err := WrapAround(nil, 0, 1, []int{0}, []Piece{{JobID: 1, Duration: -1, Speed: 1}}); err == nil {
 		t.Error("negative duration accepted")
+	}
+}
+
+// WrapAround appends to dst, leaves out what Schedule.Add would drop, and
+// hands dst back at its original length when packing fails.
+func TestWrapAroundAppendsToDst(t *testing.T) {
+	prefix := Segment{Proc: 7, Start: -1, End: 0, JobID: 9, Speed: 1}
+	segs, err := WrapAround([]Segment{prefix}, 0, 2, []int{0, 1}, []Piece{
+		{JobID: 1, Duration: 1.5, Speed: 2},
+		{JobID: 2, Duration: 1, Speed: 0}, // zero speed: dropped
+		{JobID: 3, Duration: 1, Speed: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) == 0 || segs[0] != prefix {
+		t.Fatalf("prefix lost: %v", segs)
+	}
+	want := New(2)
+	for _, seg := range segs[1:] {
+		if seg.JobID == 2 {
+			t.Errorf("zero-speed segment %v kept", seg)
+		}
+		want.Add(seg)
+	}
+	if len(want.Segments) != len(segs)-1 {
+		t.Errorf("kept %d segments Add would drop", len(segs)-1-len(want.Segments))
+	}
+	// Job 2's dropped time still occupies the timeline: job 3 starts
+	// after it on processor 1.
+	if last := segs[len(segs)-1]; last.JobID != 3 || last.Proc != 1 || last.Start != 0.5 {
+		t.Errorf("job 3 packed at %v, want P1 from 0.5", last)
+	}
+
+	dst := []Segment{prefix}
+	got, err := WrapAround(dst, 0, 1, []int{0}, []Piece{
+		{JobID: 1, Duration: 1, Speed: 1},
+		{JobID: 2, Duration: 0.5, Speed: 1},
+	})
+	if err == nil || len(got) != 1 || got[0] != prefix {
+		t.Errorf("failed packing returned %v, %v; want the unchanged dst and an error", got, err)
+	}
+}
+
+// Normalize's comparator must order segments exactly as the sort.Slice
+// less function it replaced: same pdqsort, so the same permutation, ties
+// and NaNs included. JobID tags each segment to expose the permutation.
+func TestNormalizeSortMatchesSortSlice(t *testing.T) {
+	less := func(x, y Segment) bool {
+		if x.Proc != y.Proc {
+			return x.Proc < y.Proc
+		}
+		if x.Start != y.Start {
+			return x.Start < y.Start
+		}
+		return x.End < y.End
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		segs := make([]Segment, n)
+		for i := range segs {
+			segs[i] = Segment{
+				Proc:  rng.Intn(3),
+				Start: float64(rng.Intn(5)),
+				End:   float64(rng.Intn(5)),
+				JobID: i,
+			}
+			if rng.Intn(50) == 0 {
+				segs[i].Start = math.NaN()
+			}
+			if rng.Intn(50) == 0 {
+				segs[i].End = math.NaN()
+			}
+		}
+		want := append([]Segment(nil), segs...)
+		sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
+		slices.SortFunc(segs, compareSegments)
+		for i := range segs {
+			if segs[i].JobID != want[i].JobID {
+				t.Fatalf("trial %d (n=%d): position %d holds segment %d, sort.Slice put %d there",
+					trial, n, i, segs[i].JobID, want[i].JobID)
+			}
+		}
 	}
 }
 
@@ -304,7 +389,7 @@ func TestWrapAroundProperty(t *testing.T) {
 			pieces = append(pieces, Piece{JobID: id, Duration: d, Speed: 1 + rng.Float64()})
 			used += d
 		}
-		segs, err := WrapAround(10, 10+length, procs, pieces)
+		segs, err := WrapAround(nil, 10, 10+length, procs, pieces)
 		if err != nil {
 			return false
 		}

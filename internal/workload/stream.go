@@ -15,6 +15,12 @@
 // The job lines reuse job.Job's JSON field names, so a line of a trace
 // and an element of the in-memory instance format's "jobs" array are the
 // same object.
+//
+// Job IDs must be unique within each separable component when the trace
+// is solved streamed (decomposed), and within the whole trace when it is
+// solved monolithically: the solver rejects a repeated ID in the
+// instance it solves with ErrInvalidInstance. The reader itself does not
+// track IDs, so a streamed trace may reuse an ID in a later component.
 package workload
 
 import (

@@ -2,6 +2,7 @@ package mpss
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -155,10 +156,12 @@ func TestSolveTraceStreamRejectsBadInput(t *testing.T) {
 // cannot. A rejected round removes every job the residual graph
 // certifies as excluded, and each later phase starts from the block the
 // last rejected round excluded instead of from every remaining job; that
-// keeps a diurnal trace near one round and ~1,500 scanned edges per job.
-// Restarting each phase from every remaining job costs about two rounds
-// and ~7,500 edges per job, removing one job per round about sixteen
-// rounds.
+// keeps a diurnal trace near one round per job, and Dinic's BFS, which
+// stops once it labels the sink, near ~1,110 scanned edges per job
+// (~1,490 when it expanded every reachable vertex, ~1,265 stopping one
+// level later). Restarting each phase from
+// every remaining job costs about two rounds and ~7,500 edges per job,
+// removing one job per round about sixteen rounds.
 func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
 	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
 	rec := NewRecorder()
@@ -174,9 +177,62 @@ func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
 			sum.Rounds, sum.Jobs, float64(sum.Rounds)/float64(sum.Jobs), limit)
 	}
 	edges := rec.Snapshot().Counters["flow.dinic.edges_scanned"]
-	if limit := int64(2500 * sum.Jobs); edges == 0 || edges > limit {
+	if limit := int64(1250 * sum.Jobs); edges == 0 || edges > limit {
 		t.Fatalf("flow.dinic.edges_scanned = %d for %d jobs (%.0f per job), want in (0, %d]",
 			edges, sum.Jobs, float64(edges)/float64(sum.Jobs), limit)
+	}
+}
+
+// Allocations are a deterministic cost too. Emission packs each phase
+// straight into the schedule from engine-owned scratch, and nothing per
+// phase is formatted when observability is off, so the trace above
+// allocates ~24k times (~114k with per-phase maps, slices and span
+// names).
+func TestSolveTraceStreamAllocs(t *testing.T) {
+	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
+	p := MustAlpha(3)
+	var solveErr error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := SolveTraceStream(bytes.NewReader(data), p, WithParallelism(1)); err != nil {
+			solveErr = err
+		}
+	})
+	if solveErr != nil {
+		t.Fatal(solveErr)
+	}
+	if allocs > 40000 {
+		t.Fatalf("%.0f allocations per 2048-job trace, want <= 40000", allocs)
+	}
+}
+
+// Job IDs must be unique within a component on the streamed path (and
+// within the whole trace when decomposition is off): emission orders
+// each interval's pieces by job ID. A repeated ID inside one component
+// is rejected as the one-shot solve rejects it; repeated across
+// components it is fine.
+func TestSolveTraceStreamRejectsDuplicateIDs(t *testing.T) {
+	p := MustAlpha(3)
+	within := `{"format":"mpss-trace-v1","m":2}
+{"id":1,"release":0,"deadline":4,"work":1}
+{"id":1,"release":1,"deadline":3,"work":2}
+{"id":2,"release":2,"deadline":5,"work":1}
+`
+	if _, err := SolveTraceStream(strings.NewReader(within), p); !errors.Is(err, ErrInvalidInstance) {
+		t.Errorf("duplicate ID inside one component: err = %v, want ErrInvalidInstance", err)
+	}
+	across := `{"format":"mpss-trace-v1","m":2}
+{"id":1,"release":0,"deadline":2,"work":1}
+{"id":1,"release":3,"deadline":5,"work":2}
+`
+	sum, err := SolveTraceStream(strings.NewReader(across), p)
+	if err != nil {
+		t.Fatalf("duplicate ID across components: %v", err)
+	}
+	if sum.Components != 2 {
+		t.Fatalf("components = %d, want 2", sum.Components)
+	}
+	if _, err := SolveTraceStream(strings.NewReader(across), p, WithDecomposition(false)); !errors.Is(err, ErrInvalidInstance) {
+		t.Errorf("duplicate ID in a monolithic solve: err = %v, want ErrInvalidInstance", err)
 	}
 }
 
