@@ -65,10 +65,13 @@ apidoc:
 # fuzz-smoke runs the solver-boundary fuzz harness briefly: enough to
 # catch a reintroduced panic path, cheap enough for every CI run. The
 # second leg fuzzes instance shapes against the one-removal-per-round
-# reference of the phase loop (internal/opt/reference_test.go).
+# reference of the phase loop (internal/opt/reference_test.go); the
+# third fuzzes three-layer networks and their near misses against plain
+# Dinic, for the one-pass first level phase (internal/flow/layered.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
+	$(GO) test -run '^$$' -fuzz FuzzLayeredFirstPhase -fuzztime 20s ./internal/flow/
 
 # trace-smoke streams a 50k-job diurnal trace through the decomposed
 # solve end to end: component counters asserted against the summary, a
@@ -80,14 +83,14 @@ trace-smoke:
 
 # contract-smoke runs the contracted-vs-raw differential solves under
 # the race detector: the contraction pass shares per-phase state with
-# the warm engine, so one racy write there would silently corrupt the
+# the round engine, so one racy write there would silently corrupt the
 # active-set runs. -short keeps it to the small sizes.
 contract-smoke:
 	$(GO) test -race -short -run 'TestContractedMatchesRaw|TestTwoTierCap' ./internal/opt/
 
 verify: build vet test race cli-smoke serve-smoke session-smoke loadgen-smoke cluster-smoke trace-smoke
 
-# bench runs the solver benchmark family (warm incremental engine vs the
+# bench runs the solver benchmark family (default in-place engine vs the
 # cold per-round-rebuild baseline, plus BenchmarkOptScheduleTraceComponents,
 # the trace-stream solve per component) and archives the numbers — ns/op,
 # allocs/op and the solver-internal counters reported via b.ReportMetric

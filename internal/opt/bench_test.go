@@ -10,10 +10,10 @@ import (
 )
 
 // The benchmark family behind `make bench` and BENCH_opt.json: the
-// optimal solver at increasing instance sizes, warm (default incremental
-// engine) and cold (rebuild the flow network every round — the baseline
-// the tentpole replaces). Custom metrics expose the solver-internal
-// counters next to ns/op.
+// optimal solver at increasing instance sizes, default (one network per
+// phase, every round re-solved from zero in place) and cold (rebuild the
+// flow network every round, as the paper's pseudo-code does). Custom
+// metrics expose the solver-internal counters next to ns/op.
 func benchOptSchedule(b *testing.B, n int, cold bool) {
 	in, err := workload.Uniform(workload.Spec{N: n, M: 8, Seed: 1})
 	if err != nil {
@@ -86,6 +86,8 @@ func BenchmarkOptScheduleTraceComponents(b *testing.B) {
 	b.StopTimer()
 	jobs := float64(in.N())
 	b.ReportMetric(float64(snap.Counters["flow.dinic.edges_scanned"])/jobs, "edges_scanned/job")
+	b.ReportMetric(float64(snap.Counters["flow.dinic.aug_paths"])/jobs, "aug_paths/job")
+	b.ReportMetric(float64(snap.Counters["flow.solves"])/jobs, "flow.solves/job")
 	b.ReportMetric(float64(snap.Counters["opt.rounds"])/jobs, "opt.rounds/job")
 	b.ReportMetric(float64(len(parts)), "components")
 }
@@ -140,7 +142,7 @@ func BenchmarkOptScheduleContracted4096Jobs(b *testing.B) {
 }
 
 // The 4096-job cold baseline: every round rebuilds its (contracted)
-// graph from scratch, bounding the rebuild cost the warm engine and
+// graph from scratch, bounding the rebuild cost the in-place engine and
 // the contraction pass together avoid.
 func BenchmarkOptScheduleCold4096Jobs(b *testing.B) {
 	benchOptScheduleSlotted(b, 4096, true, true)

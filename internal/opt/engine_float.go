@@ -14,20 +14,28 @@ import (
 // floatEngine is the float64 fast path of the round loop. All slices are
 // arenas reused across phases and Schedule calls.
 //
-// Warm path (default): beginPhase builds G(J, m, s) once; every
-// rejection drains the excluded jobs' flow and updates capacities in
-// place, and the next round's MaxFlow re-augments from the surviving
-// flow. When a phase accepts after at least one removal the flow is
-// canonicalized (ResetFlow + one solve from zero) so the emitted
-// per-interval times are bit-identical to what a cold rebuild of the
-// final network would produce — removed jobs and dead intervals survive
-// in the network only as zero-capacity edges, which Dinic's search never
-// traverses, so the augmentation sequence matches the cold one exactly.
+// In-place path (default): beginPhase builds G(J, m, s) once; every
+// rejection resets the flow to zero, zeroes the excluded jobs' edges and
+// re-sets the capacities in place, and the next round solves from zero
+// on the same network. Removed jobs and dead intervals survive in it only
+// as zero-capacity edges, which Dinic's search never traverses, so every
+// round's flow — the accepted one included — is bit-identical to the
+// flow a cold rebuild of the round's network would produce, and accept
+// emits it as it stands. Each from-zero solve starts with the three-layer
+// first phase of internal/flow, which is what makes re-solving cheaper
+// than draining the excluded jobs' flow and re-augmenting.
 //
 // Capacities are re-set to the same absolute expressions the cold build
 // uses (work/speed, m_j*|I_j|) rather than multiplicatively rescaled:
 // float64 multiplication is not associative, and (w/s1)*(s1/s2) differs
-// from w/s2 in the last ulp, which would break the warm==cold guarantee.
+// from w/s2 in the last ulp, which would break the in-place==cold
+// guarantee.
+//
+// The one warm flow left is a session's: the first phase of a session
+// resolve attaches the persistent network with the previous resolve's
+// flow (session.go) and re-augments it. If that round is accepted, the
+// flow is canonicalized (ResetFlow + one solve from zero) before
+// emission; a rejection resets it like any other.
 type floatEngine struct {
 	tol      float64
 	cold     bool
@@ -83,8 +91,7 @@ type floatEngine struct {
 	midIv      []int32
 	midID      []flow.EdgeID
 	prevOps    flow.DinicOps
-	warmRound  bool  // true once the current network has been solved
-	removals   int   // warm rejecting rounds this phase
+	warmFlow   bool  // the network's flow is a session's warm flow, not one solved from zero
 	excluded   []int // candidate positions the last rejected round excluded
 	accepted   []int
 	emitScratch
@@ -145,7 +152,6 @@ func (e *floatEngine) beginPhase(used, cand []int, span *obs.Span) bool {
 			e.activeCount[jx]++
 		}
 	}
-	e.removals = 0
 	e.needBuild = true
 	e.supValid = false
 	e.con.on = false
@@ -199,7 +205,7 @@ func (e *floatEngine) recomputeTotals() {
 }
 
 // buildGraph constructs G(J, m, s) for the current alive candidate set.
-// The warm path calls it once per phase; the cold path once per round.
+// The in-place path calls it once per phase; the cold path once per round.
 // With contraction enabled it computes the phase's super-interval
 // partition on the first build and dispatches to the contracted shape
 // whenever merging actually removes interval nodes (see contract.go).
@@ -281,7 +287,7 @@ func (e *floatEngine) buildContracted() {
 	}
 	e.rec.Add("opt.graph_rebuilds", 1)
 	e.prevOps = flow.DinicOps{}
-	e.warmRound = false
+	e.warmFlow = false
 	e.needBuild = false
 }
 
@@ -308,7 +314,7 @@ func (e *floatEngine) buildRaw(counter string) {
 	e.rawEdges()
 	e.rec.Add(counter, 1)
 	e.prevOps = flow.DinicOps{}
-	e.warmRound = false
+	e.warmFlow = false
 	e.needBuild = false
 }
 
@@ -386,9 +392,8 @@ func (e *floatEngine) publish() {
 	e.prevOps = ops
 }
 
-// solveFlow runs one sequential Dinic max-flow computation: from zero
-// on a freshly built network, or as an incremental re-augmentation of
-// the warm one.
+// solveFlow runs one sequential Dinic max-flow computation: from zero,
+// or as the re-augmentation of a session's warm flow.
 func (e *floatEngine) solveFlow() {
 	var t0 time.Time
 	if e.solveHist != nil {
@@ -398,7 +403,7 @@ func (e *floatEngine) solveFlow() {
 	if e.solveHist != nil {
 		e.solveHist.Observe(time.Since(t0).Seconds())
 	}
-	if e.warmRound {
+	if e.warmFlow {
 		e.rec.Add("flow.warm_hits", 1)
 	}
 	e.publish()
@@ -409,7 +414,6 @@ func (e *floatEngine) solveRound() int {
 		e.buildGraph()
 	}
 	e.solveFlow()
-	e.warmRound = true
 
 	var value float64
 	for pos := range e.cand0 {
@@ -426,8 +430,9 @@ func (e *floatEngine) solveRound() int {
 	// some maximum flow leaves both one of its interval edges and that
 	// interval's sink edge unsaturated — the exclusion condition of the
 	// paper's Lemma 4 — and the co-reachable set is the same for every
-	// maximum flow, so warm and cold solves exclude the same jobs. Each
-	// one is outside J_i on its own, so all of them go in one round.
+	// maximum flow, so warm, in-place and cold solves exclude the same
+	// jobs. Each one is outside J_i on its own, so all of them go in one
+	// round.
 	mark := e.g.CoReachable(e.sink)
 	e.excluded = e.excluded[:0]
 	for pos := range e.cand0 {
@@ -452,14 +457,20 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 	if e.aliveCount == 0 {
 		return false, true
 	}
-	var drained float64
+	if !e.cold {
+		// The next round solves from zero on this network, so reset the
+		// flow first: on a zero flow none of the capacity updates below
+		// drains anything.
+		e.g.ResetFlow()
+		e.warmFlow = false
+	}
 	for _, pos := range e.excluded {
 		e.alive[pos] = false
 		for _, jx := range e.jobIvs[e.cand0[pos]] {
 			e.activeCount[jx]--
 		}
 		if !e.cold {
-			drained += e.g.RemoveJobEdge(e.srcEdges[pos])
+			e.g.RemoveJobEdge(e.srcEdges[pos])
 			if e.sessPhase {
 				// The rounds zeroed this slot's source and job edges on the
 				// persistent network; if the job is still in the session,
@@ -487,11 +498,11 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 			}
 			if e.con.on {
 				if s := e.con.supOf[jx]; s >= 0 && s != lastSup {
-					drained += e.g.SetCapacity(e.supSink[s], float64(nm)*e.supLen[s])
+					e.g.SetCapacity(e.supSink[s], float64(nm)*e.supLen[s])
 					lastSup = s
 				}
 			} else if e.ivNode[jx] >= 0 {
-				drained += e.g.SetCapacity(e.sinkEdges[jx], float64(nm)*e.ivLen[jx])
+				e.g.SetCapacity(e.sinkEdges[jx], float64(nm)*e.ivLen[jx])
 			}
 		}
 	}
@@ -505,13 +516,11 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 		e.needBuild = true
 		return false, false
 	}
-	e.removals++
 	for pos2, k2 := range e.cand0 {
 		if e.alive[pos2] {
-			drained += e.g.SetCapacity(e.srcEdges[pos2], e.in.Jobs[k2].Work/e.speed)
+			e.g.SetCapacity(e.srcEdges[pos2], e.in.Jobs[k2].Work/e.speed)
 		}
 	}
-	e.rec.Add("flow.drained_units", int64(drained+0.5))
 	return false, false
 }
 
@@ -551,17 +560,17 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 		e.con.on = false
 		e.buildRaw("opt.emit_rebuilds")
 		e.solveEmit()
-	} else if (!e.cold && e.removals > 0) || e.sessPhase {
-		// Canonicalize: one solve from zero on the updated network. The
-		// zero-capacity remnants of removed jobs never enter Dinic's
-		// search, so this reproduces the cold path's flow bit-exactly
-		// while still skipping the per-round rebuild-and-resolve work.
-		// Session phases always canonicalize, even with zero removals
-		// this phase: the persistent network's accepted flow must be the
-		// canonical from-zero flow for the next delta's warm reconcile
-		// to stay on the cold augmentation sequence.
+	} else if e.warmFlow {
+		// A session phase accepted its warm-reconciled first round:
+		// canonicalize with one solve from zero. The zero-capacity
+		// remnants of removed jobs never enter Dinic's search, so this
+		// reproduces the cold path's flow bit-exactly, and the persistent
+		// network keeps the canonical from-zero flow the next delta's
+		// warm reconcile starts from. Every other accepted round was
+		// already solved from zero.
 		e.g.ResetFlow()
 		e.solveEmit()
+		e.warmFlow = false
 	}
 	// The mid edges were added interval by interval (rawEdges), so the
 	// pieces come out in interval order, as emitPhase requires.
@@ -581,8 +590,8 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 }
 
 // solveEmit runs the emission-time from-zero solve (histogram-timed,
-// ops published) shared by the canonicalization and contracted-accept
-// paths.
+// ops published) shared by the session canonicalization and
+// contracted-accept paths.
 func (e *floatEngine) solveEmit() {
 	var t0 time.Time
 	if e.solveHist != nil {

@@ -123,10 +123,9 @@ func TestExactPathNoLadder(t *testing.T) {
 	}
 }
 
-// TestFallbackColdRescues: a violation only on the warm path (removals >
-// 0 never happens cold on round one) — simulated by failing just the
-// first float attempt — is rescued by the cold rung without reaching
-// exact.
+// TestFallbackColdRescues: a violation only on the default in-place
+// path — simulated by failing just the first float attempt — is rescued
+// by the cold rung without reaching exact.
 func TestFallbackColdRescues(t *testing.T) {
 	in := fallbackInstance(t)
 	calls := 0

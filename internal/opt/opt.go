@@ -27,18 +27,23 @@
 // same J_i from a smaller candidate set, in fewer and smaller rounds.
 //
 // Consecutive rounds of a phase differ only by the removed jobs and a
-// uniform rescaling of the source capacities, so the solver runs them on
-// an incremental flow engine: the network is built once per phase, each
-// rejection drains the removed jobs' flow and rescales capacities in
-// place (flow.RemoveJobEdge / flow.SetCapacity), and the next round
-// re-augments from the surviving feasible flow instead of restarting
-// Dinic at zero. The excluded jobs are chosen by a flow-invariant rule —
-// every candidate whose node can still reach the sink in the residual
-// graph (flow.CoReachable) — so the warm path removes exactly the jobs a
-// cold from-scratch path would. Each of them is outside J_i on its own,
-// so one rejected round removes them all. See DESIGN.md ("Incremental
-// warm-started flow engine") for the invariants; ColdStart disables the
-// warm path for differential testing.
+// uniform rescaling of the source capacities, so the network is built
+// once per phase. On the float path each rejection resets the flow,
+// zeroes the removed jobs' edges and re-sets the capacities in place
+// (flow.ResetFlow, flow.RemoveJobEdge, flow.SetCapacity), and the next
+// round solves from zero on the same network. Its zero-capacity
+// remnants are invisible to Dinic, so every round's flow — the emitted
+// one included — is bit-identical to a cold rebuild's, and each
+// from-zero solve runs Dinic's first level phase as one direct pass
+// over the three-layer network (internal/flow). The exact engine still
+// drains the removed jobs' flow and re-augments (exact.go). The
+// excluded jobs are chosen by a
+// flow-invariant rule — every candidate whose node can still reach the
+// sink in the residual graph (flow.CoReachable) — so every path removes
+// exactly the jobs a cold from-scratch path would. Each of them is
+// outside J_i on its own, so one rejected round removes them all. See
+// DESIGN.md §7 for the invariants; ColdStart rebuilds the network every
+// round instead, for differential testing.
 //
 // Because the optimal speed levels depend only on the combinatorial
 // structure (not on the particular convex power function), the same
@@ -344,6 +349,11 @@ type phaseEngine interface {
 // tests.
 var testHookRound func(exact bool)
 
+// testHookEmitted, when non-nil, sees the solve's segments in emission
+// order, with each one's interval index, before segOrder.sort reorders
+// them. Tests only.
+var testHookEmitted func(segs []schedule.Segment, iv []int32)
+
 // runPhases is the shared phase/round driver for both engines. It is
 // also the solver's panic-containment boundary: invariant violations
 // raised anywhere below (the flow drain walks, the engines, the
@@ -401,6 +411,9 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 	starts := []int{0}
 
 	res = &Result{Schedule: schedule.New(in.M), Intervals: ivs}
+	order := segOrderPool.Get()
+	order.iv = order.iv[:0]
+	defer segOrderPool.Put(order)
 	eng.prepare(in, ivs, &res.Stats, rec)
 	_, isExact := eng.(*exactEngine)
 
@@ -454,7 +467,7 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 		}
 		speed, mj, pieces := eng.accept()
 		cand := eng.acceptedCand()
-		if err := emitPhase(in, ivs, used, cand, speed, mj, pieces, eng.scratch(), res); err != nil {
+		if err := emitPhase(in, ivs, used, cand, speed, mj, pieces, eng.scratch(), order, res); err != nil {
 			// Packing can only fail when the flow the engine certified
 			// does not fit its intervals: precision loss on the float
 			// path (the ladder retries), a bug on the exact path.
@@ -469,6 +482,10 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 		span.End()
 	}
 
+	if testHookEmitted != nil {
+		testHookEmitted(res.Schedule.Segments, order.iv)
+	}
+	order.sort(res.Schedule.Segments, len(ivs), in.M)
 	res.Schedule.Normalize()
 	return res, nil
 }
@@ -498,8 +515,8 @@ func (s *emitScratch) scratch() *emitScratch { return s }
 // group is a contiguous run (one to a few pieces, one per job): it is
 // insertion-sorted by job ID and packed by McNaughton's wrap-around rule
 // straight into the schedule, on the m_ij processors above those earlier
-// phases occupy.
-func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed float64, mj []int, pieces []piece, sc *emitScratch, res *Result) error {
+// phases occupy. Each segment's interval index goes to order.iv.
+func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed float64, mj []int, pieces []piece, sc *emitScratch, order *segOrder, res *Result) error {
 	phase := Phase{Speed: speed, Procs: append([]int(nil), mj...), JobIDs: make([]int, len(cand))}
 	for i, k := range cand {
 		phase.JobIDs[i] = in.Jobs[k].ID
@@ -531,15 +548,103 @@ func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed flo
 		}
 		sc.procs = procs
 		var err error
+		n0 := len(res.Schedule.Segments)
 		res.Schedule.Segments, err = schedule.WrapAround(res.Schedule.Segments, ivs[jx].Start, ivs[jx].End, procs, group)
 		if err != nil {
 			return fmt.Errorf("opt: packing interval %v: %w", ivs[jx], err)
+		}
+		for range res.Schedule.Segments[n0:] {
+			order.iv = append(order.iv, int32(jx))
 		}
 		used[jx] += mj[jx]
 	}
 	res.Phases = append(res.Phases, phase)
 	res.Stats.Phases++
 	return nil
+}
+
+// segOrder puts a solve's segments into Normalize's (processor, start,
+// end) order before Normalize runs, so its sort meets sorted input. In
+// interval j each processor belongs to exactly one phase — processors
+// used[j] … used[j]+m_ij−1 of the phase that packed it — and WrapAround
+// lays each processor's segments out left to right. So a stable sort by
+// interval and then a stable sort by processor, two counting passes,
+// leaves every processor's segments in start order.
+//
+// The buffers are borrowed from segOrderPool for one solve, not kept per
+// Solver: every open session holds its own Solver.
+type segOrder struct {
+	iv    []int32 // per emitted segment: its interval index
+	byIv  []int32 // segment indices, stably sorted by interval
+	perm  []int32 // then stably by processor: position -> segment index
+	count []int32
+}
+
+var segOrderPool pool.FreeList[segOrder]
+
+// sort reorders segs (whose intervals are o.iv, out of nIv, on m
+// processors) by (processor, interval), keeping the order only if it is
+// strictly increasing under schedule.CompareSegments. Then Normalize's
+// sort returns exactly what it returns on the emission order: input
+// with no ties has one sorted order. If two segments tie, segs keeps
+// the emission order and Normalize sees what it always saw.
+func (o *segOrder) sort(segs []schedule.Segment, nIv, m int) {
+	n := len(segs)
+	if n < 2 {
+		return
+	}
+	o.count = growInt32s(o.count, max(nIv, m)+1)
+	o.byIv = growInt32s(o.byIv, n)
+	o.perm = growInt32s(o.perm, n)
+	count := o.count[:nIv+1]
+	clear(count)
+	for _, j := range o.iv {
+		count[j+1]++
+	}
+	for j := 1; j <= nIv; j++ {
+		count[j] += count[j-1]
+	}
+	for i, j := range o.iv {
+		o.byIv[count[j]] = int32(i)
+		count[j]++
+	}
+	count = o.count[:m+1]
+	clear(count)
+	for i := range segs {
+		count[segs[i].Proc+1]++
+	}
+	for p := 1; p <= m; p++ {
+		count[p] += count[p-1]
+	}
+	for _, i := range o.byIv {
+		p := segs[i].Proc
+		o.perm[count[p]] = i
+		count[p]++
+	}
+	for k := 1; k < n; k++ {
+		if schedule.CompareSegments(segs[o.perm[k-1]], segs[o.perm[k]]) >= 0 {
+			return
+		}
+	}
+	// Apply the permutation in place, one cycle at a time: position k
+	// takes segment perm[k]; a visited position is marked -1.
+	for k := range o.perm {
+		if o.perm[k] < 0 {
+			continue
+		}
+		first := segs[k]
+		j := k
+		for {
+			next := int(o.perm[j])
+			o.perm[j] = -1
+			if next == k {
+				segs[j] = first
+				break
+			}
+			segs[j] = segs[next]
+			j = next
+		}
+	}
 }
 
 // publishDinic folds one float-path max-flow solve's operation counts

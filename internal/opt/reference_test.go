@@ -430,8 +430,12 @@ func (e *refEmitEngine) accept() (float64, []int, []piece) {
 // map-based one it replaced, bit for bit: every accepted phase of the
 // float and the exact engine, contraction on and off, is emitted both
 // ways from the same flow, and the decomposed solve must land on the same
-// schedule. -short keeps n <= 24, and n = 8 in exact arithmetic.
+// schedule. Every solve's segments also go through checkPresorted.
+// -short keeps n <= 24, and n = 8 in exact arithmetic.
 func TestEmissionMatchesReference(t *testing.T) {
+	// Set before the parallel subtests start; Cleanup runs after they end.
+	testHookEmitted = func(segs []schedule.Segment, iv []int32) { checkPresorted(t, segs, iv) }
+	t.Cleanup(func() { testHookEmitted = nil })
 	sizes := []struct {
 		n      int
 		exacts []bool
@@ -493,6 +497,69 @@ func checkEmission(t *testing.T, label string, in *job.Instance, exact, contract
 	}
 	if d := resultDiff(w.ref, dec); d != "" {
 		t.Errorf("%s: decomposed emission differs from the map-based reference: %s", label, d)
+	}
+}
+
+// checkPresorted asserts that segOrder.sort puts a solve's emitted
+// segments exactly where sorting them by schedule.CompareSegments does.
+// A real emission has no ties, so this also asserts that the order is
+// adopted rather than declined.
+func checkPresorted(t *testing.T, segs []schedule.Segment, iv []int32) {
+	if len(iv) != len(segs) {
+		t.Errorf("%d interval indices for %d emitted segments", len(iv), len(segs))
+		return
+	}
+	nIv, m := 0, 0
+	for _, j := range iv {
+		nIv = max(nIv, int(j)+1)
+	}
+	for _, seg := range segs {
+		m = max(m, seg.Proc+1)
+	}
+	want := slices.Clone(segs)
+	slices.SortFunc(want, schedule.CompareSegments)
+	got := slices.Clone(segs)
+	(&segOrder{iv: iv}).sort(got, nIv, m)
+	if !slices.Equal(got, want) {
+		t.Errorf("pre-sorted segments differ from the sorted emission order (%d segments)", len(segs))
+	}
+}
+
+// When the (interval, processor) order is not strictly increasing —
+// segments tied under CompareSegments, or out of start order — segOrder
+// keeps the emission order, so Normalize sorts what it always sorted.
+func TestPresortKeepsEmissionOrderOnTies(t *testing.T) {
+	seg := func(proc int, start, end float64, id int) schedule.Segment {
+		return schedule.Segment{Proc: proc, Start: start, End: end, JobID: id, Speed: 1}
+	}
+	for _, tc := range []struct {
+		name string
+		segs []schedule.Segment
+		iv   []int32
+	}{
+		// By processor the order would be 2, 3, 1, but 2 and 3 tie.
+		{"tie", []schedule.Segment{seg(1, 0, 1, 1), seg(0, 0, 1, 2), seg(0, 0, 1, 3)}, []int32{0, 0, 0}},
+		// One processor and interval: stable sorting keeps 1 before 2.
+		{"out of order", []schedule.Segment{seg(0, 1, 2, 1), seg(0, 0, 1, 2)}, []int32{0, 0}},
+	} {
+		got := slices.Clone(tc.segs)
+		(&segOrder{iv: tc.iv}).sort(got, 1, 2)
+		if !slices.Equal(got, tc.segs) {
+			t.Errorf("%s: segments reordered to %v, want the emission order %v", tc.name, got, tc.segs)
+		}
+		// And Normalize ends where it ends on the emission order.
+		a, b := &schedule.Schedule{M: 2, Segments: got}, &schedule.Schedule{M: 2, Segments: slices.Clone(tc.segs)}
+		a.Normalize()
+		b.Normalize()
+		if !slices.Equal(a.Segments, b.Segments) {
+			t.Errorf("%s: normalized %v, want %v", tc.name, a.Segments, b.Segments)
+		}
+	}
+	// A strictly increasing order is adopted.
+	segs := []schedule.Segment{seg(1, 0, 1, 1), seg(0, 1, 2, 2), seg(0, 0, 1, 3)}
+	(&segOrder{iv: []int32{0, 1, 0}}).sort(segs, 2, 2)
+	if want := []int{3, 2, 1}; segs[0].JobID != want[0] || segs[1].JobID != want[1] || segs[2].JobID != want[2] {
+		t.Errorf("strict order not adopted: %v", segs)
 	}
 }
 

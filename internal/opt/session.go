@@ -40,8 +40,9 @@ import (
 //     associative). Round decisions are flow-invariant (the max-flow
 //     value is unique and CoReachable is the same for every maximum
 //     flow), so the warm-reconciled rounds accept, reject and remove
-//     exactly as cold rounds do; the accepted flow is then
-//     canonicalized from zero before emission.
+//     exactly as cold rounds do. A rejected round resets the flow in
+//     place, so every later round of the phase solves from zero; a warm
+//     round that is accepted is canonicalized from zero before emission.
 //   - Only a resolve's first phase runs on the persistent network, and
 //     contraction is disabled for it so the network keeps the raw
 //     interval shape. Later phases (and any mid-phase degenerate
@@ -129,7 +130,7 @@ func (e *floatEngine) buildSessionNet() {
 	e.rec.Add("opt.graph_rebuilds", 1)
 	e.rec.Add("opt.session_net_builds", 1)
 	e.prevOps = flow.DinicOps{}
-	e.warmRound = false
+	e.warmFlow = false
 	e.needBuild = false
 	e.sessPhase = true
 }
@@ -186,7 +187,7 @@ func (e *floatEngine) attachSessionNet() {
 	}
 	e.rec.Add("opt.session_attaches", 1)
 	e.prevOps = e.g.Ops()
-	e.warmRound = true
+	e.warmFlow = true
 	e.needBuild = false
 	e.sessPhase = true
 }

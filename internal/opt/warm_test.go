@@ -3,17 +3,18 @@ package opt
 import (
 	"testing"
 
+	"mpss/internal/job"
 	"mpss/internal/obs"
 	"mpss/internal/workload"
 )
 
-// The incremental warm-started engine must be invisible in the output:
-// identical phase structure, bit-identical phase speeds, and
-// bit-identical schedule segments compared to a cold solve that rebuilds
-// the flow network every round. The engine guarantees this by re-setting
+// The in-place round engine must be invisible in the output: identical
+// phase structure, bit-identical phase speeds, and bit-identical
+// schedule segments compared to a cold solve that rebuilds the flow
+// network every round. The engine guarantees this by re-setting
 // absolute capacities (never rescaling floats multiplicatively) and by
-// canonicalizing accepted phases with a from-zero re-solve on the warm
-// network, whose zero-capacity removed edges are invisible to Dinic.
+// solving every round from zero on a network whose zero-capacity
+// removed edges are invisible to Dinic.
 func TestWarmMatchesColdExactly(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		in, err := workload.Bursty(workload.Spec{N: 24, M: 3, Seed: seed})
@@ -59,45 +60,55 @@ func comparePhases(t *testing.T, seed int64, warm, cold *Result) {
 	}
 }
 
-// The whole point of the warm engine: the flow network is built once per
-// phase, not once per round. Rejected rounds mutate it in place.
-func TestWarmBuildsOncePerPhase(t *testing.T) {
-	in, err := workload.Bursty(workload.Spec{N: 32, M: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.New()
-	res, err := Schedule(in, WithRecorder(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Snapshot()
-	rebuilds := snap.Counters["opt.graph_rebuilds"]
-	phases := snap.Counters["opt.phases"]
-	rounds := snap.Counters["opt.rounds"]
-	if phases != int64(len(res.Phases)) {
-		t.Fatalf("opt.phases=%d, result has %d phases", phases, len(res.Phases))
-	}
-	if rebuilds > phases {
-		t.Fatalf("opt.graph_rebuilds=%d exceeds opt.phases=%d (rounds=%d)",
-			rebuilds, phases, rounds)
-	}
-	if rounds > phases && snap.Counters["flow.warm_hits"] == 0 {
-		t.Fatalf("rounds=%d > phases=%d but no flow.warm_hits recorded", rounds, phases)
-	}
+// The network is built once per phase, not once per round: a rejected
+// round resets the flow in place and the next round solves from zero on
+// the same network. Outside sessions there is no warm flow left, every
+// solve is a round or an emission re-solve of a contracted phase, and
+// the augmentation sequence is the cold path's, path for path and level
+// graph for level graph.
+func TestRoundsSolveFromZeroInPlace(t *testing.T) {
+	for _, gen := range []func(workload.Spec) (*job.Instance, error){workload.Bursty, workload.Diurnal} {
+		for _, contract := range []bool{true, false} {
+			in, err := gen(workload.Spec{N: 32, M: 3, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			solve := func(opts ...Option) (*Result, map[string]int64) {
+				rec := obs.New()
+				res, err := Schedule(in, append(opts, WithRecorder(rec), WithContraction(contract))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, rec.Snapshot().Counters
+			}
+			res, c := solve()
+			phases, rounds := c["opt.phases"], c["opt.rounds"]
+			if phases != int64(len(res.Phases)) || rounds <= phases {
+				t.Fatalf("contract=%v: opt.phases=%d for %d phases, opt.rounds=%d: want a rejected round",
+					contract, phases, len(res.Phases), rounds)
+			}
+			if c["opt.graph_rebuilds"] > phases {
+				t.Errorf("contract=%v: opt.graph_rebuilds=%d exceeds opt.phases=%d", contract, c["opt.graph_rebuilds"], phases)
+			}
+			if c["flow.warm_hits"] != 0 {
+				t.Errorf("contract=%v: %d warm hits outside a session", contract, c["flow.warm_hits"])
+			}
+			if want := rounds + c["opt.emit_rebuilds"]; c["flow.solves"] != want {
+				t.Errorf("contract=%v: flow.solves=%d, want rounds + emit_rebuilds = %d", contract, c["flow.solves"], want)
+			}
 
-	// A cold solve of the same instance rebuilds once per round.
-	rec2 := obs.New()
-	if _, err := Schedule(in, WithRecorder(rec2), ColdStart()); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := rec2.Snapshot()
-	if got := snap2.Counters["opt.graph_rebuilds"]; got != snap2.Counters["opt.rounds"] {
-		t.Fatalf("cold solve: graph_rebuilds=%d, want one per round (%d)",
-			got, snap2.Counters["opt.rounds"])
-	}
-	if snap2.Counters["flow.warm_hits"] != 0 {
-		t.Fatalf("cold solve recorded %d warm hits", snap2.Counters["flow.warm_hits"])
+			// The cold path rebuilds every round and finds the same paths.
+			_, cc := solve(ColdStart())
+			if cc["opt.graph_rebuilds"] != cc["opt.rounds"] || cc["flow.warm_hits"] != 0 {
+				t.Errorf("contract=%v: cold graph_rebuilds=%d warm_hits=%d, want one rebuild per round (%d) and none",
+					contract, cc["opt.graph_rebuilds"], cc["flow.warm_hits"], cc["opt.rounds"])
+			}
+			for _, k := range []string{"opt.rounds", "flow.solves", "flow.dinic.aug_paths", "flow.dinic.bfs_passes"} {
+				if c[k] != cc[k] {
+					t.Errorf("contract=%v: %s = %d, cold %d", contract, k, c[k], cc[k])
+				}
+			}
+		}
 	}
 }
 

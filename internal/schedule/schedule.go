@@ -76,7 +76,7 @@ func (s *Schedule) Extend(other *Schedule) {
 // Normalize sorts segments by (processor, start, end) and merges abutting
 // segments of the same job and speed on the same processor.
 func (s *Schedule) Normalize() {
-	slices.SortFunc(s.Segments, compareSegments)
+	slices.SortFunc(s.Segments, CompareSegments)
 	merged := s.Segments[:0]
 	for _, seg := range s.Segments {
 		if n := len(merged); n > 0 {
@@ -93,12 +93,14 @@ func (s *Schedule) Normalize() {
 	s.Segments = merged
 }
 
-// compareSegments orders segments by (processor, start, end). It is
-// negative exactly when the less function Normalize used with sort.Slice
-// reported true, ties and NaNs included; sort.Slice and slices.SortFunc
-// run the same pdqsort and consult only that sign, so the sorted
-// permutation is unchanged.
-func compareSegments(x, y Segment) int {
+// CompareSegments is Normalize's order: by (processor, start, end). It
+// is negative exactly when the less function Normalize used with
+// sort.Slice reported true, ties and NaNs included; sort.Slice and
+// slices.SortFunc run the same pdqsort and consult only that sign, so the
+// sorted permutation is unchanged. A caller that hands Normalize
+// segments strictly increasing in this order gets them back in that
+// order: input without ties has exactly one sorted order.
+func CompareSegments(x, y Segment) int {
 	if x.Proc != y.Proc {
 		return cmp.Compare(x.Proc, y.Proc)
 	}

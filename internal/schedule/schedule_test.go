@@ -339,7 +339,7 @@ func TestNormalizeSortMatchesSortSlice(t *testing.T) {
 		}
 		want := append([]Segment(nil), segs...)
 		sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
-		slices.SortFunc(segs, compareSegments)
+		slices.SortFunc(segs, CompareSegments)
 		for i := range segs {
 			if segs[i].JobID != want[i].JobID {
 				t.Fatalf("trial %d (n=%d): position %d holds segment %d, sort.Slice put %d there",
