@@ -87,6 +87,7 @@ func BenchmarkOptScheduleTraceComponents(b *testing.B) {
 	jobs := float64(in.N())
 	b.ReportMetric(float64(snap.Counters["flow.dinic.edges_scanned"])/jobs, "edges_scanned/job")
 	b.ReportMetric(float64(snap.Counters["flow.dinic.aug_paths"])/jobs, "aug_paths/job")
+	b.ReportMetric(float64(snap.Counters["flow.dinic.bfs_passes"])/jobs, "bfs_passes/job")
 	b.ReportMetric(float64(snap.Counters["flow.solves"])/jobs, "flow.solves/job")
 	b.ReportMetric(float64(snap.Counters["opt.rounds"])/jobs, "opt.rounds/job")
 	b.ReportMetric(float64(len(parts)), "components")

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"mpss/internal/flow"
@@ -14,16 +15,18 @@ import (
 // floatEngine is the float64 fast path of the round loop. All slices are
 // arenas reused across phases and Schedule calls.
 //
-// In-place path (default): beginPhase builds G(J, m, s) once; every
-// rejection resets the flow to zero, zeroes the excluded jobs' edges and
+// Ordinary phases solve on pn, a flow.PhaseNet: the max-flow kernel for
+// exactly this network shape, fed the engine's own job windows and
+// per-interval candidate lists (byIv), with no edge list, CSR build or
+// edge ids. In-place path (default): beginPhase builds G(J, m, s) once;
+// every rejection resets the flow to zero, removes the excluded jobs and
 // re-sets the capacities in place, and the next round solves from zero
-// on the same network. Removed jobs and dead intervals survive in it only
-// as zero-capacity edges, which Dinic's search never traverses, so every
-// round's flow — the accepted one included — is bit-identical to the
-// flow a cold rebuild of the round's network would produce, and accept
-// emits it as it stands. Each from-zero solve starts with the three-layer
-// first phase of internal/flow, which is what makes re-solving cheaper
-// than draining the excluded jobs' flow and re-augmenting.
+// on the same network. A removed job is gone from the kernel exactly as
+// it is absent from a cold rebuild, so every round's flow — the accepted
+// one included — is bit-identical to the flow a cold rebuild of the
+// round's network would produce, and accept emits it as it stands. The
+// kernel's last BFS of each solve is the co-reachable set the exclusion
+// rule needs (flow.PhaseNet.CoReachable).
 //
 // Capacities are re-set to the same absolute expressions the cold build
 // uses (work/speed, m_j*|I_j|) rather than multiplicatively rescaled:
@@ -32,10 +35,12 @@ import (
 // guarantee.
 //
 // The one warm flow left is a session's: the first phase of a session
-// resolve attaches the persistent network with the previous resolve's
-// flow (session.go) and re-augments it. If that round is accepted, the
-// flow is canonicalized (ResetFlow + one solve from zero) before
-// emission; a rejection resets it like any other.
+// resolve runs on the persistent flow.Graph network with the previous
+// resolve's flow (session.go) and re-augments it. If that round is
+// accepted, the flow is canonicalized (ResetFlow + one solve from zero)
+// before emission; a rejection resets it like any other. While such a
+// session phase runs, sessPhase is set and the round methods address
+// sess.g through the edge ids below instead of pn.
 type floatEngine struct {
 	tol      float64
 	cold     bool
@@ -47,8 +52,9 @@ type floatEngine struct {
 	rec       *obs.Recorder
 	solveHist *obs.Histogram // cached "opt.flow_solve_seconds" handle (nil = observability off)
 
-	ivLen  []float64 // |I_j| per interval
-	jobIvs [][]int32 // per instance job: indices of intervals it is active in
+	ivLen []float64 // |I_j| per interval
+	// Per instance job: the run [jobLo, jobHi) of intervals it is active in.
+	jobLo, jobHi []int32
 
 	// Per-phase state, all indexed by phase-initial candidate position.
 	span        *obs.Span
@@ -67,33 +73,30 @@ type floatEngine struct {
 	// the first graph build and reused by every later build in the phase.
 	con      contraction
 	supLen   []float64 // per super-interval: summed member length
-	supNode  []int32   // per super-interval: vertex, -1 when m_j = 0
-	supSink  []flow.EdgeID
 	supValid bool
 
-	// Flow network state (valid when needBuild is false). g aliases the
-	// graph the current phase solves on: own for ordinary phases (the
-	// engine-owned arena every build targets), or sess.g while a session
-	// solve's first phase runs on the persistent network (session.go).
-	g          *flow.Graph
-	own        *flow.Graph
-	sess       *sessNet // non-nil only while a Session resolve runs
-	sessPhase  bool     // current phase runs on sess.g
-	firstPhase bool     // next beginPhase starts the solve's first phase
-	posOfSlot  []int32  // scratch: session slot -> live candidate pos
+	pn         flow.PhaseNet // the network of every phase but a session's first
 	needBuild  bool
-	jobNode    []int32
-	ivNode     []int32
-	sink       int
-	srcEdges   []flow.EdgeID
-	sinkEdges  []flow.EdgeID
-	midPos     []int32
-	midIv      []int32
-	midID      []flow.EdgeID
+	firstPhase bool // next beginPhase starts the solve's first phase
 	prevOps    flow.DinicOps
-	warmFlow   bool  // the network's flow is a session's warm flow, not one solved from zero
 	excluded   []int // candidate positions the last rejected round excluded
 	accepted   []int
+
+	// Session phases only (session.go): the persistent network and its
+	// edge ids, translated to candidate positions at attach.
+	sess      *sessNet // non-nil only while a Session resolve runs
+	sessPhase bool     // current phase runs on sess.g
+	g         *flow.Graph
+	posOfSlot []int32 // scratch: session slot -> live candidate pos
+	jobNode   []int32
+	ivNode    []int32
+	sink      int
+	srcEdges  []flow.EdgeID
+	sinkEdges []flow.EdgeID
+	midPos    []int32
+	midIv     []int32
+	midID     []flow.EdgeID
+	warmFlow  bool // sess.g holds a session's warm flow, not one solved from zero
 	emitScratch
 }
 
@@ -115,16 +118,24 @@ func (e *floatEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, r
 		e.ivLen[jx] = iv.Len()
 	}
 	// The job×interval activity index, computed once per solve instead of
-	// once per round: jobIvs[k] lists the intervals job k is active in.
-	e.jobIvs = growLists(e.jobIvs, in.N())
+	// once per round: job k is active in intervals jobLo[k] .. jobHi[k]-1.
+	e.jobLo = growInt32s(e.jobLo, in.N())
+	e.jobHi = growInt32s(e.jobHi, in.N())
 	for k, j := range in.Jobs {
-		e.jobIvs[k] = e.jobIvs[k][:0]
-		for jx, iv := range ivs {
-			if j.ActiveIn(iv.Start, iv.End) {
-				e.jobIvs[k] = append(e.jobIvs[k], int32(jx))
-			}
-		}
+		lo, hi := activeRun(ivs, j)
+		e.jobLo[k], e.jobHi[k] = int32(lo), int32(hi)
 	}
+}
+
+// activeRun returns the run [lo, hi) of the intervals job j is active
+// in. The partition is sorted with increasing starts and ends, so the
+// intervals starting at or after the release form a suffix, those ending
+// by the deadline a prefix, and j.ActiveIn holds exactly on their
+// intersection.
+func activeRun(ivs []job.Interval, j job.Job) (lo, hi int) {
+	lo = sort.Search(len(ivs), func(x int) bool { return ivs[x].Start >= j.Release })
+	hi = sort.Search(len(ivs), func(x int) bool { return ivs[x].End > j.Deadline })
+	return lo, max(lo, hi)
 }
 
 func (e *floatEngine) beginPhase(used, cand []int, span *obs.Span) bool {
@@ -147,7 +158,7 @@ func (e *floatEngine) beginPhase(used, cand []int, span *obs.Span) bool {
 		e.byIv[jx] = e.byIv[jx][:0]
 	}
 	for pos, k := range cand {
-		for _, jx := range e.jobIvs[k] {
+		for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
 			e.byIv[jx] = append(e.byIv[jx], int32(pos))
 			e.activeCount[jx]++
 		}
@@ -226,187 +237,116 @@ func (e *floatEngine) buildGraph() {
 }
 
 // buildContracted is buildGraph over the super-interval partition: one
-// node and one sink edge per run of merged intervals, job edges carrying
-// the summed run length. Capacities follow the same expressions as the
-// raw build with supLen in place of ivLen.
+// interval per run of merged intervals, its job edges carrying the
+// summed run length. Capacities follow the same expressions as the raw
+// build with supLen in place of ivLen.
 func (e *floatEngine) buildContracted() {
-	e.jobNode = growInt32s(e.jobNode, len(e.cand0))
-	node := 1
-	for pos := range e.cand0 {
-		if e.alive[pos] {
-			e.jobNode[pos] = int32(node)
-			node++
-		} else {
-			e.jobNode[pos] = -1
-		}
-	}
-	e.supNode = growInt32s(e.supNode, e.con.nSup)
-	for s := 0; s < e.con.nSup; s++ {
-		if e.mj[e.con.supHead[s]] > 0 {
-			e.supNode[s] = int32(node)
-			node++
-		} else {
-			e.supNode[s] = -1
-		}
-	}
-	e.sink = node
-	if e.own == nil {
-		e.own = flow.NewGraph(node + 1)
-	} else {
-		e.own.Reset(node + 1)
-	}
-	e.g = e.own
-	if node+1 > e.st.FlowVertices {
-		e.st.FlowVertices = node + 1
-	}
-	e.srcEdges = growEdgeIDs(e.srcEdges, len(e.cand0))
+	e.pn.Reset(len(e.cand0), e.con.nSup)
 	for pos, k := range e.cand0 {
 		if e.alive[pos] {
-			e.srcEdges[pos] = e.g.AddEdge(0, int(e.jobNode[pos]), e.in.Jobs[k].Work/e.speed)
+			lo, hi := e.supRun(k)
+			e.pn.SetJob(pos, lo, hi, e.in.Jobs[k].Work/e.speed)
 		}
 	}
-	e.midPos = e.midPos[:0]
-	e.midIv = e.midIv[:0]
-	e.midID = e.midID[:0]
-	e.supSink = growEdgeIDs(e.supSink, e.con.nSup)
+	ivs := 0
 	for s := 0; s < e.con.nSup; s++ {
-		if e.supNode[s] < 0 {
-			continue
+		if head := e.con.supHead[s]; e.mj[head] > 0 {
+			e.pn.SetInterval(s, e.supLen[s], float64(e.mj[head])*e.supLen[s], e.byIv[head])
+			ivs++
 		}
-		head := e.con.supHead[s]
-		for _, pos := range e.byIv[head] {
-			if !e.alive[pos] {
-				continue
-			}
-			id := e.g.AddEdge(int(e.jobNode[pos]), int(e.supNode[s]), e.supLen[s])
-			e.midPos = append(e.midPos, pos)
-			e.midIv = append(e.midIv, int32(s))
-			e.midID = append(e.midID, id)
-		}
-		e.supSink[s] = e.g.AddEdge(int(e.supNode[s]), e.sink, float64(e.mj[head])*e.supLen[s])
 	}
-	e.rec.Add("opt.graph_rebuilds", 1)
-	e.prevOps = flow.DinicOps{}
-	e.warmFlow = false
-	e.needBuild = false
+	e.netBuilt("opt.graph_rebuilds", ivs)
+}
+
+// supRun is job k's window over the super-intervals: those of the
+// members in its raw run, which are consecutive because a job is active
+// in every member of a super-interval or in none (hi < lo when the run
+// holds only m_j = 0 intervals).
+func (e *floatEngine) supRun(k int) (lo, hi int) {
+	lo, hi = 0, -1
+	for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
+		if s := e.con.supOf[jx]; s >= 0 {
+			lo = int(s)
+			break
+		}
+	}
+	for jx := e.jobHi[k] - 1; jx >= e.jobLo[k]; jx-- {
+		if s := e.con.supOf[jx]; s >= 0 {
+			hi = int(s)
+			break
+		}
+	}
+	return lo, hi
 }
 
 // buildRaw constructs the uncontracted network; counter names the
 // rebuild class recorded ("opt.graph_rebuilds" for round builds,
 // "opt.emit_rebuilds" for the emission rebuild after contracted rounds).
+// Intervals with m_j = 0 stay off: no vertex, no edges.
 func (e *floatEngine) buildRaw(counter string) {
 	if e.sessPhase {
 		// The phase is falling off the persistent session network onto a
-		// fresh engine-owned build (degenerate candidate drop mid-phase,
+		// fresh PhaseNet build (degenerate candidate drop mid-phase,
 		// or the emission rebuild): the persistent flow is stale relative
 		// to the decisions this phase keeps making, so the next session
 		// resolve must rebuild it from scratch.
 		e.sess.valid = false
 		e.sessPhase = false
 	}
-	node := e.rawLayout()
-	if e.own == nil {
-		e.own = flow.NewGraph(node + 1)
-	} else {
-		e.own.Reset(node + 1)
+	nIv := len(e.ivs)
+	e.pn.Reset(len(e.cand0), nIv)
+	for pos, k := range e.cand0 {
+		if e.alive[pos] {
+			e.pn.SetJob(pos, int(e.jobLo[k]), int(e.jobHi[k])-1, e.in.Jobs[k].Work/e.speed)
+		}
 	}
-	e.g = e.own
-	e.rawEdges()
+	ivs := 0
+	for jx := 0; jx < nIv; jx++ {
+		if e.mj[jx] > 0 {
+			e.pn.SetInterval(jx, e.ivLen[jx], float64(e.mj[jx])*e.ivLen[jx], e.byIv[jx])
+			ivs++
+		}
+	}
+	e.netBuilt(counter, ivs)
+}
+
+// netBuilt records a PhaseNet build with ivs interval vertices. Its
+// vertex count is the source, the alive jobs, the intervals and the
+// sink, as in the session network's layout (rawLayout).
+func (e *floatEngine) netBuilt(counter string, ivs int) {
+	if v := 2 + e.aliveCount + ivs; v > e.st.FlowVertices {
+		e.st.FlowVertices = v
+	}
 	e.rec.Add(counter, 1)
 	e.prevOps = flow.DinicOps{}
 	e.warmFlow = false
 	e.needBuild = false
 }
 
-// rawLayout assigns the uncontracted vertex layout — 0 = source, then
-// alive jobs, then intervals with mj > 0, last = sink — and returns the
-// sink vertex. Shared by buildRaw and the session network build, which
-// must lay vertices out identically for the warm==cold guarantee.
-func (e *floatEngine) rawLayout() int {
-	nIv := len(e.ivs)
-	e.jobNode = growInt32s(e.jobNode, len(e.cand0))
-	node := 1
-	for pos := range e.cand0 {
-		if e.alive[pos] {
-			e.jobNode[pos] = int32(node)
-			node++
-		} else {
-			e.jobNode[pos] = -1
-		}
-	}
-	e.ivNode = growInt32s(e.ivNode, nIv)
-	for jx := 0; jx < nIv; jx++ {
-		if e.mj[jx] > 0 {
-			e.ivNode[jx] = int32(node)
-			node++
-		} else {
-			e.ivNode[jx] = -1
-		}
-	}
-	e.sink = node
-	if node+1 > e.st.FlowVertices {
-		e.st.FlowVertices = node + 1
-	}
-	return node
-}
-
-// rawEdges inserts the uncontracted edge set into e.g in the canonical
-// order: all source edges in candidate order, then per interval its job
-// edges (byIv order) followed by its sink edge. Every network the
-// engine compares bit-for-bit is built through this routine, so the
-// adjacency order — which fixes Dinic's augmentation sequence — is the
-// same everywhere.
-func (e *floatEngine) rawEdges() {
-	e.srcEdges = growEdgeIDs(e.srcEdges, len(e.cand0))
-	for pos, k := range e.cand0 {
-		if e.alive[pos] {
-			e.srcEdges[pos] = e.g.AddEdge(0, int(e.jobNode[pos]), e.in.Jobs[k].Work/e.speed)
-		}
-	}
-	e.midPos = e.midPos[:0]
-	e.midIv = e.midIv[:0]
-	e.midID = e.midID[:0]
-	nIv := len(e.ivs)
-	e.sinkEdges = growEdgeIDs(e.sinkEdges, nIv)
-	for jx := 0; jx < nIv; jx++ {
-		if e.mj[jx] == 0 {
-			continue
-		}
-		for _, pos := range e.byIv[jx] {
-			if !e.alive[pos] {
-				continue
-			}
-			id := e.g.AddEdge(int(e.jobNode[pos]), int(e.ivNode[jx]), e.ivLen[jx])
-			e.midPos = append(e.midPos, pos)
-			e.midIv = append(e.midIv, int32(jx))
-			e.midID = append(e.midID, id)
-		}
-		e.sinkEdges[jx] = e.g.AddEdge(int(e.ivNode[jx]), e.sink, float64(e.mj[jx])*e.ivLen[jx])
-	}
-}
-
-// publish flushes the ops delta of the last MaxFlow call.
-func (e *floatEngine) publish() {
-	ops := e.g.Ops()
-	publishDinic(e.rec, e.span, ops.Sub(e.prevOps))
-	e.prevOps = ops
-}
-
-// solveFlow runs one sequential Dinic max-flow computation: from zero,
-// or as the re-augmentation of a session's warm flow.
+// solveFlow runs one sequential Dinic max-flow computation and publishes
+// its ops: from zero, or as the re-augmentation of a session's warm
+// flow.
 func (e *floatEngine) solveFlow() {
 	var t0 time.Time
 	if e.solveHist != nil {
 		t0 = time.Now()
 	}
-	e.g.MaxFlow(0, e.sink)
+	var ops flow.DinicOps
+	if e.sessPhase {
+		e.g.MaxFlow(0, e.sink)
+		ops = e.g.Ops()
+	} else {
+		e.pn.MaxFlow()
+		ops = e.pn.Ops()
+	}
 	if e.solveHist != nil {
 		e.solveHist.Observe(time.Since(t0).Seconds())
 	}
 	if e.warmFlow {
 		e.rec.Add("flow.warm_hits", 1)
 	}
-	e.publish()
+	publishDinic(e.rec, e.span, ops.Sub(e.prevOps))
+	e.prevOps = ops
 }
 
 func (e *floatEngine) solveRound() int {
@@ -417,8 +357,13 @@ func (e *floatEngine) solveRound() int {
 
 	var value float64
 	for pos := range e.cand0 {
-		if e.alive[pos] {
+		if !e.alive[pos] {
+			continue
+		}
+		if e.sessPhase {
 			value += e.g.Flow(e.srcEdges[pos])
+		} else {
+			value += e.pn.SourceFlow(pos)
 		}
 	}
 	slack := e.tol * math.Max(1, e.totalTime)
@@ -432,12 +377,20 @@ func (e *floatEngine) solveRound() int {
 	// paper's Lemma 4 — and the co-reachable set is the same for every
 	// maximum flow, so warm, in-place and cold solves exclude the same
 	// jobs. Each one is outside J_i on its own, so all of them go in one
-	// round.
-	mark := e.g.CoReachable(e.sink)
+	// round. On pn the set is the labels of the solve's last BFS.
 	e.excluded = e.excluded[:0]
-	for pos := range e.cand0 {
-		if e.alive[pos] && mark[e.jobNode[pos]] {
-			e.excluded = append(e.excluded, pos)
+	if e.sessPhase {
+		mark := e.g.CoReachable(e.sink)
+		for pos := range e.cand0 {
+			if e.alive[pos] && mark[e.jobNode[pos]] {
+				e.excluded = append(e.excluded, pos)
+			}
+		}
+	} else {
+		for pos, reach := range e.pn.CoReachable() {
+			if reach {
+				e.excluded = append(e.excluded, pos)
+			}
 		}
 	}
 	// No excludable candidate despite the value shortfall: only possible
@@ -457,52 +410,64 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 	if e.aliveCount == 0 {
 		return false, true
 	}
-	if !e.cold {
+	inPlace := !e.cold
+	if inPlace {
 		// The next round solves from zero on this network, so reset the
 		// flow first: on a zero flow none of the capacity updates below
 		// drains anything.
-		e.g.ResetFlow()
+		if e.sessPhase {
+			e.g.ResetFlow()
+		} else {
+			e.pn.ResetFlow()
+		}
 		e.warmFlow = false
 	}
 	for _, pos := range e.excluded {
 		e.alive[pos] = false
-		for _, jx := range e.jobIvs[e.cand0[pos]] {
+		k := e.cand0[pos]
+		for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
 			e.activeCount[jx]--
 		}
-		if !e.cold {
+		switch {
+		case !inPlace:
+		case e.sessPhase:
 			e.g.RemoveJobEdge(e.srcEdges[pos])
-			if e.sessPhase {
-				// The rounds zeroed this slot's source and job edges on the
-				// persistent network; if the job is still in the session,
-				// the next attach must restore those capacities before reuse.
-				e.sess.zeroed[e.sess.slotOf[pos]] = true
-			}
+			// The rounds zeroed this slot's source and job edges on the
+			// persistent network; if the job is still in the session,
+			// the next attach must restore those capacities before reuse.
+			e.sess.zeroed[e.sess.slotOf[pos]] = true
+		default:
+			e.pn.RemoveJob(pos)
 		}
 	}
 	// Lower the sink capacities once, after every count has dropped: an
 	// interval shared by several excluded jobs is re-set a single time.
-	// With contraction on, every member of a run changes identically (a
-	// job is active in all of a run or none of it, and equal m_j stay
-	// equal), so the run's sink edge is updated once — lastSup dedupes
-	// the consecutive members, skipping over m_j = 0 gaps.
+	// Only intervals with m_j > 0 at the build have a vertex, and m_j only
+	// falls within a phase, so every interval re-set here has one. With
+	// contraction on, every member of a run changes identically (a job is
+	// active in all of a run or none of it, and equal m_j stay equal), so
+	// the run's sink edge is updated once — lastSup dedupes the
+	// consecutive members, skipping over m_j = 0 gaps.
 	for _, pos := range e.excluded {
 		lastSup := int32(-1)
-		for _, jx := range e.jobIvs[e.cand0[pos]] {
+		k := e.cand0[pos]
+		for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
 			nm := min(e.activeCount[jx], e.free[jx])
 			if nm >= e.mj[jx] {
 				continue
 			}
 			e.mj[jx] = nm
-			if e.cold {
-				continue
-			}
-			if e.con.on {
-				if s := e.con.supOf[jx]; s >= 0 && s != lastSup {
-					e.g.SetCapacity(e.supSink[s], float64(nm)*e.supLen[s])
+			switch {
+			case !inPlace:
+			case e.sessPhase:
+				e.g.SetCapacity(e.sinkEdges[jx], float64(nm)*e.ivLen[jx])
+			case e.con.on:
+				if s := e.con.supOf[jx]; s != lastSup {
+					e.pn.SetSinkCap(int(s), float64(nm)*e.supLen[s])
 					lastSup = s
 				}
-			} else if e.ivNode[jx] >= 0 {
-				e.g.SetCapacity(e.sinkEdges[jx], float64(nm)*e.ivLen[jx])
+			default:
+				e.pn.SetSinkCap(int(jx), float64(nm)*e.ivLen[jx])
 			}
 		}
 	}
@@ -512,13 +477,19 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 		return true, false
 	}
 	e.speed = e.totalWork / e.totalTime
-	if e.cold {
+	if !inPlace {
 		e.needBuild = true
 		return false, false
 	}
-	for pos2, k2 := range e.cand0 {
-		if e.alive[pos2] {
-			e.g.SetCapacity(e.srcEdges[pos2], e.in.Jobs[k2].Work/e.speed)
+	for pos, k := range e.cand0 {
+		if !e.alive[pos] {
+			continue
+		}
+		c := e.in.Jobs[k].Work / e.speed
+		if e.sessPhase {
+			e.g.SetCapacity(e.srcEdges[pos], c)
+		} else {
+			e.pn.SetSourceCap(pos, c)
 		}
 	}
 	return false, false
@@ -537,7 +508,7 @@ func (e *floatEngine) dropLeastWork() (degenerate, empty bool) {
 	if e.aliveCount == 0 {
 		return false, true
 	}
-	for _, jx := range e.jobIvs[k] {
+	for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
 		e.activeCount[jx]--
 		e.mj[jx] = min(e.activeCount[jx], e.free[jx])
 	}
@@ -559,7 +530,7 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 		// so the emitted times are bit-identical to the raw path's.
 		e.con.on = false
 		e.buildRaw("opt.emit_rebuilds")
-		e.solveEmit()
+		e.solveFlow()
 	} else if e.warmFlow {
 		// A session phase accepted its warm-reconciled first round:
 		// canonicalize with one solve from zero. The zero-capacity
@@ -569,39 +540,41 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 		// warm reconcile starts from. Every other accepted round was
 		// already solved from zero.
 		e.g.ResetFlow()
-		e.solveEmit()
 		e.warmFlow = false
+		e.solveFlow()
 	}
-	// The mid edges were added interval by interval (rawEdges), so the
-	// pieces come out in interval order, as emitPhase requires.
+	// Pieces come out interval by interval, as emitPhase requires: on pn
+	// in interval, then list order; on a session network in mid-edge
+	// order, which rawEdges laid out the same way.
 	e.pieces = e.pieces[:0]
-	for i, pos := range e.midPos {
-		if pos < 0 || !e.alive[pos] {
-			continue
+	if e.sessPhase {
+		for i, pos := range e.midPos {
+			if pos >= 0 && e.alive[pos] {
+				e.addPiece(pos, e.midIv[i], e.g.Flow(e.midID[i]))
+			}
 		}
-		// Collect every positive flow: dropping pieces at the slack
-		// threshold would lose work proportional to the edge count on
-		// large instances.
-		if f := e.g.Flow(e.midID[i]); f > 1e-15 {
-			e.pieces = append(e.pieces, piece{k: e.cand0[pos], ivIdx: int(e.midIv[i]), t: f})
+	} else {
+		for jx := range e.ivs {
+			if e.mj[jx] == 0 {
+				continue // no vertex, or no alive candidate
+			}
+			for _, pos := range e.byIv[jx] {
+				if e.alive[pos] {
+					e.addPiece(pos, int32(jx), e.pn.EdgeFlow(int(pos), jx))
+				}
+			}
 		}
 	}
 	return e.speed, e.mj, e.pieces
 }
 
-// solveEmit runs the emission-time from-zero solve (histogram-timed,
-// ops published) shared by the session canonicalization and
-// contracted-accept paths.
-func (e *floatEngine) solveEmit() {
-	var t0 time.Time
-	if e.solveHist != nil {
-		t0 = time.Now()
+// addPiece records candidate pos's time f in interval jx. Every positive
+// flow counts: dropping pieces at the slack threshold would lose work
+// proportional to the edge count on large instances.
+func (e *floatEngine) addPiece(pos, jx int32, f float64) {
+	if f > 1e-15 {
+		e.pieces = append(e.pieces, piece{k: e.cand0[pos], ivIdx: int(jx), t: f})
 	}
-	e.g.MaxFlow(0, e.sink)
-	if e.solveHist != nil {
-		e.solveHist.Observe(time.Since(t0).Seconds())
-	}
-	e.publish()
 }
 
 func (e *floatEngine) acceptedCand() []int {

@@ -94,10 +94,9 @@ func (e *exactEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, r
 	e.jobIvs = growLists(e.jobIvs, in.N())
 	for k, j := range in.Jobs {
 		e.jobIvs[k] = e.jobIvs[k][:0]
-		for jx, iv := range ivs {
-			if j.ActiveIn(iv.Start, iv.End) {
-				e.jobIvs[k] = append(e.jobIvs[k], int32(jx))
-			}
+		lo, hi := activeRun(ivs, j)
+		for jx := lo; jx < hi; jx++ {
+			e.jobIvs[k] = append(e.jobIvs[k], int32(jx))
 		}
 	}
 }

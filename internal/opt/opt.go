@@ -28,22 +28,21 @@
 //
 // Consecutive rounds of a phase differ only by the removed jobs and a
 // uniform rescaling of the source capacities, so the network is built
-// once per phase. On the float path each rejection resets the flow,
-// zeroes the removed jobs' edges and re-sets the capacities in place
-// (flow.ResetFlow, flow.RemoveJobEdge, flow.SetCapacity), and the next
-// round solves from zero on the same network. Its zero-capacity
-// remnants are invisible to Dinic, so every round's flow — the emitted
-// one included — is bit-identical to a cold rebuild's, and each
-// from-zero solve runs Dinic's first level phase as one direct pass
-// over the three-layer network (internal/flow). The exact engine still
-// drains the removed jobs' flow and re-augments (exact.go). The
-// excluded jobs are chosen by a
+// once per phase. The float path builds it as a flow.PhaseNet, the
+// max-flow kernel for this network shape, straight from the engine's
+// job windows and per-interval candidate lists. Each rejection resets
+// the flow, removes the excluded jobs and re-sets the capacities in
+// place (PhaseNet.ResetFlow, RemoveJob, SetSinkCap, SetSourceCap), and
+// the next round solves from zero on the same network: every round's
+// flow — the emitted one included — is bit-identical to a cold
+// rebuild's. The exact engine still drains the removed jobs' flow and
+// re-augments (exact.go). The excluded jobs are chosen by a
 // flow-invariant rule — every candidate whose node can still reach the
-// sink in the residual graph (flow.CoReachable) — so every path removes
-// exactly the jobs a cold from-scratch path would. Each of them is
-// outside J_i on its own, so one rejected round removes them all. See
-// DESIGN.md §7 for the invariants; ColdStart rebuilds the network every
-// round instead, for differential testing.
+// sink in the residual graph (PhaseNet.CoReachable, flow.CoReachable) —
+// so every path removes exactly the jobs a cold from-scratch path would.
+// Each of them is outside J_i on its own, so one rejected round removes
+// them all. See DESIGN.md §7 for the invariants; ColdStart rebuilds the
+// network every round instead, for differential testing.
 //
 // Because the optimal speed levels depend only on the combinatorial
 // structure (not on the particular convex power function), the same
@@ -108,11 +107,12 @@ type config struct {
 // used by tests to cross-validate the float64 fast path.
 func Exact() Option { return func(c *config) { c.exact = true } }
 
-// ColdStart disables the incremental warm-start engine: every round
-// rebuilds the flow network from scratch and solves from zero flow, as
-// the paper's pseudo-code literally does. The differential tests and the
-// scaling benchmarks use it as the reference; production callers want
-// the (default) warm path.
+// ColdStart rebuilds the flow network from scratch every round, as the
+// paper's pseudo-code literally does, instead of building it once per
+// phase and updating it in place between rounds. Both paths solve every
+// round from zero flow and return bit-identical results. The
+// differential tests and the scaling benchmarks use ColdStart as the
+// reference; production callers want the (default) in-place path.
 func ColdStart() Option { return func(c *config) { c.cold = true } }
 
 // WithTolerance sets the relative tolerance of the float64 fast path
@@ -226,7 +226,7 @@ func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 // Failure handling: the float64 fast path can fail numerically on
 // hostile inputs (ErrNumeric) or trip a contained solver invariant
 // (ErrInternal). Both are retried automatically before surfacing — first
-// with the warm-start engine disabled (ColdStart, counter
+// with a network rebuilt every round (ColdStart, counter
 // "opt.fallback_cold"), then with the exact rational engine (counter
 // "opt.fallback_exact") — so production callers only see an error when
 // every rung of the ladder fails. Explicit Exact() runs skip the ladder:
@@ -323,16 +323,20 @@ type phaseEngine interface {
 	// to dst as instance job indices, in candidate order.
 	excludedJobs(dst []int) []int
 	// removeExcluded removes every candidate selected by the last
-	// solveRound from the network (draining their flow on the warm path)
-	// and re-derives the phase speed once.
+	// solveRound from the network and re-derives the phase speed once.
+	// The float engine resets its flow to zero first; the exact engine
+	// drains the removed candidates' flow and keeps the rest.
 	removeExcluded() (degenerate, empty bool)
 	// dropLeastWork removes the least-work candidate; the driver calls
 	// it to make progress on degenerate (zero-capacity) networks.
 	dropLeastWork() (degenerate, empty bool)
-	// accept finalizes the phase: canonicalize the warm flow and return
-	// the phase speed, the m_ij vector and every positive job -> interval
-	// flow as a piece, in interval order (ivIdx non-decreasing). The
-	// pieces live in the engine's emitScratch until the next accept.
+	// accept finalizes the phase and returns the phase speed, the m_ij
+	// vector and every positive job -> interval flow as a piece, in
+	// interval order (ivIdx non-decreasing). A phase whose rounds ran on
+	// a contracted network is first re-solved on the raw one, and a flow
+	// not solved from zero (a session's warm round, or the exact
+	// engine's after drains) is first canonicalized by a solve from zero.
+	// The pieces live in the engine's emitScratch until the next accept.
 	accept() (speed float64, mj []int, pieces []piece)
 	// acceptedCand returns the accepted candidate set (instance job
 	// indices, in input order). Valid until the next beginPhase.

@@ -476,3 +476,31 @@ func TestLocalOptimalityUnderPerturbation(t *testing.T) {
 		}
 	}
 }
+
+// Both engines find each job's intervals by binary search over the
+// sorted partition (activeRun). Over the generator sweep, the run must
+// be exactly the set of intervals job.ActiveIn accepts.
+func TestActiveRunMatchesScan(t *testing.T) {
+	for _, gen := range workload.All() {
+		for _, n := range []int{8, 24, 64, 160} {
+			for _, m := range []int{1, 2, 4} {
+				for seed := int64(1); seed <= 4; seed++ {
+					in, err := gen.Make(workload.Spec{N: n, M: m, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ivs := job.Partition(in.Jobs)
+					for k, j := range in.Jobs {
+						lo, hi := activeRun(ivs, j)
+						for jx, iv := range ivs {
+							if inRun := lo <= jx && jx < hi; inRun != j.ActiveIn(iv.Start, iv.End) {
+								t.Fatalf("%s n=%d m=%d seed=%d job %d: run [%d,%d) disagrees with ActiveIn at interval %d",
+									gen.Name, n, m, seed, k, lo, hi, jx)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -46,7 +46,7 @@ import (
 //   - Only a resolve's first phase runs on the persistent network, and
 //     contraction is disabled for it so the network keeps the raw
 //     interval shape. Later phases (and any mid-phase degenerate
-//     rebuild) fall back to the engine-owned arena; falling off the
+//     rebuild) fall back to the engine's flow.PhaseNet; falling off the
 //     persistent network invalidates it.
 //
 // Exact sessions keep no persistent network: every delta re-solves the
@@ -133,6 +133,72 @@ func (e *floatEngine) buildSessionNet() {
 	e.warmFlow = false
 	e.needBuild = false
 	e.sessPhase = true
+}
+
+// rawLayout assigns the session network's vertex layout — 0 = source,
+// then alive jobs, then intervals with mj > 0, last = sink — and returns
+// the sink vertex.
+func (e *floatEngine) rawLayout() int {
+	nIv := len(e.ivs)
+	e.jobNode = growInt32s(e.jobNode, len(e.cand0))
+	node := 1
+	for pos := range e.cand0 {
+		if e.alive[pos] {
+			e.jobNode[pos] = int32(node)
+			node++
+		} else {
+			e.jobNode[pos] = -1
+		}
+	}
+	e.ivNode = growInt32s(e.ivNode, nIv)
+	for jx := 0; jx < nIv; jx++ {
+		if e.mj[jx] > 0 {
+			e.ivNode[jx] = int32(node)
+			node++
+		} else {
+			e.ivNode[jx] = -1
+		}
+	}
+	e.sink = node
+	if node+1 > e.st.FlowVertices {
+		e.st.FlowVertices = node + 1
+	}
+	return node
+}
+
+// rawEdges inserts the uncontracted edge set into e.g in the canonical
+// order: all source edges in candidate order, then per interval its job
+// edges (byIv order) followed by its sink edge. That is the adjacency
+// order flow.PhaseNet follows, so a session network's from-zero solve
+// augments exactly the paths the engine's PhaseNet build of the same
+// round does.
+func (e *floatEngine) rawEdges() {
+	e.srcEdges = growEdgeIDs(e.srcEdges, len(e.cand0))
+	for pos, k := range e.cand0 {
+		if e.alive[pos] {
+			e.srcEdges[pos] = e.g.AddEdge(0, int(e.jobNode[pos]), e.in.Jobs[k].Work/e.speed)
+		}
+	}
+	e.midPos = e.midPos[:0]
+	e.midIv = e.midIv[:0]
+	e.midID = e.midID[:0]
+	nIv := len(e.ivs)
+	e.sinkEdges = growEdgeIDs(e.sinkEdges, nIv)
+	for jx := 0; jx < nIv; jx++ {
+		if e.mj[jx] == 0 {
+			continue
+		}
+		for _, pos := range e.byIv[jx] {
+			if !e.alive[pos] {
+				continue
+			}
+			id := e.g.AddEdge(int(e.jobNode[pos]), int(e.ivNode[jx]), e.ivLen[jx])
+			e.midPos = append(e.midPos, pos)
+			e.midIv = append(e.midIv, int32(jx))
+			e.midID = append(e.midID, id)
+		}
+		e.sinkEdges[jx] = e.g.AddEdge(int(e.ivNode[jx]), e.sink, float64(e.mj[jx])*e.ivLen[jx])
+	}
 }
 
 // attachSessionNet points the engine at the persistent network and
