@@ -68,13 +68,17 @@ apidoc:
 # reference of the phase loop (internal/opt/reference_test.go); the
 # third fuzzes three-layer networks and their near misses against plain
 # Dinic, for the one-pass first level phase (internal/flow/layered.go);
-# the fourth fuzzes phase networks through in-place rounds against their
-# flow.Graph twins, for the phase-network kernel (internal/flow/phasenet.go).
+# the fourth fuzzes phase networks through in-place rounds against
+# flow.Graph twins rebuilt every round, for the phase-network kernel
+# (internal/flow/phasenet.go); the fifth fuzzes session delta batches
+# (add, remove, cap) against one-shot solves of the session's job set
+# (internal/opt/session.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzLayeredFirstPhase -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz FuzzPhaseNet -fuzztime 20s ./internal/flow/
+	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/opt/
 
 # trace-smoke streams a 50k-job diurnal trace through the decomposed
 # solve end to end: component counters asserted against the summary, a

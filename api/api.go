@@ -18,7 +18,7 @@
 //	POST   /v1/feasible            one feasibility probe at a speed cap
 //	POST   /v1/mincap              minimum feasible speed cap
 //	POST   /v1/session             open a streaming session
-//	POST   /v1/session/{id}/delta  mutate + incrementally re-solve
+//	POST   /v1/session/{id}/delta  mutate + re-solve
 //	GET    /v1/session/{id}        latest resolve (long-poll with wait_seq)
 //	DELETE /v1/session/{id}        tear the session down
 //	GET    /v1/status              replica introspection (queue, cache, load)
@@ -116,7 +116,7 @@ type MinCapResponse struct {
 
 // SessionDeltaRequest is the body of POST /v1/session/{id}/delta: a
 // batch of mutations applied atomically (all validated before any is
-// applied) followed by one incremental re-solve. Removes apply before
+// applied) followed by one re-solve of the session's job set. Removes apply before
 // adds, so one delta can replace a job under the same ID.
 type SessionDeltaRequest struct {
 	AddJobs   []mpss.Job `json:"add_jobs,omitempty"`
@@ -134,11 +134,8 @@ type SessionResponse struct {
 	SessionID string `json:"session_id"`
 	// Seq increments on every published resolve; long-poll with
 	// ?wait_seq=<last seen> to block until a newer one exists.
-	Seq  int64 `json:"seq"`
-	Jobs int   `json:"jobs"`
-	// Incremental reports that the resolve rode the warm persistent
-	// network instead of rebuilding it.
-	Incremental bool            `json:"incremental"`
+	Seq         int64           `json:"seq"`
+	Jobs        int             `json:"jobs"`
 	Energy      float64         `json:"energy"`
 	Alpha       float64         `json:"alpha"`
 	Cap         float64         `json:"cap,omitempty"`

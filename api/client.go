@@ -256,7 +256,7 @@ func (c *Client) SessionCreate(ctx context.Context, req *SolveRequest) (*Session
 }
 
 // SessionDelta applies one mutation batch to the session and returns
-// the incremental resolve.
+// the resolve of the mutated job set.
 func (c *Client) SessionDelta(ctx context.Context, id string, req *SessionDeltaRequest) (*SessionResponse, error) {
 	var out SessionResponse
 	if err := c.Do(ctx, http.MethodPost, "/v1/session/"+url.PathEscape(id)+"/delta", req, &out); err != nil {

@@ -1,9 +1,9 @@
 // Command mpss-served runs the scheduling service: a long-lived HTTP
 // daemon exposing the paper's offline optimum, the OA/AVR online
 // simulations, the speed-bounded feasibility queries and streaming
-// sessions (warm incremental re-solves over /v1/session) as a JSON API
-// (see internal/server for the endpoint list and DESIGN.md §10–§13 for
-// the architecture and the telemetry layer).
+// sessions (mutable job sets re-solved per delta over /v1/session) as a
+// JSON API (see internal/server for the endpoint list and DESIGN.md
+// §10–§13 for the architecture and the telemetry layer).
 //
 // Usage:
 //

@@ -8,12 +8,13 @@ import "mpss/internal/pool"
 // round loops therefore allocate nothing for graph storage.
 //
 // Reset fully re-initializes a graph, so Acquire alone would suffice —
-// but Release additionally clears the solved flag (haveST) and any
-// tolerance override before the graph enters the pool. A graph parked
-// on the free list therefore never holds a live incremental-mutation
-// license: even a caller that reaches the pool without going through
-// Acquire's Reset cannot run SetCapacity/ScaleSourceCaps/RemoveJobEdge
-// against the previous solve's stale source/sink endpoints.
+// but Release additionally clears any tolerance override before the
+// graph enters the pool, and ReleaseRatGraph clears the exact graph's
+// solved flag (haveST). A rational graph parked on the free list
+// therefore never holds a live incremental-mutation license: even a
+// caller that reaches the pool without going through Acquire's Reset
+// cannot run SetCapacity/ScaleSourceCaps/RemoveJobEdge against the
+// previous solve's stale source/sink endpoints.
 
 var graphPool pool.FreeList[Graph]
 
@@ -28,7 +29,6 @@ func AcquireGraph(n int) *Graph {
 // The graph must not be used afterwards.
 func ReleaseGraph(g *Graph) {
 	if g != nil {
-		g.haveST = false
 		g.tol = 0
 		graphPool.Put(g)
 	}

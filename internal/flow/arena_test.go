@@ -5,58 +5,34 @@ import (
 	"testing"
 )
 
-// TestPooledGraphCarriesNoStaleState is the regression test for the
-// incremental-mutation license: a graph released to the pool after a
-// solve must not let its next user run warm-path mutations against the
-// previous solve's source/sink endpoints, and must not inherit its
-// tolerance override.
+// TestPooledGraphCarriesNoStaleState: a graph released to the pool
+// after a solve must come back as a fresh graph, without its tolerance
+// override, its flow or its largest capacity.
 func TestPooledGraphCarriesNoStaleState(t *testing.T) {
 	g := AcquireGraph(3)
-	id := g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
+	g.AddEdge(0, 1, 1e6)
+	g.AddEdge(1, 2, 1e6)
 	g.SetTolerance(1e-3)
-	if got := g.MaxFlow(0, 2); got != 1 {
-		t.Fatalf("MaxFlow = %v, want 1", got)
+	if got := g.MaxFlow(0, 2); got != 1e6 {
+		t.Fatalf("MaxFlow = %v, want 1e6", got)
 	}
-	// Solved: mutations are licensed now.
-	g.SetCapacity(id, 0.5)
 	ReleaseGraph(g)
 
 	// The same arena comes back (single goroutine, put-then-get), but the
 	// test must hold either way: whatever AcquireGraph returns behaves
-	// like a brand-new graph.
+	// like a brand-new graph. The tolerance must not leak: with the
+	// default 1e-12 relative to the largest capacity 1, an edge 1e-6 short
+	// of capacity is NOT saturated; with the leaked 1e-3, or a tolerance
+	// derived from the previous life's 1e6, it would be.
 	g2 := AcquireGraph(3)
-	id2 := g2.AddEdge(0, 1, 1)
-	g2.AddEdge(1, 2, 1)
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RemoveJobEdge on a re-acquired unsolved graph must panic (stale mutation license)")
-			}
-		}()
-		g2.RemoveJobEdge(id2)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScaleSourceCaps on a re-acquired unsolved graph must panic (stale mutation license)")
-			}
-		}()
-		g2.ScaleSourceCaps(0.5)
-	}()
-
-	// The tolerance override must not leak: with the default 1e-12 an
-	// edge 1e-6 short of capacity is NOT saturated, with the leaked 1e-3
-	// it would be.
-	g3 := AcquireGraph(3)
-	e := g3.AddEdge(0, 1, 1)
-	g3.AddEdge(1, 2, 1-1e-6)
-	g3.MaxFlow(0, 2)
-	if g3.Saturated(e) {
-		t.Error("edge at 1-1e-6 of capacity reads saturated: tolerance override leaked through the pool")
+	e := g2.AddEdge(0, 1, 1)
+	g2.AddEdge(1, 2, 1-1e-6)
+	if got := g2.MaxFlow(0, 2); got != 1-1e-6 {
+		t.Fatalf("re-acquired graph: MaxFlow = %v, want 1-1e-6", got)
 	}
-	ReleaseGraph(g3)
+	if g2.Saturated(e) {
+		t.Error("edge at 1-1e-6 of capacity reads saturated: stale tolerance leaked through the pool")
+	}
 	ReleaseGraph(g2)
 }
 

@@ -110,10 +110,40 @@ func (net *layeredNet) buildPR(g *PRGraph) {
 	}
 }
 
+// mutated returns the net after the mutation sequence the exact round
+// loop applies per rejection: job kill's source capacity zeroed, sink
+// shrink halved (rounded down in units of 1/denom), and every source
+// scaled by den/num. The result keeps integer capacities over the
+// denominator denom*num.
+func (net *layeredNet) mutated(kill, shrink int, num, den int64) *layeredNet {
+	final := &layeredNet{
+		nJobs:   net.nJobs,
+		nIvs:    net.nIvs,
+		srcCap:  append([]int64(nil), net.srcCap...),
+		sinkCap: append([]int64(nil), net.sinkCap...),
+		midCap:  append([]int64(nil), net.midCap...),
+		denom:   net.denom * num,
+	}
+	for k := range final.srcCap {
+		final.srcCap[k] *= den
+	}
+	final.srcCap[kill] = 0
+	// mid and sink caps keep the old denominator: scale numerators.
+	for j := range final.sinkCap {
+		final.sinkCap[j] *= num
+	}
+	final.sinkCap[shrink] = net.sinkCap[shrink] / 2 * num
+	for i := range final.midCap {
+		final.midCap[i] *= num
+	}
+	return final
+}
+
 // checkDifferential asserts that Dinic, push-relabel and the exact
-// rational solver agree on a random net, and that the incremental
+// rational solver agree on a random net, that the exact incremental
 // warm-start path (remove a job, shrink a sink, rescale sources,
-// re-augment) matches a cold solve built at the final capacities.
+// re-augment) matches an exact solve built at the final capacities, and
+// that Dinic rebuilt at those capacities agrees with both.
 func checkDifferential(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	net := randomNet(rng)
@@ -147,24 +177,6 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 	factorNum := int64(1 + rng.Intn(3)) // sources scale by factorDen/factorNum
 	factorDen := int64(1 + rng.Intn(3))
 
-	// Warm float graph: solve, mutate incrementally, re-augment.
-	wg := NewGraph(net.vertices())
-	fsrc, fsink := net.buildFloat(wg)
-	wg.MaxFlow(s, sink)
-	wg.RemoveJobEdge(fsrc[kill])
-	wg.SetCapacity(fsink[shrink], float64(net.sinkCap[shrink]/2)/float64(net.denom))
-	wg.ScaleSourceCaps(float64(factorDen) / float64(factorNum))
-	wg.MaxFlow(s, sink)
-	warmVal := 0.0
-	for k, id := range fsrc {
-		if k != kill {
-			warmVal += wg.Flow(id)
-		}
-	}
-	if err := wg.CheckConservation(s, sink); err != nil {
-		t.Fatalf("warm conservation: %v", err)
-	}
-
 	// Warm exact graph with the same mutation sequence.
 	wr := NewRatGraph(net.vertices())
 	rsrc, rsink := net.buildRat(wr)
@@ -182,30 +194,7 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 	}
 
 	// Cold graphs built directly at the final capacities.
-	final := &layeredNet{
-		nJobs:   net.nJobs,
-		nIvs:    net.nIvs,
-		srcCap:  append([]int64(nil), net.srcCap...),
-		sinkCap: append([]int64(nil), net.sinkCap...),
-		midCap:  net.midCap,
-		denom:   net.denom * factorNum,
-	}
-	for k := range final.srcCap {
-		final.srcCap[k] *= factorDen
-	}
-	final.srcCap[kill] = 0
-	final.sinkCap[shrink] = net.sinkCap[shrink] / 2 * factorNum
-	// mid and sink caps keep the old denominator: scale numerators.
-	for j := range final.sinkCap {
-		if j != shrink {
-			final.sinkCap[j] = net.sinkCap[j] * factorNum
-		}
-	}
-	final.midCap = append([]int64(nil), net.midCap...)
-	for i := range final.midCap {
-		final.midCap[i] *= factorNum
-	}
-
+	final := net.mutated(kill, shrink, factorNum, factorDen)
 	cr := NewRatGraph(final.vertices())
 	csrc, _ := final.buildRat(cr)
 	cr.MaxFlow(s, sink)
@@ -219,9 +208,21 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 		t.Fatalf("exact warm %v != cold %v (net %+v kill=%d shrink=%d)",
 			warmRat, coldRat, net, kill, shrink)
 	}
+	fg := NewGraph(final.vertices())
+	fsrc, _ := final.buildFloat(fg)
+	fg.MaxFlow(s, sink)
+	coldVal := 0.0
+	for k, id := range fsrc {
+		if k != kill {
+			coldVal += fg.Flow(id)
+		}
+	}
+	if err := fg.CheckConservation(s, sink); err != nil {
+		t.Fatalf("rebuilt conservation: %v", err)
+	}
 	cv, _ := coldRat.Float64()
-	if !Close(warmVal, cv, SolveTolerance) {
-		t.Fatalf("float warm %v vs exact cold %v (net %+v)", warmVal, cv, net)
+	if !Close(coldVal, cv, SolveTolerance) {
+		t.Fatalf("float rebuilt %v vs exact cold %v (net %+v)", coldVal, cv, net)
 	}
 
 	// Canonical re-solve: clearing the warm flow and re-augmenting from
@@ -271,7 +272,6 @@ func FuzzDifferentialSolvers(f *testing.F) {
 func parentMaxFlow(g *Graph, s, t int) float64 {
 	g.build()
 	g.ensureScratch(g.nv)
-	g.lastS, g.lastT, g.haveST = s, t, true
 	tol := g.tolerance()
 	n := g.nv
 	level, iter := g.level, g.iter
@@ -485,24 +485,21 @@ func TestBFSStopMatchesParentBFS(t *testing.T) {
 		s, sink := 0, net.sink()
 		kill := rng.Intn(net.nJobs)
 		shrink := rng.Intn(net.nIvs)
-		factor := float64(1+rng.Intn(3)) / float64(1+rng.Intn(3))
+		den, num := int64(1+rng.Intn(3)), int64(1+rng.Intn(3))
+		factor := float64(den) / float64(num)
 
-		// The cold solve, then the warm mutation sequence of
-		// checkDifferential and a from-zero re-solve, on twin graphs.
+		// The cold solve, then a solve of the net rebuilt after the
+		// mutation sequence of checkDifferential, on twin graphs.
 		g, p := NewGraph(net.vertices()), NewGraph(net.vertices())
-		src, snk := net.buildFloat(g)
+		net.buildFloat(g)
 		net.buildFloat(p)
 		label := func(step string) string { return "net seed " + strconv.FormatInt(seed, 10) + " " + step }
 		tl.checkFloatTwins(t, label("cold"), g, p, s, sink)
-		for _, h := range []*Graph{g, p} {
-			h.RemoveJobEdge(src[kill])
-			h.SetCapacity(snk[shrink], float64(net.sinkCap[shrink]/2)/float64(net.denom))
-			h.ScaleSourceCaps(factor)
-		}
-		tl.checkFloatTwins(t, label("warm"), g, p, s, sink)
-		g.ResetFlow()
-		p.ResetFlow()
-		tl.checkFloatTwins(t, label("re-solve"), g, p, s, sink)
+		final := net.mutated(kill, shrink, num, den)
+		g, p = NewGraph(final.vertices()), NewGraph(final.vertices())
+		final.buildFloat(g)
+		final.buildFloat(p)
+		tl.checkFloatTwins(t, label("rebuilt"), g, p, s, sink)
 
 		r, rp := NewRatGraph(net.vertices()), NewRatGraph(net.vertices())
 		rsrc, rsnk := net.buildRat(r)
@@ -548,7 +545,6 @@ func TestBFSStopMatchesParentBFS(t *testing.T) {
 func dinicMaxFlow(g *Graph, s, t int, target float64) float64 {
 	g.build()
 	g.ensureScratch(g.nv)
-	g.lastS, g.lastT, g.haveST = s, t, true
 	tol := g.tolerance()
 	n := g.nv
 	level, iter := g.level, g.iter
@@ -808,8 +804,8 @@ func (tl *layerTally) checkTwin(t *testing.T, label string, g, p *Graph, s, sink
 
 // checkLayeredFirstPhase runs one generated network, and one near miss
 // of it, through every entry the solver uses: MaxFlow and MaxFlowAtLeast
-// from zero, a warm continuation, and a from-zero re-solve after
-// ResetFlow and a capacity update.
+// from zero, a continuation from a nonzero flow, and a solve from zero
+// of the network rebuilt with one capacity lowered.
 func checkLayeredFirstPhase(t *testing.T, rng *rand.Rand, tl *layerTally, seed string) {
 	t.Helper()
 	base := randomLayered(rng)
@@ -836,33 +832,31 @@ func checkLayeredFirstPhase(t *testing.T, rng *rand.Rand, tl *layerTally, seed s
 		tl.checkTwin(t, label("from zero"), g, p, sh.s, sh.t, target, !sh.layered)
 		// A nonzero flow: the continuation is plain Dinic on both.
 		tl.checkTwin(t, label("continued"), g, p, sh.s, sh.t, math.Inf(1), !sh.layered || g.Ops().AugPaths > 0)
-		// Reset in place, lower one capacity, and solve from zero again.
-		g.ResetFlow()
-		p.ResetFlow()
-		if len(sh.edges) > 0 {
-			id := EdgeID(2 * rng.Intn(len(sh.edges)))
-			c := g.Capacity(id) * float64(rng.Intn(3)) / 2
-			g.SetCapacity(id, c)
-			p.SetCapacity(id, c)
+		// Lower one capacity and solve the rebuilt network from zero.
+		re := &layerShape{n: sh.n, s: sh.s, t: sh.t, edges: append([]netEdge(nil), sh.edges...)}
+		if len(re.edges) > 0 {
+			re.edges[rng.Intn(len(re.edges))].cap *= float64(rng.Intn(3)) / 2
 		}
-		if !g.zeroFlow {
-			t.Fatalf("seed %s %s: no zero flow after ResetFlow and SetCapacity", seed, sh.label)
-		}
+		g, p = re.build(), re.build()
 		tl.checkTwin(t, label("re-solved"), g, p, sh.s, sh.t, math.Inf(1), !sh.layered)
 		// The layering check is cached per (s, t) and CSR build: another
-		// sink, or an edge added after a solve, must not reuse it.
+		// sink, or an edge added after the check, must not reuse it.
+		cached := func() (*Graph, *Graph) {
+			g, p := re.build(), re.build()
+			g.build()
+			g.layered(sh.s, sh.t)
+			return g, p
+		}
 		other := rng.Intn(sh.n)
 		if other != sh.s && other != sh.t {
-			fresh := sh.build()
+			fresh := re.build()
 			fresh.build()
-			g.ResetFlow()
-			p.ResetFlow()
+			g, p = cached()
 			tl.checkTwin(t, label("other sink"), g, p, sh.s, other, math.Inf(1), !fresh.layered(sh.s, other))
 		}
+		g, p = cached()
 		g.AddEdge(sh.s, sh.t, 1)
 		p.AddEdge(sh.s, sh.t, 1)
-		g.ResetFlow()
-		p.ResetFlow()
 		tl.checkTwin(t, label("grown"), g, p, sh.s, sh.t, math.Inf(1), true)
 	}
 }

@@ -13,11 +13,15 @@
 //     co-reachable set its last BFS already labelled.
 //   - Graph: Dinic's algorithm over float64 capacities with a configurable
 //     tolerance for residual-capacity comparisons, on any network. It
-//     carries everything PhaseNet does not: a session's persistent
-//     networks with their warm mutators and drains, the feasibility and
-//     cap probes, the bounded-speed networks and the tests' references.
+//     carries everything PhaseNet does not: the feasibility and cap
+//     probes, the bounded-speed networks and the tests' references. A
+//     Graph is built, solved and read; a changed network is a new build.
 //   - RatGraph (rational.go): the same algorithm over exact math/big.Rat
 //     arithmetic, used to re-verify phase decisions on rational inputs.
+//     The exact engine mutates it in place between rounds: SetCapacity,
+//     ScaleSourceCaps and RemoveJobEdge keep the flow feasible by
+//     draining what no longer fits, and the next MaxFlow re-augments
+//     from there (rational.go, DESIGN.md §7).
 //   - PRGraph (pushrelabel.go): push-relabel, the E11 ablation partner.
 //
 // EdgesScanned counts differently in the two: Graph counts every
@@ -36,16 +40,6 @@
 // contiguous allocations (cache locality) and makes graphs resettable
 // arenas: Reset reuses every backing array, and AcquireGraph/ReleaseGraph
 // (arena.go) recycle whole graphs across solves.
-//
-// Graph and RatGraph additionally support in-place capacity updates:
-// SetCapacity, ScaleSourceCaps and RemoveJobEdge mutate capacities while
-// keeping the current flow feasible (draining excess flow along
-// flow-carrying paths when a capacity drops below it), so the next
-// MaxFlow call re-augments from the existing flow instead of restarting
-// at zero. Sessions, between resolves, and the exact round loop of
-// internal/opt re-augment that way; a rejected float round calls
-// ResetFlow first, so nothing drains within a float phase. See DESIGN.md
-// §7 for the drain/re-augment invariant.
 //
 // The Dinic BFS of Graph and RatGraph stops as soon as it labels the
 // sink: every vertex it would label afterwards sits at or beyond the
@@ -174,18 +168,12 @@ type Graph struct {
 	adjLst []int32
 	csrOK  bool
 
-	maxCap   float64
-	maxCapOK bool
-	tol      float64 // absolute tolerance; derived lazily from maxCap
-	ops      DinicOps
-
-	// Endpoints of the last MaxFlow call; the incremental mutators need
-	// them to know where drained flow cancels to.
-	lastS, lastT int
-	haveST       bool
+	maxCap float64 // largest capacity added since the last Reset
+	tol    float64 // absolute tolerance override; 0 derives it from maxCap
+	ops    DinicOps
 
 	// First-phase pass (layered.go): zeroFlow holds while no push has
-	// happened since the last Reset or ResetFlow; the layer* fields cache
+	// happened since the last Reset; the layer* fields cache
 	// the three-layer check for the current CSR build and (layerS, layerT),
 	// and tEdge holds each L2 vertex's edge to the sink.
 	zeroFlow       bool
@@ -194,11 +182,8 @@ type Graph struct {
 	layerS, layerT int
 	tEdge          []int32
 
-	// Reusable scratch for MaxFlow, CoReachable and the drain walks.
-	// upPath is owned by flowPathUp so the up- and down-walks of one
-	// drain can coexist (flowPathDown owns queue).
+	// Reusable scratch for MaxFlow and CoReachable.
 	level, iter, queue []int32
-	upPath             []int32
 	mark               []bool
 }
 
@@ -217,9 +202,8 @@ func NewGraph(n int) *Graph {
 // arrays. It is the arena entry point: a Reset graph is indistinguishable
 // from a NewGraph one, but steady-state reuse allocates nothing. That
 // indistinguishability is load-bearing for the graph pool (arena.go): a
-// SetTolerance override and the solved flag guarding the incremental
-// mutators are both cleared here, so a pooled graph cannot leak either
-// into its next life.
+// SetTolerance override is cleared here, so a pooled graph cannot leak
+// it into its next life.
 func (g *Graph) Reset(n int) {
 	if n < 2 {
 		panic(fmt.Sprintf("flow: graph needs >= 2 vertices, got %d", n))
@@ -228,10 +212,8 @@ func (g *Graph) Reset(n int) {
 	g.edges = g.edges[:0]
 	g.csrOK = false
 	g.maxCap = 0
-	g.maxCapOK = true
 	g.tol = 0
 	g.ops = DinicOps{}
-	g.haveST = false
 	g.zeroFlow = true
 	g.layerKnown = false
 }
@@ -273,25 +255,11 @@ func (g *Graph) Grow(nv, ne int) {
 // restores the default (DefaultTolerance times the largest capacity).
 func (g *Graph) SetTolerance(tol float64) { g.tol = tol }
 
-func (g *Graph) maxCapValue() float64 {
-	if !g.maxCapOK {
-		m := 0.0
-		for i := 0; i < len(g.edges); i += 2 {
-			if c := g.edges[i].orig; c > m {
-				m = c
-			}
-		}
-		g.maxCap = m
-		g.maxCapOK = true
-	}
-	return g.maxCap
-}
-
 func (g *Graph) tolerance() float64 {
 	if g.tol > 0 {
 		return g.tol
 	}
-	return DefaultTolerance * math.Max(1, g.maxCapValue())
+	return DefaultTolerance * math.Max(1, g.maxCap)
 }
 
 // EdgeID identifies an edge added by AddEdge: the (even) index of its
@@ -314,9 +282,7 @@ func (g *Graph) AddEdge(from, to int, capacity float64) EdgeID {
 		// the solver's fallback ladder retries in exact arithmetic.
 		violate(true, fmt.Sprintf("invalid capacity %v", capacity))
 	}
-	if g.maxCapOK && capacity > g.maxCap {
-		g.maxCap = capacity
-	}
+	g.maxCap = max(g.maxCap, capacity)
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges,
 		edge{from: int32(from), to: int32(to), cap: capacity, orig: capacity},
@@ -386,10 +352,8 @@ func growInt32(s []int32, n int) []int32 {
 }
 
 // MaxFlow augments the current flow to a maximum s-t flow with Dinic's
-// algorithm and returns the amount of flow added by this call. On a fresh
-// (or ResetFlow) graph that is the max-flow value; after incremental
-// capacity updates it is the re-augmentation delta, so warm restarts
-// continue from the existing feasible flow instead of zero.
+// algorithm and returns the amount of flow added by this call: on a
+// freshly built graph, the max-flow value.
 func (g *Graph) MaxFlow(s, t int) float64 {
 	return g.maxFlow(s, t, math.Inf(1))
 }
@@ -401,8 +365,8 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 // whether the max flow reaches the demand, not its exact value — where
 // the saved proof pass is a whole BFS over the network per probe. When
 // the returned value is below target it IS the exact augmentation
-// maximum; when it reaches target the flow may not be maximum, so the
-// incremental mutators and CoReachable must not be used afterwards.
+// maximum; when it reaches target the flow may not be maximum, so
+// CoReachable must not be used afterwards.
 func (g *Graph) MaxFlowAtLeast(s, t int, target float64) float64 {
 	return g.maxFlow(s, t, target)
 }
@@ -413,7 +377,6 @@ func (g *Graph) maxFlow(s, t int, target float64) float64 {
 	}
 	g.build()
 	g.ensureScratch(g.nv)
-	g.lastS, g.lastT, g.haveST = s, t, true
 	tol := g.tolerance()
 	n := g.nv
 	level, iter := g.level, g.iter
@@ -543,280 +506,13 @@ func (g *Graph) CheckConservation(s, t int) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Incremental warm-start API.
-//
-// The mutators below keep the current flow feasible under capacity
-// changes — when a capacity drops below the flow routed over its edge,
-// the excess is canceled along flow-carrying paths back to the source and
-// forward to the sink of the last MaxFlow call. A feasible flow can
-// always be augmented to a maximum one, so the next MaxFlow call
-// re-augments from the preserved flow instead of restarting Dinic at
-// zero. Draining requires the positive-flow subgraph to be acyclic,
-// which holds for every network this repository builds (layered DAGs).
-// ---------------------------------------------------------------------------
-
-// ResetFlow removes all flow, restoring every residual capacity to the
-// edge's original capacity. Structure (and the CSR index) is untouched,
-// so a following MaxFlow run is bit-identical to a run on a freshly
-// built copy of the graph.
-func (g *Graph) ResetFlow() {
-	for i := range g.edges {
-		g.edges[i].cap = g.edges[i].orig
-	}
-	g.zeroFlow = true
-}
-
-func (g *Graph) stEndpoints() (int, int) {
-	if !g.haveST {
-		panic("flow: incremental mutation before any MaxFlow call")
-	}
-	return g.lastS, g.lastT
-}
-
-// SetCapacity replaces the capacity of edge id. When the flow currently
-// routed over the edge exceeds the new capacity, the excess is first
-// drained (see the package comment on the warm-start invariant); the
-// amount drained is returned.
-func (g *Graph) SetCapacity(id EdgeID, c float64) float64 {
-	if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-		violate(true, fmt.Sprintf("invalid capacity %v", c))
-	}
-	e := g.fwd(id)
-	var drained float64
-	if e.orig-e.cap > c {
-		drained = g.reduceEdgeFlowTo(int32(id), c)
-	}
-	old := e.orig
-	flow := e.orig - e.cap
-	e.orig = c
-	e.cap = c - flow
-	if e.cap < 0 {
-		e.cap = 0
-	}
-	g.noteCapChange(old, c)
-	return drained
-}
-
-// noteCapChange keeps the cached maximum capacity exact across a
-// capacity update old -> new: raising past the max moves it, shrinking
-// the current maximum edge forces a rescan, and every other update
-// leaves the maximum untouched. Keeping the cache exact (not merely an
-// upper bound) matters because the derived tolerance feeds MaxFlow's
-// residual tests: a warm graph and a cold rebuild at the same
-// capacities must compute identical tolerances.
-func (g *Graph) noteCapChange(old, c float64) {
-	if !g.maxCapOK {
-		return
-	}
-	switch {
-	case c >= g.maxCap:
-		g.maxCap = c
-	case old >= g.maxCap:
-		g.maxCapOK = false
-	}
-}
-
-// ScaleSourceCaps multiplies the capacity of every forward edge leaving
-// the source of the last MaxFlow call by factor, draining flow that no
-// longer fits. It returns the total flow drained. The round loop of
-// internal/opt uses this rescaling when the conjectured phase speed
-// changes: the existing flow stays feasible (only shrunken edges drain),
-// so the warm flow survives the rescale.
-func (g *Graph) ScaleSourceCaps(factor float64) float64 {
-	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor < 0 {
-		violate(true, fmt.Sprintf("invalid scale factor %v", factor))
-	}
-	s, _ := g.stEndpoints()
-	g.build()
-	var drained float64
-	for i := g.adjOff[s]; i < g.adjOff[s+1]; i++ {
-		id := g.adjLst[i]
-		if id&1 != 0 {
-			continue // reverse edge into the source
-		}
-		drained += g.SetCapacity(EdgeID(id), g.edges[id].orig*factor)
-	}
-	return drained
-}
-
-// RemoveJobEdge takes the vertex at the head of source edge id out of the
-// network: every unit of flow routed through that vertex is drained by
-// walking its outgoing positive-flow edges and canceling them along
-// residual paths back to the source (and on to the sink), and then the
-// capacities of the vertex's forward edges — id itself and all its
-// out-edges — are zeroed so re-augmentation can never route through it
-// again. It returns the total flow drained. The name reflects the one
-// caller shape: in G(J, m, s) the head of a source edge is a job vertex,
-// and removal expels the job from the conjectured phase set.
-func (g *Graph) RemoveJobEdge(id EdgeID) float64 {
-	g.stEndpoints()
-	g.build()
-	e := g.fwd(id)
-	v := e.to
-	tol := g.tolerance()
-	var drained float64
-	for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-		out := g.adjLst[i]
-		if out&1 != 0 {
-			continue
-		}
-		oe := &g.edges[out]
-		// Flow at or below the tolerance is rounding dust left behind by
-		// Dinic's reverse-edge cancellations; zeroing the capacities
-		// below discards it without a drain walk.
-		if oe.orig-oe.cap > tol {
-			drained += g.reduceEdgeFlowTo(out, 0)
-		}
-		g.noteCapChange(oe.orig, 0)
-		oe.orig = 0
-		oe.cap = 0
-		g.edges[out^1].cap = 0
-	}
-	g.noteCapChange(e.orig, 0)
-	e.orig = 0
-	e.cap = 0
-	g.edges[id^1].cap = 0
-	return drained
-}
-
-// reduceEdgeFlowTo cancels flow on forward edge eid until it is at most
-// target, rerouting nothing: each canceled unit is removed along one
-// flow-carrying path source -> ... -> eid -> ... -> sink, so the
-// remaining flow is again a feasible s-t flow of smaller value. Returns
-// the amount canceled.
-func (g *Graph) reduceEdgeFlowTo(eid int32, target float64) float64 {
-	s, t := g.stEndpoints()
-	g.build()
-	tol := g.tolerance()
-	e := &g.edges[eid]
-	var removed float64
-	for iter := 0; e.orig-e.cap > target+tol; iter++ {
-		if iter > len(g.edges)+2 {
-			violate(true, "drain failed to converge (cyclic flow?)")
-		}
-		d := (e.orig - e.cap) - target
-		// Walk flow-carrying edges from the head down to t and from the
-		// tail up to s; the cancelable amount is the path bottleneck.
-		// Edges at or below the tolerance carry only rounding dust and
-		// are not followed — each drained unit travels a path of real
-		// flow, so the bottleneck stays strictly positive.
-		down, ok := g.flowPathDown(int(e.to), t, tol)
-		if !ok {
-			violate(true, "no flow-carrying path to sink while draining")
-		}
-		up, ok := g.flowPathUp(int(e.from), s, tol)
-		if !ok {
-			violate(true, "no flow-carrying path to source while draining")
-		}
-		for _, pid := range down {
-			pe := &g.edges[pid]
-			d = math.Min(d, pe.orig-pe.cap)
-		}
-		for _, pid := range up {
-			pe := &g.edges[pid]
-			d = math.Min(d, pe.orig-pe.cap)
-		}
-		if d <= 0 {
-			// Residual dust below fp resolution: snap the edge to target.
-			e.cap = e.orig - target
-			g.edges[eid^1].cap = target
-			break
-		}
-		g.cancel(eid, d)
-		for _, pid := range down {
-			g.cancel(pid, d)
-		}
-		for _, pid := range up {
-			g.cancel(pid, d)
-		}
-		removed += d
-	}
-	return removed
-}
-
-// cancel removes d units of flow from forward edge id, snapping exactly
-// to zero flow when d equals the current flow.
-func (g *Graph) cancel(id int32, d float64) {
-	e := &g.edges[id]
-	nf := (e.orig - e.cap) - d
-	if nf < 0 {
-		nf = 0
-	}
-	e.cap = e.orig - nf
-	g.edges[id^1].cap = nf
-}
-
-// flowPathDown returns forward-edge ids of a positive-flow path from v to
-// t (empty when v == t). The walk follows the first flow-carrying
-// out-edge at each step; by conservation it cannot get stuck before t on
-// an acyclic flow.
-func (g *Graph) flowPathDown(v, t int, tol float64) ([]int32, bool) {
-	path := g.queue[:0]
-	for steps := 0; v != t; steps++ {
-		if steps > g.nv {
-			return nil, false
-		}
-		found := false
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			id := g.adjLst[i]
-			if id&1 != 0 {
-				continue
-			}
-			e := &g.edges[id]
-			if e.orig-e.cap > tol {
-				path = append(path, id)
-				v = int(e.to)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	g.queue = path[:0]
-	return path, true
-}
-
-// flowPathUp returns forward-edge ids of a positive-flow path from s to
-// v, found by walking flow-carrying in-edges backward from v. The
-// returned slice is the graph's upPath scratch, valid until the next
-// call.
-func (g *Graph) flowPathUp(v, s int, tol float64) ([]int32, bool) {
-	path := g.upPath[:0]
-	for steps := 0; v != s; steps++ {
-		if steps > g.nv {
-			return nil, false
-		}
-		found := false
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			id := g.adjLst[i]
-			if id&1 == 0 {
-				continue // forward edge leaving v
-			}
-			fe := &g.edges[id^1] // forward partner: an edge into v
-			if fe.orig-fe.cap > tol {
-				path = append(path, id^1)
-				v = int(fe.from)
-				found = true
-				break
-			}
-		}
-		if !found {
-			g.upPath = path[:0]
-			return nil, false
-		}
-	}
-	g.upPath = path[:0]
-	return path, true
-}
-
 // CoReachable reports, for every vertex, whether the sink t is reachable
 // from it in the residual graph of the current flow. For a maximum flow
 // this set is the sink side of the maximal minimum cut, which is the
-// same for every maximum flow of the network — internal/opt uses it to
-// make flow-invariant (hence warm/cold-identical) job-removal decisions.
+// same for every maximum flow of the network, which is what makes the
+// job-removal decisions of internal/opt flow-invariant. PhaseNet hands
+// the same set back from its last BFS; this walk is its reference in
+// the tests.
 // The returned slice is scratch owned by the graph, valid until the next
 // call into it.
 func (g *Graph) CoReachable(t int) []bool {

@@ -11,9 +11,8 @@ package flow
 //
 // The pass applies when both hold:
 //
-//   - the current flow is zero: Reset and ResetFlow set zeroFlow, and
-//     any push clears it (the incremental mutators only ever lower
-//     flow, so they keep a zero flow zero);
+//   - the current flow is zero: Reset sets zeroFlow, and any push
+//     clears it;
 //   - the network is three-layered for (s, t): L1, the heads of s's
 //     forward edges, each entered by exactly one edge from s; every
 //     forward edge out of L1 enters L2; every L2 vertex has exactly one

@@ -67,20 +67,29 @@ func randomPhase(rng *rand.Rand) *phaseShape {
 // phaseTwin is a phase network built both as a PhaseNet and as a Graph,
 // the latter by the AddEdge sequence the scheduler's raw build uses:
 // source edges in job order, then per interval its job edges in list
-// order and its sink edge.
+// order and its sink edge. The PhaseNet is mutated in place between
+// rounds; the Graph is rebuilt from the round's live jobs and
+// capacities.
 type phaseTwin struct {
 	sh   *phaseShape
 	p    *PhaseNet
 	g    *Graph
 	sink int
-	node []int    // per job: Graph vertex, -1 when not set
+	node []int    // per job: Graph vertex, -1 when not set or removed
 	src  []EdgeID // per job
 	mid  map[[2]int]EdgeID
-	sEdg []EdgeID // per interval
+
+	removed         []bool    // per job: RemoveJob was called
+	srcCap, sinkCap []float64 // the capacities the PhaseNet holds now
 }
 
 func buildPhaseTwin(sh *phaseShape, p *PhaseNet) *phaseTwin {
-	tw := &phaseTwin{sh: sh, p: p, mid: map[[2]int]EdgeID{}}
+	tw := &phaseTwin{
+		sh: sh, p: p,
+		removed: make([]bool, sh.nJobs),
+		srcCap:  append([]float64(nil), sh.srcCap...),
+		sinkCap: append([]float64(nil), sh.sinkCap...),
+	}
 	p.Reset(sh.nJobs, sh.nIvs)
 	for i := 0; i < sh.nJobs; i++ {
 		if sh.set[i] {
@@ -92,10 +101,18 @@ func buildPhaseTwin(sh *phaseShape, p *PhaseNet) *phaseTwin {
 			p.SetInterval(r, sh.edgeCap[r], sh.sinkCap[r], sh.lists[r])
 		}
 	}
+	tw.rebuild()
+	return tw
+}
+
+// rebuild builds the Graph twin of the PhaseNet's current network.
+func (tw *phaseTwin) rebuild() {
+	sh := tw.sh
 	v := 1
+	tw.node = tw.node[:0]
 	for i := 0; i < sh.nJobs; i++ {
 		tw.node = append(tw.node, -1)
-		if sh.set[i] {
+		if sh.set[i] && !tw.removed[i] {
 			tw.node[i] = v
 			v++
 		}
@@ -111,24 +128,23 @@ func buildPhaseTwin(sh *phaseShape, p *PhaseNet) *phaseTwin {
 	tw.sink = v
 	tw.g = NewGraph(v + 1)
 	tw.src = make([]EdgeID, sh.nJobs)
-	for i := 0; i < sh.nJobs; i++ {
-		if sh.set[i] {
-			tw.src[i] = tw.g.AddEdge(0, tw.node[i], sh.srcCap[i])
+	tw.mid = map[[2]int]EdgeID{}
+	for i, n := range tw.node {
+		if n >= 0 {
+			tw.src[i] = tw.g.AddEdge(0, n, tw.srcCap[i])
 		}
 	}
-	tw.sEdg = make([]EdgeID, sh.nIvs)
 	for r := 0; r < sh.nIvs; r++ {
 		if !sh.on[r] {
 			continue
 		}
 		for _, i := range sh.lists[r] {
-			if sh.set[i] {
+			if tw.node[i] >= 0 {
 				tw.mid[[2]int{int(i), r}] = tw.g.AddEdge(tw.node[i], ivNode[r], sh.edgeCap[r])
 			}
 		}
-		tw.sEdg[r] = tw.g.AddEdge(ivNode[r], tw.sink, sh.sinkCap[r])
+		tw.g.AddEdge(ivNode[r], tw.sink, tw.sinkCap[r])
 	}
-	return tw
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -189,8 +205,8 @@ func (tw *phaseTwin) checkCut(t *testing.T, label string) {
 
 // checkPhaseNet runs one random network through several in-place rounds:
 // solve; reset the flow; remove jobs, lower sinks, re-set sources;
-// solve again. The Graph twin mirrors each step with ResetFlow,
-// RemoveJobEdge and SetCapacity.
+// solve again. The Graph twin is rebuilt from scratch for every round,
+// so each in-place round must match a from-zero solve of its network.
 func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scanned *[2]int64) {
 	t.Helper()
 	sh := randomPhase(rng)
@@ -202,18 +218,17 @@ func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scann
 	tw.solve(t, label("round 0"), scanned)
 	for round := 1; round <= 3; round++ {
 		p.ResetFlow()
-		tw.g.ResetFlow()
 		for i := 0; i < sh.nJobs; i++ {
 			if tw.node[i] >= 0 && p.live(i) && rng.Intn(4) == 0 {
 				p.RemoveJob(i)
-				tw.g.RemoveJobEdge(tw.src[i])
+				tw.removed[i] = true
 			}
 		}
 		for r := 0; r < sh.nIvs; r++ {
 			if sh.on[r] && rng.Intn(3) == 0 {
-				c := tw.g.Capacity(tw.sEdg[r]) * float64(rng.Intn(3)) / 2
+				c := tw.sinkCap[r] * float64(rng.Intn(3)) / 2
 				p.SetSinkCap(r, c)
-				tw.g.SetCapacity(tw.sEdg[r], c)
+				tw.sinkCap[r] = c
 			}
 		}
 		scale := []float64{1, 0.5, 3, 1e-3}[rng.Intn(4)]
@@ -221,15 +236,16 @@ func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scann
 			if tw.node[i] >= 0 && p.live(i) {
 				c := sh.srcCap[i] * scale
 				p.SetSourceCap(i, c)
-				tw.g.SetCapacity(tw.src[i], c)
+				tw.srcCap[i] = c
 			}
 		}
+		tw.rebuild()
 		if rng.Intn(3) == 0 {
 			tw.checkCut(t, label("mutated "+strconv.Itoa(round)))
 		}
 		tw.solve(t, label("round "+strconv.Itoa(round)), scanned)
 	}
-	// A second MaxFlow without ResetFlow finds nothing more.
+	// A second MaxFlow on both, without ResetFlow, finds nothing more.
 	tw.solve(t, label("re-run"), scanned)
 }
 

@@ -11,9 +11,7 @@ import (
 // this package: the scheduler's networks are shallow and wide, and the
 // E11 ablation experiment measures which solver wins on them. The two
 // implementations also cross-check each other in the property tests.
-// It shares the flat edge layout and EdgeID scheme of Graph, but not the
-// incremental warm-start API (push-relabel maintains a preflow, not a
-// feasible flow, so mid-run capacity edits have no clean invariant).
+// It shares the flat edge layout and EdgeID scheme of Graph.
 type PRGraph struct {
 	edges []edge
 	nv    int

@@ -14,13 +14,14 @@ type ratEdge struct {
 }
 
 // RatGraph is a flow network over exact rational capacities. It mirrors
-// Graph — same flat edge layout, same EdgeID scheme, same incremental
-// warm-start API — but performs all arithmetic in math/big.Rat, so
-// saturation tests are exact. It is used to cross-check the float64
-// solver and to run the offline optimum in exact mode on rational
-// inputs. Because the arithmetic is exact, ScaleSourceCaps can rescale
-// multiplicatively without the floating-point drift the float engine
-// has to sidestep (see DESIGN.md).
+// Graph — same flat edge layout, same EdgeID scheme, same Dinic — but
+// performs all arithmetic in math/big.Rat, so saturation tests are
+// exact. It is used to cross-check the float64 solver and to run the
+// offline optimum in exact mode on rational inputs. Unlike Graph it also
+// has an incremental warm-start API, which the exact round loop uses
+// between rounds; because the arithmetic is exact, ScaleSourceCaps can
+// rescale multiplicatively without the floating-point drift the float
+// engine has to sidestep (see DESIGN.md §7).
 type RatGraph struct {
 	edges []ratEdge
 	nv    int
@@ -222,9 +223,17 @@ func (g *RatGraph) MaxFlow(s, t int) *big.Rat {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental warm-start API — exact mirror of Graph's. See flow.go for
-// the drain/re-augment invariant; the rational versions are simpler
-// because saturation tests are exact (Sign comparisons, no tolerance).
+// Incremental warm-start API.
+//
+// The mutators below keep the current flow feasible under capacity
+// changes: when a capacity drops below the flow routed over its edge,
+// the excess is canceled along flow-carrying paths back to the source
+// and forward to the sink of the last MaxFlow call. A feasible flow can
+// always be augmented to a maximum one, so the next MaxFlow call
+// re-augments from the preserved flow instead of restarting Dinic at
+// zero. Draining requires the positive-flow subgraph to be acyclic,
+// which holds for every network this repository builds (layered DAGs).
+// Saturation tests are exact (Sign comparisons, no tolerance).
 // ---------------------------------------------------------------------------
 
 // ResetFlow removes all flow, restoring residual capacities.

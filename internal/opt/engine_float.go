@@ -15,7 +15,7 @@ import (
 // floatEngine is the float64 fast path of the round loop. All slices are
 // arenas reused across phases and Schedule calls.
 //
-// Ordinary phases solve on pn, a flow.PhaseNet: the max-flow kernel for
+// Every phase solves on pn, a flow.PhaseNet: the max-flow kernel for
 // exactly this network shape, fed the engine's own job windows and
 // per-interval candidate lists (byIv), with no edge list, CSR build or
 // edge ids. In-place path (default): beginPhase builds G(J, m, s) once;
@@ -34,13 +34,9 @@ import (
 // from w/s2 in the last ulp, which would break the in-place==cold
 // guarantee.
 //
-// The one warm flow left is a session's: the first phase of a session
-// resolve runs on the persistent flow.Graph network with the previous
-// resolve's flow (session.go) and re-augments it. If that round is
-// accepted, the flow is canonicalized (ResetFlow + one solve from zero)
-// before emission; a rejection resets it like any other. While such a
-// session phase runs, sessPhase is set and the round methods address
-// sess.g through the edge ids below instead of pn.
+// ColdStart rebuilds pn every round instead. No flow carries over from
+// one solve to the next; a session resolve is an ordinary solve
+// (session.go).
 type floatEngine struct {
 	tol      float64
 	cold     bool
@@ -75,28 +71,11 @@ type floatEngine struct {
 	supLen   []float64 // per super-interval: summed member length
 	supValid bool
 
-	pn         flow.PhaseNet // the network of every phase but a session's first
-	needBuild  bool
-	firstPhase bool // next beginPhase starts the solve's first phase
-	prevOps    flow.DinicOps
-	excluded   []int // candidate positions the last rejected round excluded
-	accepted   []int
-
-	// Session phases only (session.go): the persistent network and its
-	// edge ids, translated to candidate positions at attach.
-	sess      *sessNet // non-nil only while a Session resolve runs
-	sessPhase bool     // current phase runs on sess.g
-	g         *flow.Graph
-	posOfSlot []int32 // scratch: session slot -> live candidate pos
-	jobNode   []int32
-	ivNode    []int32
-	sink      int
-	srcEdges  []flow.EdgeID
-	sinkEdges []flow.EdgeID
-	midPos    []int32
-	midIv     []int32
-	midID     []flow.EdgeID
-	warmFlow  bool // sess.g holds a session's warm flow, not one solved from zero
+	pn        flow.PhaseNet // the network of every round and emission solve
+	needBuild bool
+	prevOps   flow.DinicOps
+	excluded  []int // candidate positions the last rejected round excluded
+	accepted  []int
 	emitScratch
 }
 
@@ -108,7 +87,6 @@ func (e *floatEngine) emptyErr() error {
 
 func (e *floatEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
 	e.in, e.ivs, e.st, e.rec = in, ivs, st, rec
-	e.firstPhase = true
 	// The histogram handle is cached once per solve: rec.Time allocates a
 	// closure per call, which the per-round profile showed as real.
 	e.solveHist = rec.Histogram("opt.flow_solve_seconds")
@@ -166,27 +144,14 @@ func (e *floatEngine) beginPhase(used, cand []int, span *obs.Span) bool {
 	e.needBuild = true
 	e.supValid = false
 	e.con.on = false
-	first := e.firstPhase
-	e.firstPhase = false
-	e.sessPhase = false
 	for jx := 0; jx < nIv; jx++ {
 		e.mj[jx] = min(e.activeCount[jx], e.free[jx])
 	}
 	e.recomputeTotals()
 	if e.totalTime <= 0 {
-		if first && e.sess != nil {
-			// A degenerate first phase never touches the persistent
-			// network, but its next build would happen with a shrunken
-			// candidate set mid-phase — force a rebuild next resolve.
-			e.sess.valid = false
-		}
 		return true
 	}
 	e.speed = e.totalWork / e.totalTime
-	if first && e.sess != nil {
-		e.beginSessionPhase()
-		return false
-	}
 	e.buildGraph()
 	return false
 }
@@ -284,15 +249,6 @@ func (e *floatEngine) supRun(k int) (lo, hi int) {
 // "opt.emit_rebuilds" for the emission rebuild after contracted rounds).
 // Intervals with m_j = 0 stay off: no vertex, no edges.
 func (e *floatEngine) buildRaw(counter string) {
-	if e.sessPhase {
-		// The phase is falling off the persistent session network onto a
-		// fresh PhaseNet build (degenerate candidate drop mid-phase,
-		// or the emission rebuild): the persistent flow is stale relative
-		// to the decisions this phase keeps making, so the next session
-		// resolve must rebuild it from scratch.
-		e.sess.valid = false
-		e.sessPhase = false
-	}
 	nIv := len(e.ivs)
 	e.pn.Reset(len(e.cand0), nIv)
 	for pos, k := range e.cand0 {
@@ -312,38 +268,27 @@ func (e *floatEngine) buildRaw(counter string) {
 
 // netBuilt records a PhaseNet build with ivs interval vertices. Its
 // vertex count is the source, the alive jobs, the intervals and the
-// sink, as in the session network's layout (rawLayout).
+// sink.
 func (e *floatEngine) netBuilt(counter string, ivs int) {
 	if v := 2 + e.aliveCount + ivs; v > e.st.FlowVertices {
 		e.st.FlowVertices = v
 	}
 	e.rec.Add(counter, 1)
 	e.prevOps = flow.DinicOps{}
-	e.warmFlow = false
 	e.needBuild = false
 }
 
-// solveFlow runs one sequential Dinic max-flow computation and publishes
-// its ops: from zero, or as the re-augmentation of a session's warm
-// flow.
+// solveFlow runs one sequential Dinic max-flow computation from zero
+// and publishes its ops.
 func (e *floatEngine) solveFlow() {
 	var t0 time.Time
 	if e.solveHist != nil {
 		t0 = time.Now()
 	}
-	var ops flow.DinicOps
-	if e.sessPhase {
-		e.g.MaxFlow(0, e.sink)
-		ops = e.g.Ops()
-	} else {
-		e.pn.MaxFlow()
-		ops = e.pn.Ops()
-	}
+	e.pn.MaxFlow()
+	ops := e.pn.Ops()
 	if e.solveHist != nil {
 		e.solveHist.Observe(time.Since(t0).Seconds())
-	}
-	if e.warmFlow {
-		e.rec.Add("flow.warm_hits", 1)
 	}
 	publishDinic(e.rec, e.span, ops.Sub(e.prevOps))
 	e.prevOps = ops
@@ -357,12 +302,7 @@ func (e *floatEngine) solveRound() int {
 
 	var value float64
 	for pos := range e.cand0 {
-		if !e.alive[pos] {
-			continue
-		}
-		if e.sessPhase {
-			value += e.g.Flow(e.srcEdges[pos])
-		} else {
+		if e.alive[pos] {
 			value += e.pn.SourceFlow(pos)
 		}
 	}
@@ -375,22 +315,13 @@ func (e *floatEngine) solveRound() int {
 	// some maximum flow leaves both one of its interval edges and that
 	// interval's sink edge unsaturated — the exclusion condition of the
 	// paper's Lemma 4 — and the co-reachable set is the same for every
-	// maximum flow, so warm, in-place and cold solves exclude the same
-	// jobs. Each one is outside J_i on its own, so all of them go in one
-	// round. On pn the set is the labels of the solve's last BFS.
+	// maximum flow, so in-place and cold solves exclude the same jobs.
+	// Each one is outside J_i on its own, so all of them go in one round.
+	// The set is the labels of the solve's last BFS.
 	e.excluded = e.excluded[:0]
-	if e.sessPhase {
-		mark := e.g.CoReachable(e.sink)
-		for pos := range e.cand0 {
-			if e.alive[pos] && mark[e.jobNode[pos]] {
-				e.excluded = append(e.excluded, pos)
-			}
-		}
-	} else {
-		for pos, reach := range e.pn.CoReachable() {
-			if reach {
-				e.excluded = append(e.excluded, pos)
-			}
+	for pos, reach := range e.pn.CoReachable() {
+		if reach {
+			e.excluded = append(e.excluded, pos)
 		}
 	}
 	// No excludable candidate despite the value shortfall: only possible
@@ -415,12 +346,7 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 		// The next round solves from zero on this network, so reset the
 		// flow first: on a zero flow none of the capacity updates below
 		// drains anything.
-		if e.sessPhase {
-			e.g.ResetFlow()
-		} else {
-			e.pn.ResetFlow()
-		}
-		e.warmFlow = false
+		e.pn.ResetFlow()
 	}
 	for _, pos := range e.excluded {
 		e.alive[pos] = false
@@ -428,15 +354,7 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 		for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
 			e.activeCount[jx]--
 		}
-		switch {
-		case !inPlace:
-		case e.sessPhase:
-			e.g.RemoveJobEdge(e.srcEdges[pos])
-			// The rounds zeroed this slot's source and job edges on the
-			// persistent network; if the job is still in the session,
-			// the next attach must restore those capacities before reuse.
-			e.sess.zeroed[e.sess.slotOf[pos]] = true
-		default:
+		if inPlace {
 			e.pn.RemoveJob(pos)
 		}
 	}
@@ -459,8 +377,6 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 			e.mj[jx] = nm
 			switch {
 			case !inPlace:
-			case e.sessPhase:
-				e.g.SetCapacity(e.sinkEdges[jx], float64(nm)*e.ivLen[jx])
 			case e.con.on:
 				if s := e.con.supOf[jx]; s != lastSup {
 					e.pn.SetSinkCap(int(s), float64(nm)*e.supLen[s])
@@ -482,14 +398,8 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 		return false, false
 	}
 	for pos, k := range e.cand0 {
-		if !e.alive[pos] {
-			continue
-		}
-		c := e.in.Jobs[k].Work / e.speed
-		if e.sessPhase {
-			e.g.SetCapacity(e.srcEdges[pos], c)
-		} else {
-			e.pn.SetSourceCap(pos, c)
+		if e.alive[pos] {
+			e.pn.SetSourceCap(pos, e.in.Jobs[k].Work/e.speed)
 		}
 	}
 	return false, false
@@ -531,37 +441,17 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 		e.con.on = false
 		e.buildRaw("opt.emit_rebuilds")
 		e.solveFlow()
-	} else if e.warmFlow {
-		// A session phase accepted its warm-reconciled first round:
-		// canonicalize with one solve from zero. The zero-capacity
-		// remnants of removed jobs never enter Dinic's search, so this
-		// reproduces the cold path's flow bit-exactly, and the persistent
-		// network keeps the canonical from-zero flow the next delta's
-		// warm reconcile starts from. Every other accepted round was
-		// already solved from zero.
-		e.g.ResetFlow()
-		e.warmFlow = false
-		e.solveFlow()
 	}
-	// Pieces come out interval by interval, as emitPhase requires: on pn
-	// in interval, then list order; on a session network in mid-edge
-	// order, which rawEdges laid out the same way.
+	// Pieces come out interval by interval, as emitPhase requires: in
+	// interval, then list order.
 	e.pieces = e.pieces[:0]
-	if e.sessPhase {
-		for i, pos := range e.midPos {
-			if pos >= 0 && e.alive[pos] {
-				e.addPiece(pos, e.midIv[i], e.g.Flow(e.midID[i]))
-			}
+	for jx := range e.ivs {
+		if e.mj[jx] == 0 {
+			continue // no vertex, or no alive candidate
 		}
-	} else {
-		for jx := range e.ivs {
-			if e.mj[jx] == 0 {
-				continue // no vertex, or no alive candidate
-			}
-			for _, pos := range e.byIv[jx] {
-				if e.alive[pos] {
-					e.addPiece(pos, int32(jx), e.pn.EdgeFlow(int(pos), jx))
-				}
+		for _, pos := range e.byIv[jx] {
+			if e.alive[pos] {
+				e.addPiece(pos, int32(jx), e.pn.EdgeFlow(int(pos), jx))
 			}
 		}
 	}

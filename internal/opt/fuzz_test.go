@@ -13,6 +13,23 @@ import (
 // shapes and checks the full invariant set: feasibility, phase structure,
 // agreement with YDS at m = 1, and bit-equality of every engine variant
 // with the one-removal-per-round reference (reference_test.go).
+// fuzzJobs draws n jobs with IDs 1..n from the seed: windows of length
+// 0.01 to 10.01 released in [0, 20), work 0.01 to 5.01.
+func fuzzJobs(seed int64, n int) []job.Job {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]job.Job, n)
+	for i := range jobs {
+		r := rng.Float64() * 20
+		jobs[i] = job.Job{
+			ID:       i + 1,
+			Release:  r,
+			Deadline: r + 0.01 + rng.Float64()*10,
+			Work:     0.01 + rng.Float64()*5,
+		}
+	}
+	return jobs
+}
+
 func FuzzSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(1))
 	f.Add(int64(2), uint8(10), uint8(2))
@@ -21,18 +38,7 @@ func FuzzSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rawN, rawM uint8) {
 		n := 1 + int(rawN%12)
 		m := 1 + int(rawM%4)
-		rng := rand.New(rand.NewSource(seed))
-		jobs := make([]job.Job, n)
-		for i := range jobs {
-			r := rng.Float64() * 20
-			jobs[i] = job.Job{
-				ID:       i + 1,
-				Release:  r,
-				Deadline: r + 0.01 + rng.Float64()*10,
-				Work:     0.01 + rng.Float64()*5,
-			}
-		}
-		in, err := job.NewInstance(m, jobs)
+		in, err := job.NewInstance(m, fuzzJobs(seed, n))
 		if err != nil {
 			t.Fatalf("generator produced invalid instance: %v", err)
 		}

@@ -44,6 +44,10 @@
 // them all. See DESIGN.md §7 for the invariants; ColdStart rebuilds the
 // network every round instead, for differential testing.
 //
+// A streaming Session (session.go) keeps a mutable job set and resolves
+// it through the same Schedule: nothing of one solve's flow carries
+// into the next.
+//
 // Because the optimal speed levels depend only on the combinatorial
 // structure (not on the particular convex power function), the same
 // schedule is optimal for every convex non-decreasing P with P(0) = 0;
@@ -333,9 +337,9 @@ type phaseEngine interface {
 	// accept finalizes the phase and returns the phase speed, the m_ij
 	// vector and every positive job -> interval flow as a piece, in
 	// interval order (ivIdx non-decreasing). A phase whose rounds ran on
-	// a contracted network is first re-solved on the raw one, and a flow
-	// not solved from zero (a session's warm round, or the exact
-	// engine's after drains) is first canonicalized by a solve from zero.
+	// a contracted network is first re-solved on the raw one, and the
+	// exact engine's flow after drains is first canonicalized by a solve
+	// from zero.
 	// The pieces live in the engine's emitScratch until the next accept.
 	accept() (speed float64, mj []int, pieces []piece)
 	// acceptedCand returns the accepted candidate set (instance job

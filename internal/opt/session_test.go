@@ -2,10 +2,13 @@ package opt
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"mpss/internal/job"
+	"mpss/internal/mpsserr"
 	"mpss/internal/obs"
 	"mpss/internal/workload"
 )
@@ -123,10 +126,21 @@ func TestSessionMatchesOneShotExact(t *testing.T) {
 	}
 }
 
+// Sessions address jobs by ID, so the instance check at NewSession must
+// reject duplicate IDs as invalid input.
+func TestNewSessionRejectsDuplicateIDs(t *testing.T) {
+	in := &job.Instance{M: 2, Jobs: []job.Job{
+		{ID: 7, Release: 0, Deadline: 1, Work: 1},
+		{ID: 7, Release: 0, Deadline: 2, Work: 1},
+	}}
+	if _, err := NewSolver().NewSession(in); !errors.Is(err, mpsserr.ErrInvalidInstance) {
+		t.Fatalf("NewSession with duplicate IDs: err = %v, want ErrInvalidInstance", err)
+	}
+}
+
 // flatSession builds an instance whose jobs all share the window
 // [0, 10]: the event-point partition is a single interval and survives
-// any removal, so every remove/cap delta stays on the persistent
-// network — the family the incremental-reuse assertions run on.
+// any removal.
 func flatSession(n int) *job.Instance {
 	jobs := make([]job.Job, n)
 	for i := range jobs {
@@ -135,111 +149,189 @@ func flatSession(n int) *job.Instance {
 	return &job.Instance{M: 3, Jobs: jobs}
 }
 
-// Delta resolves must ride the warm network: after the first resolve
-// builds it, remove/cap deltas may not rebuild (opt.graph_rebuilds
-// frozen) while every resolve stays bit-identical to one-shot.
-func TestSessionIncrementalReuse(t *testing.T) {
-	in := flatSession(16)
-	rec := obs.New()
-	sess, err := NewSolver().NewSession(in, WithRecorder(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := sess.Resolve(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Incremental {
-		t.Fatal("first resolve reported incremental")
-	}
-	base := rec.Snapshot().Counters
-	if got := base["opt.session_net_builds"]; got != 1 {
-		t.Fatalf("opt.session_net_builds=%d after first resolve, want 1", got)
-	}
-	rebuilds0 := base["opt.graph_rebuilds"]
+// sessionCostCounters are the solver work counters a resolve and a
+// one-shot solve must agree on.
+var sessionCostCounters = []string{
+	"opt.rounds", "opt.phases", "opt.graph_rebuilds", "opt.emit_rebuilds",
+	"flow.solves", "flow.dinic.aug_paths", "flow.dinic.bfs_passes", "flow.dinic.edges_scanned",
+}
 
-	jobs := append([]job.Job(nil), in.Jobs...)
-	oneShot := NewSolver()
-	const deltas = 6
-	for i := 0; i < deltas; i++ {
-		if err := sess.RemoveJob(jobs[0].ID); err != nil {
-			t.Fatal(err)
-		}
-		jobs = jobs[1:]
-		if i%2 == 1 {
-			if err := sess.SetCap(1000); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := sess.Resolve(nil)
+// checkResolveMatchesOneShot resolves the session and compares it with
+// a one-shot solve of jobs on a fresh solver and recorder: phases and
+// segments bit-equal, the cap verdict equal to FeasibleAtSpeedCtx's,
+// and, when rec is the session's recorder, the resolve's counter deltas
+// equal to the one-shot's.
+func checkResolveMatchesOneShot(t *testing.T, label string, sess *Session, rec *obs.Recorder, m int, jobs []job.Job) {
+	t.Helper()
+	before := rec.Snapshot().Counters
+	got, err := sess.Resolve(nil)
+	if err != nil {
+		t.Fatalf("%s: resolve: %v", label, err)
+	}
+	after := rec.Snapshot().Counters
+
+	oneRec := obs.New()
+	cur := &job.Instance{M: m, Jobs: append([]job.Job(nil), jobs...)}
+	want, err := NewSolver().Schedule(cur, WithRecorder(oneRec))
+	if err != nil {
+		t.Fatalf("%s: one-shot: %v", label, err)
+	}
+	if d := resultDiff(got.Res, want); d != "" {
+		t.Fatalf("%s: %s", label, d)
+	}
+	if got.Cap != sess.Cap() {
+		t.Fatalf("%s: cap %v echoed, session holds %v", label, got.Cap, sess.Cap())
+	}
+	if got.Cap > 0 {
+		wantFeas, err := FeasibleAtSpeedCtx(context.Background(), cur, got.Cap, oneRec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Incremental {
-			t.Fatalf("delta %d: resolve did not reuse the warm network", i)
+		if got.CapFeasible != wantFeas {
+			t.Fatalf("%s: cap %v verdict %v, probe says %v", label, got.Cap, got.CapFeasible, wantFeas)
 		}
-		if got.Cap > 0 && !got.CapFeasible {
-			t.Fatalf("delta %d: cap 1000 reported infeasible", i)
+	}
+	if rec == nil {
+		return
+	}
+	one := oneRec.Snapshot().Counters
+	for _, k := range sessionCostCounters {
+		if d := after[k] - before[k]; d != one[k] {
+			t.Fatalf("%s: resolve added %s %d, one-shot %d", label, k, d, one[k])
 		}
-		want, err := oneShot.Schedule(&job.Instance{M: in.M, Jobs: jobs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePhases(t, int64(i), got.Res, want)
-	}
-	snap := rec.Snapshot().Counters
-	if got := snap["opt.graph_rebuilds"]; got != rebuilds0 {
-		t.Fatalf("opt.graph_rebuilds grew across deltas: %d -> %d", rebuilds0, got)
-	}
-	if got := snap["opt.session_attaches"]; got != deltas {
-		t.Fatalf("opt.session_attaches=%d, want %d", got, deltas)
-	}
-	if snap["flow.warm_hits"] == 0 {
-		t.Fatal("no flow.warm_hits recorded across warm delta resolves")
-	}
-	if got := snap["opt.session_capnet_builds"]; got != 1 {
-		t.Fatalf("opt.session_capnet_builds=%d, want 1", got)
 	}
 }
 
-// Removing a job whose window endpoints are unique changes the
-// event-point partition: the resolve must fall back to a rebuild
-// (Incremental=false) and still match one-shot bit-exactly.
-func TestSessionPartitionChangeRebuilds(t *testing.T) {
-	jobs := []job.Job{
+// A resolve costs what a one-shot solve of the same job set costs, op
+// for op, over a random walk of add, remove and cap deltas. The first
+// walk starts by removing a job whose window endpoints no other job
+// shares, so the event-point partition changes under the session.
+func TestSessionResolveCountsMatchOneShot(t *testing.T) {
+	partition := &job.Instance{M: 2, Jobs: []job.Job{
 		{ID: 1, Release: 0, Deadline: 4, Work: 3},
 		{ID: 2, Release: 1, Deadline: 5, Work: 2},
 		{ID: 3, Release: 2, Deadline: 9, Work: 4},
 		{ID: 4, Release: 0, Deadline: 9, Work: 1},
+	}}
+	instances := []*job.Instance{partition, flatSession(12)}
+	for seed := int64(0); seed < 4; seed++ {
+		in, err := workload.Bursty(workload.Spec{N: 24, M: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, in)
 	}
-	in := &job.Instance{M: 2, Jobs: jobs}
-	sess, err := NewSolver().NewSession(in)
-	if err != nil {
-		t.Fatal(err)
+	for x, in := range instances {
+		rng := rand.New(rand.NewSource(int64(x)*131 + 7))
+		rec := obs.New()
+		sess, err := NewSolver().NewSession(in, WithRecorder(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := append([]job.Job(nil), in.Jobs...)
+		label := func(step int) string { return fmt.Sprintf("instance %d step %d", x, step) }
+		checkResolveMatchesOneShot(t, label(0), sess, rec, in.M, jobs)
+		if x == 0 {
+			// Job 2's endpoints 1 and 5 are not shared with any other job.
+			if err := sess.RemoveJob(2); err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs[:1:1], jobs[2:]...)
+			checkResolveMatchesOneShot(t, label(1), sess, rec, in.M, jobs)
+		}
+		nextID := 10_000
+		for step := 2; step < 10; step++ {
+			switch op := rng.Intn(3); {
+			case op == 0 && len(jobs) > 1:
+				i := rng.Intn(len(jobs))
+				if err := sess.RemoveJob(jobs[i].ID); err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs[:i], jobs[i+1:]...)
+			case op == 1:
+				r := rng.Float64() * 8
+				j := job.Job{ID: nextID, Release: r, Deadline: r + 1 + rng.Float64()*4, Work: 0.5 + rng.Float64()*3}
+				nextID++
+				if err := sess.AddJob(j); err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, j)
+			default:
+				if err := sess.SetCap([]float64{0, 0.3, 2, 1000}[rng.Intn(4)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkResolveMatchesOneShot(t, label(step), sess, rec, in.M, jobs)
+		}
 	}
-	if _, err := sess.Resolve(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Job 2's endpoints 1 and 5 are not shared with any other job.
-	if err := sess.RemoveJob(2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.Resolve(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Incremental {
-		t.Fatal("resolve after a partition-changing removal reported incremental")
-	}
-	want, err := NewSolver().Schedule(&job.Instance{M: 2, Jobs: []job.Job{jobs[0], jobs[2], jobs[3]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePhases(t, 0, got.Res, want)
 }
 
-// The persistent cap network must render feasibleProbe's verdict for
-// every cap retune and across removals.
+// FuzzSessionDeltas decodes the fuzz bytes into batches of add, remove
+// and cap deltas over a generated instance. Initially and after every
+// batch the resolve must match a one-shot Schedule of the session's job set,
+// phases and segments bit-equal, and its cap verdict must be
+// FeasibleAtSpeedCtx's.
+//
+// Byte stream: each op byte selects, by its value mod 4, a removal (next
+// byte: which job), an add (next three bytes: release, window, work), a
+// cap retune (next byte: which cap) or the end of the batch. A removal
+// that would empty the session is skipped.
+func FuzzSessionDeltas(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(2), []byte{0, 3, 3, 1, 9, 40, 7, 3, 2, 1, 3})
+	f.Add(int64(2), uint8(3), uint8(1), []byte{0, 0, 0, 0, 0, 0, 3, 2, 2, 3})
+	f.Add(int64(3), uint8(10), uint8(3), []byte{2, 3, 3, 1, 200, 255, 1, 1, 0, 0, 0, 0, 3})
+	f.Add(int64(-4), uint8(1), uint8(4), []byte{1, 17, 5, 99, 0, 0, 2, 4, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, rawN, rawM uint8, ops []byte) {
+		m := 1 + int(rawM%4)
+		jobs := fuzzJobs(seed, 1+int(rawN%12))
+		sess, err := NewSolver().NewSession(&job.Instance{M: m, Jobs: jobs})
+		if err != nil {
+			t.Fatalf("generator produced invalid instance: %v", err)
+		}
+		caps := []float64{0, 1e-6, 0.05, 0.5, 1, 3, 1000}
+		next := func() byte {
+			if len(ops) == 0 {
+				return 3
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		checkResolveMatchesOneShot(t, "initial", sess, nil, m, jobs)
+		nextID := 1000
+		for batch := 0; batch < 8 && len(ops) > 0; batch++ {
+			for op := next(); op%4 != 3; op = next() {
+				switch op % 4 {
+				case 0:
+					i := int(next()) % len(jobs)
+					if len(jobs) == 1 {
+						continue
+					}
+					if err := sess.RemoveJob(jobs[i].ID); err != nil {
+						t.Fatal(err)
+					}
+					jobs = append(jobs[:i], jobs[i+1:]...)
+				case 1:
+					r := float64(next()) / 8
+					j := job.Job{ID: nextID, Release: r, Deadline: r + 0.05 + float64(next())/16, Work: 0.05 + float64(next())/32}
+					nextID++
+					if err := sess.AddJob(j); err != nil {
+						t.Fatal(err)
+					}
+					jobs = append(jobs, j)
+				case 2:
+					if err := sess.SetCap(caps[int(next())%len(caps)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkResolveMatchesOneShot(t, fmt.Sprintf("batch %d", batch), sess, nil, m, jobs)
+		}
+	})
+}
+
+// The cap verdict must be feasibleProbe's for every cap retune and
+// across removals.
 func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 	in := flatSession(12)
 	sess, err := NewSolver().NewSession(in)
@@ -250,7 +342,7 @@ func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 	caps := []float64{1000, 0.1, 2, 0.3, 50}
 	for i, c := range caps {
 		if i == 2 {
-			// Exercise the cap network's incremental removal path too.
+			// A removal between retunes.
 			if err := sess.RemoveJob(jobs[0].ID); err != nil {
 				t.Fatal(err)
 			}

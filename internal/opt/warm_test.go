@@ -62,7 +62,7 @@ func comparePhases(t *testing.T, seed int64, warm, cold *Result) {
 
 // The network is built once per phase, not once per round: a rejected
 // round resets the flow in place and the next round solves from zero on
-// the same network. Outside sessions there is no warm flow left, every
+// the same network. There is no warm flow left on the float path, every
 // solve is a round or an emission re-solve of a contracted phase, and
 // the augmentation sequence is the cold path's, path for path and level
 // graph for level graph.
@@ -91,7 +91,7 @@ func TestRoundsSolveFromZeroInPlace(t *testing.T) {
 				t.Errorf("contract=%v: opt.graph_rebuilds=%d exceeds opt.phases=%d", contract, c["opt.graph_rebuilds"], phases)
 			}
 			if c["flow.warm_hits"] != 0 {
-				t.Errorf("contract=%v: %d warm hits outside a session", contract, c["flow.warm_hits"])
+				t.Errorf("contract=%v: %d warm hits on the float path", contract, c["flow.warm_hits"])
 			}
 			if want := rounds + c["opt.emit_rebuilds"]; c["flow.solves"] != want {
 				t.Errorf("contract=%v: flow.solves=%d, want rounds + emit_rebuilds = %d", contract, c["flow.solves"], want)

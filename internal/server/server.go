@@ -37,8 +37,8 @@
 //	POST   /v1/solve/atcap       fixed-frequency schedule at a speed cap
 //	POST   /v1/feasible          one feasibility probe at a speed cap
 //	POST   /v1/mincap            minimum feasible speed cap
-//	POST   /v1/session           open a streaming session (warm instance)
-//	POST   /v1/session/{id}/delta  mutate + incrementally re-solve
+//	POST   /v1/session           open a streaming session
+//	POST   /v1/session/{id}/delta  mutate + re-solve
 //	GET    /v1/session/{id}      latest resolve (long-poll with wait_seq)
 //	DELETE /v1/session/{id}      tear the session down
 //	GET    /v1/healthz           liveness (always "ok" while serving)
@@ -49,9 +49,9 @@
 //	GET    /metrics              Prometheus text exposition (version 0.0.4)
 //	GET    /v1/debug/traces      flight recorder (recent + slowest spans)
 //
-// Streaming sessions (DESIGN.md §13) pin a named instance to one
-// worker's warm solver: each delta re-solves incrementally on the
-// persistent flow network instead of from scratch. Session tasks are
+// Streaming sessions (DESIGN.md §13) pin a named job set to one
+// worker's solver: each delta re-solves the session's current job set
+// on that worker's arenas, exactly as a one-shot solve. Session tasks are
 // routed through per-worker affinity queues so a session's solver is
 // only ever touched by its owner worker; a janitor evicts sessions idle
 // past SessionTTL.

@@ -179,14 +179,13 @@ func (s *Server) sessionTimeout(ms int64) time.Duration {
 // Called on the owner worker only (it reads the solver's job set).
 func sessionResponse(ls *liveSession, seq int64, res *mpss.SessionResult) response {
 	out := api.SessionResponse{
-		SessionID:   ls.id,
-		Seq:         seq,
-		Jobs:        len(ls.solver.SessionJobs()),
-		Incremental: res.Incremental,
-		Energy:      res.Result.Schedule.Energy(ls.power),
-		Alpha:       ls.alpha,
-		Cap:         res.Cap,
-		Schedule:    res.Result.Schedule,
+		SessionID: ls.id,
+		Seq:       seq,
+		Jobs:      len(ls.solver.SessionJobs()),
+		Energy:    res.Result.Schedule.Energy(ls.power),
+		Alpha:     ls.alpha,
+		Cap:       res.Cap,
+		Schedule:  res.Result.Schedule,
 	}
 	if res.Cap > 0 {
 		feasible := res.CapFeasible
@@ -318,7 +317,7 @@ func validCap(c float64) bool {
 // handleSessionDelta applies one mutation batch atomically — every
 // mutation is validated against the session's current job set before
 // any is applied, so a 400 leaves the session exactly as it was — then
-// re-solves incrementally and publishes the result.
+// re-solves the session's job set and publishes the result.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	reqID := RequestIDFromContext(r.Context())
 	s.rec.Add("server.requests", 1)
@@ -375,8 +374,8 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		res, err := ls.solver.Resolve(mpss.WithContext(ctx))
 		if err != nil {
-			// The session stays alive: the solver rebuilds its network at
-			// the next Resolve, with the mutations already applied.
+			// The session stays alive with the mutations applied; the
+			// next delta re-solves the job set as it then stands.
 			return s.sessionFail(r, err)
 		}
 		s.rec.Add("server.delta_solves", 1)
@@ -389,8 +388,9 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 
 // validateDelta checks the whole mutation batch against the current job
 // set: removals must name live jobs, adds must be valid and not collide
-// (with surviving jobs or each other), and the result must respect the
-// per-session job bound. Nothing is applied here.
+// (with surviving jobs or each other), and the result must hold at least
+// one job and respect the per-session job bound. Nothing is applied
+// here.
 func (s *Server) validateDelta(ls *liveSession, req *api.SessionDeltaRequest) error {
 	cur := ls.solver.SessionJobs()
 	have := make(map[int]bool, len(cur))
@@ -412,7 +412,11 @@ func (s *Server) validateDelta(ls *liveSession, req *api.SessionDeltaRequest) er
 		}
 		have[j.ID] = true
 	}
-	if n := len(cur) - len(req.RemoveIDs) + len(req.AddJobs); n > s.cfg.SessionMaxJobs {
+	n := len(cur) - len(req.RemoveIDs) + len(req.AddJobs)
+	if n == 0 {
+		return fmt.Errorf("delta would leave the session with no jobs: %w", mpss.ErrInvalidInstance)
+	}
+	if n > s.cfg.SessionMaxJobs {
 		return fmt.Errorf("delta would grow the session to %d jobs (bound %d): %w",
 			n, s.cfg.SessionMaxJobs, mpss.ErrInvalidInstance)
 	}

@@ -279,6 +279,63 @@ func TestSessionLimits(t *testing.T) {
 	checkSession(t, ts.URL, &sr, m, jobs[1:])
 }
 
+// A delta that would leave the session with no jobs is rejected before
+// any mutation applies: the session keeps its job set and seq, and a
+// later delta against that job set succeeds.
+func TestSessionDeltaToEmptyIsAtomic(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	jobs, m := testInstance()
+	code, body := post(t, ts.URL+"/v1/session", api.SolveRequest{M: m, Jobs: jobs})
+	if code != http.StatusOK {
+		t.Fatalf("session create: status %d (%.300s)", code, body)
+	}
+	var sr api.SessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/v1/session/" + sr.SessionID
+
+	var all []int
+	for _, j := range jobs {
+		all = append(all, j.ID)
+	}
+	code, body = post(t, base+"/delta", api.SessionDeltaRequest{RemoveIDs: all})
+	if code != http.StatusBadRequest {
+		t.Fatalf("delta removing every job: status %d (%.300s), want 400", code, body)
+	}
+	var eb api.ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Error.Kind != "invalid_instance" {
+		t.Errorf("delta removing every job: error kind %q, want invalid_instance", eb.Error.Kind)
+	}
+
+	code, body = do(t, http.MethodGet, base)
+	if code != http.StatusOK {
+		t.Fatalf("session get: status %d (%.300s)", code, body)
+	}
+	var got api.SessionResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != sr.Seq || got.Jobs != len(jobs) {
+		t.Errorf("after rejected delta: seq %d jobs %d, want %d %d", got.Seq, got.Jobs, sr.Seq, len(jobs))
+	}
+
+	code, body = post(t, base+"/delta", api.SessionDeltaRequest{RemoveIDs: []int{jobs[0].ID}})
+	if code != http.StatusOK {
+		t.Fatalf("delta after rejection: status %d (%.300s)", code, body)
+	}
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Seq != got.Seq+1 {
+		t.Errorf("delta after rejection: seq %d, want %d", sr.Seq, got.Seq+1)
+	}
+	checkSession(t, ts.URL, &sr, m, jobs[1:])
+}
+
 // A deadline that expires while the task queues — client still
 // connected — is the server's failure: 504 and server.deadline_exceeded,
 // not the 499 disconnect path.

@@ -117,13 +117,10 @@ func (s *Solver) MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) 
 }
 
 // SessionResult is the outcome of one Resolve of a streaming session:
-// the optimal schedule of the session's current job set, plus the
-// delta-solve metadata.
+// the optimal schedule of the session's current job set, plus the cap
+// verdict.
 type SessionResult struct {
 	Result *OptimalResult
-	// Incremental reports that the resolve warm-started from the
-	// previous resolve's flow network instead of rebuilding it.
-	Incremental bool
 	// Cap echoes the session's speed cap (0 = none); CapFeasible is the
 	// feasibility verdict at that cap, meaningful only when Cap > 0.
 	Cap         float64
@@ -132,10 +129,9 @@ type SessionResult struct {
 
 // Begin starts a streaming session over the instance: a mutable job set
 // revised by AddJob / RemoveJob / SetCap deltas and re-solved by
-// Resolve, which warm-starts from the previous resolve's flow network
-// whenever the mutations permit. Each Resolve returns bit-identical
-// results to a one-shot Solve of the session's current job set. Any
-// previously active session on this Solver is replaced.
+// Resolve. Each Resolve is the one-shot Solve of the session's current
+// job set on this Solver's arenas, and returns bit-identical results.
+// Any previously active session on this Solver is replaced.
 func (s *Solver) Begin(in *Instance, opts ...SolveOption) error {
 	return s.begin(in, false, opts)
 }
@@ -172,8 +168,8 @@ func errNoSession() error {
 	return fmt.Errorf("mpss: no active session (call Begin first): %w", ErrInvalidInstance)
 }
 
-// AddJob appends a job to the active session. The job set changes
-// structurally, so the next Resolve rebuilds its network.
+// AddJob appends a job to the active session; the next Resolve solves
+// the grown job set.
 func (s *Solver) AddJob(j Job) error {
 	if s.sess == nil {
 		return errNoSession()
@@ -181,9 +177,8 @@ func (s *Solver) AddJob(j Job) error {
 	return s.sess.AddJob(j)
 }
 
-// RemoveJob removes the job with the given ID from the active session,
-// draining its flow from the warm network in place — the incremental
-// mutation path a later Resolve re-augments from.
+// RemoveJob removes the job with the given ID from the active session;
+// the next Resolve solves the remaining job set.
 func (s *Solver) RemoveJob(id int) error {
 	if s.sess == nil {
 		return errNoSession()
@@ -202,8 +197,8 @@ func (s *Solver) SetCap(cap float64) error {
 }
 
 // Resolve solves the active session's current job set. Per-call options
-// may override the context; an error leaves the session usable (the
-// next Resolve rebuilds from scratch).
+// may override the context; an error leaves the session usable, with
+// every delta applied before it still in place.
 func (s *Solver) Resolve(opts ...SolveOption) (*SessionResult, error) {
 	if s.sess == nil {
 		return nil, errNoSession()
@@ -213,12 +208,7 @@ func (s *Solver) Resolve(opts ...SolveOption) (*SessionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SessionResult{
-		Result:      r.Res,
-		Incremental: r.Incremental,
-		Cap:         r.Cap,
-		CapFeasible: r.CapFeasible,
-	}, nil
+	return &SessionResult{Result: r.Res, Cap: r.Cap, CapFeasible: r.CapFeasible}, nil
 }
 
 // SessionJobs returns a copy of the active session's current job set
@@ -230,14 +220,9 @@ func (s *Solver) SessionJobs() []Job {
 	return s.sess.Jobs()
 }
 
-// End tears the active session down, releasing its persistent networks.
-// The Solver remains usable for one-shot solves and a later Begin.
-func (s *Solver) End() {
-	if s.sess != nil {
-		s.sess.Close()
-		s.sess = nil
-	}
-}
+// End tears the active session down, dropping its job set. The Solver
+// remains usable for one-shot solves and a later Begin.
+func (s *Solver) End() { s.sess = nil }
 
 // capOptions translates a solve config into the cap-search option set.
 func (cfg *solveConfig) capOptions() []opt.CapOption {
