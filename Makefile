@@ -72,13 +72,16 @@ apidoc:
 # flow.Graph twins rebuilt every round, for the phase-network kernel
 # (internal/flow/phasenet.go); the fifth fuzzes session delta batches
 # (add, remove, cap) against one-shot solves of the session's job set
-# (internal/opt/session.go).
+# (internal/opt/session.go); the sixth fuzzes the minimum-cap search
+# against a search probing every wave on a flow.Graph, and checks the
+# fixed-frequency schedule at the cap it returns (internal/opt/bounded.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzLayeredFirstPhase -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz FuzzPhaseNet -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/opt/
+	$(GO) test -run '^$$' -fuzz FuzzMinFeasibleCap -fuzztime 20s ./internal/opt/
 
 # trace-smoke streams a 50k-job diurnal trace through the decomposed
 # solve end to end: component counters asserted against the summary, a
@@ -88,12 +91,13 @@ fuzz-smoke:
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
-# contract-smoke runs the contracted-vs-raw differential solves under
-# the race detector: the contraction pass shares per-phase state with
-# the round engine, so one racy write there would silently corrupt the
-# active-set runs. -short keeps it to the small sizes.
+# contract-smoke runs the contracted-vs-raw differential solves, and the
+# cap searches with contraction on and off against their reference,
+# under the race detector: the contraction pass shares per-phase state
+# with the round engine, so one racy write there would silently corrupt
+# the active-set runs. -short keeps it to the small sizes.
 contract-smoke:
-	$(GO) test -race -short -run 'TestContractedMatchesRaw|TestTwoTierCap' ./internal/opt/
+	$(GO) test -race -short -run 'TestContractedMatchesRaw|TestCapSearchMatchesReference' ./internal/opt/
 
 verify: build vet test race cli-smoke serve-smoke session-smoke loadgen-smoke cluster-smoke trace-smoke
 

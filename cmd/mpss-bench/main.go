@@ -41,7 +41,6 @@ func main() {
 		n          = flag.Int("n", 0, "jobs per instance (0 = default)")
 		workers    = flag.Int("workers", 0, "experiments run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 		contract   = flag.Bool("contract", true, "interval contraction in the offline solves (off = raw-graph A/B baseline)")
-		approx     = flag.Bool("approx", true, "approximate first tier for cap searches (off = raw probes only)")
 		decompose  = flag.Bool("decompose", false, "zero-active-boundary decomposition in the offline solves (bit-identical results)")
 		csvDir     = flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
 		metricsOut = flag.String("metrics", "", "collect per-experiment solver metrics; print summaries and write them as JSON to this file")
@@ -65,7 +64,6 @@ func main() {
 		cfg.N = *n
 	}
 	cfg.NoContraction = !*contract
-	cfg.NoApprox = !*approx
 	cfg.Decompose = *decompose
 
 	if *csvDir != "" {

@@ -43,10 +43,6 @@ type Config struct {
 	// Results are bit-identical either way; only the runtime changes.
 	NoContraction bool
 
-	// NoApprox disables the approximate first tier of the cap searches
-	// (mpss-bench -approx=false). The returned caps do not change.
-	NoApprox bool
-
 	// Decompose turns on zero-active-boundary decomposition in every
 	// offline solve (mpss-bench -decompose). Results are bit-identical;
 	// only runtime changes, and only on separable instances.

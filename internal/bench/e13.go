@@ -52,11 +52,8 @@ func E13(cfg Config) ([]E13Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E13 %s seed=%d: %w", gname, seed, err)
 				}
-				capOpts := []opt.CapOption{
-					opt.WithCapContraction(!cfg.NoContraction),
-					opt.WithApproxFirst(!cfg.NoApprox),
-				}
-				minCap, err := opt.MinFeasibleCapObserved(in, 1e-6, cfg.Recorder, capOpts...)
+				minCap, err := opt.MinFeasibleCapObserved(in, 1e-6, cfg.Recorder,
+					opt.WithCapContraction(!cfg.NoContraction))
 				if err != nil {
 					return nil, err
 				}

@@ -7,15 +7,17 @@
 //     G(J, m, s), source -> job -> interval -> sink with each job reaching
 //     a contiguous window of intervals, stored as per-job windows and
 //     per-interval job lists instead of an edge list. internal/opt solves
-//     every round and emission of an ordinary phase on it. It pushes the
-//     same paths with the same float operations as a Graph built from the
-//     same edges, takes its levels from the sink, and hands back the
-//     co-reachable set its last BFS already labelled.
+//     every round and emission of an ordinary phase on it, and every
+//     feasibility probe, cap-search wave and ScheduleAtCap flow. It
+//     pushes the same paths with the same float operations as a Graph
+//     built from the same edges, takes its levels from the sink, and
+//     hands back the co-reachable set its last BFS already labelled.
 //   - Graph: Dinic's algorithm over float64 capacities with a configurable
-//     tolerance for residual-capacity comparisons, on any network. It
-//     carries everything PhaseNet does not: the feasibility and cap
-//     probes, the bounded-speed networks and the tests' references. A
-//     Graph is built, solved and read; a changed network is a new build.
+//     tolerance for residual-capacity comparisons, on any network. It is
+//     left for the networks that are not phase networks (experiment E11's
+//     Dinic-versus-push-relabel comparison) and as the reference the
+//     PhaseNet and cap-search tests compare against. A Graph is built,
+//     solved and read; a changed network is a new build.
 //   - RatGraph (rational.go): the same algorithm over exact math/big.Rat
 //     arithmetic, used to re-verify phase decisions on rational inputs.
 //     The exact engine mutates it in place between rounds: SetCapacity,
@@ -38,8 +40,7 @@
 // vertex's incident edges occupy one contiguous adjOff[v]..adjOff[v+1]
 // window of the index. The flat layout keeps the Dinic inner loops on two
 // contiguous allocations (cache locality) and makes graphs resettable
-// arenas: Reset reuses every backing array, and AcquireGraph/ReleaseGraph
-// (arena.go) recycle whole graphs across solves.
+// arenas: Reset reuses every backing array.
 //
 // The Dinic BFS of Graph and RatGraph stops as soon as it labels the
 // sink: every vertex it would label afterwards sits at or beyond the
@@ -220,36 +221,6 @@ func (g *Graph) Reset(n int) {
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.nv }
-
-// Grow pre-sizes the edge arena, the CSR index and the per-vertex
-// scratch for a graph that is about to receive up to ne AddEdge calls
-// over nv vertices. Callers that know the final shape in advance — the
-// contracted feasibility probes, whose node and edge counts are fixed
-// across an entire cap search — use it so that no AddEdge or build call
-// reallocates mid-construction, regardless of how small the pooled
-// graph they drew happened to be. Growing never discards edges already
-// added; a plain Reset+AddEdge sequence behaves identically, just with
-// amortized growth instead.
-func (g *Graph) Grow(nv, ne int) {
-	if cap(g.edges) < 2*ne {
-		edges := make([]edge, len(g.edges), 2*ne)
-		copy(edges, g.edges)
-		g.edges = edges
-	}
-	if cap(g.adjLst) < 2*ne {
-		lst := make([]int32, len(g.adjLst), 2*ne)
-		copy(lst, g.adjLst)
-		g.adjLst = lst
-	}
-	if n := max(nv, g.nv); n > 0 {
-		if cap(g.adjOff) < n+1 {
-			off := make([]int32, len(g.adjOff), n+1)
-			copy(off, g.adjOff)
-			g.adjOff = off
-		}
-		g.ensureScratch(n)
-	}
-}
 
 // SetTolerance overrides the absolute saturation tolerance. A zero value
 // restores the default (DefaultTolerance times the largest capacity).

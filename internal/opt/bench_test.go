@@ -149,7 +149,7 @@ func BenchmarkOptScheduleCold4096Jobs(b *testing.B) {
 	benchOptScheduleSlotted(b, 4096, true, true)
 }
 
-// Feasibility probes ride the pooled-arena path (AcquireGraph); this
+// Feasibility probes run on the pooled solver arena's capNet; this
 // guards the admission-control latency the online planner depends on.
 func BenchmarkFeasibleAtSpeed256Jobs(b *testing.B) {
 	in, err := workload.Uniform(workload.Spec{N: 256, M: 8, Seed: 1})
@@ -194,4 +194,28 @@ func BenchmarkMinFeasibleCap256Jobs(b *testing.B) {
 	b.ReportMetric(float64(snap.Counters["opt.probe_waves"])/div, "opt.probe_waves/op")
 	b.ReportMetric(float64(snap.Counters["opt.feasibility_probes"])/div, "opt.feasibility_probes/op")
 	b.ReportMetric(float64(snap.Counters["opt.bracket_solves"])/div, "opt.bracket_solves/op")
+}
+
+// The minimum-cap search on the wire-solve shape (64 jobs, m = 4): the
+// first-phase solve, the upper-bound check, and probes only for the
+// waves the first phase's cut does not refute.
+func BenchmarkMinFeasibleCap64Jobs(b *testing.B) {
+	in, err := workload.Bursty(workload.Spec{N: 64, M: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := obs.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinFeasibleCapObserved(in, 0, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	snap := rec.Snapshot()
+	div := float64(b.N)
+	b.ReportMetric(float64(snap.Counters["opt.feasibility_probes"])/div, "opt.feasibility_probes/op")
+	b.ReportMetric(float64(snap.Counters["opt.cut_waves"])/div, "opt.cut_waves/op")
+	b.ReportMetric(float64(snap.Counters["flow.dinic.edges_scanned"])/div, "flow.edges_scanned/op")
 }

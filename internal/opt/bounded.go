@@ -38,51 +38,125 @@ func FeasibleAtSpeedCtx(ctx context.Context, in *job.Instance, s float64, rec *o
 	if cerr := canceled(ctx, 0, 0); cerr != nil {
 		return false, cerr
 	}
-	return feasibleProbe(in, job.Partition(in.Jobs), s, rec)
+	if err := checkCap(s); err != nil {
+		return false, err
+	}
+	sv := solverPool.Get()
+	defer solverPool.Put(sv)
+	sv.cn.set(in, job.Partition(in.Jobs))
+	return sv.cn.feasible(in, s, rec), nil
 }
 
-// feasibleProbe is one feasibility max-flow test at cap s on a pooled
-// graph.
-func feasibleProbe(in *job.Instance, ivs []job.Interval, s float64, rec *obs.Recorder) (bool, error) {
+// checkCap rejects a speed cap no probe network can be built for.
+func checkCap(s float64) error {
 	if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		return false, fmt.Errorf("opt: invalid speed cap %v: %w", s, mpsserr.ErrInvalidInstance)
+		return fmt.Errorf("opt: invalid speed cap %v: %w", s, mpsserr.ErrInvalidInstance)
 	}
-	rec.Add("opt.feasibility_probes", 1)
+	return nil
+}
 
-	node := 1 + in.N()
-	ivNode := make([]int, len(ivs))
-	for jx := range ivs {
-		ivNode[jx] = node
-		node++
+// capNet is the feasibility network G(all jobs, full machine, x) of one
+// cap search, probe or ScheduleAtCap call, on a flow.PhaseNet: source
+// edges w_k/x, job to interval edges |I_j|, interval to sink edges
+// m|I_j|. Only the source capacities depend on the cap, so set builds
+// the shape once and every probe re-sets them on a zero flow and solves
+// from zero. Every interval is set, even one no job is active in, so the
+// kernel's tolerance is that of a flow.Graph built from the same edges,
+// and its flows are bit-identical to that graph's (the kernel follows
+// the same adjacency order: jobs ascending at s and in every interval's
+// list).
+type capNet struct {
+	pn    flow.PhaseNet
+	lists [][]int32 // per interval: the jobs active in it, ascending
+	prev  flow.DinicOps
+}
+
+// set shapes the network for the instance and its interval partition.
+func (c *capNet) set(in *job.Instance, ivs []job.Interval) {
+	c.pn.Reset(in.N(), len(ivs))
+	c.lists = growLists(c.lists, len(ivs))
+	for jx := range c.lists {
+		c.lists[jx] = c.lists[jx][:0]
 	}
-	sink := node
-	g := flow.AcquireGraph(node + 1)
-	defer flow.ReleaseGraph(g)
-
-	var demand float64
 	for k, j := range in.Jobs {
-		need := j.Work / s
-		if need > j.Span()*(1+flow.DefaultTolerance) {
-			// The job alone cannot finish inside its own window at cap s.
-			return false, nil
-		}
-		g.AddEdge(0, 1+k, need)
-		demand += need
-		for jx, iv := range ivs {
-			if j.ActiveIn(iv.Start, iv.End) {
-				g.AddEdge(1+k, ivNode[jx], iv.Len())
-			}
+		lo, hi := activeRun(ivs, j)
+		c.pn.SetJob(k, lo, hi-1, 0)
+		for jx := lo; jx < hi; jx++ {
+			c.lists[jx] = append(c.lists[jx], int32(k))
 		}
 	}
+	m := float64(in.M)
 	for jx, iv := range ivs {
-		g.AddEdge(ivNode[jx], sink, float64(in.M)*iv.Len())
+		c.pn.SetInterval(jx, iv.Len(), m*iv.Len(), c.lists[jx])
 	}
+	c.prev = flow.DinicOps{}
+}
 
+// load sets every source capacity to the job's demand at cap x and
+// returns the total demand, summed in job order. late is the first job
+// that cannot finish inside its own window at x, -1 when none; the
+// network is then only partly loaded and must not be solved.
+func (c *capNet) load(in *job.Instance, x float64) (demand float64, late int) {
+	c.pn.ResetFlow()
+	for k, j := range in.Jobs {
+		need := j.Work / x
+		if need > j.Span()*(1+flow.DefaultTolerance) {
+			return 0, k
+		}
+		c.pn.SetSourceCap(k, need)
+		demand += need
+	}
+	return demand, -1
+}
+
+// solve runs the loaded network's max flow from zero, publishes its
+// operation counts, and reports whether the flow meets the demand
+// within SolveTolerance.
+func (c *capNet) solve(demand float64, rec *obs.Recorder) (value float64, ok bool) {
 	stop := rec.Time("opt.flow_solve_seconds")
-	value := g.MaxFlow(0, sink)
+	value = c.pn.MaxFlow()
 	stop()
-	publishDinic(rec, nil, g.Ops())
-	return value >= demand-flow.SolveTolerance*math.Max(1, demand), nil
+	ops := c.pn.Ops()
+	publishDinic(rec, nil, ops.Sub(c.prev))
+	c.prev = ops
+	return value, value >= demand-flow.SolveTolerance*math.Max(1, demand)
+}
+
+// feasible is one feasibility probe at cap x (counted as
+// "opt.feasibility_probes").
+func (c *capNet) feasible(in *job.Instance, x float64, rec *obs.Recorder) bool {
+	rec.Add("opt.feasibility_probes", 1)
+	demand, late := c.load(in, x)
+	if late >= 0 {
+		return false
+	}
+	_, ok := c.solve(demand, rec)
+	return ok
+}
+
+// cutCert is the first phase's min cut, which refutes caps below s_1
+// without a flow. With J_1 the first phase's job set, W1 = W(J_1) and
+// C1 = sum over intervals of min(n_j(J_1), m)|I_j|, the cut
+// {s} ∪ J_1 ∪ {intervals with n_j(J_1) > m} of the probe network at cap
+// x has capacity demand(x) - W1/x + C1: the source edges of the jobs
+// outside J_1, J_1's edges into the intervals outside the cut, and the
+// sink edges of the intervals inside it. When W1/x - C1 exceeds twice
+// the probe's slack, that capacity — and so every flow — falls short of
+// the probe's acceptance threshold by more than the slack, which dwarfs
+// Dinic's float rounding: the probe would answer "infeasible". The zero
+// value certifies nothing.
+type cutCert struct{ work, time float64 }
+
+// refutes reports whether the certificate proves cap x infeasible.
+func (c cutCert) refutes(in *job.Instance, x float64) bool {
+	if c.work == 0 {
+		return false
+	}
+	var demand float64
+	for _, j := range in.Jobs {
+		demand += j.Work / x
+	}
+	return c.work/x-c.time > 2*flow.SolveTolerance*math.Max(1, demand)
 }
 
 // CapOption configures MinFeasibleCap / MinFeasibleCapObserved.
@@ -91,14 +165,15 @@ type CapOption func(*capConfig)
 type capConfig struct {
 	lo, hi      float64
 	haveBracket bool
-	noApprox    bool
 	noContract  bool
 	ctx         context.Context
 }
 
 // WithBracket supplies a known bracket [lo, hi] with hi feasible and lo
 // infeasible (lo may be 0), skipping the solve that otherwise derives
-// the upper bound from the unbounded optimum's top phase speed.
+// the upper bound from the unbounded optimum's top phase speed. Without
+// that solve the search has no cut certificate, so every wave runs a
+// feasibility probe.
 func WithBracket(lo, hi float64) CapOption {
 	return func(c *capConfig) { c.lo, c.hi, c.haveBracket = lo, hi, true }
 }
@@ -111,22 +186,9 @@ func WithCapContext(ctx context.Context) CapOption {
 	return func(c *capConfig) { c.ctx = ctx }
 }
 
-// WithApproxFirst toggles the two-tier probe dispatch (default on):
-// while the bracket is wider than approxCapWidth relative, feasibility
-// probes run on the packed network — contracted intervals, pre-packed
-// jobs, early-exit max-flow (see approx.go) — and the final refinement
-// waves run on the raw network. The probes of the approximate tier sit
-// far from the feasibility boundary, so the returned cap matches the
-// all-raw search's bit for bit (the differential tests pin this).
-func WithApproxFirst(on bool) CapOption {
-	return func(c *capConfig) { c.noApprox = !on }
-}
-
-// WithCapContraction toggles interval contraction inside the cap search
-// (default on): the packed probe tier and the first-phase bracketing
-// solve both shrink their networks with it. Turning contraction off
-// also disables the packed tier, since its graphs are contracted by
-// construction.
+// WithCapContraction toggles interval contraction in the first-phase
+// bracketing solve (default on). The returned cap is the same either
+// way.
 func WithCapContraction(on bool) CapOption {
 	return func(c *capConfig) { c.noContract = !on }
 }
@@ -138,12 +200,20 @@ func WithCapContraction(on bool) CapOption {
 // bracket; the function then shrinks the bracket with feasibility probes
 // to within rel relative tolerance (default flow.SolveTolerance when
 // rel <= 0).
+//
+// The first phase's min cut refutes, without a flow, every wave whose
+// cap lies far enough below s_1 (cutCert); the other waves, and the
+// upper-bound check, probe one network built once per search (capNet).
+// Both answer exactly as a probe on a freshly built flow.Graph would, so
+// the cap does not depend on which of them answered a wave.
 func MinFeasibleCap(in *job.Instance, rel float64, opts ...CapOption) (float64, error) {
 	return MinFeasibleCapObserved(in, rel, nil, opts...)
 }
 
 // MinFeasibleCapObserved is MinFeasibleCap with every probe counted in
-// the recorder ("opt.probe_waves" counts bracket-shrinking waves).
+// the recorder: "opt.probe_waves" counts bracket-shrinking waves,
+// "opt.cut_waves" those the cut certificate answered, and
+// "opt.feasibility_probes" the probes that ran.
 func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, opts ...CapOption) (float64, error) {
 	if rel <= 0 {
 		rel = flow.SolveTolerance
@@ -155,22 +225,26 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 	if err := validateForSolve(in); err != nil {
 		return 0, err
 	}
+	sv := solverPool.Get()
+	defer solverPool.Put(sv)
+	ivs := job.Partition(in.Jobs)
+	cn := &sv.cn
+	cn.set(in, ivs)
 
 	var lo, hi float64
+	var cut cutCert
 	if cfg.haveBracket {
 		if !(cfg.lo >= 0) || !(cfg.hi > cfg.lo) || math.IsInf(cfg.hi, 0) {
 			return 0, fmt.Errorf("opt: invalid bracket [%v, %v]: %w", cfg.lo, cfg.hi, mpsserr.ErrInvalidInstance)
 		}
 		lo, hi = cfg.lo, cfg.hi
-		ok, err := FeasibleAtSpeedObserved(in, hi, rec)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
+		if !cn.feasible(in, hi, rec) {
 			return 0, fmt.Errorf("opt: bracket upper bound %v is not feasible: %w", hi, mpsserr.ErrInvalidInstance)
 		}
 	} else {
-		top, err := bracketSpeed(cfg.ctx, in, !cfg.noContract, rec)
+		var top float64
+		var err error
+		top, cut, err = sv.bracketSpeed(cfg.ctx, in, ivs, !cfg.noContract, rec)
 		if err != nil {
 			if !retryable(err) {
 				return 0, err
@@ -185,15 +259,11 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 			top = res.Phases[0].Speed
 		}
 		hi = top * (1 + flow.SolveTolerance)
-		ok, err := FeasibleAtSpeedObserved(in, hi, rec)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
+		if !cn.feasible(in, hi, rec) {
 			// The unbounded optimum's top speed must be feasible; tolerate
 			// rounding by nudging upward.
 			hi *= 1 + flow.DiffTolerance
-			if ok, err = FeasibleAtSpeedObserved(in, hi, rec); err != nil || !ok {
+			if !cn.feasible(in, hi, rec) {
 				return 0, fmt.Errorf("opt: optimum speed %v not feasible as cap: %w", hi, mpsserr.ErrNumeric)
 			}
 		}
@@ -203,16 +273,6 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 	// Bisection: each wave probes the bracket midpoint, which becomes the
 	// new upper bound when feasible and the new lower bound otherwise
 	// (feasibility is monotone in the cap).
-	//
-	// Two-tier dispatch: wide-bracket waves probe on the packed network
-	// (approx.go), the final near-boundary waves on the raw one. The
-	// probe points depend only on the bracket, never on which tier
-	// answered, so both dispatch modes walk the same cap sequence.
-	ivs := job.Partition(in.Jobs)
-	var pk *packedProbe
-	if !cfg.noApprox && !cfg.noContract && hi-lo > approxCapWidth*hi {
-		pk = newPackedProbe(in, ivs, rec)
-	}
 	for hi-lo > rel*hi {
 		if cerr := canceled(cfg.ctx, 0, 0); cerr != nil {
 			rec.Add("opt.canceled", 1)
@@ -223,18 +283,10 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 			break
 		}
 		rec.Add("opt.probe_waves", 1)
-		var ok bool
-		var err error
-		if pk != nil && hi-lo > approxCapWidth*hi {
-			rec.Add("opt.approx_waves", 1)
-			ok, err = pk.feasible(mid)
-		} else {
-			ok, err = feasibleProbe(in, ivs, mid, rec)
-		}
-		if err != nil {
-			return 0, err
-		}
-		if ok {
+		if cut.refutes(in, mid) {
+			rec.Add("opt.cut_waves", 1)
+			lo = mid
+		} else if cn.feasible(in, mid, rec) {
 			hi = mid
 		} else {
 			lo = mid
@@ -245,12 +297,11 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 
 // bracketSpeed computes the unbounded optimum's top phase speed s_1 —
 // the natural MinFeasibleCap bracket — by running only the *first* phase
-// of the offline algorithm on the float engine. The previous
-// implementation ran a full Schedule just to read Phases[0].Speed,
-// double-solving every later phase; this path stops at the first
-// acceptance and skips schedule emission entirely. Shares the solver
-// pool and panic-containment conventions of Solver.Schedule.
-func bracketSpeed(ctx context.Context, in *job.Instance, contract bool, rec *obs.Recorder) (top float64, err error) {
+// of the offline algorithm on the float engine, stopping at the first
+// acceptance without emitting a schedule. It also returns that phase's
+// cut certificate: the accepted set's work and processor time. Shares
+// the panic-containment conventions of Solver.Schedule.
+func (s *Solver) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.Interval, contract bool, rec *obs.Recorder) (top float64, cut cutCert, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -265,14 +316,11 @@ func bracketSpeed(ctx context.Context, in *job.Instance, contract bool, rec *obs
 	}()
 	rec.Add("opt.bracket_solves", 1)
 
-	s := solverPool.Get()
-	defer solverPool.Put(s)
 	e := &s.fe
 	e.tol = flow.SolveTolerance
 	e.cold = false
 	e.contract = contract
 
-	ivs := job.Partition(in.Jobs)
 	used := make([]int, len(ivs))
 	cand := make([]int, in.N())
 	for i := range cand {
@@ -287,24 +335,24 @@ func bracketSpeed(ctx context.Context, in *job.Instance, contract bool, rec *obs
 	for {
 		if cerr := canceled(ctx, 1, 0); cerr != nil {
 			rec.Add("opt.canceled", 1)
-			return 0, cerr
+			return 0, cutCert{}, cerr
 		}
 		rec.Add("opt.rounds", 1)
 		if degenerate {
 			var empty bool
 			degenerate, empty = e.dropLeastWork()
 			if empty {
-				return 0, e.emptyErr()
+				return 0, cutCert{}, e.emptyErr()
 			}
 			continue
 		}
 		if e.solveRound() == 0 {
-			return e.speed, nil
+			return e.speed, cutCert{work: e.totalWork, time: e.totalTime}, nil
 		}
 		var empty bool
 		degenerate, empty = e.removeExcluded()
 		if empty {
-			return 0, e.emptyErr()
+			return 0, cutCert{}, e.emptyErr()
 		}
 	}
 }

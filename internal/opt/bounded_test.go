@@ -150,13 +150,17 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := obs.New()
-		top, err := bracketSpeed(nil, in, true, rec)
+		top, cut, err := NewSolver().bracketSpeed(nil, in, job.Partition(in.Jobs), true, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if top != res.Phases[0].Speed {
 			t.Fatalf("seed %d: bracket speed %v != Phases[0].Speed %v",
 				seed, top, res.Phases[0].Speed)
+		}
+		// The certificate is the accepted set's W(J_1) and C(J_1).
+		if cut.work/cut.time != top {
+			t.Fatalf("seed %d: cut certificate %v/%v != bracket speed %v", seed, cut.work, cut.time, top)
 		}
 		if rec.Value("opt.bracket_solves") != 1 {
 			t.Fatal("bracket solve not counted")

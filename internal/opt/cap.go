@@ -19,78 +19,52 @@ import (
 // Experiment E13 uses it to quantify how much energy the paper's optimal
 // multi-speed profile saves over single-frequency operation.
 func ScheduleAtCap(in *job.Instance, cap float64) (*schedule.Schedule, error) {
-	if cap <= 0 || math.IsNaN(cap) || math.IsInf(cap, 0) {
-		return nil, fmt.Errorf("opt: invalid speed cap %v: %w", cap, mpsserr.ErrInvalidInstance)
+	if err := checkCap(cap); err != nil {
+		return nil, err
 	}
 	if err := validateForSolve(in); err != nil {
 		return nil, err
 	}
 	ivs := job.Partition(in.Jobs)
-
-	node := 1 + in.N()
-	ivNode := make([]int, len(ivs))
-	for jx := range ivs {
-		ivNode[jx] = node
-		node++
+	sv := solverPool.Get()
+	defer solverPool.Put(sv)
+	cn := &sv.cn
+	cn.set(in, ivs)
+	demand, late := cn.load(in, cap)
+	if late >= 0 {
+		return nil, fmt.Errorf("opt: job %d cannot finish inside its window at cap %v: %w", in.Jobs[late].ID, cap, mpsserr.ErrInfeasible)
 	}
-	sink := node
-	g := flow.AcquireGraph(node + 1)
-	defer flow.ReleaseGraph(g)
-
-	type midEdge struct {
-		jobIdx, ivIdx int
-		id            flow.EdgeID
-	}
-	var mids []midEdge
-	var demand float64
-	for k, j := range in.Jobs {
-		need := j.Work / cap
-		if need > j.Span()*(1+flow.DefaultTolerance) {
-			return nil, fmt.Errorf("opt: job %d cannot finish inside its window at cap %v: %w", j.ID, cap, mpsserr.ErrInfeasible)
-		}
-		g.AddEdge(0, 1+k, need)
-		demand += need
-		for jx, iv := range ivs {
-			if j.ActiveIn(iv.Start, iv.End) {
-				id := g.AddEdge(1+k, ivNode[jx], iv.Len())
-				mids = append(mids, midEdge{jobIdx: k, ivIdx: jx, id: id})
-			}
-		}
-	}
-	for jx, iv := range ivs {
-		g.AddEdge(ivNode[jx], sink, float64(in.M)*iv.Len())
-	}
-
-	value := g.MaxFlow(0, sink)
-	if value < demand-flow.SolveTolerance*math.Max(1, demand) {
+	value, ok := cn.solve(demand, nil)
+	if !ok {
 		return nil, fmt.Errorf("opt: instance infeasible at cap %v (flow %v of %v): %w", cap, value, demand, mpsserr.ErrInfeasible)
 	}
 
-	perIv := make([][]schedule.Piece, len(ivs))
-	for _, e := range mids {
-		t := g.Flow(e.id)
-		if t <= flow.DefaultTolerance {
-			continue
-		}
-		perIv[e.ivIdx] = append(perIv[e.ivIdx], schedule.Piece{
-			JobID:    in.Jobs[e.jobIdx].ID,
-			Duration: math.Min(t, ivs[e.ivIdx].Len()),
-			Speed:    cap,
-		})
-	}
 	out := schedule.New(in.M)
 	procs := make([]int, in.M)
 	for i := range procs {
 		procs[i] = i
 	}
-	for jx, pieces := range perIv {
+	var pieces []schedule.Piece
+	for jx, iv := range ivs {
+		pieces = pieces[:0]
+		for _, k := range cn.lists[jx] {
+			t := cn.pn.EdgeFlow(int(k), jx)
+			if t <= flow.DefaultTolerance {
+				continue
+			}
+			pieces = append(pieces, schedule.Piece{
+				JobID:    in.Jobs[k].ID,
+				Duration: math.Min(t, iv.Len()),
+				Speed:    cap,
+			})
+		}
 		if len(pieces) == 0 {
 			continue
 		}
 		var err error
-		out.Segments, err = schedule.WrapAround(out.Segments, ivs[jx].Start, ivs[jx].End, procs, pieces)
+		out.Segments, err = schedule.WrapAround(out.Segments, iv.Start, iv.End, procs, pieces)
 		if err != nil {
-			return nil, fmt.Errorf("opt: packing %v at cap: %w", ivs[jx], err)
+			return nil, fmt.Errorf("opt: packing %v at cap: %w", iv, err)
 		}
 	}
 	out.Normalize()

@@ -72,49 +72,6 @@ func TestContractedMatchesRawExact(t *testing.T) {
 	}
 }
 
-// The two-tier cap search must return the bit-identical cap: tier 1
-// only answers coarse bracket questions far from the feasibility
-// boundary, so the probe points — which depend solely on the bracket —
-// never diverge from the raw search's.
-func TestTwoTierCapMatchesRaw(t *testing.T) {
-	for _, gname := range []string{"uniform", "tight", "slotted"} {
-		gen, err := workload.ByName(gname)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{16, 64, 256} {
-			if testing.Short() && n > 64 {
-				continue
-			}
-			in, err := gen.Make(workload.Spec{N: n, M: 4, Seed: int64(n)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := obs.New()
-			two, err := MinFeasibleCapObserved(in, 1e-9, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := MinFeasibleCapObserved(in, 1e-9, nil,
-				WithApproxFirst(false), WithCapContraction(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if two != raw {
-				t.Fatalf("%s n=%d: two-tier cap %v != raw cap %v", gname, n, two, raw)
-			}
-			snap := rec.Snapshot()
-			if n >= 64 && snap.Counters["opt.approx_probes"] == 0 {
-				t.Fatalf("%s n=%d: no approximate probes ran (counters %v)", gname, n, snap.Counters)
-			}
-			// Tier 2 always finishes the search on the raw network.
-			if snap.Counters["opt.approx_probes"] >= snap.Counters["opt.feasibility_probes"] {
-				t.Fatalf("%s n=%d: every probe was approximate; the boundary must be raw-probed", gname, n)
-			}
-		}
-	}
-}
-
 // Property: contraction never increases the interval count, maps every
 // active interval into a valid super-interval, and only merges
 // intervals with identical active sets and processor budgets. Random

@@ -207,6 +207,7 @@ func canceled(ctx context.Context, phase, round int) error {
 type Solver struct {
 	fe floatEngine
 	ee exactEngine
+	cn capNet // feasibility probes and ScheduleAtCap
 }
 
 // NewSolver returns an empty solver arena.

@@ -330,7 +330,7 @@ func FuzzSessionDeltas(f *testing.F) {
 	})
 }
 
-// The cap verdict must be feasibleProbe's for every cap retune and
+// The cap verdict must be FeasibleAtSpeedCtx's for every cap retune and
 // across removals.
 func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 	in := flatSession(12)

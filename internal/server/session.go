@@ -27,6 +27,10 @@ type liveSession struct {
 	power  mpss.Alpha
 	exact  bool
 	solver *mpss.Solver // owner-worker only
+	// Owner-worker only, like solver: the machine size and the speed cap
+	// last applied (0 = none), which an undone delta restores.
+	m   int
+	cap float64
 
 	mu       sync.Mutex
 	jobs     int
@@ -255,6 +259,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		power:  p,
 		exact:  req.Exact,
 		solver: mpss.NewSolver(mpss.WithRecorder(s.rec)),
+		m:      req.M,
 		notify: make(chan struct{}),
 	}
 	ls.lastUsed = time.Now()
@@ -277,6 +282,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			if err := ls.solver.SetCap(req.Cap); err != nil {
 				return s.sessionFail(r, err)
 			}
+			ls.cap = req.Cap
 		}
 		res, err := ls.solver.Resolve(mpss.WithContext(ctx))
 		if err != nil {
@@ -317,7 +323,9 @@ func validCap(c float64) bool {
 // handleSessionDelta applies one mutation batch atomically — every
 // mutation is validated against the session's current job set before
 // any is applied, so a 400 leaves the session exactly as it was — then
-// re-solves the session's job set and publishes the result.
+// re-solves the session's job set and publishes the result. A batch
+// whose resolve fails (504 on a deadline, 499 on a disconnect) is
+// undone, so the session stays as last published.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	reqID := RequestIDFromContext(r.Context())
 	s.rec.Add("server.requests", 1)
@@ -357,25 +365,12 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		if err := s.validateDelta(ls, &req); err != nil {
 			return s.sessionFail(r, err)
 		}
-		for _, id := range req.RemoveIDs {
-			if err := ls.solver.RemoveJob(id); err != nil {
-				return s.sessionFail(r, err)
-			}
-		}
-		for _, j := range req.AddJobs {
-			if err := ls.solver.AddJob(j); err != nil {
-				return s.sessionFail(r, err)
-			}
-		}
-		if req.Cap != nil {
-			if err := ls.solver.SetCap(*req.Cap); err != nil {
-				return s.sessionFail(r, err)
-			}
-		}
-		res, err := ls.solver.Resolve(mpss.WithContext(ctx))
+		jobs, cap := ls.solver.SessionJobs(), ls.cap
+		res, err := ls.applyDelta(ctx, &req)
 		if err != nil {
-			// The session stays alive with the mutations applied; the
-			// next delta re-solves the job set as it then stands.
+			// Nothing of a failed batch is published, so none of it may
+			// stay applied: restore the job set and cap it started from.
+			ls.restore(jobs, cap)
 			return s.sessionFail(r, err)
 		}
 		s.rec.Add("server.delta_solves", 1)
@@ -384,6 +379,54 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return out
 	})
 	resp.write(w, reqID)
+}
+
+// testHookDeltaApplied, when non-nil, runs on the owner worker between
+// a delta's mutations and its resolve, with the resolve's context.
+var testHookDeltaApplied func(ctx context.Context)
+
+// applyDelta applies a validated batch to the session's solver and
+// re-solves the job set. Owner worker only.
+func (ls *liveSession) applyDelta(ctx context.Context, req *api.SessionDeltaRequest) (*mpss.SessionResult, error) {
+	for _, id := range req.RemoveIDs {
+		if err := ls.solver.RemoveJob(id); err != nil {
+			return nil, err
+		}
+	}
+	for _, j := range req.AddJobs {
+		if err := ls.solver.AddJob(j); err != nil {
+			return nil, err
+		}
+	}
+	if req.Cap != nil {
+		if err := ls.solver.SetCap(*req.Cap); err != nil {
+			return nil, err
+		}
+		ls.cap = *req.Cap
+	}
+	if testHookDeltaApplied != nil {
+		testHookDeltaApplied(ctx)
+	}
+	return ls.solver.Resolve(mpss.WithContext(ctx))
+}
+
+// restore restarts the session over the job set and cap it held before
+// a failed batch, in the same job order, so later resolves are those of
+// a session that never saw the batch. Owner worker only.
+func (ls *liveSession) restore(jobs []mpss.Job, cap float64) {
+	begin := ls.solver.Begin
+	if ls.exact {
+		begin = ls.solver.BeginExact
+	}
+	// The job set and cap passed validation when they were applied; a
+	// failure here is a bug, which runTask turns into a 500.
+	if err := begin(&mpss.Instance{M: ls.m, Jobs: jobs}); err != nil {
+		panic(fmt.Sprintf("server: restoring session %s: %v", ls.id, err))
+	}
+	if err := ls.solver.SetCap(cap); err != nil {
+		panic(fmt.Sprintf("server: restoring session %s cap: %v", ls.id, err))
+	}
+	ls.cap = cap
 }
 
 // validateDelta checks the whole mutation batch against the current job

@@ -336,6 +336,65 @@ func TestSessionDeltaToEmptyIsAtomic(t *testing.T) {
 	checkSession(t, ts.URL, &sr, m, jobs[1:])
 }
 
+// A batch whose resolve fails is undone: the deadline expires between
+// the batch's mutations and its resolve (504), GET still reads the last
+// published seq and job count, and a delta naming a job the failed batch
+// added is rejected as unknown (400). The next delta solves as if the
+// failed one had never been sent.
+func TestSessionFailedDeltaIsUndone(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	jobs, m := testInstance()
+	code, body := post(t, ts.URL+"/v1/session", api.SolveRequest{M: m, Jobs: jobs, Cap: 100})
+	if code != http.StatusOK {
+		t.Fatalf("session create: status %d (%.300s)", code, body)
+	}
+	var sr api.SessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/v1/session/" + sr.SessionID
+
+	testHookDeltaApplied = func(ctx context.Context) { <-ctx.Done() }
+	added := mpss.Job{ID: 3, Release: 0, Deadline: 6, Work: 1}
+	cap := 0.5
+	code, body = post(t, base+"/delta", api.SessionDeltaRequest{
+		RemoveIDs: []int{jobs[0].ID}, AddJobs: []mpss.Job{added}, Cap: &cap, TimeoutMS: 20,
+	})
+	testHookDeltaApplied = nil
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("delta past its deadline: status %d (%.300s), want 504", code, body)
+	}
+
+	code, body = do(t, http.MethodGet, base)
+	if code != http.StatusOK {
+		t.Fatalf("session get: status %d (%.300s)", code, body)
+	}
+	var got api.SessionResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != sr.Seq || got.Jobs != len(jobs) {
+		t.Errorf("after failed delta: seq %d jobs %d, want %d %d", got.Seq, got.Jobs, sr.Seq, len(jobs))
+	}
+
+	code, body = post(t, base+"/delta", api.SessionDeltaRequest{RemoveIDs: []int{added.ID}})
+	if code != http.StatusBadRequest {
+		t.Fatalf("delta removing a job of the failed batch: status %d (%.300s), want 400", code, body)
+	}
+
+	code, body = post(t, base+"/delta", api.SessionDeltaRequest{RemoveIDs: []int{jobs[1].ID}})
+	if code != http.StatusOK {
+		t.Fatalf("delta after the failed one: status %d (%.300s)", code, body)
+	}
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Seq != got.Seq+1 || sr.Cap != 100 {
+		t.Errorf("delta after the failed one: seq %d cap %v, want %d 100", sr.Seq, sr.Cap, got.Seq+1)
+	}
+	checkSession(t, ts.URL, &sr, m, jobs[:1])
+}
+
 // A deadline that expires while the task queues — client still
 // connected — is the server's failure: 504 and server.deadline_exceeded,
 // not the 499 disconnect path.

@@ -136,7 +136,6 @@ type solveConfig struct {
 	capHi      float64
 	capBracket bool
 	noContract bool
-	noApprox   bool
 	decompose  bool
 	// decomposeSet distinguishes an explicit WithDecomposition(false)
 	// from the unset default: one-shot solves default off, the streaming
@@ -163,8 +162,11 @@ func WithParallelism(n int) SolveOption {
 
 // WithBracket supplies MinFeasibleCap with a known search bracket
 // [lo, hi] — hi a feasible cap, lo an infeasible one (0 allowed) —
-// skipping the optimal-schedule solve that otherwise derives the upper
-// bound. Other entry points ignore it.
+// skipping the first-phase solve that otherwise derives the upper
+// bound. Without that solve no wave can be answered by the first
+// phase's min cut, so every wave runs a feasibility probe; the returned
+// cap is the one the same bracket always gives. Other entry points
+// ignore it.
 func WithBracket(lo, hi float64) SolveOption {
 	return func(c *solveConfig) { c.capLo, c.capHi, c.capBracket = lo, hi, true }
 }
@@ -192,17 +194,6 @@ func WithContraction(on bool) SolveOption {
 // cut points pay one O(n log n) sweep and solve exactly as before.
 func WithDecomposition(on bool) SolveOption {
 	return func(c *solveConfig) { c.decompose = on; c.decomposeSet = true }
-}
-
-// WithApproxFirst toggles the two-tier cap search (default on): while
-// the MinFeasibleCap bracket is still wide, feasibility probes run on a
-// contracted, pre-packed network with an early-exit max-flow; the final
-// narrowing always uses full-precision probes on the raw network, so
-// the returned cap is bit-identical either way. Entry points other
-// than MinFeasibleCap ignore it. Disabling contraction also disables
-// the approximate tier.
-func WithApproxFirst(on bool) SolveOption {
-	return func(c *solveConfig) { c.noApprox = !on }
 }
 
 func buildSolveConfig(opts []SolveOption) solveConfig {
@@ -372,8 +363,13 @@ func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, erro
 
 // MinFeasibleCap returns the smallest processor speed cap at which the
 // instance remains feasible, to relative tolerance rel, by bisection
-// with feasibility probes; WithBracket skips the initial bracketing
-// solve.
+// from the unbounded optimum's top phase speed s_1. That speed comes
+// from solving the optimum's first phase only, and the phase's min cut
+// answers the waves far below s_1 without a flow; every other wave runs
+// one feasibility probe on a network built once per search. With
+// WithRecorder, "opt.probe_waves" counts the waves, "opt.cut_waves"
+// those the cut answered and "opt.feasibility_probes" the probes run.
+// WithBracket skips the first-phase solve, and with it the cut.
 func MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	s, release := oneShot(opts)
 	defer release()

@@ -229,7 +229,6 @@ func (cfg *solveConfig) capOptions() []opt.CapOption {
 	capOpts := []opt.CapOption{
 		opt.WithCapContext(cfg.ctx),
 		opt.WithCapContraction(!cfg.noContract),
-		opt.WithApproxFirst(!cfg.noApprox),
 	}
 	if cfg.capBracket {
 		capOpts = append(capOpts, opt.WithBracket(cfg.capLo, cfg.capHi))
