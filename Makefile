@@ -66,19 +66,17 @@ apidoc:
 # catch a reintroduced panic path, cheap enough for every CI run. The
 # second leg fuzzes instance shapes against the one-removal-per-round
 # reference of the phase loop (internal/opt/reference_test.go); the
-# third fuzzes three-layer networks and their near misses against plain
-# Dinic, for the one-pass first level phase (internal/flow/layered.go);
-# the fourth fuzzes phase networks through in-place rounds against
-# flow.Graph twins rebuilt every round, for the phase-network kernel
-# (internal/flow/phasenet.go); the fifth fuzzes session delta batches
-# (add, remove, cap) against one-shot solves of the session's job set
-# (internal/opt/session.go); the sixth fuzzes the minimum-cap search
+# third fuzzes phase networks through in-place rounds against plain
+# Dinic on flow.Graph twins rebuilt every round, for the phase-network
+# kernel and its one-pass first level phase (internal/flow/phasenet.go);
+# the fourth fuzzes session delta batches (add, remove, cap) against
+# one-shot solves of the session's job set (internal/opt/session.go);
+# the fifth fuzzes the minimum-cap search
 # against a search probing every wave on a flow.Graph, and checks the
 # fixed-frequency schedule at the cap it returns (internal/opt/bounded.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
-	$(GO) test -run '^$$' -fuzz FuzzLayeredFirstPhase -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz FuzzPhaseNet -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzMinFeasibleCap -fuzztime 20s ./internal/opt/
@@ -101,9 +99,9 @@ contract-smoke:
 
 verify: build vet test race cli-smoke serve-smoke session-smoke loadgen-smoke cluster-smoke trace-smoke
 
-# bench runs the solver benchmark family (default in-place engine vs the
-# cold per-round-rebuild baseline, plus BenchmarkOptScheduleTraceComponents,
-# the trace-stream solve per component) and archives the numbers — ns/op,
+# bench runs the solver benchmark family (the solver by instance size,
+# contraction on and off, plus BenchmarkOptScheduleTraceComponents, the
+# trace-stream solve per component, and the cap-search probes) and archives the numbers — ns/op,
 # allocs/op and the solver-internal counters reported via b.ReportMetric
 # — as BENCH_opt.json. The raw benchstat-compatible text lands in
 # bench_opt.txt for `benchstat old.txt bench_opt.txt` comparisons.
@@ -127,7 +125,7 @@ bench-trace:
 # bench-smoke is the fast CI variant: one iteration of the small sizes
 # and of the trace-component solve.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkOptSchedule(Cold)?64Jobs|BenchmarkOptScheduleTraceComponents' \
+	$(GO) test -run xxx -bench 'BenchmarkOptSchedule64Jobs|BenchmarkOptScheduleTraceComponents' \
 		-benchtime 1x -count 1 ./internal/opt/
 
 clean:

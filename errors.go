@@ -21,8 +21,8 @@ var (
 
 	// ErrNumeric marks a floating-point precision failure inside the
 	// float solver engine. The solver retries such failures internally
-	// (cold restart, then exact rational arithmetic); callers only see
-	// ErrNumeric when every rung of that ladder failed.
+	// in exact rational arithmetic; callers only see ErrNumeric when that
+	// retry failed too.
 	ErrNumeric = mpsserr.ErrNumeric
 
 	// ErrInternal marks a solver bug: an invariant the algorithm

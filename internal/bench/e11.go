@@ -12,8 +12,9 @@ import (
 )
 
 // E11Row is one size point of the flow-solver ablation: the same
-// scheduler-shaped network G(all jobs, m, W/P) solved by Dinic, by
-// push-relabel, and (at small sizes) by the exact rational solver.
+// scheduler-shaped network G(all jobs, m, W/P) solved by Dinic (the
+// flow.PhaseNet kernel the scheduler ships), by push-relabel, and (at
+// small sizes) by the exact rational solver.
 type E11Row struct {
 	N          int
 	Vertices   int
@@ -47,13 +48,17 @@ func E11(cfg Config, sizes []int) ([]E11Row, error) {
 			row.Edges = len(net.edges)
 
 			t0 := time.Now()
-			dg := flow.NewGraph(net.vertices)
-			for _, e := range net.edges {
-				dg.AddEdge(e.from, e.to, e.cap)
+			var pn flow.PhaseNet
+			pn.Reset(len(net.jobs), len(net.ivs))
+			for i, j := range net.jobs {
+				pn.SetJob(i, j.lo, j.hi, j.cap)
 			}
-			dv := dg.MaxFlow(0, net.vertices-1)
+			for r, iv := range net.ivs {
+				pn.SetInterval(r, iv.len, iv.sinkCap, iv.jobs)
+			}
+			dv := pn.MaxFlow()
 			row.DinicNanos += time.Since(t0).Nanoseconds()
-			dops := dg.Ops()
+			dops := pn.Ops()
 			rec := cfg.Recorder
 			rec.Add("flow.solves", 2)
 			rec.Add("flow.dinic.bfs_passes", dops.BFSPasses)
@@ -112,9 +117,24 @@ type netEdge struct {
 	cap      float64
 }
 
+// phaseNetwork is one network in two forms: an edge list for the
+// generic solvers, and the job windows and interval job lists a
+// flow.PhaseNet takes.
 type phaseNetwork struct {
 	vertices int
 	edges    []netEdge
+	jobs     []phaseJob
+	ivs      []phaseIv
+}
+
+type phaseJob struct {
+	lo, hi int // the window of intervals the job is active in
+	cap    float64
+}
+
+type phaseIv struct {
+	len, sinkCap float64
+	jobs         []int32 // the jobs active in the interval, ascending
 }
 
 // buildPhaseNetwork constructs G(J, m, s) for the full job set at the
@@ -133,16 +153,26 @@ func buildPhaseNetwork(in *job.Instance) phaseNetwork {
 
 	net := phaseNetwork{vertices: 2 + in.N() + len(ivs)}
 	sink := net.vertices - 1
+	for _, iv := range ivs {
+		net.ivs = append(net.ivs, phaseIv{len: iv.Len(), sinkCap: float64(in.M) * iv.Len()})
+	}
 	for k, j := range in.Jobs {
 		net.edges = append(net.edges, netEdge{0, 1 + k, j.Work / s})
+		pj := phaseJob{lo: 0, hi: -1, cap: j.Work / s}
 		for jx, iv := range ivs {
 			if j.ActiveIn(iv.Start, iv.End) {
 				net.edges = append(net.edges, netEdge{1 + k, 1 + in.N() + jx, iv.Len()})
+				if pj.hi < pj.lo {
+					pj.lo = jx
+				}
+				pj.hi = jx
+				net.ivs[jx].jobs = append(net.ivs[jx].jobs, int32(k))
 			}
 		}
+		net.jobs = append(net.jobs, pj)
 	}
-	for jx, iv := range ivs {
-		net.edges = append(net.edges, netEdge{1 + in.N() + jx, sink, float64(in.M) * iv.Len()})
+	for jx, iv := range net.ivs {
+		net.edges = append(net.edges, netEdge{1 + in.N() + jx, sink, iv.sinkCap})
 	}
 	return net
 }

@@ -1,38 +1,34 @@
 // Package flow provides the maximum-flow substrate used by the
 // combinatorial offline speed-scaling algorithm (Section 2 of the paper).
 //
-// Four solvers are provided, two of them float64 Dinic kernels:
+// There is one production Dinic per arithmetic, plus a plain reference
+// and an ablation partner:
 //
-//   - PhaseNet (phasenet.go): Dinic over exactly the scheduler's network
-//     G(J, m, s), source -> job -> interval -> sink with each job reaching
-//     a contiguous window of intervals, stored as per-job windows and
-//     per-interval job lists instead of an edge list. internal/opt solves
-//     every round and emission of an ordinary phase on it, and every
-//     feasibility probe, cap-search wave and ScheduleAtCap flow. It
-//     pushes the same paths with the same float operations as a Graph
-//     built from the same edges, takes its levels from the sink, and
-//     hands back the co-reachable set its last BFS already labelled.
-//   - Graph: Dinic's algorithm over float64 capacities with a configurable
-//     tolerance for residual-capacity comparisons, on any network. It is
-//     left for the networks that are not phase networks (experiment E11's
-//     Dinic-versus-push-relabel comparison) and as the reference the
-//     PhaseNet and cap-search tests compare against. A Graph is built,
+//   - PhaseNet (phasenet.go): float64 Dinic over exactly the scheduler's
+//     network G(J, m, s), source -> job -> interval -> sink with each job
+//     reaching a contiguous window of intervals, stored as per-job
+//     windows and per-interval job lists instead of an edge list.
+//     internal/opt solves every round and emission of a float phase on
+//     it, and every feasibility probe, cap-search wave and ScheduleAtCap
+//     flow. It pushes the same paths with the same float operations as a
+//     Graph built from the same edges, takes its levels from the sink,
+//     and hands back the co-reachable set its last BFS already labelled.
+//   - RatGraph (rational.go): the same Dinic over exact math/big.Rat
+//     arithmetic, on any network. The exact engine builds one for every
+//     round and solves it from zero flow.
+//   - Graph: textbook Dinic over float64 capacities with a configurable
+//     tolerance for residual-capacity comparisons, on any network. No
+//     production code uses it: it is the plain reference the PhaseNet,
+//     cap-search and scheduler tests compare against. A Graph is built,
 //     solved and read; a changed network is a new build.
-//   - RatGraph (rational.go): the same algorithm over exact math/big.Rat
-//     arithmetic, used to re-verify phase decisions on rational inputs.
-//     The exact engine mutates it in place between rounds: SetCapacity,
-//     ScaleSourceCaps and RemoveJobEdge keep the flow feasible by
-//     draining what no longer fits, and the next MaxFlow re-augments
-//     from there (rational.go, DESIGN.md §7).
-//   - PRGraph (pushrelabel.go): push-relabel, the E11 ablation partner.
+//   - PRGraph (pushrelabel.go): push-relabel, the partner of experiment
+//     E11's Dinic-versus-push-relabel ablation.
 //
-// EdgesScanned counts differently in the two: Graph counts every
-// adjacency entry its BFS and DFS visit (and the forward edges its
-// first-phase pass reads), PhaseNet only the arcs whose residual it
-// reads, never the arcs into s, out of t or of removed jobs, and no dead
-// end, since its DFS never enters one. On the scheduler's 2048-job gate
-// trace that is ~451 edges per job against Graph's ~923, for the same
-// augmenting paths.
+// EdgesScanned counts differently in Graph and PhaseNet: Graph counts
+// every adjacency entry its BFS and DFS visit, PhaseNet only the arcs
+// whose residual it reads, never the arcs into s, out of t or of removed
+// jobs, and no dead end, since its DFS never enters one. AugPaths and
+// BFSPasses are the same in both.
 //
 // Graph, RatGraph and PRGraph store the residual network as a single
 // flat edge array with a CSR-style adjacency index built lazily on first solve: the forward edge
@@ -50,16 +46,6 @@
 // a BFS that expands every reachable vertex; EdgesScanned counts fewer
 // edges (~25% fewer on the scheduler's phase networks), since neither
 // the BFS nor the DFS visits those vertices' edges any more.
-//
-// On a three-layer network (source -> L1 -> L2 -> sink, the shape of
-// every G(J, m, s)) solved from zero flow, Graph runs Dinic's first
-// level phase as one direct pass instead of BFS 1 and the recursive DFS
-// (layered.go): same paths, same order, same amounts, so per-edge flows,
-// AugPaths and BFSPasses are plain Dinic's. EdgesScanned then counts the
-// forward edges the pass reads, not every adjacency entry BFS 1 and the
-// DFS visited: on the scheduler's 2048-job gate trace, solved cold, it
-// fell from ~1,250 to ~895 per job, most of what remains being later
-// level phases.
 package flow
 
 import (
@@ -85,7 +71,7 @@ const (
 	SolveTolerance = DefaultTolerance * 1e3
 
 	// DiffTolerance is the comparison slack for cross-engine checks
-	// (float vs exact, warm vs cold, Dinic vs push-relabel): loose enough
+	// (float vs exact, PhaseNet vs Graph, Dinic vs push-relabel): loose enough
 	// to absorb legitimately different rounding paths, tight enough to
 	// catch real disagreement.
 	DiffTolerance = SolveTolerance * 1e3
@@ -100,14 +86,13 @@ func Close(a, b, tol float64) bool {
 }
 
 // InvariantViolation is the panic payload of the solver's internal
-// invariant checks (drain convergence, cancel accounting, derived
-// capacities staying finite). Panicking — instead of returning an error
-// through a dozen internal frames that have no way to continue — keeps
-// the hot paths clean; the solver driver (internal/opt.runPhases)
+// invariant checks (derived capacities staying finite). Panicking —
+// instead of returning an error through a dozen internal frames that
+// have no way to continue — keeps the hot paths clean; the solver driver (internal/opt.runPhases)
 // recovers the payload at its boundary and converts it into a typed
 // error. Numeric distinguishes invariants that can fail through float64
-// precision loss alone (retrying cold or in exact arithmetic may
-// succeed) from true programmer-bug invariants.
+// precision loss alone (retrying in exact arithmetic may succeed) from
+// true programmer-bug invariants.
 type InvariantViolation struct {
 	Numeric bool   // float precision failure, not necessarily a bug
 	Msg     string // what was violated
@@ -173,16 +158,6 @@ type Graph struct {
 	tol    float64 // absolute tolerance override; 0 derives it from maxCap
 	ops    DinicOps
 
-	// First-phase pass (layered.go): zeroFlow holds while no push has
-	// happened since the last Reset; the layer* fields cache
-	// the three-layer check for the current CSR build and (layerS, layerT),
-	// and tEdge holds each L2 vertex's edge to the sink.
-	zeroFlow       bool
-	layerKnown     bool
-	layerOK        bool
-	layerS, layerT int
-	tEdge          []int32
-
 	// Reusable scratch for MaxFlow and CoReachable.
 	level, iter, queue []int32
 	mark               []bool
@@ -201,10 +176,8 @@ func NewGraph(n int) *Graph {
 
 // Reset re-initializes the graph to n empty vertices, reusing all backing
 // arrays. It is the arena entry point: a Reset graph is indistinguishable
-// from a NewGraph one, but steady-state reuse allocates nothing. That
-// indistinguishability is load-bearing for the graph pool (arena.go): a
-// SetTolerance override is cleared here, so a pooled graph cannot leak
-// it into its next life.
+// from a NewGraph one (a SetTolerance override is cleared too), but
+// steady-state reuse allocates nothing.
 func (g *Graph) Reset(n int) {
 	if n < 2 {
 		panic(fmt.Sprintf("flow: graph needs >= 2 vertices, got %d", n))
@@ -215,8 +188,6 @@ func (g *Graph) Reset(n int) {
 	g.maxCap = 0
 	g.tol = 0
 	g.ops = DinicOps{}
-	g.zeroFlow = true
-	g.layerKnown = false
 }
 
 // N returns the number of vertices.
@@ -300,7 +271,6 @@ func (g *Graph) build() {
 	// iter is free to clobber as cursor scratch: MaxFlow re-fills it.
 	buildCSR(n, len(g.edges), func(i int) int32 { return g.edges[i].from }, g.adjOff, g.adjLst, g.iter)
 	g.csrOK = true
-	g.layerKnown = false
 }
 
 func (g *Graph) ensureScratch(n int) {
@@ -326,23 +296,6 @@ func growInt32(s []int32, n int) []int32 {
 // algorithm and returns the amount of flow added by this call: on a
 // freshly built graph, the max-flow value.
 func (g *Graph) MaxFlow(s, t int) float64 {
-	return g.maxFlow(s, t, math.Inf(1))
-}
-
-// MaxFlowAtLeast augments like MaxFlow but stops as soon as the flow
-// added by this call reaches target, skipping the final level-graph
-// construction that proves maximality (and any remaining augmentation).
-// It exists for threshold tests — a feasibility probe only needs to know
-// whether the max flow reaches the demand, not its exact value — where
-// the saved proof pass is a whole BFS over the network per probe. When
-// the returned value is below target it IS the exact augmentation
-// maximum; when it reaches target the flow may not be maximum, so
-// CoReachable must not be used afterwards.
-func (g *Graph) MaxFlowAtLeast(s, t int, target float64) float64 {
-	return g.maxFlow(s, t, target)
-}
-
-func (g *Graph) maxFlow(s, t int, target float64) float64 {
 	if s == t {
 		panic("flow: source equals sink")
 	}
@@ -405,21 +358,9 @@ func (g *Graph) maxFlow(s, t int, target float64) float64 {
 	}
 
 	var total float64
-	if g.zeroFlow && total < target && g.layered(s, t) {
+	for bfs() {
 		copy(iter[:n], g.adjOff[:n])
-		pushes, scanned := g.firstPhase(s, tol, target, &total)
-		bfsPasses++
-		augPaths += pushes
-		edgesScanned += scanned
-		if pushes == 0 {
-			// No s-L1-L2-t path is live: BFS 1 would not reach t.
-			g.ops.Add(DinicOps{BFSPasses: bfsPasses, EdgesScanned: edgesScanned})
-			return total
-		}
-	}
-	for total < target && bfs() {
-		copy(iter[:n], g.adjOff[:n])
-		for total < target {
+		for {
 			f := dfs(int32(s), math.Inf(1))
 			if f <= 0 {
 				break
@@ -427,9 +368,6 @@ func (g *Graph) maxFlow(s, t int, target float64) float64 {
 			augPaths++
 			total += f
 		}
-	}
-	if augPaths > 0 {
-		g.zeroFlow = false
 	}
 	g.ops.Add(DinicOps{BFSPasses: bfsPasses, AugPaths: augPaths, EdgesScanned: edgesScanned})
 	return total

@@ -17,8 +17,7 @@ import (
 //   - interval r has one capacity shared by all its job edges, a sink
 //     edge, and a job list that fixes the order of its reverse arcs.
 //
-// There is no AddEdge, no CSR build, no layering check and no
-// max-capacity rescan. The solver is Graph's Dinic, made to push the
+// There is no AddEdge, no CSR build and no max-capacity rescan. The solver is Graph's Dinic, made to push the
 // same paths in the same order with the same float operations, so the
 // per-edge flows, the flow value, AugPaths and BFSPasses are bit-for-bit
 // those of a Graph built by adding, in this order, the source edges of
@@ -32,7 +31,7 @@ import (
 //   - t: intervals ascending.
 //
 // From a zero flow, MaxFlow first runs Dinic's first level phase as one
-// pass, exactly as layered.go does for Graph. The later level phases
+// direct pass (firstPhase). The later level phases
 // take their levels from the sink: a BFS out of t over reversed residual
 // arcs labels each vertex with its residual distance to t, and stops once
 // it has labelled s and every vertex closer to t. The DFS from s follows
@@ -354,10 +353,24 @@ func (p *PhaseNet) CoReachable() []bool {
 	return p.mark[:p.nJobs]
 }
 
-// firstPhase is layered.go's firstPhase on the kernel's arrays: Dinic's
-// first level phase from zero flow in one pass, pushing along
-// s -> job -> interval -> t in adjacency order. It returns the number of
-// pushes, adding each pushed amount to *total in push order.
+// firstPhase is Dinic's first level phase from zero flow in one pass,
+// pushing along s -> job -> interval -> t in adjacency order. It returns
+// the number of pushes, adding each pushed amount to *total in push
+// order.
+//
+// Why it is exact. On a zero flow every reverse arc has residual 0, so
+// BFS 1 of Graph's Dinic would label the live jobs with level 1, the
+// intervals they reach through live arcs with level 2, and t with level
+// 3: the level graph is exactly s -> job -> interval -> t. The recursive
+// DFS walks s's arcs in job order and, from each job, its arcs from the
+// current one; from an interval the only arc into a higher level is its
+// sink arc, and once that is at or below the tolerance the interval is
+// dead for the rest of the phase. A path found pushes the bottleneck
+// min(min(source, job edge), sink), and the current arcs stay on the
+// arcs that carried it. That is the loop below, without BFS 1, the
+// recursion, or the scans of the reverse arcs. It counts as one BFS
+// pass and one augmenting path per push; if it pushes nothing, t is
+// unreachable and the solve ends, as after an unsuccessful BFS 1.
 func (p *PhaseNet) firstPhase(total *float64) (pushes int64) {
 	tol := p.tol
 	sum := *total

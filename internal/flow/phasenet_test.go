@@ -22,11 +22,25 @@ type phaseShape struct {
 	lists       [][]int32
 }
 
-// phaseCap draws from layerCap's pool (zeros, values at or below the
-// tolerance, ties) and now and then scales it up, so the largest live
-// capacity, and with it the tolerance, moves when jobs leave.
+// phaseCap draws a capacity from a pool rich in zeros, values at or
+// below the default tolerance and ties, so saturation tests, dead
+// vertices and equal bottlenecks all occur, and now and then scales it
+// up, so the largest live capacity, and with it the tolerance, moves
+// when jobs leave.
 func phaseCap(rng *rand.Rand) float64 {
-	c := layerCap(rng)
+	var c float64
+	switch rng.Intn(8) {
+	case 0:
+		c = 0
+	case 1:
+		c = float64(1+rng.Intn(9)) * 1e-13 // at or below the tolerance
+	case 2, 3:
+		c = float64(1 + rng.Intn(3)) // ties
+	case 4:
+		c = float64(1+rng.Intn(7)) / float64(1+rng.Intn(7))
+	default:
+		c = rng.Float64() * 10
+	}
 	if rng.Intn(6) == 0 {
 		c *= 1e3
 	}

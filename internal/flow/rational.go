@@ -17,11 +17,8 @@ type ratEdge struct {
 // Graph — same flat edge layout, same EdgeID scheme, same Dinic — but
 // performs all arithmetic in math/big.Rat, so saturation tests are
 // exact. It is used to cross-check the float64 solver and to run the
-// offline optimum in exact mode on rational inputs. Unlike Graph it also
-// has an incremental warm-start API, which the exact round loop uses
-// between rounds; because the arithmetic is exact, ScaleSourceCaps can
-// rescale multiplicatively without the floating-point drift the float
-// engine has to sidestep (see DESIGN.md §7).
+// offline optimum in exact mode on rational inputs: the exact round loop
+// builds one per round and solves it from zero (DESIGN.md §7).
 type RatGraph struct {
 	edges []ratEdge
 	nv    int
@@ -31,9 +28,6 @@ type RatGraph struct {
 	csrOK  bool
 
 	ops DinicOps
-
-	lastS, lastT int
-	haveST       bool
 
 	level, iter, queue []int32
 	mark               []bool
@@ -60,7 +54,6 @@ func (g *RatGraph) Reset(n int) {
 	g.edges = g.edges[:0]
 	g.csrOK = false
 	g.ops = DinicOps{}
-	g.haveST = false
 }
 
 // N returns the number of vertices.
@@ -142,7 +135,6 @@ func (g *RatGraph) MaxFlow(s, t int) *big.Rat {
 	}
 	g.build()
 	g.ensureScratch(g.nv)
-	g.lastS, g.lastT, g.haveST = s, t, true
 	n := g.nv
 	level, iter := g.level, g.iter
 
@@ -201,16 +193,11 @@ func (g *RatGraph) MaxFlow(s, t int) *big.Rat {
 	total := new(big.Rat)
 	for bfs() {
 		copy(iter[:n], g.adjOff[:n])
-		for {
-			// Start with the total outgoing capacity of s as the bound.
-			bound := new(big.Rat)
-			for i := g.adjOff[s]; i < g.adjOff[s+1]; i++ {
-				bound.Add(bound, g.edges[g.adjLst[i]].cap)
-			}
-			if bound.Sign() == 0 {
-				break
-			}
-			d := dfs(int32(s), bound)
+		// Stop the phase once every arc out of s is saturated. Capacities
+		// are non-negative, so a sign scan decides it: the DFS from s
+		// bounds each path by its first arc anyway (nil is unbounded).
+		for g.sourceLive(s) {
+			d := dfs(int32(s), nil)
 			if d == nil || d.Sign() == 0 {
 				break
 			}
@@ -222,214 +209,14 @@ func (g *RatGraph) MaxFlow(s, t int) *big.Rat {
 	return total
 }
 
-// ---------------------------------------------------------------------------
-// Incremental warm-start API.
-//
-// The mutators below keep the current flow feasible under capacity
-// changes: when a capacity drops below the flow routed over its edge,
-// the excess is canceled along flow-carrying paths back to the source
-// and forward to the sink of the last MaxFlow call. A feasible flow can
-// always be augmented to a maximum one, so the next MaxFlow call
-// re-augments from the preserved flow instead of restarting Dinic at
-// zero. Draining requires the positive-flow subgraph to be acyclic,
-// which holds for every network this repository builds (layered DAGs).
-// Saturation tests are exact (Sign comparisons, no tolerance).
-// ---------------------------------------------------------------------------
-
-// ResetFlow removes all flow, restoring residual capacities.
-func (g *RatGraph) ResetFlow() {
-	for i := range g.edges {
-		g.edges[i].cap.Set(g.edges[i].orig)
-	}
-}
-
-func (g *RatGraph) stEndpoints() (int, int) {
-	if !g.haveST {
-		panic("flow: incremental mutation before any MaxFlow call")
-	}
-	return g.lastS, g.lastT
-}
-
-func (g *RatGraph) edgeFlow(id int32) *big.Rat {
-	e := &g.edges[id]
-	return new(big.Rat).Sub(e.orig, e.cap)
-}
-
-// SetCapacity replaces the capacity of edge id, draining flow that no
-// longer fits. The amount drained is returned.
-func (g *RatGraph) SetCapacity(id EdgeID, c *big.Rat) *big.Rat {
-	if c.Sign() < 0 {
-		panic(fmt.Sprintf("flow: negative capacity %v", c))
-	}
-	e := g.fwd(id)
-	drained := new(big.Rat)
-	if g.edgeFlow(int32(id)).Cmp(c) > 0 {
-		drained = g.reduceEdgeFlowTo(int32(id), c)
-	}
-	flow := g.edgeFlow(int32(id))
-	e.orig.Set(c)
-	e.cap.Sub(c, flow)
-	if e.cap.Sign() < 0 {
-		e.cap.SetInt64(0)
-	}
-	return drained
-}
-
-// ScaleSourceCaps multiplies every forward edge leaving the source of
-// the last MaxFlow call by factor (exactly), draining flow that no
-// longer fits, and returns the total drained.
-func (g *RatGraph) ScaleSourceCaps(factor *big.Rat) *big.Rat {
-	if factor.Sign() < 0 {
-		panic(fmt.Sprintf("flow: negative scale factor %v", factor))
-	}
-	s, _ := g.stEndpoints()
-	g.build()
-	drained := new(big.Rat)
-	scaled := new(big.Rat)
+// sourceLive reports whether some arc out of s has residual capacity.
+func (g *RatGraph) sourceLive(s int) bool {
 	for i := g.adjOff[s]; i < g.adjOff[s+1]; i++ {
-		id := g.adjLst[i]
-		if id&1 != 0 {
-			continue
-		}
-		scaled.Mul(g.edges[id].orig, factor)
-		drained.Add(drained, g.SetCapacity(EdgeID(id), scaled))
-	}
-	return drained
-}
-
-// RemoveJobEdge takes the head vertex of source edge id out of the
-// network: drains all flow through it and zeroes id and the vertex's
-// out-edge capacities. Returns the total flow drained.
-func (g *RatGraph) RemoveJobEdge(id EdgeID) *big.Rat {
-	g.stEndpoints()
-	g.build()
-	e := g.fwd(id)
-	v := e.to
-	drained := new(big.Rat)
-	for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-		out := g.adjLst[i]
-		if out&1 != 0 {
-			continue
-		}
-		if g.edgeFlow(out).Sign() > 0 {
-			drained.Add(drained, g.reduceEdgeFlowTo(out, new(big.Rat)))
-		}
-		g.edges[out].orig.SetInt64(0)
-		g.edges[out].cap.SetInt64(0)
-		g.edges[out^1].cap.SetInt64(0)
-	}
-	e.orig.SetInt64(0)
-	e.cap.SetInt64(0)
-	g.edges[id^1].cap.SetInt64(0)
-	return drained
-}
-
-// reduceEdgeFlowTo cancels flow on forward edge eid until it is at most
-// target, removing each canceled unit along one flow-carrying
-// source-to-sink path. Returns the amount canceled.
-func (g *RatGraph) reduceEdgeFlowTo(eid int32, target *big.Rat) *big.Rat {
-	s, t := g.stEndpoints()
-	g.build()
-	removed := new(big.Rat)
-	for iter := 0; g.edgeFlow(eid).Cmp(target) > 0; iter++ {
-		if iter > len(g.edges)+2 {
-			violate(false, "drain failed to converge on exact graph (cyclic flow?)")
-		}
-		d := new(big.Rat).Sub(g.edgeFlow(eid), target)
-		down, ok := g.flowPathDown(int(g.edges[eid].to), t)
-		if !ok {
-			violate(false, "no flow-carrying path to sink while draining exact graph")
-		}
-		up, ok := g.flowPathUp(int(g.edges[eid].from), s)
-		if !ok {
-			violate(false, "no flow-carrying path to source while draining exact graph")
-		}
-		for _, pid := range down {
-			if f := g.edgeFlow(pid); f.Cmp(d) < 0 {
-				d.Set(f)
-			}
-		}
-		for _, pid := range up {
-			if f := g.edgeFlow(pid); f.Cmp(d) < 0 {
-				d.Set(f)
-			}
-		}
-		if d.Sign() <= 0 {
-			violate(false, "zero drain bottleneck on exact graph")
-		}
-		g.cancel(eid, d)
-		for _, pid := range down {
-			g.cancel(pid, d)
-		}
-		for _, pid := range up {
-			g.cancel(pid, d)
-		}
-		removed.Add(removed, d)
-	}
-	return removed
-}
-
-func (g *RatGraph) cancel(id int32, d *big.Rat) {
-	e := &g.edges[id]
-	e.cap.Add(e.cap, d)
-	p := &g.edges[id^1]
-	p.cap.Sub(p.cap, d)
-	if p.cap.Sign() < 0 {
-		violate(false, "over-cancel on exact graph")
-	}
-}
-
-func (g *RatGraph) flowPathDown(v, t int) ([]int32, bool) {
-	path := g.queue[:0]
-	for steps := 0; v != t; steps++ {
-		if steps > g.nv {
-			return nil, false
-		}
-		found := false
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			id := g.adjLst[i]
-			if id&1 != 0 {
-				continue
-			}
-			if g.edgeFlow(id).Sign() > 0 {
-				path = append(path, id)
-				v = int(g.edges[id].to)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
+		if g.edges[g.adjLst[i]].cap.Sign() > 0 {
+			return true
 		}
 	}
-	g.queue = path[:0]
-	return path, true
-}
-
-func (g *RatGraph) flowPathUp(v, s int) ([]int32, bool) {
-	path := make([]int32, 0, 8)
-	for steps := 0; v != s; steps++ {
-		if steps > g.nv {
-			return nil, false
-		}
-		found := false
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			id := g.adjLst[i]
-			if id&1 == 0 {
-				continue
-			}
-			if g.edgeFlow(id^1).Sign() > 0 {
-				path = append(path, id^1)
-				v = int(g.edges[id^1].from)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	return path, true
+	return false
 }
 
 // CoReachable reports, for every vertex, whether the sink t is reachable

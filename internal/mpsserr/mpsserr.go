@@ -14,17 +14,17 @@
 //     the requested constraints (speed caps, processor overload). Also
 //     deterministic.
 //   - ErrNumeric: the float64 fast path lost too much precision to
-//     certify a decision (drain non-convergence, non-finite derived
-//     capacities, emptied candidate sets). The same solve may succeed
-//     cold or in exact rational arithmetic; opt.Schedule retries
-//     automatically before surfacing this.
+//     certify a decision (non-finite derived capacities, emptied
+//     candidate sets, a certified flow that does not fit its
+//     intervals). The same solve may succeed in exact rational
+//     arithmetic; opt.Schedule retries it there before surfacing this.
 //   - ErrInternal: a solver invariant that should hold for every input
 //     was violated (a contained panic). Always a bug; the error text
 //     carries the phase/round context for the report.
 //   - ErrCanceled: the caller's context was canceled (or its deadline
 //     expired) while the solve was in flight. The solver noticed at the
 //     next phase/round or probe-wave boundary and unwound cleanly; the
-//     solver arena stays reusable. Not retried by the fallback ladder —
+//     solver arena stays reusable. Not retried by the exact fallback —
 //     a canceled caller does not want the answer anymore.
 package mpsserr
 

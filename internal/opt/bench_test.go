@@ -10,25 +10,20 @@ import (
 )
 
 // The benchmark family behind `make bench` and BENCH_opt.json: the
-// optimal solver at increasing instance sizes, default (one network per
-// phase, every round re-solved from zero in place) and cold (rebuild the
-// flow network every round, as the paper's pseudo-code does). Custom
-// metrics expose the solver-internal counters next to ns/op.
-func benchOptSchedule(b *testing.B, n int, cold bool) {
+// optimal solver at increasing instance sizes (one network per phase,
+// every round re-solved from zero in place). Custom metrics expose the
+// solver-internal counters next to ns/op.
+func benchOptSchedule(b *testing.B, n int) {
 	in, err := workload.Uniform(workload.Spec{N: n, M: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
-	}
-	opts := []Option{}
-	if cold {
-		opts = append(opts, ColdStart())
 	}
 	rec := obs.New()
 	s := NewSolver()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(in, append(opts, WithRecorder(rec))...); err != nil {
+		if _, err := s.Schedule(in, WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,17 +31,12 @@ func benchOptSchedule(b *testing.B, n int, cold bool) {
 	snap := rec.Snapshot()
 	div := float64(b.N)
 	b.ReportMetric(float64(snap.Counters["opt.rounds"])/div, "opt.rounds/op")
-	b.ReportMetric(float64(snap.Counters["flow.warm_hits"])/div, "flow.warm_hits/op")
 	b.ReportMetric(float64(snap.Counters["opt.graph_rebuilds"])/div, "opt.graph_rebuilds/op")
 }
 
-func BenchmarkOptSchedule64Jobs(b *testing.B)   { benchOptSchedule(b, 64, false) }
-func BenchmarkOptSchedule256Jobs(b *testing.B)  { benchOptSchedule(b, 256, false) }
-func BenchmarkOptSchedule1024Jobs(b *testing.B) { benchOptSchedule(b, 1024, false) }
-
-func BenchmarkOptScheduleCold64Jobs(b *testing.B)   { benchOptSchedule(b, 64, true) }
-func BenchmarkOptScheduleCold256Jobs(b *testing.B)  { benchOptSchedule(b, 256, true) }
-func BenchmarkOptScheduleCold1024Jobs(b *testing.B) { benchOptSchedule(b, 1024, true) }
+func BenchmarkOptSchedule64Jobs(b *testing.B)   { benchOptSchedule(b, 64) }
+func BenchmarkOptSchedule256Jobs(b *testing.B)  { benchOptSchedule(b, 256) }
+func BenchmarkOptSchedule1024Jobs(b *testing.B) { benchOptSchedule(b, 1024) }
 
 // BenchmarkOptScheduleTraceComponents is the streamed trace solve without
 // the stream: the separable components of a 2048-job diurnal instance
@@ -99,21 +89,17 @@ func BenchmarkOptScheduleTraceComponents(b *testing.B) {
 // is a fraction of the raw one. The contract=off sub-run is the
 // raw-graph baseline the tentpole's >=1.5x claim is measured against;
 // both produce bit-identical schedules.
-func benchOptScheduleSlotted(b *testing.B, n int, contract, cold bool) {
+func benchOptScheduleSlotted(b *testing.B, n int, contract bool) {
 	in, err := workload.Slotted(workload.Spec{N: n, M: 2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
-	}
-	opts := []Option{WithContraction(contract)}
-	if cold {
-		opts = append(opts, ColdStart())
 	}
 	rec := obs.New()
 	s := NewSolver()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(in, append(opts, WithRecorder(rec))...); err != nil {
+		if _, err := s.Schedule(in, WithContraction(contract), WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +115,7 @@ func benchOptScheduleSlotted(b *testing.B, n int, contract, cold bool) {
 func BenchmarkOptScheduleContracted1024Jobs(b *testing.B) {
 	for _, c := range []bool{true, false} {
 		b.Run(fmt.Sprintf("contract=%v", c), func(b *testing.B) {
-			benchOptScheduleSlotted(b, 1024, c, false)
+			benchOptScheduleSlotted(b, 1024, c)
 		})
 	}
 }
@@ -137,16 +123,9 @@ func BenchmarkOptScheduleContracted1024Jobs(b *testing.B) {
 func BenchmarkOptScheduleContracted4096Jobs(b *testing.B) {
 	for _, c := range []bool{true, false} {
 		b.Run(fmt.Sprintf("contract=%v", c), func(b *testing.B) {
-			benchOptScheduleSlotted(b, 4096, c, false)
+			benchOptScheduleSlotted(b, 4096, c)
 		})
 	}
-}
-
-// The 4096-job cold baseline: every round rebuilds its (contracted)
-// graph from scratch, bounding the rebuild cost the in-place engine and
-// the contraction pass together avoid.
-func BenchmarkOptScheduleCold4096Jobs(b *testing.B) {
-	benchOptScheduleSlotted(b, 4096, true, true)
 }
 
 // Feasibility probes run on the pooled solver arena's capNet; this

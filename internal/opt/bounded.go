@@ -250,7 +250,7 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 				return 0, err
 			}
 			// The first-phase fast path failed numerically: fall back to
-			// the full solver, which brings its own fallback ladder.
+			// the full solver, which brings its own exact fallback.
 			rec.Add("opt.bracket_fallbacks", 1)
 			res, ferr := Schedule(in, WithRecorder(rec), WithContext(cfg.ctx), WithContraction(!cfg.noContract))
 			if ferr != nil {
@@ -318,7 +318,6 @@ func (s *Solver) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.I
 
 	e := &s.fe
 	e.tol = flow.SolveTolerance
-	e.cold = false
 	e.contract = contract
 
 	used := make([]int, len(ivs))

@@ -73,7 +73,6 @@ func Canonicalize(s *schedule.Schedule, ivs []job.Interval) (*schedule.Schedule,
 // holds everywhere (idle counts as speed zero).
 func StaircaseViolation(s *schedule.Schedule, ivs []job.Interval) (proc int, interval int, ok bool) {
 	speedAt := func(p int, iv job.Interval) float64 {
-		mid := (iv.Start + iv.End) / 2
 		// Sample a few points to be robust against partial idleness at
 		// the interval edges (the fastest speed on the processor within
 		// the interval is its Lemma 2 speed).
@@ -83,7 +82,6 @@ func StaircaseViolation(s *schedule.Schedule, ivs []job.Interval) (proc int, int
 			sp := s.SpeedsAt(t)[p]
 			best = math.Max(best, sp)
 		}
-		_ = mid
 		return best
 	}
 	for p := 0; p < s.M; p++ {

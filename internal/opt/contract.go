@@ -21,9 +21,9 @@ import "math/big"
 // equal m_j = min(active, free) keep equal m_j as the active count
 // decreases (if m_j < active then free = m_j on both and stays the
 // binding term; if m_j = active both track the shrinking active count).
-// computeContraction therefore runs once per phase, and both the warm
-// in-place updates and the cold per-round rebuilds reuse the same run
-// partition — warm and cold solve literally the same contracted graph.
+// computeContraction therefore runs once per phase, and every round of
+// the phase — updated in place on the float path, rebuilt on the exact
+// one — solves over the same run partition.
 //
 // Correctness of the phase decisions on the contracted graph:
 //
@@ -39,10 +39,10 @@ import "math/big"
 // Schedule emission, however, needs per-raw-interval times, so accept()
 // rebuilds the raw-shaped network for the surviving candidate set and
 // solves it from zero — exactly the graph and augmentation sequence the
-// uncontracted cold path runs for its accepted round, which is what
+// uncontracted path runs for its accepted round, which is what
 // makes the contracted solver's output bit-identical to the raw one.
 // That rebuild is counted separately ("opt.emit_rebuilds") so the
-// build-once-per-phase accounting of the warm engine stays observable.
+// build-once-per-phase accounting of the float engine stays observable.
 
 // contraction is the per-phase super-interval partition shared by the
 // float and exact engines (the exact engine carries the rational run

@@ -14,8 +14,8 @@ import (
 // phases are re-emitted from a raw-shaped solve, so the phase
 // structure, the bit pattern of every speed and every schedule segment
 // must match the uncontracted path exactly. These differential tests
-// pin that across the three engines (float warm, float cold, exact
-// rational) and across sizes.
+// pin that across both engines (float, exact rational) and across
+// sizes.
 
 func diffSchedule(t *testing.T, seed int64, in *job.Instance, extra ...Option) {
 	t.Helper()
@@ -46,19 +46,6 @@ func TestContractedMatchesRawExactly(t *testing.T) {
 			}
 			diffSchedule(t, int64(n), in)
 		}
-	}
-}
-
-func TestContractedMatchesRawCold(t *testing.T) {
-	for _, n := range []int{16, 64, 256} {
-		if testing.Short() && n > 64 {
-			continue
-		}
-		in, err := workload.Slotted(workload.Spec{N: n, M: 4, Seed: int64(n)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffSchedule(t, int64(n), in, ColdStart())
 	}
 }
 

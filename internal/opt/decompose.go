@@ -129,9 +129,9 @@ func allIndices(n int) []int {
 // workers pool.Map workers, each drawing a pooled Solver arena — and
 // merges the component results into one Result indistinguishable from a
 // monolithic solve. Each component's solve goes through the package
-// Schedule entry, so the fallback ladder (float-warm → float-cold →
-// exact) applies per component: a numeric failure in one component
-// falls back for that component only, the others keep their fast path.
+// Schedule entry, so the fallback (float → exact) applies per
+// component: a numeric failure in one component falls back for that
+// component only, the others keep their fast path.
 func scheduleDecomposed(in *job.Instance, comps [][]int, cfg *config, opts []Option) (*Result, error) {
 	maxJobs := 0
 	for _, c := range comps {

@@ -109,7 +109,6 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 		for _, gap := range []float64{0, 25} {
 			in := clusteredInstance(t, gname, 3, 16, 3, 42, gap)
 			diffDecompose(t, 42, in)
-			diffDecompose(t, 42, in, ColdStart())
 			diffDecompose(t, 42, in, WithContraction(false))
 		}
 	}
@@ -192,7 +191,7 @@ func TestDecomposeProperty(t *testing.T) {
 		in := clusteredInstance(t, gname, k, n, m, seed, gap)
 		opts := [][]Option{nil, {WithContraction(false)}}
 		if trial%10 == 0 {
-			opts = append(opts, []Option{ColdStart()}, []Option{Exact()})
+			opts = append(opts, []Option{Exact()})
 		}
 		for _, extra := range opts {
 			diffDecompose(t, seed, in, extra...)
@@ -255,8 +254,9 @@ func TestDecomposeCounters(t *testing.T) {
 
 // A numeric failure in one component must fall back for that component
 // only: the injected violation fires exactly once, so exactly one
-// component walks to the cold rung while the others stay warm — and the
-// merged result is still bit-identical to the monolithic solve's.
+// component falls back to the exact engine while the others stay on
+// the float path — and the merged result is still bit-identical to the
+// monolithic solve's.
 func TestDecomposePerComponentFallback(t *testing.T) {
 	in := clusteredInstance(t, "bursty", 3, 10, 2, 13, 10)
 	mono, err := Schedule(in)
@@ -277,11 +277,8 @@ func TestDecomposePerComponentFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("per-component fallback should have rescued the solve, got %v", err)
 	}
-	if got := rec.Value("opt.fallback_cold"); got != 1 {
-		t.Errorf("opt.fallback_cold = %d, want 1 (one component, one rung)", got)
-	}
-	if got := rec.Value("opt.fallback_exact"); got != 0 {
-		t.Errorf("opt.fallback_exact = %d, want 0", got)
+	if got := rec.Value("opt.fallback_exact"); got != 1 {
+		t.Errorf("opt.fallback_exact = %d, want 1 (one component)", got)
 	}
 	testHookRound = nil
 	comparePhases(t, 13, mono, dec)

@@ -18,28 +18,24 @@ import (
 // Every phase solves on pn, a flow.PhaseNet: the max-flow kernel for
 // exactly this network shape, fed the engine's own job windows and
 // per-interval candidate lists (byIv), with no edge list, CSR build or
-// edge ids. In-place path (default): beginPhase builds G(J, m, s) once;
-// every rejection resets the flow to zero, removes the excluded jobs and
-// re-sets the capacities in place, and the next round solves from zero
-// on the same network. A removed job is gone from the kernel exactly as
-// it is absent from a cold rebuild, so every round's flow — the accepted
-// one included — is bit-identical to the flow a cold rebuild of the
+// edge ids. beginPhase builds G(J, m, s) once; every rejection resets
+// the flow to zero, removes the excluded jobs and re-sets the
+// capacities in place, and the next round solves from zero on the same
+// network. A removed job is gone from the kernel exactly as it is absent
+// from a network rebuilt for the round, so every round's flow — the
+// accepted one included — is bit-identical to the flow a rebuild of the
 // round's network would produce, and accept emits it as it stands. The
 // kernel's last BFS of each solve is the co-reachable set the exclusion
 // rule needs (flow.PhaseNet.CoReachable).
 //
-// Capacities are re-set to the same absolute expressions the cold build
-// uses (work/speed, m_j*|I_j|) rather than multiplicatively rescaled:
-// float64 multiplication is not associative, and (w/s1)*(s1/s2) differs
-// from w/s2 in the last ulp, which would break the in-place==cold
-// guarantee.
-//
-// ColdStart rebuilds pn every round instead. No flow carries over from
-// one solve to the next; a session resolve is an ordinary solve
-// (session.go).
+// Capacities are re-set to the same absolute expressions a build uses
+// (work/speed, m_j*|I_j|) rather than multiplicatively rescaled: float64
+// multiplication is not associative, and (w/s1)*(s1/s2) differs from
+// w/s2 in the last ulp, which would break the in-place == rebuilt
+// guarantee. No flow carries over from one solve to the next; a session
+// resolve is an ordinary solve (session.go).
 type floatEngine struct {
 	tol      float64
-	cold     bool
 	contract bool // merge flow-equivalent interval runs before solving
 
 	in        *job.Instance
@@ -158,12 +154,12 @@ func (e *floatEngine) beginPhase(used, cand []int, span *obs.Span) bool {
 
 // recomputeTotals recomputes totalWork and totalTime from scratch after
 // every change to the candidate set. Incremental subtraction would be
-// O(1) but floats are not associative: summing fresh, in the same index
-// order as a cold build, keeps the conjectured speed bit-identical to
-// the cold path's. Intervals with mj = 0 are skipped rather than added
-// as zero terms: a gap interval between distant job clusters can have
-// an overflowed (infinite) length, and 0 * Inf would poison the sum
-// with NaN (the exact engine skips them the same way).
+// O(1) but floats are not associative: summing fresh, in index order,
+// keeps the conjectured speed bit-identical to a from-scratch solve's.
+// Intervals with mj = 0 are skipped rather than added as zero terms: a
+// gap interval between distant job clusters can have an overflowed
+// (infinite) length, and 0 * Inf would poison the sum with NaN (the
+// exact engine skips them the same way).
 func (e *floatEngine) recomputeTotals() {
 	tw := 0.0
 	for pos, k := range e.cand0 {
@@ -181,7 +177,7 @@ func (e *floatEngine) recomputeTotals() {
 }
 
 // buildGraph constructs G(J, m, s) for the current alive candidate set.
-// The in-place path calls it once per phase; the cold path once per round.
+// It runs once per phase, and again only after dropLeastWork.
 // With contraction enabled it computes the phase's super-interval
 // partition on the first build and dispatches to the contracted shape
 // whenever merging actually removes interval nodes (see contract.go).
@@ -315,7 +311,7 @@ func (e *floatEngine) solveRound() int {
 	// some maximum flow leaves both one of its interval edges and that
 	// interval's sink edge unsaturated — the exclusion condition of the
 	// paper's Lemma 4 — and the co-reachable set is the same for every
-	// maximum flow, so in-place and cold solves exclude the same jobs.
+	// maximum flow, so in-place and rebuilt solves exclude the same jobs.
 	// Each one is outside J_i on its own, so all of them go in one round.
 	// The set is the labels of the solve's last BFS.
 	e.excluded = e.excluded[:0]
@@ -325,7 +321,7 @@ func (e *floatEngine) solveRound() int {
 		}
 	}
 	// No excludable candidate despite the value shortfall: only possible
-	// through accumulated rounding. Accept, as the cold path always has.
+	// through accumulated rounding. Accept the conjecture.
 	return len(e.excluded)
 }
 
@@ -341,22 +337,17 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 	if e.aliveCount == 0 {
 		return false, true
 	}
-	inPlace := !e.cold
-	if inPlace {
-		// The next round solves from zero on this network, so reset the
-		// flow first: on a zero flow none of the capacity updates below
-		// drains anything.
-		e.pn.ResetFlow()
-	}
+	// The next round solves from zero on this network, so reset the flow
+	// first: on a zero flow none of the capacity updates below drains
+	// anything.
+	e.pn.ResetFlow()
 	for _, pos := range e.excluded {
 		e.alive[pos] = false
 		k := e.cand0[pos]
 		for jx := e.jobLo[k]; jx < e.jobHi[k]; jx++ {
 			e.activeCount[jx]--
 		}
-		if inPlace {
-			e.pn.RemoveJob(pos)
-		}
+		e.pn.RemoveJob(pos)
 	}
 	// Lower the sink capacities once, after every count has dropped: an
 	// interval shared by several excluded jobs is re-set a single time.
@@ -375,15 +366,11 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 				continue
 			}
 			e.mj[jx] = nm
-			switch {
-			case !inPlace:
-			case e.con.on:
-				if s := e.con.supOf[jx]; s != lastSup {
-					e.pn.SetSinkCap(int(s), float64(nm)*e.supLen[s])
-					lastSup = s
-				}
-			default:
+			if !e.con.on {
 				e.pn.SetSinkCap(int(jx), float64(nm)*e.ivLen[jx])
+			} else if s := e.con.supOf[jx]; s != lastSup {
+				e.pn.SetSinkCap(int(s), float64(nm)*e.supLen[s])
+				lastSup = s
 			}
 		}
 	}
@@ -393,10 +380,6 @@ func (e *floatEngine) removeExcluded() (degenerate, empty bool) {
 		return true, false
 	}
 	e.speed = e.totalWork / e.totalTime
-	if !inPlace {
-		e.needBuild = true
-		return false, false
-	}
 	for pos, k := range e.cand0 {
 		if e.alive[pos] {
 			e.pn.SetSourceCap(pos, e.in.Jobs[k].Work/e.speed)
@@ -435,9 +418,9 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 	if e.con.on {
 		// Rounds ran on the contracted network, whose flows have no
 		// per-raw-interval meaning. Rebuild the raw-shaped network for
-		// the surviving candidate set — the exact graph the uncontracted
-		// cold path solves for its accepted round — and solve from zero,
-		// so the emitted times are bit-identical to the raw path's.
+		// the surviving candidate set — the network the uncontracted path
+		// solves for its accepted round — and solve from zero, so the
+		// emitted times are bit-identical to the raw path's.
 		e.con.on = false
 		e.buildRaw("opt.emit_rebuilds")
 		e.solveFlow()

@@ -15,14 +15,13 @@ import (
 // finite float64 is a rational), so saturation tests and job removals
 // are exact; only the final segment emission rounds back to float64.
 //
-// The warm path reuses the float engine's structure — build once per
-// phase, drain the excluded jobs, rescale, re-augment — but because the
-// arithmetic is exact it can rescale the source capacities
-// multiplicatively with flow.RatGraph.ScaleSourceCaps: w/s_old *
-// (s_old/s_new) equals w/s_new as a rational, so no absolute re-set is
-// needed for warm and cold to agree exactly.
+// Every round builds its flow.RatGraph for the round's candidate set and
+// solves it from zero flow, as the paper's pseudo-code does: a rejected
+// round drains nothing, it only marks the excluded jobs and lowers m_j.
+// The accepted round's flow is therefore the from-zero flow of the
+// accepted network, the one emission needs; only a contracted phase
+// rebuilds the raw network for emission (accept).
 type exactEngine struct {
-	cold     bool
 	contract bool // merge flow-equivalent interval runs before solving
 
 	in  *job.Instance
@@ -53,7 +52,6 @@ type exactEngine struct {
 	con      contraction
 	supLen   []*big.Rat
 	supNode  []int32
-	supSink  []flow.EdgeID
 	supValid bool
 
 	g         *flow.RatGraph
@@ -62,12 +60,10 @@ type exactEngine struct {
 	ivNode    []int32
 	sink      int
 	srcEdges  []flow.EdgeID
-	sinkEdges []flow.EdgeID
 	midPos    []int32
 	midIv     []int32
 	midID     []flow.EdgeID
 	prevOps   flow.DinicOps
-	removals  int   // warm rejecting rounds this phase
 	excluded  []int // candidate positions the last rejected round excluded
 	accepted  []int
 	emitScratch
@@ -126,7 +122,6 @@ func (e *exactEngine) beginPhase(used, cand []int, span *obs.Span) bool {
 			e.activeCount[jx]++
 		}
 	}
-	e.removals = 0
 	e.needBuild = true
 	e.supValid = false
 	e.con.on = false
@@ -219,7 +214,6 @@ func (e *exactEngine) buildContracted() {
 	e.midPos = e.midPos[:0]
 	e.midIv = e.midIv[:0]
 	e.midID = e.midID[:0]
-	e.supSink = growEdgeIDs(e.supSink, e.con.nSup)
 	for s := 0; s < e.con.nSup; s++ {
 		if e.supNode[s] < 0 {
 			continue
@@ -236,7 +230,7 @@ func (e *exactEngine) buildContracted() {
 		}
 		c.SetInt64(int64(e.mj[head]))
 		c.Mul(c, e.supLen[s])
-		e.supSink[s] = e.g.AddEdge(int(e.supNode[s]), e.sink, c)
+		e.g.AddEdge(int(e.supNode[s]), e.sink, c)
 	}
 	e.rec.Add("opt.graph_rebuilds", 1)
 	e.prevOps = flow.DinicOps{}
@@ -284,7 +278,6 @@ func (e *exactEngine) buildRaw(counter string) {
 	e.midPos = e.midPos[:0]
 	e.midIv = e.midIv[:0]
 	e.midID = e.midID[:0]
-	e.sinkEdges = growEdgeIDs(e.sinkEdges, nIv)
 	for jx := 0; jx < nIv; jx++ {
 		if e.mj[jx] == 0 {
 			continue
@@ -300,7 +293,7 @@ func (e *exactEngine) buildRaw(counter string) {
 		}
 		c.SetInt64(int64(e.mj[jx]))
 		c.Mul(c, e.ivLen[jx])
-		e.sinkEdges[jx] = e.g.AddEdge(int(e.ivNode[jx]), e.sink, c)
+		e.g.AddEdge(int(e.ivNode[jx]), e.sink, c)
 	}
 	e.rec.Add(counter, 1)
 	e.prevOps = flow.DinicOps{}
@@ -320,9 +313,6 @@ func (e *exactEngine) solveRound() int {
 	stop := e.rec.Time("opt.flow_solve_seconds")
 	e.g.MaxFlow(0, e.sink)
 	stop()
-	if e.removals > 0 && !e.cold {
-		e.rec.Add("flow.warm_hits", 1)
-	}
 	e.publish()
 
 	value := new(big.Rat)
@@ -359,64 +349,10 @@ func (e *exactEngine) removeExcluded() (degenerate, empty bool) {
 	if e.aliveCount == 0 {
 		return false, true
 	}
-	drained := new(big.Rat)
 	for _, pos := range e.excluded {
-		e.alive[pos] = false
-		for _, jx := range e.jobIvs[e.cand0[pos]] {
-			e.activeCount[jx]--
-		}
-		if !e.cold {
-			drained.Add(drained, e.g.RemoveJobEdge(e.srcEdges[pos]))
-		}
+		e.drop(pos)
 	}
-	// Sink capacities are lowered once per interval after every count
-	// has dropped; lastSup dedupes run members, as in the float engine.
-	c := new(big.Rat)
-	for _, pos := range e.excluded {
-		lastSup := int32(-1)
-		for _, jx := range e.jobIvs[e.cand0[pos]] {
-			nm := min(e.activeCount[jx], e.free[jx])
-			if nm >= e.mj[jx] {
-				continue
-			}
-			e.mj[jx] = nm
-			if e.cold {
-				continue
-			}
-			if e.con.on {
-				if s := e.con.supOf[jx]; s >= 0 && s != lastSup {
-					c.SetInt64(int64(nm))
-					c.Mul(c, e.supLen[s])
-					drained.Add(drained, e.g.SetCapacity(e.supSink[s], c))
-					lastSup = s
-				}
-			} else if e.ivNode[jx] >= 0 {
-				c.SetInt64(int64(nm))
-				c.Mul(c, e.ivLen[jx])
-				drained.Add(drained, e.g.SetCapacity(e.sinkEdges[jx], c))
-			}
-		}
-	}
-	oldSpeed := e.speed
-	e.recomputeTotals()
-	if e.totalTime.Sign() <= 0 {
-		e.needBuild = true
-		return true, false
-	}
-	e.speed = new(big.Rat).Quo(e.totalWork, e.totalTime)
-	if e.cold {
-		e.needBuild = true
-		return false, false
-	}
-	e.removals++
-	// Exact arithmetic: rescaling by s_old/s_new lands every source
-	// capacity exactly on w/s_new, so one ScaleSourceCaps call replaces
-	// the per-edge absolute updates of the float engine.
-	ratio := new(big.Rat).Quo(oldSpeed, e.speed)
-	drained.Add(drained, e.g.ScaleSourceCaps(ratio))
-	df, _ := drained.Float64()
-	e.rec.Add("flow.drained_units", int64(df+0.5))
-	return false, false
+	return e.reconjecture(), false
 }
 
 func (e *exactEngine) dropLeastWork() (degenerate, empty bool) {
@@ -426,23 +362,35 @@ func (e *exactEngine) dropLeastWork() (degenerate, empty bool) {
 			best = pos
 		}
 	}
-	k := e.cand0[best]
-	e.alive[best] = false
 	e.aliveCount--
 	if e.aliveCount == 0 {
 		return false, true
 	}
-	for _, jx := range e.jobIvs[k] {
+	e.drop(best)
+	return e.reconjecture(), false
+}
+
+// drop takes candidate pos out of the conjectured set and lowers the
+// m_j of its intervals.
+func (e *exactEngine) drop(pos int) {
+	e.alive[pos] = false
+	for _, jx := range e.jobIvs[e.cand0[pos]] {
 		e.activeCount[jx]--
 		e.mj[jx] = min(e.activeCount[jx], e.free[jx])
 	}
+}
+
+// reconjecture recomputes the totals and the speed after drops; the next
+// round builds its network afresh. It reports a network with no
+// capacity left.
+func (e *exactEngine) reconjecture() (degenerate bool) {
+	e.needBuild = true
 	e.recomputeTotals()
 	if e.totalTime.Sign() <= 0 {
-		return true, false
+		return true
 	}
 	e.speed = new(big.Rat).Quo(e.totalWork, e.totalTime)
-	e.needBuild = true
-	return false, false
+	return false
 }
 
 func (e *exactEngine) accept() (float64, []int, []piece) {
@@ -451,12 +399,6 @@ func (e *exactEngine) accept() (float64, []int, []piece) {
 		// so rebuild the raw-shaped network and solve from zero.
 		e.con.on = false
 		e.buildRaw("opt.emit_rebuilds")
-		stop := e.rec.Time("opt.flow_solve_seconds")
-		e.g.MaxFlow(0, e.sink)
-		stop()
-		e.publish()
-	} else if !e.cold && e.removals > 0 {
-		e.g.ResetFlow()
 		stop := e.rec.Time("opt.flow_solve_seconds")
 		e.g.MaxFlow(0, e.sink)
 		stop()

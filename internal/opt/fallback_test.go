@@ -20,14 +20,14 @@ func fallbackInstance(t *testing.T) *job.Instance {
 }
 
 // TestFallbackExactRescues forces a flow invariant violation on every
-// float-engine round and checks the ladder walks cold → exact, the exact
-// engine produces a verified schedule, and the fallback counters fire —
-// the ISSUE's "forced internal invariant violation" acceptance test.
+// float-engine round and checks the solve falls back to the exact
+// engine once, the exact engine produces a verified schedule, and the
+// fallback counters fire.
 func TestFallbackExactRescues(t *testing.T) {
 	in := fallbackInstance(t)
 	testHookRound = func(exact bool) {
 		if !exact {
-			panic(&flow.InvariantViolation{Numeric: true, Msg: "injected: drain failed to converge"})
+			panic(&flow.InvariantViolation{Numeric: true, Msg: "injected: float failure"})
 		}
 	}
 	defer func() { testHookRound = nil }()
@@ -40,21 +40,18 @@ func TestFallbackExactRescues(t *testing.T) {
 	if err := res.Schedule.Verify(in); err != nil {
 		t.Fatalf("rescued schedule infeasible: %v", err)
 	}
-	if got := rec.Value("opt.fallback_cold"); got != 1 {
-		t.Errorf("opt.fallback_cold = %d, want 1", got)
-	}
 	if got := rec.Value("opt.fallback_exact"); got != 1 {
 		t.Errorf("opt.fallback_exact = %d, want 1", got)
 	}
-	// One float attempt warm, one cold: two contained panics.
-	if got := rec.Value("opt.panics_recovered"); got != 2 {
-		t.Errorf("opt.panics_recovered = %d, want 2", got)
+	// One float attempt: one contained panic.
+	if got := rec.Value("opt.panics_recovered"); got != 1 {
+		t.Errorf("opt.panics_recovered = %d, want 1", got)
 	}
 }
 
 // TestFallbackExhausted panics on every round of every engine: the caller
-// must see a typed error — never a crash — and the ladder must still have
-// tried (and counted) each rung.
+// must see a typed error — never a crash — and the solve must still have
+// tried (and counted) the exact fallback.
 func TestFallbackExhausted(t *testing.T) {
 	in := fallbackInstance(t)
 	testHookRound = func(bool) {
@@ -73,20 +70,17 @@ func TestFallbackExhausted(t *testing.T) {
 	if !errors.Is(err, mpsserr.ErrNumeric) {
 		t.Errorf("err = %v, want ErrNumeric", err)
 	}
-	if got := rec.Value("opt.fallback_cold"); got != 1 {
-		t.Errorf("opt.fallback_cold = %d, want 1", got)
-	}
 	if got := rec.Value("opt.fallback_exact"); got != 1 {
 		t.Errorf("opt.fallback_exact = %d, want 1", got)
 	}
-	if got := rec.Value("opt.panics_recovered"); got != 3 {
-		t.Errorf("opt.panics_recovered = %d, want 3", got)
+	if got := rec.Value("opt.panics_recovered"); got != 2 {
+		t.Errorf("opt.panics_recovered = %d, want 2", got)
 	}
 }
 
 // TestFallbackNonNumericPanicContained checks that an arbitrary
 // (non-InvariantViolation) panic surfaces as ErrInternal — still retried
-// by the ladder — and that phase/round context lands in the message.
+// in exact arithmetic — and that phase/round context lands in the message.
 func TestFallbackNonNumericPanicContained(t *testing.T) {
 	in := fallbackInstance(t)
 	testHookRound = func(bool) { panic("injected: slice index out of range") }
@@ -101,9 +95,9 @@ func TestFallbackNonNumericPanicContained(t *testing.T) {
 	}
 }
 
-// TestExactPathNoLadder: an explicit Exact() run has no deeper rung to
-// fall back to, so an injected violation must surface immediately as a
-// typed error with no fallback counters.
+// TestExactPathNoLadder: an explicit Exact() run has nothing to fall
+// back to, so an injected violation must surface immediately as a typed
+// error with no fallback counter.
 func TestExactPathNoLadder(t *testing.T) {
 	in := fallbackInstance(t)
 	testHookRound = func(exact bool) {
@@ -118,38 +112,8 @@ func TestExactPathNoLadder(t *testing.T) {
 	if !errors.Is(err, mpsserr.ErrInternal) {
 		t.Errorf("err = %v, want ErrInternal", err)
 	}
-	if got := rec.Value("opt.fallback_cold") + rec.Value("opt.fallback_exact"); got != 0 {
-		t.Errorf("fallback counters = %d, want 0 on the explicit exact path", got)
-	}
-}
-
-// TestFallbackColdRescues: a violation only on the default in-place
-// path — simulated by failing just the first float attempt — is rescued
-// by the cold rung without reaching exact.
-func TestFallbackColdRescues(t *testing.T) {
-	in := fallbackInstance(t)
-	calls := 0
-	testHookRound = func(exact bool) {
-		calls++
-		if calls == 1 {
-			panic(&flow.InvariantViolation{Numeric: true, Msg: "injected: warm-only failure"})
-		}
-	}
-	defer func() { testHookRound = nil }()
-
-	rec := obs.New()
-	res, err := Schedule(in, WithRecorder(rec))
-	if err != nil {
-		t.Fatalf("cold fallback should have rescued the solve, got %v", err)
-	}
-	if err := res.Schedule.Verify(in); err != nil {
-		t.Fatalf("rescued schedule infeasible: %v", err)
-	}
-	if got := rec.Value("opt.fallback_cold"); got != 1 {
-		t.Errorf("opt.fallback_cold = %d, want 1", got)
-	}
 	if got := rec.Value("opt.fallback_exact"); got != 0 {
-		t.Errorf("opt.fallback_exact = %d, want 0", got)
+		t.Errorf("opt.fallback_exact = %d, want 0 on the explicit exact path", got)
 	}
 }
 

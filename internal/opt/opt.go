@@ -27,22 +27,21 @@
 // same J_i from a smaller candidate set, in fewer and smaller rounds.
 //
 // Consecutive rounds of a phase differ only by the removed jobs and a
-// uniform rescaling of the source capacities, so the network is built
-// once per phase. The float path builds it as a flow.PhaseNet, the
-// max-flow kernel for this network shape, straight from the engine's
-// job windows and per-interval candidate lists. Each rejection resets
-// the flow, removes the excluded jobs and re-sets the capacities in
-// place (PhaseNet.ResetFlow, RemoveJob, SetSinkCap, SetSourceCap), and
-// the next round solves from zero on the same network: every round's
-// flow — the emitted one included — is bit-identical to a cold
-// rebuild's. The exact engine still drains the removed jobs' flow and
-// re-augments (exact.go). The excluded jobs are chosen by a
-// flow-invariant rule — every candidate whose node can still reach the
-// sink in the residual graph (PhaseNet.CoReachable, flow.CoReachable) —
-// so every path removes exactly the jobs a cold from-scratch path would.
-// Each of them is outside J_i on its own, so one rejected round removes
-// them all. See DESIGN.md §7 for the invariants; ColdStart rebuilds the
-// network every round instead, for differential testing.
+// uniform rescaling of the source capacities. The float path builds the
+// network once per phase as a flow.PhaseNet, the max-flow kernel for
+// this network shape, straight from the engine's job windows and
+// per-interval candidate lists. Each rejection resets the flow, removes
+// the excluded jobs and re-sets the capacities in place (PhaseNet's
+// ResetFlow, RemoveJob, SetSinkCap, SetSourceCap), and the next round
+// solves from zero on the same network: every round's flow — the
+// emitted one included — is bit-identical to that of a network rebuilt
+// for the round. The exact engine does rebuild its flow.RatGraph for
+// every round and solves it from zero (exact.go). The excluded jobs are
+// chosen by a flow-invariant rule — every candidate whose node can still
+// reach the sink in the residual graph (PhaseNet.CoReachable,
+// RatGraph.CoReachable) — so both engines remove exactly the jobs the
+// paper's rule removes. Each of them is outside J_i on its own, so one
+// rejected round removes them all. See DESIGN.md §7 for the invariants.
 //
 // A streaming Session (session.go) keeps a mutable job set and resolves
 // it through the same Schedule: nothing of one solve's flow carries
@@ -96,7 +95,6 @@ type Option func(*config)
 
 type config struct {
 	exact      bool
-	cold       bool
 	noContract bool
 	decompose  bool
 	tol        float64
@@ -110,14 +108,6 @@ type config struct {
 // Substantially slower, but immune to floating-point misclassification;
 // used by tests to cross-validate the float64 fast path.
 func Exact() Option { return func(c *config) { c.exact = true } }
-
-// ColdStart rebuilds the flow network from scratch every round, as the
-// paper's pseudo-code literally does, instead of building it once per
-// phase and updating it in place between rounds. Both paths solve every
-// round from zero flow and return bit-identical results. The
-// differential tests and the scaling benchmarks use ColdStart as the
-// reference; production callers want the (default) in-place path.
-func ColdStart() Option { return func(c *config) { c.cold = true } }
 
 // WithTolerance sets the relative tolerance of the float64 fast path
 // (default flow.SolveTolerance).
@@ -144,7 +134,7 @@ func WithContraction(on bool) Option {
 // — fanned over WithParallelism workers — and merges the component
 // results into the Result a monolithic solve would return, bit for bit
 // (see decompose.go for the equivalence argument and the differential
-// suite for the proof). The fallback ladder applies per component.
+// suite for the proof). The exact fallback applies per component.
 // Counters: "opt.components", "opt.decompose_cuts",
 // "opt.component_jobs_max" (the Add of each solve's largest component —
 // the recorder has no gauge primitive, so a single-solve reading is the
@@ -230,11 +220,9 @@ func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 //
 // Failure handling: the float64 fast path can fail numerically on
 // hostile inputs (ErrNumeric) or trip a contained solver invariant
-// (ErrInternal). Both are retried automatically before surfacing — first
-// with a network rebuilt every round (ColdStart, counter
-// "opt.fallback_cold"), then with the exact rational engine (counter
-// "opt.fallback_exact") — so production callers only see an error when
-// every rung of the ladder fails. Explicit Exact() runs skip the ladder:
+// (ErrInternal). Both are retried once with the exact rational engine
+// (counter "opt.fallback_exact"), so production callers only see an
+// error when both engines fail. Explicit Exact() runs skip the retry:
 // there is nothing more exact to fall back to.
 func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 	cfg := config{tol: flow.SolveTolerance}
@@ -255,34 +243,18 @@ func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 			return scheduleDecomposed(in, comps, &cfg, opts)
 		}
 	}
+	s.ee.contract = !cfg.noContract
 	if cfg.exact {
-		s.ee.cold = cfg.cold
-		s.ee.contract = !cfg.noContract
 		return runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
 	}
 	s.fe.tol = cfg.tol
-	s.fe.cold = cfg.cold
 	s.fe.contract = !cfg.noContract
 	res, err := runPhases(cfg.ctx, in, &s.fe, cfg.rec, cfg.span)
 	if err == nil || !retryable(err) {
 		return res, err
 	}
 	floatErr := err
-	if !cfg.cold {
-		cfg.rec.Add("opt.fallback_cold", 1)
-		s.fe.cold = true
-		res, err = runPhases(cfg.ctx, in, &s.fe, cfg.rec, cfg.span)
-		s.fe.cold = false
-		if err == nil {
-			return res, nil
-		}
-		if !retryable(err) {
-			return nil, err
-		}
-	}
 	cfg.rec.Add("opt.fallback_exact", 1)
-	s.ee.cold = false
-	s.ee.contract = !cfg.noContract
 	res, err = runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
 	if err != nil {
 		return nil, fmt.Errorf("opt: exact fallback also failed: %w (float path: %v)", err, floatErr)
@@ -290,10 +262,10 @@ func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 	return res, nil
 }
 
-// retryable reports whether a later rung of the fallback ladder may
-// succeed where this error failed: numeric failures by construction,
-// internal invariant violations because a differently-conditioned
-// engine often sidesteps the triggering state. Invalid or infeasible
+// retryable reports whether the exact engine may succeed where the
+// float engine failed: numeric failures by construction, internal
+// invariant violations because a differently-conditioned engine often
+// sidesteps the triggering state. Invalid or infeasible
 // inputs fail identically everywhere.
 func retryable(err error) bool {
 	return errors.Is(err, mpsserr.ErrNumeric) || errors.Is(err, mpsserr.ErrInternal)
@@ -329,18 +301,18 @@ type phaseEngine interface {
 	excludedJobs(dst []int) []int
 	// removeExcluded removes every candidate selected by the last
 	// solveRound from the network and re-derives the phase speed once.
-	// The float engine resets its flow to zero first; the exact engine
-	// drains the removed candidates' flow and keeps the rest.
+	// The float engine resets its flow to zero and updates the network
+	// in place; the exact engine rebuilds it for the next round.
 	removeExcluded() (degenerate, empty bool)
 	// dropLeastWork removes the least-work candidate; the driver calls
 	// it to make progress on degenerate (zero-capacity) networks.
 	dropLeastWork() (degenerate, empty bool)
 	// accept finalizes the phase and returns the phase speed, the m_ij
 	// vector and every positive job -> interval flow as a piece, in
-	// interval order (ivIdx non-decreasing). A phase whose rounds ran on
-	// a contracted network is first re-solved on the raw one, and the
-	// exact engine's flow after drains is first canonicalized by a solve
-	// from zero.
+	// interval order (ivIdx non-decreasing). The accepted round's flow
+	// was solved from zero, so it is emitted as it stands; a phase whose
+	// rounds ran on a contracted network is first re-solved on the raw
+	// one.
 	// The pieces live in the engine's emitScratch until the next accept.
 	accept() (speed float64, mj []int, pieces []piece)
 	// acceptedCand returns the accepted candidate set (instance job
@@ -365,10 +337,10 @@ var testHookEmitted func(segs []schedule.Segment, iv []int32)
 
 // runPhases is the shared phase/round driver for both engines. It is
 // also the solver's panic-containment boundary: invariant violations
-// raised anywhere below (the flow drain walks, the engines, the
+// raised anywhere below (the flow kernels, the engines, the
 // wrap-around packer) are recovered here and converted into typed
 // errors — flow.InvariantViolation values with Numeric set become
-// ErrNumeric (the fallback ladder retries those), everything else
+// ErrNumeric (the exact fallback retries those), everything else
 // becomes ErrInternal — annotated with the phase/round position the
 // solver had reached, mirroring the span trace internal/obs records.
 //
@@ -479,7 +451,7 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 		if err := emitPhase(in, ivs, used, cand, speed, mj, pieces, eng.scratch(), order, res); err != nil {
 			// Packing can only fail when the flow the engine certified
 			// does not fit its intervals: precision loss on the float
-			// path (the ladder retries), a bug on the exact path.
+			// path (the exact fallback retries), a bug on the exact path.
 			if isExact {
 				return nil, fmt.Errorf("%v: %w", err, mpsserr.ErrInternal)
 			}

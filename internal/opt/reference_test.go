@@ -300,7 +300,7 @@ func resultDiff(a, b *Result) string {
 }
 
 // refVariants are the engine settings a reference comparison of in runs:
-// warm/cold x contraction on/off x decomposition on/off. Decomposition
+// contraction on/off x decomposition on/off. Decomposition
 // is left out for a single-component instance, which Solver.Schedule
 // then solves on the monolithic path it already runs with it off.
 func refVariants(in *job.Instance) map[string][]Option {
@@ -309,16 +309,10 @@ func refVariants(in *job.Instance) map[string][]Option {
 		decomposes = append(decomposes, true)
 	}
 	out := make(map[string][]Option)
-	for _, cold := range []bool{false, true} {
-		for _, contract := range []bool{true, false} {
-			for _, decompose := range decomposes {
-				name := fmt.Sprintf("cold=%v/contract=%v/decompose=%v", cold, contract, decompose)
-				opts := []Option{WithContraction(contract), WithDecomposition(decompose)}
-				if cold {
-					opts = append(opts, ColdStart())
-				}
-				out[name] = opts
-			}
+	for _, contract := range []bool{true, false} {
+		for _, decompose := range decomposes {
+			name := fmt.Sprintf("contract=%v/decompose=%v", contract, decompose)
+			out[name] = []Option{WithContraction(contract), WithDecomposition(decompose)}
 		}
 	}
 	return out

@@ -151,8 +151,5 @@ func (ss *Session) scheduleOpts(ctx context.Context) []Option {
 	if ss.cfg.exact {
 		opts = append(opts, Exact())
 	}
-	if ss.cfg.cold {
-		opts = append(opts, ColdStart())
-	}
 	return opts
 }
