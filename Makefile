@@ -93,7 +93,10 @@ trace-smoke:
 # cap searches with contraction on and off against their reference,
 # under the race detector: the contraction pass shares per-phase state
 # with the round engine, so one racy write there would silently corrupt
-# the active-set runs. -short keeps it to the small sizes.
+# the active-set runs. The raw side runs through withContraction(false),
+# an option only internal/opt's tests define (contract_test.go); no
+# caller of the package can turn contraction off. -short keeps it to
+# the small sizes.
 contract-smoke:
 	$(GO) test -race -short -run 'TestContractedMatchesRaw|TestCapSearchMatchesReference' ./internal/opt/
 

@@ -40,8 +40,7 @@ func main() {
 		seeds      = flag.Int("seeds", 0, "seeds per cell (0 = default)")
 		n          = flag.Int("n", 0, "jobs per instance (0 = default)")
 		workers    = flag.Int("workers", 0, "experiments run concurrently (0 = GOMAXPROCS, 1 = sequential)")
-		contract   = flag.Bool("contract", true, "interval contraction in the offline solves (off = raw-graph A/B baseline)")
-		decompose  = flag.Bool("decompose", false, "zero-active-boundary decomposition in the offline solves (bit-identical results)")
+		decompose  = flag.Bool("decompose", false, "zero-active-boundary decomposition in the offline solves (bit-identical results except at one-ulp phase-speed ties)")
 		csvDir     = flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
 		metricsOut = flag.String("metrics", "", "collect per-experiment solver metrics; print summaries and write them as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
@@ -63,7 +62,6 @@ func main() {
 	if *n > 0 {
 		cfg.N = *n
 	}
-	cfg.NoContraction = !*contract
 	cfg.Decompose = *decompose
 
 	if *csvDir != "" {

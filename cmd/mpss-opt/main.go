@@ -41,8 +41,7 @@ func main() {
 		alpha      = flag.Float64("alpha", 3, "power function exponent (P(s) = s^alpha)")
 		exact      = flag.Bool("exact", false, "use exact rational arithmetic for phase decisions")
 		parallel   = flag.Int("parallel", 1, "component workers (<=1 sequential; ignored with -exact)")
-		contract   = flag.Bool("contract", true, "merge equal-active-set interval runs before each phase solve (bit-identical results; off = A/B baseline)")
-		decompose  = flag.Bool("decompose", false, "cut the instance at zero-active boundaries and solve components independently (bit-identical results; streamed traces default to true)")
+		decompose  = flag.Bool("decompose", false, "cut the instance at zero-active boundaries and solve components independently (bit-identical results except at one-ulp phase-speed ties; streamed traces default to true)")
 		gantt      = flag.Bool("gantt", false, "print an ASCII Gantt chart")
 		jsonOut    = flag.String("json", "", "write the schedule as JSON to this file")
 		svgOut     = flag.String("svg", "", "write the schedule as an SVG figure to this file")
@@ -95,7 +94,7 @@ func main() {
 		if decomposeSet {
 			on = *decompose
 		}
-		solveStream(input, p, *alpha, on, *parallel, *contract, rec,
+		solveStream(input, p, *alpha, on, *parallel, rec,
 			*summaryOut, *metricsOut, *trace)
 		writeHeapProfile(*memProfile)
 		return
@@ -113,7 +112,7 @@ func main() {
 		solve = mpss.OptimalScheduleExact
 	}
 	res, err := solve(in, mpss.WithRecorder(rec), mpss.WithParallelism(*parallel),
-		mpss.WithContraction(*contract), mpss.WithDecomposition(*decompose))
+		mpss.WithDecomposition(*decompose))
 	if err != nil {
 		fail(err)
 	}
@@ -174,11 +173,11 @@ func main() {
 // solveStream runs the streaming trace solve and prints/records its
 // fixed-size summary.
 func solveStream(r io.Reader, p mpss.PowerFunction, alpha float64, decompose bool,
-	parallel int, contract bool, rec *mpss.Recorder, summaryOut, metricsOut string, trace bool) {
+	parallel int, rec *mpss.Recorder, summaryOut, metricsOut string, trace bool) {
 	start := time.Now()
 	sum, err := mpss.SolveTraceStream(r, p,
 		mpss.WithDecomposition(decompose), mpss.WithParallelism(parallel),
-		mpss.WithContraction(contract), mpss.WithRecorder(rec))
+		mpss.WithRecorder(rec))
 	if err != nil {
 		fail(err)
 	}

@@ -28,12 +28,12 @@ func FuzzSolvePipeline(f *testing.F) {
 	// so every differential leg of the body runs.
 	f.Add(int8(3), 0.0, 6.0, 9.0, 1.0, 7.0, 4.0, 2.0, 8.0, 5.0)
 	// Grid-aligned windows: two jobs share a window and the third spans
-	// both, so multiple atomic intervals carry identical active sets and
-	// the solve exercises the interval-contraction path and its raw
-	// differential below.
+	// both. TestBatchExclusionMatchesReference in internal/opt solves
+	// this instance and the next one with contraction on and off against
+	// the one-at-a-time reference.
 	f.Add(int8(2), 0.0, 4.0, 6.0, 0.0, 4.0, 3.0, 0.0, 8.0, 5.0)
-	// Nested aligned windows with a shared left endpoint — contraction
-	// plus multi-phase structure.
+	// Nested aligned windows with a shared left endpoint: three phases,
+	// the last solved on a contracted network.
 	f.Add(int8(2), 0.0, 2.0, 5.0, 0.0, 4.0, 2.0, 0.0, 8.0, 1.0)
 
 	f.Fuzz(func(t *testing.T, m int8, r1, d1, w1, r2, d2, w2, r3, d3, w3 float64) {
@@ -71,27 +71,6 @@ func FuzzSolvePipeline(f *testing.F) {
 			if sane(in) {
 				if verr := Verify(res.Schedule, in); verr != nil {
 					t.Errorf("OptimalSchedule: infeasible schedule for valid instance: %v", verr)
-				}
-			}
-		}
-
-		// Contraction must be output-invisible on every accepted
-		// instance: re-solve on the raw interval graph and demand the
-		// bit-identical phase speeds.
-		if err == nil && sane(in) {
-			rres, rerr := OptimalSchedule(in, WithContraction(false))
-			check("OptimalSchedule(raw)", rerr)
-			if rerr == nil {
-				if len(rres.Phases) != len(res.Phases) {
-					t.Errorf("contraction changed phase count: %d vs %d",
-						len(res.Phases), len(rres.Phases))
-				} else {
-					for i := range res.Phases {
-						if res.Phases[i].Speed != rres.Phases[i].Speed {
-							t.Errorf("contraction changed phase %d speed: %v vs %v",
-								i, res.Phases[i].Speed, rres.Phases[i].Speed)
-						}
-					}
 				}
 			}
 		}

@@ -38,11 +38,6 @@ type Config struct {
 	// installs a fresh recorder per experiment and renders the snapshots.
 	Recorder *obs.Recorder
 
-	// NoContraction disables interval contraction in every offline solve
-	// the experiments run (the A/B lever behind mpss-bench -contract=false).
-	// Results are bit-identical either way; only the runtime changes.
-	NoContraction bool
-
 	// Decompose turns on zero-active-boundary decomposition in every
 	// offline solve (mpss-bench -decompose). Results are bit-identical;
 	// only runtime changes, and only on separable instances.
@@ -52,7 +47,7 @@ type Config struct {
 // solveOpts is the A/B toggle set every experiment passes to
 // opt.Schedule, so one Config switch flips the whole suite.
 func (c Config) solveOpts() []opt.Option {
-	return []opt.Option{opt.WithContraction(!c.NoContraction), opt.WithDecomposition(c.Decompose)}
+	return []opt.Option{opt.WithDecomposition(c.Decompose)}
 }
 
 // Defaults returns the configuration used by EXPERIMENTS.md.

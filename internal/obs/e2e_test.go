@@ -98,9 +98,9 @@ func TestOptimizerExactArithmeticCounts(t *testing.T) {
 func TestFeasibilityProbeCounts(t *testing.T) {
 	in := threeJobInstance(t)
 	rec := obs.New()
-	ok, err := opt.FeasibleAtSpeedObserved(in, 3, rec)
+	ok, err := opt.FeasibleAtSpeed(in, 3, opt.WithRecorder(rec))
 	if err != nil || !ok {
-		t.Fatalf("FeasibleAtSpeedObserved(3) = %v, %v; want feasible", ok, err)
+		t.Fatalf("FeasibleAtSpeed(3) = %v, %v; want feasible", ok, err)
 	}
 	wantCounter(t, rec, "opt.feasibility_probes", 1)
 	wantCounter(t, rec, "flow.solves", 1)

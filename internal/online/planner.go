@@ -173,7 +173,7 @@ func (p *Planner) CanAdmit(cap float64, cand job.Job) (bool, error) {
 		return false, err
 	}
 	p.rec.Add("planner.admission_probes", 1)
-	return opt.FeasibleAtSpeedObserved(sub, cap, p.rec)
+	return opt.FeasibleAtSpeed(sub, cap, opt.WithRecorder(p.rec))
 }
 
 // replan recomputes the optimal schedule for the live jobs from p.now.

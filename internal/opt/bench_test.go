@@ -99,7 +99,7 @@ func benchOptScheduleSlotted(b *testing.B, n int, contract bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(in, WithContraction(contract), WithRecorder(rec)); err != nil {
+		if _, err := s.Schedule(in, withContraction(contract), WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkMinFeasibleCap256Jobs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinFeasibleCapObserved(in, 1e-6, rec); err != nil {
+		if _, err := MinFeasibleCap(in, 1e-6, WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func BenchmarkMinFeasibleCap64Jobs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinFeasibleCapObserved(in, 0, rec); err != nil {
+		if _, err := MinFeasibleCap(in, 0, WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,24 +18,20 @@ import (
 // on the network G(all jobs, full machine, s) — source edges w_k/s, job
 // to interval edges |I_j|, interval to sink edges m|I_j| — because any
 // schedule may slow down to exactly s wherever it runs faster.
-func FeasibleAtSpeed(in *job.Instance, s float64) (bool, error) {
-	return FeasibleAtSpeedObserved(in, s, nil)
+//
+// WithRecorder counts the probe ("opt.feasibility_probes", plus the
+// flow-solver op counters); WithContext is checked before the flow
+// solve. Other options have no effect.
+func FeasibleAtSpeed(in *job.Instance, s float64, opts ...Option) (bool, error) {
+	cfg := newConfig(opts)
+	return feasibleAtSpeed(in, s, &cfg)
 }
 
-// FeasibleAtSpeedObserved is FeasibleAtSpeed with each probe counted in
-// the recorder ("opt.feasibility_probes", plus the flow-solver op
-// counters). A nil recorder makes it identical to FeasibleAtSpeed.
-func FeasibleAtSpeedObserved(in *job.Instance, s float64, rec *obs.Recorder) (bool, error) {
-	return FeasibleAtSpeedCtx(nil, in, s, rec)
-}
-
-// FeasibleAtSpeedCtx is FeasibleAtSpeedObserved with a cancellation
-// context checked before the flow solve (nil disables the check).
-func FeasibleAtSpeedCtx(ctx context.Context, in *job.Instance, s float64, rec *obs.Recorder) (bool, error) {
+func feasibleAtSpeed(in *job.Instance, s float64, cfg *config) (bool, error) {
 	if err := validateForSolve(in); err != nil {
 		return false, err
 	}
-	if cerr := canceled(ctx, 0, 0); cerr != nil {
+	if cerr := canceled(cfg.ctx, 0, 0); cerr != nil {
 		return false, cerr
 	}
 	if err := checkCap(s); err != nil {
@@ -44,7 +40,7 @@ func FeasibleAtSpeedCtx(ctx context.Context, in *job.Instance, s float64, rec *o
 	sv := solverPool.Get()
 	defer solverPool.Put(sv)
 	sv.cn.set(in, job.Partition(in.Jobs))
-	return sv.cn.feasible(in, s, rec), nil
+	return sv.cn.feasible(in, s, cfg.rec), nil
 }
 
 // checkCap rejects a speed cap no probe network can be built for.
@@ -159,40 +155,6 @@ func (c cutCert) refutes(in *job.Instance, x float64) bool {
 	return c.work/x-c.time > 2*flow.SolveTolerance*math.Max(1, demand)
 }
 
-// CapOption configures MinFeasibleCap / MinFeasibleCapObserved.
-type CapOption func(*capConfig)
-
-type capConfig struct {
-	lo, hi      float64
-	haveBracket bool
-	noContract  bool
-	ctx         context.Context
-}
-
-// WithBracket supplies a known bracket [lo, hi] with hi feasible and lo
-// infeasible (lo may be 0), skipping the solve that otherwise derives
-// the upper bound from the unbounded optimum's top phase speed. Without
-// that solve the search has no cut certificate, so every wave runs a
-// feasibility probe.
-func WithBracket(lo, hi float64) CapOption {
-	return func(c *capConfig) { c.lo, c.hi, c.haveBracket = lo, hi, true }
-}
-
-// WithCapContext makes the cap search cancelable: ctx is polled before
-// the bracketing solve and between probe waves, and a canceled context
-// returns an error wrapping mpsserr.ErrCanceled. Nil disables the
-// checks (the default).
-func WithCapContext(ctx context.Context) CapOption {
-	return func(c *capConfig) { c.ctx = ctx }
-}
-
-// WithCapContraction toggles interval contraction in the first-phase
-// bracketing solve (default on). The returned cap is the same either
-// way.
-func WithCapContraction(on bool) CapOption {
-	return func(c *capConfig) { c.noContract = !on }
-}
-
 // MinFeasibleCap returns (a tight numerical approximation of) the
 // smallest processor speed cap at which the instance remains feasible —
 // the "minimum peak speed" of the instance. The value equals the highest
@@ -206,22 +168,18 @@ func WithCapContraction(on bool) CapOption {
 // upper-bound check, probe one network built once per search (capNet).
 // Both answer exactly as a probe on a freshly built flow.Graph would, so
 // the cap does not depend on which of them answered a wave.
-func MinFeasibleCap(in *job.Instance, rel float64, opts ...CapOption) (float64, error) {
-	return MinFeasibleCapObserved(in, rel, nil, opts...)
-}
-
-// MinFeasibleCapObserved is MinFeasibleCap with every probe counted in
-// the recorder: "opt.probe_waves" counts bracket-shrinking waves,
-// "opt.cut_waves" those the cut certificate answered, and
-// "opt.feasibility_probes" the probes that ran.
-func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, opts ...CapOption) (float64, error) {
+//
+// WithRecorder counts every probe: "opt.probe_waves" counts
+// bracket-shrinking waves, "opt.cut_waves" those the cut certificate
+// answered, and "opt.feasibility_probes" the probes that ran.
+// WithContext is polled before the first-phase solve, at its rounds and
+// between probe waves. Should the first-phase solve fail numerically,
+// s_1 comes from a full Schedule with the same options.
+func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, error) {
 	if rel <= 0 {
 		rel = flow.SolveTolerance
 	}
-	var cfg capConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	if err := validateForSolve(in); err != nil {
 		return 0, err
 	}
@@ -231,62 +189,49 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 	cn := &sv.cn
 	cn.set(in, ivs)
 
-	var lo, hi float64
-	var cut cutCert
-	if cfg.haveBracket {
-		if !(cfg.lo >= 0) || !(cfg.hi > cfg.lo) || math.IsInf(cfg.hi, 0) {
-			return 0, fmt.Errorf("opt: invalid bracket [%v, %v]: %w", cfg.lo, cfg.hi, mpsserr.ErrInvalidInstance)
+	sv.fe.contract = !cfg.noContract
+	top, cut, err := sv.bracketSpeed(cfg.ctx, in, ivs, cfg.rec)
+	if err != nil {
+		if !retryable(err) {
+			return 0, err
 		}
-		lo, hi = cfg.lo, cfg.hi
-		if !cn.feasible(in, hi, rec) {
-			return 0, fmt.Errorf("opt: bracket upper bound %v is not feasible: %w", hi, mpsserr.ErrInvalidInstance)
+		// The first-phase fast path failed numerically: fall back to
+		// the full solver, which brings its own exact fallback.
+		cfg.rec.Add("opt.bracket_fallbacks", 1)
+		res, ferr := schedulePooled(in, cfg)
+		if ferr != nil {
+			return 0, ferr
 		}
-	} else {
-		var top float64
-		var err error
-		top, cut, err = sv.bracketSpeed(cfg.ctx, in, ivs, !cfg.noContract, rec)
-		if err != nil {
-			if !retryable(err) {
-				return 0, err
-			}
-			// The first-phase fast path failed numerically: fall back to
-			// the full solver, which brings its own exact fallback.
-			rec.Add("opt.bracket_fallbacks", 1)
-			res, ferr := Schedule(in, WithRecorder(rec), WithContext(cfg.ctx), WithContraction(!cfg.noContract))
-			if ferr != nil {
-				return 0, ferr
-			}
-			top = res.Phases[0].Speed
+		top = res.Phases[0].Speed
+	}
+	hi := top * (1 + flow.SolveTolerance)
+	if !cn.feasible(in, hi, cfg.rec) {
+		// The unbounded optimum's top speed must be feasible; tolerate
+		// rounding by nudging upward.
+		hi *= 1 + flow.DiffTolerance
+		if !cn.feasible(in, hi, cfg.rec) {
+			return 0, fmt.Errorf("opt: optimum speed %v not feasible as cap: %w", hi, mpsserr.ErrNumeric)
 		}
-		hi = top * (1 + flow.SolveTolerance)
-		if !cn.feasible(in, hi, rec) {
-			// The unbounded optimum's top speed must be feasible; tolerate
-			// rounding by nudging upward.
-			hi *= 1 + flow.DiffTolerance
-			if !cn.feasible(in, hi, rec) {
-				return 0, fmt.Errorf("opt: optimum speed %v not feasible as cap: %w", hi, mpsserr.ErrNumeric)
-			}
-		}
-		lo = 0
 	}
 
 	// Bisection: each wave probes the bracket midpoint, which becomes the
 	// new upper bound when feasible and the new lower bound otherwise
 	// (feasibility is monotone in the cap).
+	lo := 0.0
 	for hi-lo > rel*hi {
 		if cerr := canceled(cfg.ctx, 0, 0); cerr != nil {
-			rec.Add("opt.canceled", 1)
+			cfg.rec.Add("opt.canceled", 1)
 			return 0, cerr
 		}
 		mid := lo + (hi-lo)/2
 		if mid <= 0 {
 			break
 		}
-		rec.Add("opt.probe_waves", 1)
+		cfg.rec.Add("opt.probe_waves", 1)
 		if cut.refutes(in, mid) {
-			rec.Add("opt.cut_waves", 1)
+			cfg.rec.Add("opt.cut_waves", 1)
 			lo = mid
-		} else if cn.feasible(in, mid, rec) {
+		} else if cn.feasible(in, mid, cfg.rec) {
 			hi = mid
 		} else {
 			lo = mid
@@ -299,9 +244,10 @@ func MinFeasibleCapObserved(in *job.Instance, rel float64, rec *obs.Recorder, op
 // the natural MinFeasibleCap bracket — by running only the *first* phase
 // of the offline algorithm on the float engine, stopping at the first
 // acceptance without emitting a schedule. It also returns that phase's
-// cut certificate: the accepted set's work and processor time. Shares
-// the panic-containment conventions of Solver.Schedule.
-func (s *Solver) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.Interval, contract bool, rec *obs.Recorder) (top float64, cut cutCert, err error) {
+// cut certificate: the accepted set's work and processor time. The
+// float engine's contraction setting stays as the caller left it.
+// Shares the panic-containment conventions of Solver.Schedule.
+func (s *Solver) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.Interval, rec *obs.Recorder) (top float64, cut cutCert, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -317,9 +263,6 @@ func (s *Solver) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.I
 	rec.Add("opt.bracket_solves", 1)
 
 	e := &s.fe
-	e.tol = flow.SolveTolerance
-	e.contract = contract
-
 	used := make([]int, len(ivs))
 	cand := make([]int, in.N())
 	for i := range cand {

@@ -103,40 +103,6 @@ func TestFeasibilityMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestMinFeasibleCapWithBracket checks the escape hatch: a supplied
-// bracket skips the schedule solve and still converges to the same cap.
-func TestMinFeasibleCapWithBracket(t *testing.T) {
-	in, err := workload.Uniform(workload.Spec{N: 10, M: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := MinFeasibleCap(in, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.New()
-	got, err := MinFeasibleCapObserved(in, 1e-9, rec, WithBracket(0, ref*8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !closeRel(got, ref, 1e-7) {
-		t.Fatalf("bracketed %v vs reference %v", got, ref)
-	}
-	if n := rec.Value("opt.bracket_solves"); n != 0 {
-		t.Fatalf("bracket given but %d bracket solves ran", n)
-	}
-	// An infeasible upper bound must be rejected, not searched.
-	if _, err := MinFeasibleCapObserved(in, 1e-9, nil, WithBracket(0, ref*0.1)); err == nil {
-		t.Fatal("infeasible bracket hi accepted")
-	}
-	// Malformed brackets are input errors.
-	for _, b := range [][2]float64{{-1, 2}, {2, 1}, {0, math.Inf(1)}} {
-		if _, err := MinFeasibleCapObserved(in, 1e-9, nil, WithBracket(b[0], b[1])); err == nil {
-			t.Fatalf("bracket %v accepted", b)
-		}
-	}
-}
-
 // TestBracketFastPathMatchesSchedule checks that the first-phase-only
 // bracket solve returns exactly the full solver's top phase speed.
 func TestBracketFastPathMatchesSchedule(t *testing.T) {
@@ -150,7 +116,9 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := obs.New()
-		top, cut, err := NewSolver().bracketSpeed(nil, in, job.Partition(in.Jobs), true, rec)
+		sv := NewSolver()
+		sv.fe.contract = true
+		top, cut, err := sv.bracketSpeed(nil, in, job.Partition(in.Jobs), rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,27 +81,22 @@ type refWave struct {
 	ok bool
 }
 
-// refSearch is the reference bisection of one bracket: its start and
-// every wave at tolerance SolveTolerance, each probed on a freshly built
-// refNet. A search at a coarser tolerance walks a prefix of the same
-// waves. cut is the search's certificate, zero with a given bracket.
+// refSearch is the reference bisection of one search: the upper end of
+// its bracket [0, hi] and every wave at tolerance SolveTolerance, each
+// probed on a freshly built refNet. A search at a coarser tolerance
+// walks a prefix of the same waves. cut is the search's certificate.
 type refSearch struct {
-	lo, hi float64
-	cut    cutCert
-	waves  []refWave
+	hi    float64
+	cut   cutCert
+	waves []refWave
 }
 
-// newRefSearch runs the reference for the search opts select. Without a
-// bracket it derives one as the search does, from the first phase:
-// hi = s_1(1+SolveTolerance), nudged once when infeasible, lo = 0. It
-// also checks capNet against refNet at every wave: the same verdict,
-// flow value, augmenting paths and BFS passes.
-func newRefSearch(t *testing.T, label string, in *job.Instance, opts ...CapOption) *refSearch {
+// newRefSearch runs the reference search. It derives the bracket as the
+// search does, from the first phase: hi = s_1(1+SolveTolerance), nudged
+// once when infeasible. It also checks capNet against refNet at every
+// wave: the same verdict, flow value, augmenting paths and BFS passes.
+func newRefSearch(t *testing.T, label string, in *job.Instance) *refSearch {
 	t.Helper()
-	var cfg capConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	ivs := job.Partition(in.Jobs)
 	probe := func(x float64) bool {
 		rn := buildRefNet(in, ivs, x)
@@ -109,21 +104,20 @@ func newRefSearch(t *testing.T, label string, in *job.Instance, opts ...CapOptio
 		_, ok := rn.solve()
 		return ok
 	}
-	r := &refSearch{lo: cfg.lo, hi: cfg.hi}
-	if !cfg.haveBracket {
-		top, cut, err := NewSolver().bracketSpeed(nil, in, ivs, !cfg.noContract, nil)
-		if err != nil {
-			t.Fatalf("%s: bracket: %v", label, err)
-		}
-		r.lo, r.hi, r.cut = 0, top*(1+flow.SolveTolerance), cut
+	sv := NewSolver()
+	sv.fe.contract = true
+	top, cut, err := sv.bracketSpeed(nil, in, ivs, nil)
+	if err != nil {
+		t.Fatalf("%s: bracket: %v", label, err)
+	}
+	r := &refSearch{hi: top * (1 + flow.SolveTolerance), cut: cut}
+	if !probe(r.hi) {
+		r.hi *= 1 + flow.DiffTolerance
 		if !probe(r.hi) {
-			r.hi *= 1 + flow.DiffTolerance
-			if !probe(r.hi) {
-				t.Fatalf("%s: reference: top speed %v not feasible as cap", label, r.hi)
-			}
+			t.Fatalf("%s: reference: top speed %v not feasible as cap", label, r.hi)
 		}
 	}
-	for lo, hi := r.lo, r.hi; hi-lo > flow.SolveTolerance*hi; {
+	for lo, hi := 0.0, r.hi; hi-lo > flow.SolveTolerance*hi; {
 		mid := lo + (hi-lo)/2
 		if mid <= 0 {
 			break
@@ -169,7 +163,7 @@ func (r *refSearch) at(rel float64) (float64, []refWave) {
 	if rel <= 0 {
 		rel = flow.SolveTolerance
 	}
-	lo, hi := r.lo, r.hi
+	lo, hi := 0.0, r.hi
 	for i, w := range r.waves {
 		if !(hi-lo > rel*hi) {
 			return hi, r.waves[:i]
@@ -222,10 +216,10 @@ func refScheduleAtCap(in *job.Instance, x float64) (*schedule.Schedule, error) {
 // reference: the same cap bit for bit, the reference answering
 // "infeasible" at every wave the cut certificate answered, and the
 // counters adding up. It returns the cap.
-func checkCapSearch(t *testing.T, label string, in *job.Instance, ref *refSearch, rel float64, opts ...CapOption) float64 {
+func checkCapSearch(t *testing.T, label string, in *job.Instance, ref *refSearch, rel float64, opts ...Option) float64 {
 	t.Helper()
 	rec := obs.New()
-	got, err := MinFeasibleCapObserved(in, rel, rec, opts...)
+	got, err := MinFeasibleCap(in, rel, append(opts, WithRecorder(rec))...)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -281,10 +275,10 @@ func checkScheduleAtCap(t *testing.T, label string, in *job.Instance, x float64)
 }
 
 // TestCapSearchMatchesReference sweeps every workload generator over
-// sizes, machine sizes, seeds and tolerances: the default search, the
-// search with contraction off and a bracketed search must each return
-// the reference's cap (checkCapSearch), and ScheduleAtCap must emit the
-// reference's segments. The 160-job instances, whose reference probes
+// sizes, machine sizes, seeds and tolerances: the default search and the
+// search with contraction off must each return the reference's cap
+// (checkCapSearch), and ScheduleAtCap must emit the reference's
+// segments. The 160-job instances, whose reference probes
 // take most of the time, run two seeds; -short runs two seeds of the
 // smaller sizes only.
 func TestCapSearchMatchesReference(t *testing.T) {
@@ -310,10 +304,8 @@ func TestCapSearchMatchesReference(t *testing.T) {
 					for _, rel := range []float64{0, 1e-6, 1e-3} {
 						l := fmt.Sprintf("%s rel=%g", label, rel)
 						cap = checkCapSearch(t, l, in, ref, rel)
-						checkCapSearch(t, l+" contraction off", in, ref, rel, WithCapContraction(false))
+						checkCapSearch(t, l+" contraction off", in, ref, rel, withContraction(false))
 					}
-					bracket := WithBracket(0, 3*cap)
-					checkCapSearch(t, label+" bracketed", in, newRefSearch(t, label+" bracketed", in, bracket), 0, bracket)
 					checkScheduleAtCap(t, label, in, cap)
 					checkScheduleAtCap(t, label, in, 2*cap)
 				}
@@ -365,7 +357,7 @@ func TestCapSearchWireShapeGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MinFeasibleCapObserved(in, 0, rec); err != nil {
+		if _, err := MinFeasibleCap(in, 0, WithRecorder(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}

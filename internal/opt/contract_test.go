@@ -17,13 +17,23 @@ import (
 // pin that across both engines (float, exact rational) and across
 // sizes.
 
+// withContraction toggles interval contraction (default on). Off, every
+// round solves on the raw atomic intervals, as the paper's pseudo-code
+// literally does: the reference mode the differential tests and the
+// contraction benchmarks compare the contracted solver against. It is
+// defined here, in the tests, so that no caller of the package can set
+// it.
+func withContraction(on bool) Option {
+	return func(c *config) { c.noContract = !on }
+}
+
 func diffSchedule(t *testing.T, seed int64, in *job.Instance, extra ...Option) {
 	t.Helper()
 	con, err := Schedule(in, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Schedule(in, append(extra, WithContraction(false))...)
+	raw, err := Schedule(in, append(extra, withContraction(false))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func allIndices(n int) []int {
 // Schedule entry, so the fallback (float → exact) applies per
 // component: a numeric failure in one component falls back for that
 // component only, the others keep their fast path.
-func scheduleDecomposed(in *job.Instance, comps [][]int, cfg *config, opts []Option) (*Result, error) {
+func scheduleDecomposed(in *job.Instance, comps [][]int, cfg config) (*Result, error) {
 	maxJobs := 0
 	for _, c := range comps {
 		if len(c) > maxJobs {
@@ -143,11 +143,12 @@ func scheduleDecomposed(in *job.Instance, comps [][]int, cfg *config, opts []Opt
 	cfg.rec.Add("opt.decompose_cuts", int64(len(comps)-1))
 	cfg.rec.Add("opt.component_jobs_max", int64(maxJobs))
 
-	// Sub-solves re-apply the caller's options, then turn decomposition
-	// off: the components cannot separate further at their own cuts, and
-	// the sweep is pure overhead. WithParallelism is spent here: up to
-	// that many components are solved at once, one per worker.
-	subOpts := append(slices.Clone(opts), WithDecomposition(false))
+	// Sub-solves take the caller's options with decomposition off: the
+	// components cannot separate further at their own cuts, and the sweep
+	// is pure overhead. WithParallelism is spent here: up to that many
+	// components are solved at once, one per worker.
+	subCfg := cfg
+	subCfg.decompose = false
 	workers := max(1, cfg.par)
 
 	results, err := pool.Map(len(comps), workers, func(i int) (*Result, error) {
@@ -155,7 +156,7 @@ func scheduleDecomposed(in *job.Instance, comps [][]int, cfg *config, opts []Opt
 		for _, k := range comps[i] {
 			sub.Jobs = append(sub.Jobs, in.Jobs[k])
 		}
-		res, err := Schedule(sub, subOpts...)
+		res, err := schedulePooled(sub, subCfg)
 		if err != nil {
 			return nil, fmt.Errorf("component %d (%d jobs): %w", i, len(comps[i]), err)
 		}

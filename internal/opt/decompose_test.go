@@ -109,7 +109,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 		for _, gap := range []float64{0, 25} {
 			in := clusteredInstance(t, gname, 3, 16, 3, 42, gap)
 			diffDecompose(t, 42, in)
-			diffDecompose(t, 42, in, WithContraction(false))
+			diffDecompose(t, 42, in, withContraction(false))
 		}
 	}
 }
@@ -123,13 +123,13 @@ func TestDecomposedMatchesMonolithicDiurnal(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffDecompose(t, 17, in)
-	diffDecompose(t, 17, in, WithContraction(false))
+	diffDecompose(t, 17, in, withContraction(false))
 }
 
 func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	in := clusteredInstance(t, "bursty", 3, 8, 2, 7, 0)
 	diffDecompose(t, 7, in, Exact())
-	diffDecompose(t, 7, in, Exact(), WithContraction(false))
+	diffDecompose(t, 7, in, Exact(), withContraction(false))
 	// Identical clusters force bit-equal phase speeds across components;
 	// the merge must coalesce them into the single phase the monolithic
 	// solve produces. Exact arithmetic makes the equality certain.
@@ -189,7 +189,7 @@ func TestDecomposeProperty(t *testing.T) {
 		gap := float64(rng.Intn(2)) * 10 // half the trials touch at the cut
 		seed := rng.Int63n(1 << 30)
 		in := clusteredInstance(t, gname, k, n, m, seed, gap)
-		opts := [][]Option{nil, {WithContraction(false)}}
+		opts := [][]Option{nil, {withContraction(false)}}
 		if trial%10 == 0 {
 			opts = append(opts, []Option{Exact()})
 		}

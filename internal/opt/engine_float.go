@@ -35,7 +35,6 @@ import (
 // guarantee. No flow carries over from one solve to the next; a session
 // resolve is an ordinary solve (session.go).
 type floatEngine struct {
-	tol      float64
 	contract bool // merge flow-equivalent interval runs before solving
 
 	in        *job.Instance
@@ -44,7 +43,8 @@ type floatEngine struct {
 	rec       *obs.Recorder
 	solveHist *obs.Histogram // cached "opt.flow_solve_seconds" handle (nil = observability off)
 
-	ivLen []float64 // |I_j| per interval
+	ivLen    []float64 // |I_j| per interval
+	rawHeads []int32   // identity: raw interval jx is its own node's head
 	// Per instance job: the run [jobLo, jobHi) of intervals it is active in.
 	jobLo, jobHi []int32
 
@@ -91,6 +91,7 @@ func (e *floatEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, r
 	for jx, iv := range ivs {
 		e.ivLen[jx] = iv.Len()
 	}
+	e.rawHeads = identity(e.rawHeads, nIv)
 	// The job×interval activity index, computed once per solve instead of
 	// once per round: job k is active in intervals jobLo[k] .. jobHi[k]-1.
 	e.jobLo = growInt32s(e.jobLo, in.N())
@@ -179,7 +180,7 @@ func (e *floatEngine) recomputeTotals() {
 // buildGraph constructs G(J, m, s) for the current alive candidate set.
 // It runs once per phase, and again only after dropLeastWork.
 // With contraction enabled it computes the phase's super-interval
-// partition on the first build and dispatches to the contracted shape
+// partition on the first build and builds the contracted shape
 // whenever merging actually removes interval nodes (see contract.go).
 func (e *floatEngine) buildGraph() {
 	if e.contract && !e.supValid {
@@ -190,33 +191,40 @@ func (e *floatEngine) buildGraph() {
 		e.rec.Add("opt.intervals_raw", int64(raw))
 		e.rec.Add("opt.intervals_contracted", int64(raw-e.con.nSup))
 	}
-	if e.con.on {
-		e.buildContracted()
-		return
-	}
-	e.buildRaw("opt.graph_rebuilds")
+	e.buildNet("opt.graph_rebuilds")
 }
 
-// buildContracted is buildGraph over the super-interval partition: one
-// interval per run of merged intervals, its job edges carrying the
-// summed run length. Capacities follow the same expressions as the raw
-// build with supLen in place of ivLen.
-func (e *floatEngine) buildContracted() {
-	e.pn.Reset(len(e.cand0), e.con.nSup)
+// buildNet builds the phase's PhaseNet over the interval nodes of the
+// current mode: the raw intervals, or the super-intervals while the
+// phase runs contracted. Node i stands for raw interval heads[i], whose
+// candidate list and m_j it takes, with length lens[i]; a job's window
+// is its raw run, or its run over the super-intervals (supRun).
+// Intervals with m_j = 0 stay off: no vertex, no edges. counter names
+// the rebuild class recorded ("opt.graph_rebuilds" for round builds,
+// "opt.emit_rebuilds" for the emission rebuild after contracted rounds).
+func (e *floatEngine) buildNet(counter string) {
+	heads, lens := e.rawHeads, e.ivLen
+	if e.con.on {
+		heads, lens = e.con.supHead, e.supLen
+	}
+	e.pn.Reset(len(e.cand0), len(heads))
 	for pos, k := range e.cand0 {
 		if e.alive[pos] {
-			lo, hi := e.supRun(k)
+			lo, hi := int(e.jobLo[k]), int(e.jobHi[k])-1
+			if e.con.on {
+				lo, hi = e.supRun(k)
+			}
 			e.pn.SetJob(pos, lo, hi, e.in.Jobs[k].Work/e.speed)
 		}
 	}
 	ivs := 0
-	for s := 0; s < e.con.nSup; s++ {
-		if head := e.con.supHead[s]; e.mj[head] > 0 {
-			e.pn.SetInterval(s, e.supLen[s], float64(e.mj[head])*e.supLen[s], e.byIv[head])
+	for i, head := range heads {
+		if e.mj[head] > 0 {
+			e.pn.SetInterval(i, lens[i], float64(e.mj[head])*lens[i], e.byIv[head])
 			ivs++
 		}
 	}
-	e.netBuilt("opt.graph_rebuilds", ivs)
+	e.netBuilt(counter, ivs)
 }
 
 // supRun is job k's window over the super-intervals: those of the
@@ -238,28 +246,6 @@ func (e *floatEngine) supRun(k int) (lo, hi int) {
 		}
 	}
 	return lo, hi
-}
-
-// buildRaw constructs the uncontracted network; counter names the
-// rebuild class recorded ("opt.graph_rebuilds" for round builds,
-// "opt.emit_rebuilds" for the emission rebuild after contracted rounds).
-// Intervals with m_j = 0 stay off: no vertex, no edges.
-func (e *floatEngine) buildRaw(counter string) {
-	nIv := len(e.ivs)
-	e.pn.Reset(len(e.cand0), nIv)
-	for pos, k := range e.cand0 {
-		if e.alive[pos] {
-			e.pn.SetJob(pos, int(e.jobLo[k]), int(e.jobHi[k])-1, e.in.Jobs[k].Work/e.speed)
-		}
-	}
-	ivs := 0
-	for jx := 0; jx < nIv; jx++ {
-		if e.mj[jx] > 0 {
-			e.pn.SetInterval(jx, e.ivLen[jx], float64(e.mj[jx])*e.ivLen[jx], e.byIv[jx])
-			ivs++
-		}
-	}
-	e.netBuilt(counter, ivs)
 }
 
 // netBuilt records a PhaseNet build with ivs interval vertices. Its
@@ -302,7 +288,7 @@ func (e *floatEngine) solveRound() int {
 			value += e.pn.SourceFlow(pos)
 		}
 	}
-	slack := e.tol * math.Max(1, e.totalTime)
+	slack := flow.SolveTolerance * math.Max(1, e.totalTime)
 	if value >= e.totalTime-slack {
 		return 0
 	}
@@ -422,7 +408,7 @@ func (e *floatEngine) accept() (float64, []int, []piece) {
 		// solves for its accepted round — and solve from zero, so the
 		// emitted times are bit-identical to the raw path's.
 		e.con.on = false
-		e.buildRaw("opt.emit_rebuilds")
+		e.buildNet("opt.emit_rebuilds")
 		e.solveFlow()
 	}
 	// Pieces come out interval by interval, as emitPhase requires: in
@@ -495,6 +481,15 @@ func growEdgeIDs(s []flow.EdgeID, n int) []flow.EdgeID {
 		return make([]flow.EdgeID, n)
 	}
 	return s[:n]
+}
+
+// identity returns s resized to n with s[i] = i.
+func identity(s []int32, n int) []int32 {
+	s = growInt32s(s, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
 }
 
 func growLists(s [][]int32, n int) [][]int32 {

@@ -29,9 +29,10 @@ type exactEngine struct {
 	st  *Stats
 	rec *obs.Recorder
 
-	ivLen  []*big.Rat
-	work   []*big.Rat
-	jobIvs [][]int32
+	ivLen    []*big.Rat
+	rawHeads []int32 // identity: raw interval jx is its own node's head
+	work     []*big.Rat
+	jobIvs   [][]int32
 
 	span        *obs.Span
 	cand0       []int
@@ -51,7 +52,6 @@ type exactEngine struct {
 	// the raw path's.
 	con      contraction
 	supLen   []*big.Rat
-	supNode  []int32
 	supValid bool
 
 	g         *flow.RatGraph
@@ -83,6 +83,7 @@ func (e *exactEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, r
 	for _, iv := range ivs {
 		e.ivLen = append(e.ivLen, new(big.Rat).SetFloat64(iv.Len()))
 	}
+	e.rawHeads = identity(e.rawHeads, len(ivs))
 	e.work = e.work[:0]
 	for _, j := range in.Jobs {
 		e.work = append(e.work, new(big.Rat).SetFloat64(j.Work))
@@ -165,16 +166,21 @@ func (e *exactEngine) buildGraph() {
 		e.rec.Add("opt.intervals_raw", int64(raw))
 		e.rec.Add("opt.intervals_contracted", int64(raw-e.con.nSup))
 	}
-	if e.con.on {
-		e.buildContracted()
-		return
-	}
-	e.buildRaw("opt.graph_rebuilds")
+	e.buildNet("opt.graph_rebuilds")
 }
 
-// buildContracted is the exact mirror of the float engine's contracted
-// build: one node per super-interval, rational run lengths.
-func (e *exactEngine) buildContracted() {
+// buildNet builds the round's flow.RatGraph over the interval nodes of
+// the current mode: the raw intervals, or the super-intervals while the
+// phase runs contracted. Node i stands for raw interval heads[i], whose
+// candidate list and m_j it takes, with length lens[i]; intervals with
+// m_j = 0 get no vertex and no edges. counter names the rebuild class
+// recorded ("opt.graph_rebuilds" for round builds, "opt.emit_rebuilds"
+// for the emission rebuild after contracted rounds).
+func (e *exactEngine) buildNet(counter string) {
+	heads, lens := e.rawHeads, e.ivLen
+	if e.con.on {
+		heads, lens = e.con.supHead, e.supLen
+	}
 	e.jobNode = growInt32s(e.jobNode, len(e.cand0))
 	node := 1
 	for pos := range e.cand0 {
@@ -185,13 +191,13 @@ func (e *exactEngine) buildContracted() {
 			e.jobNode[pos] = -1
 		}
 	}
-	e.supNode = growInt32s(e.supNode, e.con.nSup)
-	for s := 0; s < e.con.nSup; s++ {
-		if e.mj[e.con.supHead[s]] > 0 {
-			e.supNode[s] = int32(node)
+	e.ivNode = growInt32s(e.ivNode, len(heads))
+	for i, head := range heads {
+		if e.mj[head] > 0 {
+			e.ivNode[i] = int32(node)
 			node++
 		} else {
-			e.supNode[s] = -1
+			e.ivNode[i] = -1
 		}
 	}
 	e.sink = node
@@ -214,86 +220,22 @@ func (e *exactEngine) buildContracted() {
 	e.midPos = e.midPos[:0]
 	e.midIv = e.midIv[:0]
 	e.midID = e.midID[:0]
-	for s := 0; s < e.con.nSup; s++ {
-		if e.supNode[s] < 0 {
+	for i, head := range heads {
+		if e.ivNode[i] < 0 {
 			continue
 		}
-		head := e.con.supHead[s]
 		for _, pos := range e.byIv[head] {
 			if !e.alive[pos] {
 				continue
 			}
-			id := e.g.AddEdge(int(e.jobNode[pos]), int(e.supNode[s]), e.supLen[s])
+			id := e.g.AddEdge(int(e.jobNode[pos]), int(e.ivNode[i]), lens[i])
 			e.midPos = append(e.midPos, pos)
-			e.midIv = append(e.midIv, int32(s))
+			e.midIv = append(e.midIv, int32(i))
 			e.midID = append(e.midID, id)
 		}
 		c.SetInt64(int64(e.mj[head]))
-		c.Mul(c, e.supLen[s])
-		e.g.AddEdge(int(e.supNode[s]), e.sink, c)
-	}
-	e.rec.Add("opt.graph_rebuilds", 1)
-	e.prevOps = flow.DinicOps{}
-	e.needBuild = false
-}
-
-func (e *exactEngine) buildRaw(counter string) {
-	nIv := len(e.ivs)
-	e.jobNode = growInt32s(e.jobNode, len(e.cand0))
-	node := 1
-	for pos := range e.cand0 {
-		if e.alive[pos] {
-			e.jobNode[pos] = int32(node)
-			node++
-		} else {
-			e.jobNode[pos] = -1
-		}
-	}
-	e.ivNode = growInt32s(e.ivNode, nIv)
-	for jx := 0; jx < nIv; jx++ {
-		if e.mj[jx] > 0 {
-			e.ivNode[jx] = int32(node)
-			node++
-		} else {
-			e.ivNode[jx] = -1
-		}
-	}
-	e.sink = node
-	if e.g == nil {
-		e.g = flow.NewRatGraph(node + 1)
-	} else {
-		e.g.Reset(node + 1)
-	}
-	if node+1 > e.st.FlowVertices {
-		e.st.FlowVertices = node + 1
-	}
-	c := new(big.Rat)
-	e.srcEdges = growEdgeIDs(e.srcEdges, len(e.cand0))
-	for pos, k := range e.cand0 {
-		if e.alive[pos] {
-			c.Quo(e.work[k], e.speed)
-			e.srcEdges[pos] = e.g.AddEdge(0, int(e.jobNode[pos]), c)
-		}
-	}
-	e.midPos = e.midPos[:0]
-	e.midIv = e.midIv[:0]
-	e.midID = e.midID[:0]
-	for jx := 0; jx < nIv; jx++ {
-		if e.mj[jx] == 0 {
-			continue
-		}
-		for _, pos := range e.byIv[jx] {
-			if !e.alive[pos] {
-				continue
-			}
-			id := e.g.AddEdge(int(e.jobNode[pos]), int(e.ivNode[jx]), e.ivLen[jx])
-			e.midPos = append(e.midPos, pos)
-			e.midIv = append(e.midIv, int32(jx))
-			e.midID = append(e.midID, id)
-		}
-		c.SetInt64(int64(e.mj[jx]))
-		c.Mul(c, e.ivLen[jx])
-		e.g.AddEdge(int(e.ivNode[jx]), e.sink, c)
+		c.Mul(c, lens[i])
+		e.g.AddEdge(int(e.ivNode[i]), e.sink, c)
 	}
 	e.rec.Add(counter, 1)
 	e.prevOps = flow.DinicOps{}
@@ -398,13 +340,13 @@ func (e *exactEngine) accept() (float64, []int, []piece) {
 		// See floatEngine.accept: emission needs raw per-interval flows,
 		// so rebuild the raw-shaped network and solve from zero.
 		e.con.on = false
-		e.buildRaw("opt.emit_rebuilds")
+		e.buildNet("opt.emit_rebuilds")
 		stop := e.rec.Time("opt.flow_solve_seconds")
 		e.g.MaxFlow(0, e.sink)
 		stop()
 		e.publish()
 	}
-	// Interval order, as in the float engine: buildRaw adds the mid
+	// Interval order, as in the float engine: buildNet adds the mid
 	// edges interval by interval.
 	e.pieces = e.pieces[:0]
 	for i, pos := range e.midPos {

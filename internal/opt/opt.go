@@ -93,40 +93,42 @@ type Result struct {
 // Option configures the solver.
 type Option func(*config)
 
+// config is the one option set of every entry point: Schedule,
+// NewSession, FeasibleAtSpeed and MinFeasibleCap. Interval contraction
+// is always on outside tests; noContract, the raw-interval reference
+// mode the differential tests and benchmarks compare against, is set
+// only by an option defined in the package's tests.
 type config struct {
 	exact      bool
 	noContract bool
 	decompose  bool
-	tol        float64
 	par        int
 	rec        *obs.Recorder
 	span       *obs.Span
 	ctx        context.Context
 }
 
+// newConfig applies opts to the defaults: without UnderSpan, spans nest
+// under the recorder's root; without WithRecorder, the span's recorder
+// records.
+func newConfig(opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.span == nil {
+		cfg.span = cfg.rec.Root()
+	}
+	if cfg.rec == nil {
+		cfg.rec = cfg.span.Recorder()
+	}
+	return cfg
+}
+
 // Exact switches the phase decisions to exact math/big.Rat arithmetic.
 // Substantially slower, but immune to floating-point misclassification;
 // used by tests to cross-validate the float64 fast path.
 func Exact() Option { return func(c *config) { c.exact = true } }
-
-// WithTolerance sets the relative tolerance of the float64 fast path
-// (default flow.SolveTolerance).
-func WithTolerance(tol float64) Option {
-	return func(c *config) { c.tol = tol }
-}
-
-// WithContraction toggles the interval-contraction preprocessing
-// (default on): before each phase's rounds, maximal runs of consecutive
-// event intervals with identical active candidate sets and identical
-// processor budgets are merged into super-intervals, shrinking the flow
-// network the rounds solve without changing any phase decision or the
-// emitted schedule (see contract.go for the equivalence argument; the
-// differential tests prove the output bit-identical). Turning it off
-// solves every round on the raw atomic intervals, as the paper's
-// pseudo-code literally does.
-func WithContraction(on bool) Option {
-	return func(c *config) { c.noContract = !on }
-}
 
 // WithDecomposition toggles windowed decomposition (default off): before
 // choosing an engine, the solver sweeps the job windows for cut points no
@@ -211,9 +213,14 @@ var solverPool pool.FreeList[Solver]
 // It draws a pooled Solver; long-lived callers that solve repeatedly
 // (e.g. the online planner) hold their own Solver instead.
 func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
+	return schedulePooled(in, newConfig(opts))
+}
+
+// schedulePooled is Schedule on an applied option set.
+func schedulePooled(in *job.Instance, cfg config) (*Result, error) {
 	s := solverPool.Get()
 	defer solverPool.Put(s)
-	return s.Schedule(in, opts...)
+	return s.schedule(in, cfg)
 }
 
 // Schedule computes an energy-optimal schedule reusing the solver arena.
@@ -225,29 +232,22 @@ func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 // error when both engines fail. Explicit Exact() runs skip the retry:
 // there is nothing more exact to fall back to.
 func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
-	cfg := config{tol: flow.SolveTolerance}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.span == nil {
-		cfg.span = cfg.rec.Root()
-	}
-	if cfg.rec == nil {
-		cfg.rec = cfg.span.Recorder()
-	}
+	return s.schedule(in, newConfig(opts))
+}
+
+func (s *Solver) schedule(in *job.Instance, cfg config) (*Result, error) {
 	if err := validateForSolve(in); err != nil {
 		return nil, err
 	}
 	if cfg.decompose {
 		if comps := componentRanges(in.Jobs); len(comps) > 1 {
-			return scheduleDecomposed(in, comps, &cfg, opts)
+			return scheduleDecomposed(in, comps, cfg)
 		}
 	}
 	s.ee.contract = !cfg.noContract
 	if cfg.exact {
 		return runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
 	}
-	s.fe.tol = cfg.tol
 	s.fe.contract = !cfg.noContract
 	res, err := runPhases(cfg.ctx, in, &s.fe, cfg.rec, cfg.span)
 	if err == nil || !retryable(err) {

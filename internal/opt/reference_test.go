@@ -312,7 +312,7 @@ func refVariants(in *job.Instance) map[string][]Option {
 	for _, contract := range []bool{true, false} {
 		for _, decompose := range decomposes {
 			name := fmt.Sprintf("contract=%v/decompose=%v", contract, decompose)
-			out[name] = []Option{WithContraction(contract), WithDecomposition(decompose)}
+			out[name] = []Option{withContraction(contract), WithDecomposition(decompose)}
 		}
 	}
 	return out
@@ -355,8 +355,41 @@ func checkAgainstReference(t *testing.T, label string, in *job.Instance, arith r
 // the literal one-at-a-time loop on every workload generator. The exact
 // reference stops at n = 24: one big.Rat max flow per removed job costs
 // seconds per 64-job instance, while n = 64 runs in float64. -short
-// keeps n <= 24 in float64 and n = 8 in exact arithmetic.
+// keeps n <= 24 in float64 and n = 8 in exact arithmetic. The "corpus"
+// subtest adds the root fuzz corpus's two contraction instances
+// (testdata/fuzz/FuzzSolvePipeline/contraction-grid and
+// contraction-nested) in both arithmetics. Only contraction-nested
+// merges an interval, one pair in one phase; no two adjacent intervals
+// of contraction-grid share an active set, so there the contracted and
+// raw solves build the same networks. The merge counts are pinned
+// so that a change in either shows.
 func TestBatchExclusionMatchesReference(t *testing.T) {
+	t.Run("corpus", func(t *testing.T) {
+		t.Parallel()
+		for _, c := range []struct {
+			name   string
+			jobs   []job.Job
+			merged int64
+		}{
+			{"contraction-grid", []job.Job{{ID: 1, Release: 0, Deadline: 4, Work: 6}, {ID: 2, Release: 0, Deadline: 4, Work: 3}, {ID: 3, Release: 0, Deadline: 8, Work: 5}}, 0},
+			{"contraction-nested", []job.Job{{ID: 1, Release: 0, Deadline: 2, Work: 5}, {ID: 2, Release: 0, Deadline: 4, Work: 2}, {ID: 3, Release: 0, Deadline: 8, Work: 1}}, 1},
+		} {
+			in, err := job.NewInstance(2, c.jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.New()
+			if _, err := Schedule(in, WithRecorder(rec)); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Value("opt.intervals_contracted"); got != c.merged {
+				t.Fatalf("%s: contraction merged %d intervals, want %d", c.name, got, c.merged)
+			}
+			for _, arith := range []refArith{refFloat, refExact} {
+				checkAgainstReference(t, c.name, in, arith)
+			}
+		}
+	})
 	sizes := []struct {
 		n     int
 		arith []refArith
@@ -467,8 +500,8 @@ func TestEmissionMatchesReference(t *testing.T) {
 
 func checkEmission(t *testing.T, label string, in *job.Instance, exact, contract bool) {
 	t.Helper()
-	var eng phaseEngine = &floatEngine{tol: flow.SolveTolerance, contract: contract}
-	opts := []Option{WithContraction(contract), WithDecomposition(true)}
+	var eng phaseEngine = &floatEngine{contract: contract}
+	opts := []Option{withContraction(contract), WithDecomposition(true)}
 	if exact {
 		eng = &exactEngine{contract: contract}
 		opts = append(opts, Exact())

@@ -30,7 +30,7 @@ func TestRoundsSolveFromZeroInPlace(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := obs.New()
-			res, err := Schedule(in, WithRecorder(rec), WithContraction(contract))
+			res, err := Schedule(in, WithRecorder(rec), withContraction(contract))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestRoundsSolveFromZeroInPlace(t *testing.T) {
 			// The exact engine builds a network for every round instead,
 			// and still solves nothing but rounds and emission rebuilds.
 			rec = obs.New()
-			if _, err := Schedule(in, Exact(), WithRecorder(rec), WithContraction(contract)); err != nil {
+			if _, err := Schedule(in, Exact(), WithRecorder(rec), withContraction(contract)); err != nil {
 				t.Fatal(err)
 			}
 			c = rec.Snapshot().Counters

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"mpss/internal/flow"
 	"mpss/internal/job"
 	"mpss/internal/mpsserr"
 )
@@ -15,7 +14,7 @@ import (
 //
 // A resolve is the one-shot solve of the session's current job set:
 // Solver.Schedule on the session's own solver arena, and, while a cap is
-// set, FeasibleAtSpeedCtx for the cap verdict. The paper's algorithm
+// set, FeasibleAtSpeed for the cap verdict. The paper's algorithm
 // needs each phase's maximum flow and nothing from an earlier solve, so
 // a session keeps only its job-set bookkeeping between resolves, and the
 // arena keeps its buffers warm. A resolve therefore returns exactly what
@@ -47,15 +46,11 @@ type SessionResult struct {
 }
 
 // NewSession starts a session over the instance. Options become the
-// session defaults for every resolve: Exact() pins the exact engine,
-// WithRecorder/WithTolerance/WithContraction behave as in Schedule.
-// Sessions address jobs by ID (RemoveJob); the instance check rejects
-// duplicate IDs.
+// session options of every resolve and behave as in Schedule; Exact()
+// pins the exact engine. Sessions address jobs by ID (RemoveJob); the
+// instance check rejects duplicate IDs.
 func (s *Solver) NewSession(in *job.Instance, opts ...Option) (*Session, error) {
-	cfg := config{tol: flow.SolveTolerance}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	if err := validateForSolve(in); err != nil {
 		return nil, err
 	}
@@ -117,39 +112,25 @@ func (ss *Session) SetCap(c float64) error {
 
 // Resolve solves the session's current job set: the one-shot Schedule
 // of the same instance with the session's options, bit for bit, plus
-// FeasibleAtSpeedCtx's verdict while a cap is set. An error leaves the
-// session usable.
+// FeasibleAtSpeed's verdict while a cap is set. A non-nil ctx replaces
+// the session's context for this resolve. An error leaves the session
+// usable.
 func (ss *Session) Resolve(ctx context.Context) (*SessionResult, error) {
-	if ctx == nil {
-		ctx = ss.cfg.ctx
+	cfg := ss.cfg
+	if ctx != nil {
+		cfg.ctx = ctx
 	}
-	rec := ss.cfg.rec
-	if rec == nil {
-		rec = ss.cfg.span.Recorder()
-	}
-	rec.Add("opt.session_resolves", 1)
+	cfg.rec.Add("opt.session_resolves", 1)
 	in := &job.Instance{M: ss.m, Jobs: ss.jobs}
-	res, err := ss.solver.Schedule(in, ss.scheduleOpts(ctx)...)
+	res, err := ss.solver.schedule(in, cfg)
 	if err != nil {
 		return nil, err
 	}
 	out := &SessionResult{Res: res, Cap: ss.cap}
 	if ss.cap > 0 {
-		if out.CapFeasible, err = FeasibleAtSpeedCtx(ctx, in, ss.cap, rec); err != nil {
+		if out.CapFeasible, err = feasibleAtSpeed(in, ss.cap, &cfg); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// scheduleOpts translates the session defaults into Schedule options.
-func (ss *Session) scheduleOpts(ctx context.Context) []Option {
-	opts := []Option{
-		WithRecorder(ss.cfg.rec), UnderSpan(ss.cfg.span), WithContext(ctx),
-		WithTolerance(ss.cfg.tol), WithContraction(!ss.cfg.noContract),
-	}
-	if ss.cfg.exact {
-		opts = append(opts, Exact())
-	}
-	return opts
 }

@@ -69,7 +69,7 @@ func TestSessionMatchesOneShotFloat(t *testing.T) {
 			}
 			comparePhases(t, seed*100+int64(step), got.Res, want)
 			if got.Cap > 0 {
-				wantFeas, err := FeasibleAtSpeedCtx(context.Background(), cur, got.Cap, nil)
+				wantFeas, err := FeasibleAtSpeed(cur, got.Cap, WithContext(context.Background()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +158,7 @@ var sessionCostCounters = []string{
 
 // checkResolveMatchesOneShot resolves the session and compares it with
 // a one-shot solve of jobs on a fresh solver and recorder: phases and
-// segments bit-equal, the cap verdict equal to FeasibleAtSpeedCtx's,
+// segments bit-equal, the cap verdict equal to FeasibleAtSpeed's,
 // and, when rec is the session's recorder, the resolve's counter deltas
 // equal to the one-shot's.
 func checkResolveMatchesOneShot(t *testing.T, label string, sess *Session, rec *obs.Recorder, m int, jobs []job.Job) {
@@ -183,7 +183,7 @@ func checkResolveMatchesOneShot(t *testing.T, label string, sess *Session, rec *
 		t.Fatalf("%s: cap %v echoed, session holds %v", label, got.Cap, sess.Cap())
 	}
 	if got.Cap > 0 {
-		wantFeas, err := FeasibleAtSpeedCtx(context.Background(), cur, got.Cap, oneRec)
+		wantFeas, err := FeasibleAtSpeed(cur, got.Cap, WithContext(context.Background()), WithRecorder(oneRec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestSessionResolveCountsMatchOneShot(t *testing.T) {
 // and cap deltas over a generated instance. Initially and after every
 // batch the resolve must match a one-shot Schedule of the session's job set,
 // phases and segments bit-equal, and its cap verdict must be
-// FeasibleAtSpeedCtx's.
+// FeasibleAtSpeed's.
 //
 // Byte stream: each op byte selects, by its value mod 4, a removal (next
 // byte: which job), an add (next three bytes: release, window, work), a
@@ -330,7 +330,7 @@ func FuzzSessionDeltas(f *testing.F) {
 	})
 }
 
-// The cap verdict must be FeasibleAtSpeedCtx's for every cap retune and
+// The cap verdict must be FeasibleAtSpeed's for every cap retune and
 // across removals.
 func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 	in := flatSession(12)
@@ -356,7 +356,7 @@ func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur := &job.Instance{M: in.M, Jobs: jobs}
-		want, err := FeasibleAtSpeedCtx(context.Background(), cur, c, nil)
+		want, err := FeasibleAtSpeed(cur, c, WithContext(context.Background()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,8 +128,9 @@ type Config struct {
 	// Decompose turns on zero-active-boundary decomposition for
 	// /v1/solve/optimal (default off); a request's "decompose" field
 	// overrides it either way. Results are bit-identical with or
-	// without, so the knob is purely a latency lever for servers whose
-	// clients submit long separable instances.
+	// without, except that a float phase-density tie within one ulp can
+	// move one phase speed by one ulp, so the knob is a latency lever
+	// for servers whose clients submit long separable instances.
 	Decompose bool
 }
 

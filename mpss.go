@@ -130,13 +130,9 @@ type Metrics = obs.Snapshot
 type SolveOption func(*solveConfig)
 
 type solveConfig struct {
-	rec        *obs.Recorder
-	par        int
-	capLo      float64
-	capHi      float64
-	capBracket bool
-	noContract bool
-	decompose  bool
+	rec       *obs.Recorder
+	par       int
+	decompose bool
 	// decomposeSet distinguishes an explicit WithDecomposition(false)
 	// from the unset default: one-shot solves default off, the streaming
 	// trace solve defaults on.
@@ -160,34 +156,15 @@ func WithParallelism(n int) SolveOption {
 	return func(c *solveConfig) { c.par = n }
 }
 
-// WithBracket supplies MinFeasibleCap with a known search bracket
-// [lo, hi] — hi a feasible cap, lo an infeasible one (0 allowed) —
-// skipping the first-phase solve that otherwise derives the upper
-// bound. Without that solve no wave can be answered by the first
-// phase's min cut, so every wave runs a feasibility probe; the returned
-// cap is the one the same bracket always gives. Other entry points
-// ignore it.
-func WithBracket(lo, hi float64) SolveOption {
-	return func(c *solveConfig) { c.capLo, c.capHi, c.capBracket = lo, hi, true }
-}
-
-// WithContraction toggles interval contraction (default on): before
-// each phase is solved, maximal runs of consecutive atomic intervals
-// with identical active job sets and processor budgets are merged into
-// single super-intervals, shrinking the flow network without changing
-// any computed speed, phase or schedule — results are bit-identical
-// either way. Turning it off is an escape hatch for debugging and for
-// A/B measurement (the -contract=false flag of the CLIs maps here).
-func WithContraction(on bool) SolveOption {
-	return func(c *solveConfig) { c.noContract = !on }
-}
-
 // WithDecomposition toggles windowed decomposition (default off for
 // Solve/OptimalSchedule, on for SolveTraceStream): the solver finds the
 // time points no job window crosses, solves the resulting independent
 // components separately — concurrently, when WithParallelism(n > 1) is
 // given — and merges the results. The merged schedule, phases, speeds
-// and energy are bit-identical to the monolithic solve's, but the cost
+// and energy are bit-identical to the monolithic solve's, except where
+// two candidate phase densities tie within one float64 ulp: there one
+// phase speed can differ by one ulp (the fuzz seed decompose-ulp-tie
+// keeps such an instance; internal/opt/decompose.go explains it). The cost
 // grows with the largest component instead of the whole instance, which
 // on separable traces (see the "diurnal" workload) is the difference
 // between minutes and seconds at datacenter scale. Instances with no
@@ -368,8 +345,8 @@ func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, erro
 // answers the waves far below s_1 without a flow; every other wave runs
 // one feasibility probe on a network built once per search. With
 // WithRecorder, "opt.probe_waves" counts the waves, "opt.cut_waves"
-// those the cut answered and "opt.feasibility_probes" the probes run.
-// WithBracket skips the first-phase solve, and with it the cut.
+// those the cut answered and "opt.feasibility_probes" the probes run;
+// WithContext makes it cancelable.
 func MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	s, release := oneShot(opts)
 	defer release()

@@ -65,7 +65,7 @@ func (s *Solver) Solve(in *Instance, opts ...SolveOption) (*OptimalResult, error
 	cfg := s.merge(opts)
 	return s.os.Schedule(in,
 		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract), opt.WithDecomposition(cfg.decompose))
+		opt.WithDecomposition(cfg.decompose))
 }
 
 // SolveExact is Solve with all phase decisions carried out in exact
@@ -77,7 +77,7 @@ func (s *Solver) SolveExact(in *Instance, opts ...SolveOption) (*OptimalResult, 
 	cfg := s.merge(opts)
 	return s.os.Schedule(in,
 		opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract), opt.WithDecomposition(cfg.decompose))
+		opt.WithDecomposition(cfg.decompose))
 }
 
 // OA runs the online Optimal Available simulation; its per-arrival
@@ -105,7 +105,7 @@ func (s *Solver) AVR(in *Instance, opts ...SolveOption) (*AVRResult, error) {
 // processor speed cap, via one max-flow test.
 func (s *Solver) FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, error) {
 	cfg := s.merge(opts)
-	return opt.FeasibleAtSpeedCtx(cfg.ctx, in, cap, cfg.rec)
+	return opt.FeasibleAtSpeed(in, cap, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
 
 // MinFeasibleCap returns the smallest processor speed cap at which the
@@ -113,7 +113,7 @@ func (s *Solver) FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption)
 // package-level function.
 func (s *Solver) MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	cfg := s.merge(opts)
-	return opt.MinFeasibleCapObserved(in, rel, cfg.rec, cfg.capOptions()...)
+	return opt.MinFeasibleCap(in, rel, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
 
 // SessionResult is the outcome of one Resolve of a streaming session:
@@ -149,7 +149,6 @@ func (s *Solver) begin(in *Instance, exact bool, opts []SolveOption) error {
 	cfg := s.merge(opts)
 	optOpts := []opt.Option{
 		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract),
 	}
 	if exact {
 		optOpts = append(optOpts, opt.Exact())
@@ -223,18 +222,6 @@ func (s *Solver) SessionJobs() []Job {
 // End tears the active session down, dropping its job set. The Solver
 // remains usable for one-shot solves and a later Begin.
 func (s *Solver) End() { s.sess = nil }
-
-// capOptions translates a solve config into the cap-search option set.
-func (cfg *solveConfig) capOptions() []opt.CapOption {
-	capOpts := []opt.CapOption{
-		opt.WithCapContext(cfg.ctx),
-		opt.WithCapContraction(!cfg.noContract),
-	}
-	if cfg.capBracket {
-		capOpts = append(capOpts, opt.WithBracket(cfg.capLo, cfg.capHi))
-	}
-	return capOpts
-}
 
 // oneShotArenas backs the package-level entry points: each call borrows
 // a solver arena, wraps it in a throwaway session and returns it, so

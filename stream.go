@@ -111,8 +111,7 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 			defer wg.Done()
 			for c := range compCh {
 				res, err := opt.Schedule(&job.Instance{M: sum.M, Jobs: c.jobs},
-					opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx),
-					opt.WithContraction(!cfg.noContract))
+					opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 				if err != nil {
 					select {
 					case errCh <- fmt.Errorf("mpss: trace component %d (%d jobs): %w", c.idx, len(c.jobs), err):
@@ -131,10 +130,9 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 		}()
 	}
 
-	// Cut components as the reader advances: jobs arrive sorted by
-	// release, so the moment a release reaches the maximum deadline seen,
-	// no open window crosses that point and the buffered jobs form a
-	// finished component.
+	// Cut components as the reader advances (componentSpan): the moment
+	// a release reaches the maximum deadline seen, the buffered jobs form
+	// a finished component.
 	dispatch := func(c comp) error {
 		select {
 		case compCh <- c:
@@ -145,7 +143,7 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 	}
 	var (
 		buf     []job.Job
-		horizon float64
+		cur     componentSpan
 		readErr error
 	)
 	for {
@@ -157,7 +155,7 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 			readErr = err
 			break
 		}
-		if len(buf) > 0 && j.Release >= horizon {
+		if _, cut := cur.add(j); cut {
 			if err := dispatch(comp{idx: sum.Components, jobs: buf}); err != nil {
 				readErr = err
 				break
@@ -169,9 +167,6 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 		sum.Jobs++
 		if len(buf) > sum.MaxComponentJobs {
 			sum.MaxComponentJobs = len(buf)
-		}
-		if j.Deadline > horizon {
-			horizon = j.Deadline
 		}
 	}
 	if readErr == nil && len(buf) > 0 {
@@ -222,8 +217,7 @@ func solveTraceMonolithic(sr *workload.StreamReader, p PowerFunction, cfg *solve
 		in.Jobs = append(in.Jobs, j)
 	}
 	res, err := opt.Schedule(in,
-		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract))
+		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -245,33 +239,43 @@ func solveTraceMonolithic(sr *workload.StreamReader, p PowerFunction, cfg *solve
 	return sum, nil
 }
 
-// componentCuts returns the time range and job count of each separable
-// component of release-sorted jobs (the same cuts the streaming reader
-// makes).
-func componentCuts(jobs []job.Job) []struct {
+// componentSpan applies the streaming cut rule to jobs in release
+// order: a job whose release reaches the largest deadline seen so far
+// starts a new component, because no window of the jobs before it
+// crosses that point. It holds the running component's time range and
+// job count.
+type componentSpan struct {
 	start, end float64
 	n          int
-} {
-	var out []struct {
-		start, end float64
-		n          int
+}
+
+// add extends the running component by j, first closing it when j's
+// release reaches its end; cut reports that, with closed the component
+// j closed.
+func (c *componentSpan) add(j job.Job) (closed componentSpan, cut bool) {
+	if c.n > 0 && j.Release >= c.end {
+		closed, cut = *c, true
+		c.n = 0
 	}
-	var cur struct {
-		start, end float64
-		n          int
+	if c.n == 0 {
+		c.start, c.end = j.Release, j.Deadline
 	}
+	c.n++
+	if j.Deadline > c.end {
+		c.end = j.Deadline
+	}
+	return closed, cut
+}
+
+// componentCuts returns the time range and job count of each separable
+// component of release-sorted jobs (the cuts the streaming reader
+// makes).
+func componentCuts(jobs []job.Job) []componentSpan {
+	var out []componentSpan
+	var cur componentSpan
 	for _, j := range jobs {
-		if cur.n > 0 && j.Release >= cur.end {
-			out = append(out, cur)
-			cur.n = 0
-		}
-		if cur.n == 0 {
-			cur.start = j.Release
-			cur.end = j.Deadline
-		}
-		cur.n++
-		if j.Deadline > cur.end {
-			cur.end = j.Deadline
+		if closed, cut := cur.add(j); cut {
+			out = append(out, closed)
 		}
 	}
 	if cur.n > 0 {
