@@ -76,7 +76,7 @@ type replicaSample struct {
 type autoscaler struct {
 	f      *Front
 	cfg    AutoscaleConfig
-	solver *mpss.Solver // warm across ticks: the feasibility probes reuse its arenas
+	solver *mpss.Solver // carries the front's recorder into the feasibility probes
 	httpc  *http.Client
 	prev   map[string]replicaSample
 	low    int // consecutive decisions below current
@@ -240,7 +240,7 @@ func (a *autoscaler) scrape(ctx context.Context, base string) (replicaSample, er
 // with the solver: the smallest m in [MinReplicas, MaxReplicas] at
 // which the demand instance is feasible under the per-replica cap.
 // Feasibility is monotone in m, so a linear walk from the minimum finds
-// the boundary with at most Max-Min probes against a warm solver.
+// the boundary with at most Max-Min probes.
 func (a *autoscaler) desiredReplicas(ctx context.Context, jobs []mpss.Job, capPerReplica float64) int {
 	min, max := a.f.cfg.MinReplicas, a.f.cfg.MaxReplicas
 	if len(jobs) == 0 {

@@ -284,7 +284,7 @@ func TestClusterAutoscalerScalesUpAndDown(t *testing.T) {
 	}
 }
 
-// A session follows its replica: deltas hit the same warm solver, and
+// A session follows its replica: deltas reach the replica holding its job set, and
 // the front answers 404 once the owning replica is gone.
 func TestClusterSessionAffinity(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{})

@@ -43,9 +43,8 @@ import (
 type Option func(*config)
 
 type config struct {
-	rec    *obs.Recorder
-	ctx    context.Context
-	solver *opt.Solver
+	rec *obs.Recorder
+	ctx context.Context
 }
 
 // WithRecorder attaches an observability recorder: OA(m) and AVR(m)
@@ -64,14 +63,6 @@ func WithRecorder(r *obs.Recorder) Option {
 // mpsserr.ErrCanceled. Nil disables the checks (the default).
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
-}
-
-// WithSolver lends OA(m) a caller-owned solver arena for its replans
-// instead of a run-local one, so a long-lived session (e.g. one server
-// worker) reuses its flow-network allocations across simulations. The
-// solver must not be used concurrently elsewhere.
-func WithSolver(s *opt.Solver) Option {
-	return func(c *config) { c.solver = s }
 }
 
 // canceledAt converts a non-nil ctx error into the typed error.
@@ -156,14 +147,6 @@ func OA(in *job.Instance, opts ...Option) (*OAResult, error) {
 	res := &OAResult{Schedule: schedule.New(in.M)}
 	_, horizon := in.Horizon()
 
-	// One solver arena for the whole arrival sequence: each replan reuses
-	// the previous event's flow-network allocations. A session caller may
-	// lend its own (WithSolver) to keep the arena warm across runs.
-	solver := cfg.solver
-	if solver == nil {
-		solver = opt.NewSolver()
-	}
-
 	for ei, t0 := range events {
 		if cerr := canceledAt(cfg.ctx, "OA", t0); cerr != nil {
 			rec.Add("oa.canceled", 1)
@@ -192,7 +175,7 @@ func OA(in *job.Instance, opts ...Option) (*OAResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("online: OA replan at %g: %w", t0, err)
 		}
-		plan, err := solver.Schedule(sub, opt.WithRecorder(rec), opt.UnderSpan(ev), opt.WithContext(cfg.ctx))
+		plan, err := opt.Schedule(sub, opt.WithRecorder(rec), opt.UnderSpan(ev), opt.WithContext(cfg.ctx))
 		if err != nil {
 			return nil, fmt.Errorf("online: OA replan at %g: %w", t0, err)
 		}

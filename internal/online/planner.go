@@ -30,10 +30,6 @@ type Planner struct {
 	live     map[int]liveJob
 	replans  int
 	rec      *obs.Recorder
-	// solver is reused across replan events so the flow-network arenas
-	// (edge arrays, CSR scratch, rational pools) warm up once per planner
-	// instead of once per arrival batch.
-	solver *opt.Solver
 }
 
 // SetRecorder attaches an observability recorder: arrivals, replans and
@@ -56,7 +52,6 @@ func NewPlanner(m int) (*Planner, error) {
 		m:        m,
 		executed: schedule.New(m),
 		live:     map[int]liveJob{},
-		solver:   opt.NewSolver(),
 	}, nil
 }
 
@@ -196,7 +191,7 @@ func (p *Planner) replan() error {
 	}
 	span := p.rec.StartSpan(fmt.Sprintf("replan t=%g", p.now))
 	span.Add("live_jobs", int64(len(jobs)))
-	res, err := p.solver.Schedule(sub, opt.WithRecorder(p.rec), opt.UnderSpan(span))
+	res, err := opt.Schedule(sub, opt.WithRecorder(p.rec), opt.UnderSpan(span))
 	span.End()
 	if err != nil {
 		return err

@@ -19,11 +19,10 @@ func benchOptSchedule(b *testing.B, n int) {
 		b.Fatal(err)
 	}
 	rec := obs.New()
-	s := NewSolver()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(in, WithRecorder(rec)); err != nil {
+		if _, err := Schedule(in, WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +40,7 @@ func BenchmarkOptSchedule1024Jobs(b *testing.B) { benchOptSchedule(b, 1024) }
 // BenchmarkOptScheduleTraceComponents is the streamed trace solve without
 // the stream: the separable components of a 2048-job diurnal instance
 // (the trace TestSolveTraceStreamRoundsPerJob gates), solved one after
-// another on one Solver, as a trace component worker does. The timed
+// another on pooled arenas, as a trace component worker does. The timed
 // loop runs with observability off, so allocs/op is the production
 // figure; one observed pass before it supplies the per-job counters.
 func BenchmarkOptScheduleTraceComponents(b *testing.B) {
@@ -57,10 +56,9 @@ func BenchmarkOptScheduleTraceComponents(b *testing.B) {
 		}
 		parts = append(parts, part)
 	}
-	s := NewSolver()
 	solveAll := func(opts ...Option) {
 		for _, part := range parts {
-			if _, err := s.Schedule(part, opts...); err != nil {
+			if _, err := Schedule(part, opts...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,11 +93,10 @@ func benchOptScheduleSlotted(b *testing.B, n int, contract bool) {
 		b.Fatal(err)
 	}
 	rec := obs.New()
-	s := NewSolver()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(in, withContraction(contract), WithRecorder(rec)); err != nil {
+		if _, err := Schedule(in, withContraction(contract), WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}

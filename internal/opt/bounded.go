@@ -246,8 +246,8 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 // acceptance without emitting a schedule. It also returns that phase's
 // cut certificate: the accepted set's work and processor time. The
 // float engine's contraction setting stays as the caller left it.
-// Shares the panic-containment conventions of Solver.Schedule.
-func (s *Solver) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.Interval, rec *obs.Recorder) (top float64, cut cutCert, err error) {
+// Shares the panic-containment conventions of Schedule.
+func (s *arena) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.Interval, rec *obs.Recorder) (top float64, cut cutCert, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -116,7 +116,7 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := obs.New()
-		sv := NewSolver()
+		sv := new(arena)
 		sv.fe.contract = true
 		top, cut, err := sv.bracketSpeed(nil, in, job.Partition(in.Jobs), rec)
 		if err != nil {

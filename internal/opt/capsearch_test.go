@@ -104,7 +104,7 @@ func newRefSearch(t *testing.T, label string, in *job.Instance) *refSearch {
 		_, ok := rn.solve()
 		return ok
 	}
-	sv := NewSolver()
+	sv := new(arena)
 	sv.fe.contract = true
 	top, cut, err := sv.bracketSpeed(nil, in, ivs, nil)
 	if err != nil {

@@ -49,7 +49,7 @@ import (
 // O((n/c)·phases_i) solves — the cost grows with the largest component,
 // not with n. The components are also independent by construction, so
 // they fan out over the pool.Map worker pool, each worker drawing a
-// pooled Solver arena (solverPool) exactly like the package-level
+// pooled arena (solverPool) exactly like the package-level
 // Schedule does.
 
 // componentRanges returns the separable components of jobs as index
@@ -126,7 +126,7 @@ func allIndices(n int) []int {
 }
 
 // scheduleDecomposed solves each component independently — fanned over
-// workers pool.Map workers, each drawing a pooled Solver arena — and
+// workers pool.Map workers, each drawing a pooled arena — and
 // merges the component results into one Result indistinguishable from a
 // monolithic solve. Each component's solve goes through the package
 // Schedule entry, so the fallback (float → exact) applies per

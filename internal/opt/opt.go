@@ -172,9 +172,9 @@ func UnderSpan(s *obs.Span) Option {
 // WithContext makes the solve cancelable: ctx is polled at every
 // phase/round boundary of the driver loop, and a canceled or expired
 // context unwinds the solve promptly with an error wrapping
-// mpsserr.ErrCanceled. The solver arena is left in a reusable state — a
-// later Schedule call on the same Solver starts fresh. A nil ctx (the
-// default) disables the checks entirely.
+// mpsserr.ErrCanceled. The arena the solve borrowed goes back to the
+// pool in a reusable state: the next solve on it starts fresh. A nil
+// ctx (the default) disables the checks entirely.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
@@ -191,39 +191,24 @@ func canceled(ctx context.Context, phase, round int) error {
 	return nil
 }
 
-// Solver is a reusable solver arena: the flow graphs, the job×interval
-// activity index and all round bookkeeping live in the Solver and are
-// recycled across Schedule calls, so steady-state solving does not
-// allocate graph storage. A Solver is not safe for concurrent use; use
-// one per goroutine (the package-level Schedule draws them from a pool).
-type Solver struct {
+// arena is the solver's scratch: the flow networks, the job×interval
+// activity index, the round bookkeeping and the emission buffers, all
+// recycled from one solve to the next so that steady-state solving does
+// not allocate graph storage. solverPool is its only owner: every entry
+// point — Schedule, a Session's Resolve, FeasibleAtSpeed,
+// MinFeasibleCap, ScheduleAtCap and each decomposition worker — borrows
+// an arena for one call and returns it, so no idle object holds one.
+type arena struct {
 	fe floatEngine
 	ee exactEngine
 	cn capNet // feasibility probes and ScheduleAtCap
 }
 
-// NewSolver returns an empty solver arena.
-func NewSolver() *Solver { return &Solver{} }
-
-var solverPool pool.FreeList[Solver]
+var solverPool pool.FreeList[arena]
 
 // Schedule computes an energy-optimal schedule for the instance. The
 // returned schedule is feasible (verifiable with schedule.Verify) and
 // optimal for every convex non-decreasing power function with P(0) = 0.
-// It draws a pooled Solver; long-lived callers that solve repeatedly
-// (e.g. the online planner) hold their own Solver instead.
-func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
-	return schedulePooled(in, newConfig(opts))
-}
-
-// schedulePooled is Schedule on an applied option set.
-func schedulePooled(in *job.Instance, cfg config) (*Result, error) {
-	s := solverPool.Get()
-	defer solverPool.Put(s)
-	return s.schedule(in, cfg)
-}
-
-// Schedule computes an energy-optimal schedule reusing the solver arena.
 //
 // Failure handling: the float64 fast path can fail numerically on
 // hostile inputs (ErrNumeric) or trip a contained solver invariant
@@ -231,11 +216,19 @@ func schedulePooled(in *job.Instance, cfg config) (*Result, error) {
 // (counter "opt.fallback_exact"), so production callers only see an
 // error when both engines fail. Explicit Exact() runs skip the retry:
 // there is nothing more exact to fall back to.
-func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
-	return s.schedule(in, newConfig(opts))
+func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
+	return schedulePooled(in, newConfig(opts))
 }
 
-func (s *Solver) schedule(in *job.Instance, cfg config) (*Result, error) {
+// schedulePooled is Schedule on an applied option set, on a pooled
+// arena.
+func schedulePooled(in *job.Instance, cfg config) (*Result, error) {
+	a := solverPool.Get()
+	defer solverPool.Put(a)
+	return a.schedule(in, cfg)
+}
+
+func (s *arena) schedule(in *job.Instance, cfg config) (*Result, error) {
 	if err := validateForSolve(in); err != nil {
 		return nil, err
 	}
@@ -391,10 +384,16 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 	}
 	starts := []int{0}
 
+	// Emission writes into the arena: the segments and every phase's
+	// positive m_ij go to scratch buffers and are copied out at exact
+	// size once the solve ends; every phase's job IDs go to ids, which
+	// holds the n accepted jobs exactly.
+	sc := eng.scratch()
 	res = &Result{Schedule: schedule.New(in.M), Intervals: ivs}
-	order := segOrderPool.Get()
-	order.iv = order.iv[:0]
-	defer segOrderPool.Put(order)
+	res.Schedule.Segments = sc.segs[:0]
+	sc.order.iv = sc.order.iv[:0]
+	sc.claims = sc.claims[:0]
+	ids := make([]int, 0, in.N())
 	eng.prepare(in, ivs, &res.Stats, rec)
 	_, isExact := eng.(*exactEngine)
 
@@ -448,7 +447,7 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 		}
 		speed, mj, pieces := eng.accept()
 		cand := eng.acceptedCand()
-		if err := emitPhase(in, ivs, used, cand, speed, mj, pieces, eng.scratch(), order, res); err != nil {
+		if err := emitPhase(in, ivs, used, speed, mj, pieces, sc, res); err != nil {
 			// Packing can only fail when the flow the engine certified
 			// does not fit its intervals: precision loss on the float
 			// path (the exact fallback retries), a bug on the exact path.
@@ -457,17 +456,39 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 			}
 			return nil, fmt.Errorf("%v: %w", err, mpsserr.ErrNumeric)
 		}
+		start := len(ids)
+		for _, k := range cand {
+			ids = append(ids, in.Jobs[k].ID)
+		}
+		for jx, m := range mj {
+			if m > 0 {
+				sc.claims = append(sc.claims, claim{int32(len(res.Phases)), int32(jx), int32(m)})
+			}
+		}
+		res.Phases = append(res.Phases, Phase{Speed: speed, JobIDs: ids[start:len(ids):len(ids)]})
+		res.Stats.Phases++
 		rec.Add("opt.phases", 1)
 		span.Add("jobs_saturated", int64(len(cand)))
 		span.SetValue("speed", speed)
 		span.End()
 	}
 
-	if testHookEmitted != nil {
-		testHookEmitted(res.Schedule.Segments, order.iv)
+	nIv := len(ivs)
+	procs := make([]int, len(res.Phases)*nIv)
+	for _, c := range sc.claims {
+		procs[int(c.phase)*nIv+int(c.iv)] = int(c.m)
 	}
-	order.sort(res.Schedule.Segments, len(ivs), in.M)
+	for i := range res.Phases {
+		res.Phases[i].Procs = procs[i*nIv : (i+1)*nIv : (i+1)*nIv]
+	}
+	if testHookEmitted != nil {
+		testHookEmitted(res.Schedule.Segments, sc.order.iv)
+	}
+	sc.order.sort(res.Schedule.Segments, len(ivs), in.M)
 	res.Schedule.Normalize()
+	segs := res.Schedule.Segments
+	sc.segs = segs[:0]
+	res.Schedule.Segments = append([]schedule.Segment(nil), segs...)
 	return res, nil
 }
 
@@ -481,27 +502,34 @@ type piece struct {
 
 // emitScratch is an engine's reusable emission storage: accept fills
 // pieces, emitPhase packs them interval by interval through group and
-// procs. It lives on the engine, never in a package variable, because
-// decomposition workers run solvers concurrently.
+// procs into segs, runPhases collects every phase's positive m_ij in
+// claims, and order presorts the segments for Normalize. It lives in
+// the arena, never in a package variable, because decomposition workers
+// solve concurrently.
 type emitScratch struct {
 	pieces []piece
 	group  []schedule.Piece
 	procs  []int
+	segs   []schedule.Segment
+	claims []claim
+	order  segOrder
 }
+
+// claim records that phase occupies m > 0 processors in interval iv.
+// Each phase holds at least one processor wherever it claims, so a solve
+// has at most m·|intervals| claims however many phases it has, and
+// runPhases expands them into the dense Phase.Procs vectors only once.
+type claim struct{ phase, iv, m int32 }
 
 func (s *emitScratch) scratch() *emitScratch { return s }
 
-// emitPhase converts the accepted round's flow into schedule segments and
-// bookkeeping. The pieces arrive in interval order, so each interval's
-// group is a contiguous run (one to a few pieces, one per job): it is
+// emitPhase converts the accepted round's flow into schedule segments.
+// The pieces arrive in interval order, so each interval's group is a
+// contiguous run (one to a few pieces, one per job): it is
 // insertion-sorted by job ID and packed by McNaughton's wrap-around rule
 // straight into the schedule, on the m_ij processors above those earlier
-// phases occupy. Each segment's interval index goes to order.iv.
-func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed float64, mj []int, pieces []piece, sc *emitScratch, order *segOrder, res *Result) error {
-	phase := Phase{Speed: speed, Procs: append([]int(nil), mj...), JobIDs: make([]int, len(cand))}
-	for i, k := range cand {
-		phase.JobIDs[i] = in.Jobs[k].ID
-	}
+// phases occupy. Each segment's interval index goes to sc.order.iv.
+func emitPhase(in *job.Instance, ivs []job.Interval, used []int, speed float64, mj []int, pieces []piece, sc *emitScratch, res *Result) error {
 	prev := -1
 	for i := 0; i < len(pieces); {
 		jx := pieces[i].ivIdx
@@ -535,12 +563,10 @@ func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed flo
 			return fmt.Errorf("opt: packing interval %v: %w", ivs[jx], err)
 		}
 		for range res.Schedule.Segments[n0:] {
-			order.iv = append(order.iv, int32(jx))
+			sc.order.iv = append(sc.order.iv, int32(jx))
 		}
 		used[jx] += mj[jx]
 	}
-	res.Phases = append(res.Phases, phase)
-	res.Stats.Phases++
 	return nil
 }
 
@@ -551,17 +577,12 @@ func emitPhase(in *job.Instance, ivs []job.Interval, used, cand []int, speed flo
 // lays each processor's segments out left to right. So a stable sort by
 // interval and then a stable sort by processor, two counting passes,
 // leaves every processor's segments in start order.
-//
-// The buffers are borrowed from segOrderPool for one solve, not kept per
-// Solver: every open session holds its own Solver.
 type segOrder struct {
 	iv    []int32 // per emitted segment: its interval index
 	byIv  []int32 // segment indices, stably sorted by interval
 	perm  []int32 // then stably by processor: position -> segment index
 	count []int32
 }
-
-var segOrderPool pool.FreeList[segOrder]
 
 // sort reorders segs (whose intervals are o.iv, out of nIv, on m
 // processors) by (processor, interval), keeping the order only if it is

@@ -13,22 +13,22 @@ import (
 // set and re-solves it after add-job / remove-job / retune-cap deltas.
 //
 // A resolve is the one-shot solve of the session's current job set:
-// Solver.Schedule on the session's own solver arena, and, while a cap is
-// set, FeasibleAtSpeed for the cap verdict. The paper's algorithm
-// needs each phase's maximum flow and nothing from an earlier solve, so
-// a session keeps only its job-set bookkeeping between resolves, and the
-// arena keeps its buffers warm. A resolve therefore returns exactly what
-// a one-shot Schedule of the current job set returns, and costs exactly
-// what it costs (TestSessionResolveCountsMatchOneShot).
+// Schedule on a pooled arena, and, while a cap is set, FeasibleAtSpeed
+// for the cap verdict. The paper's algorithm needs each phase's maximum
+// flow and nothing from an earlier solve, so a session keeps only its
+// job-set bookkeeping between resolves and holds no solver scratch: an
+// idle session costs its job set, its ID map and its options. A resolve
+// therefore returns exactly what a one-shot Schedule of the current job
+// set returns, and costs exactly what it costs
+// (TestSessionResolveCountsMatchOneShot).
 
 // Session is a mutable solving session: a job set revised by deltas and
-// re-solved on demand. Sessions are created from a Solver and borrow its
-// arenas during Resolve; like the Solver itself, a Session is not safe
-// for concurrent use, and a Solver must not run another solve while one
-// of its sessions is mid-Resolve.
+// re-solved on demand. Each Resolve borrows an arena from the solver
+// pool for its duration only, so any number of sessions may be open,
+// and distinct sessions may resolve concurrently. A single Session is
+// not safe for concurrent use.
 type Session struct {
-	solver *Solver
-	cfg    config
+	cfg config
 
 	m    int
 	jobs []job.Job
@@ -49,7 +49,7 @@ type SessionResult struct {
 // session options of every resolve and behave as in Schedule; Exact()
 // pins the exact engine. Sessions address jobs by ID (RemoveJob); the
 // instance check rejects duplicate IDs.
-func (s *Solver) NewSession(in *job.Instance, opts ...Option) (*Session, error) {
+func NewSession(in *job.Instance, opts ...Option) (*Session, error) {
 	cfg := newConfig(opts)
 	if err := validateForSolve(in); err != nil {
 		return nil, err
@@ -59,11 +59,10 @@ func (s *Solver) NewSession(in *job.Instance, opts ...Option) (*Session, error) 
 		ids[j.ID] = i
 	}
 	return &Session{
-		solver: s,
-		cfg:    cfg,
-		m:      in.M,
-		jobs:   append([]job.Job(nil), in.Jobs...),
-		ids:    ids,
+		cfg:  cfg,
+		m:    in.M,
+		jobs: append([]job.Job(nil), in.Jobs...),
+		ids:  ids,
 	}, nil
 }
 
@@ -122,7 +121,7 @@ func (ss *Session) Resolve(ctx context.Context) (*SessionResult, error) {
 	}
 	cfg.rec.Add("opt.session_resolves", 1)
 	in := &job.Instance{M: ss.m, Jobs: ss.jobs}
-	res, err := ss.solver.schedule(in, cfg)
+	res, err := schedulePooled(in, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mpss/internal/job"
@@ -23,13 +25,12 @@ func TestSessionMatchesOneShotFloat(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed*977 + 11))
-		sess, err := NewSolver().NewSession(in)
+		sess, err := NewSession(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs := append([]job.Job(nil), in.Jobs...)
 		nextID := 10_000
-		oneShot := NewSolver()
 		for step := 0; step < 8; step++ {
 			switch op := rng.Intn(3); {
 			case op == 0 && len(jobs) > 2:
@@ -63,7 +64,7 @@ func TestSessionMatchesOneShotFloat(t *testing.T) {
 				t.Fatal(err)
 			}
 			cur := &job.Instance{M: in.M, Jobs: jobs}
-			want, err := oneShot.Schedule(cur)
+			want, err := Schedule(cur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,13 +91,12 @@ func TestSessionMatchesOneShotExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed*31 + 5))
-		sess, err := NewSolver().NewSession(in, Exact())
+		sess, err := NewSession(in, Exact())
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs := append([]job.Job(nil), in.Jobs...)
 		nextID := 20_000
-		oneShot := NewSolver()
 		for step := 0; step < 4; step++ {
 			if step%2 == 0 && len(jobs) > 2 {
 				i := rng.Intn(len(jobs))
@@ -117,7 +117,7 @@ func TestSessionMatchesOneShotExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oneShot.Schedule(&job.Instance{M: in.M, Jobs: jobs}, Exact())
+			want, err := Schedule(&job.Instance{M: in.M, Jobs: jobs}, Exact())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestNewSessionRejectsDuplicateIDs(t *testing.T) {
 		{ID: 7, Release: 0, Deadline: 1, Work: 1},
 		{ID: 7, Release: 0, Deadline: 2, Work: 1},
 	}}
-	if _, err := NewSolver().NewSession(in); !errors.Is(err, mpsserr.ErrInvalidInstance) {
+	if _, err := NewSession(in); !errors.Is(err, mpsserr.ErrInvalidInstance) {
 		t.Fatalf("NewSession with duplicate IDs: err = %v, want ErrInvalidInstance", err)
 	}
 }
@@ -172,7 +172,7 @@ func checkResolveMatchesOneShot(t *testing.T, label string, sess *Session, rec *
 
 	oneRec := obs.New()
 	cur := &job.Instance{M: m, Jobs: append([]job.Job(nil), jobs...)}
-	want, err := NewSolver().Schedule(cur, WithRecorder(oneRec))
+	want, err := Schedule(cur, WithRecorder(oneRec))
 	if err != nil {
 		t.Fatalf("%s: one-shot: %v", label, err)
 	}
@@ -224,7 +224,7 @@ func TestSessionResolveCountsMatchOneShot(t *testing.T) {
 	for x, in := range instances {
 		rng := rand.New(rand.NewSource(int64(x)*131 + 7))
 		rec := obs.New()
-		sess, err := NewSolver().NewSession(in, WithRecorder(rec))
+		sess, err := NewSession(in, WithRecorder(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func FuzzSessionDeltas(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rawN, rawM uint8, ops []byte) {
 		m := 1 + int(rawM%4)
 		jobs := fuzzJobs(seed, 1+int(rawN%12))
-		sess, err := NewSolver().NewSession(&job.Instance{M: m, Jobs: jobs})
+		sess, err := NewSession(&job.Instance{M: m, Jobs: jobs})
 		if err != nil {
 			t.Fatalf("generator produced invalid instance: %v", err)
 		}
@@ -334,7 +334,7 @@ func FuzzSessionDeltas(f *testing.F) {
 // across removals.
 func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 	in := flatSession(12)
-	sess, err := NewSolver().NewSession(in)
+	sess, err := NewSession(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +362,126 @@ func TestSessionCapFeasibleMatchesProbe(t *testing.T) {
 		}
 		if got.CapFeasible != want {
 			t.Fatalf("cap %v: session verdict %v, probe says %v", c, got.CapFeasible, want)
+		}
+	}
+}
+
+// Sessions hold no solver scratch, so any number of them resolve
+// concurrently while one-shot Schedule and MinFeasibleCap calls draw
+// from the same arena pool. Every result must be bit-equal to the
+// sequential one-shot solve of the same job set, both when it returns
+// and after every other solve has finished: a result that still shared
+// an arena's emission buffers would be overwritten by a later solve.
+// `make race` runs it under the race detector.
+func TestConcurrentSessionsShareArenaPool(t *testing.T) {
+	const instances = 6
+	ins := make([]*job.Instance, instances)
+	// Sequential one-shot solves of the full job set, of it without the
+	// first job, and of it with the first job moved last (re-added).
+	full := make([]*Result, instances)
+	short := make([]*Result, instances)
+	readded := make([]*Result, instances)
+	caps := make([]float64, instances)
+	for i := range ins {
+		gen := workload.Bursty
+		if i%2 == 1 {
+			gen = workload.Uniform
+		}
+		in, err := gen(workload.Spec{N: 24, M: 3, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins[i] = in
+		if full[i], err = Schedule(in); err != nil {
+			t.Fatal(err)
+		}
+		if short[i], err = Schedule(&job.Instance{M: in.M, Jobs: in.Jobs[1:]}); err != nil {
+			t.Fatal(err)
+		}
+		moved := append(append([]job.Job(nil), in.Jobs[1:]...), in.Jobs[0])
+		if readded[i], err = Schedule(&job.Instance{M: in.M, Jobs: moved}); err != nil {
+			t.Fatal(err)
+		}
+		if caps[i], err = MinFeasibleCap(in, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type kept struct {
+		label     string
+		got, want *Result
+	}
+	var (
+		mu   sync.Mutex
+		keep []kept
+		wg   sync.WaitGroup
+	)
+	check := func(label string, got, want *Result) {
+		if d := resultDiff(got, want); d != "" {
+			t.Errorf("%s: %s", label, d)
+		}
+		mu.Lock()
+		keep = append(keep, kept{label, got, want})
+		mu.Unlock()
+	}
+	const steps = 4
+	for i, in := range ins {
+		wg.Add(3)
+		go func() { // a session: remove the first job, add it back
+			defer wg.Done()
+			sess, err := NewSession(in)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for step := range steps {
+				want := readded[i]
+				if step%2 == 0 {
+					if err := sess.RemoveJob(in.Jobs[0].ID); err != nil {
+						t.Error(err)
+						return
+					}
+					want = short[i]
+				} else if err := sess.AddJob(in.Jobs[0]); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := sess.Resolve(nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(fmt.Sprintf("instance %d session step %d", i, step), got.Res, want)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for step := range steps {
+				got, err := Schedule(in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(fmt.Sprintf("instance %d Schedule %d", i, step), got, full[i])
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range steps {
+				c, err := MinFeasibleCap(in, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(c) != math.Float64bits(caps[i]) {
+					t.Errorf("instance %d: MinFeasibleCap %v, sequential %v", i, c, caps[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, k := range keep {
+		if d := resultDiff(k.got, k.want); d != "" {
+			t.Errorf("%s, after every other solve: %s", k.label, d)
 		}
 	}
 }

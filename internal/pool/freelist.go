@@ -3,46 +3,31 @@ package pool
 import "sync"
 
 // FreeList is a typed free list over sync.Pool: Get hands out a *T
-// (allocating on first use via New), Put recycles one. It backs the
-// solver arenas — flow graphs and opt solvers are expensive to size up
-// but cheap to reset, so callers Get/Put them around each solve instead
-// of reallocating. Like sync.Pool, the list is safe for concurrent use
-// and may drop items under memory pressure; correctness must not depend
-// on an item coming back.
+// (new(T) when the list is empty), Put recycles one. It backs the
+// solver arenas — flow networks and round bookkeeping are expensive to
+// size up but cheap to reset, so callers Get/Put them around each solve
+// instead of reallocating. Like sync.Pool, the list is safe for
+// concurrent use and may drop items under memory pressure; correctness
+// must not depend on an item coming back. The zero value is ready to
+// use.
 type FreeList[T any] struct {
-	once sync.Once
 	pool sync.Pool
-
-	// New constructs a fresh item when the list is empty. Optional: when
-	// nil, Get returns new(T).
-	New func() *T
-}
-
-func (f *FreeList[T]) init() {
-	f.once.Do(func() {
-		f.pool.New = func() any {
-			if f.New != nil {
-				return f.New()
-			}
-			return new(T)
-		}
-	})
 }
 
 // Get returns a recycled *T, or a new one when the list is empty. The
 // caller owns the item until Put.
 func (f *FreeList[T]) Get() *T {
-	f.init()
-	return f.pool.Get().(*T)
+	if x, ok := f.pool.Get().(*T); ok {
+		return x
+	}
+	return new(T)
 }
 
 // Put recycles an item obtained from Get. The item must not be used
 // after Put; the caller is responsible for any reset needed before the
 // item is handed out again.
 func (f *FreeList[T]) Put(x *T) {
-	if x == nil {
-		return
+	if x != nil {
+		f.pool.Put(x)
 	}
-	f.init()
-	f.pool.Put(x)
 }

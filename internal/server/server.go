@@ -5,14 +5,15 @@
 //
 // Architecture (DESIGN.md §10): requests pass an admission layer (a
 // bounded queue; overflow is rejected with 503 instead of queuing
-// unboundedly), then execute on a fixed pool of workers, each owning a
-// persistent mpss.Solver session whose flow-network arenas are reused
-// across requests. A canonical-instance-hash LRU cache short-circuits
+// unboundedly), then execute on a fixed pool of workers; each solve
+// borrows its flow-network scratch from the solver's process-wide pool
+// for its duration, so a worker between requests holds none. A
+// canonical-instance-hash LRU cache short-circuits
 // repeated requests — the solver is bit-deterministic, so a cache hit
 // is indistinguishable from a re-solve. Per-request deadlines and
 // client disconnects propagate into the solver via WithContext and
 // surface as mpss.ErrCanceled; a canceled request frees its worker at
-// the next phase/round boundary without poisoning the session. Worker
+// the next phase/round boundary without poisoning the solver. Worker
 // panics are contained per request (500), mirroring the solver's own
 // recover boundary. Shutdown drains: new work is rejected with 503
 // while in-flight solves run to completion.
@@ -50,11 +51,12 @@
 //	GET    /v1/debug/traces      flight recorder (recent + slowest spans)
 //
 // Streaming sessions (DESIGN.md §13) pin a named job set to one
-// worker's solver: each delta re-solves the session's current job set
-// on that worker's arenas, exactly as a one-shot solve. Session tasks are
-// routed through per-worker affinity queues so a session's solver is
-// only ever touched by its owner worker; a janitor evicts sessions idle
-// past SessionTTL.
+// worker: each delta re-solves the session's current job set exactly
+// as a one-shot solve, on solver scratch borrowed for that resolve, so
+// an open session holds only its job set. Session tasks are routed
+// through per-worker affinity queues so a session's state is only ever
+// touched by its owner worker; a janitor evicts sessions idle past
+// SessionTTL.
 package server
 
 import (
@@ -80,7 +82,7 @@ import (
 // has a production default.
 type Config struct {
 	// Workers is the solver pool size — the number of concurrent solves
-	// (default GOMAXPROCS). Each worker owns one mpss.Solver session.
+	// (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue; a request arriving with the
 	// queue full is rejected with 503 (default 64).
@@ -179,7 +181,7 @@ func (c *Config) applyDefaults() {
 }
 
 // task is one admitted solve request: the worker executes exec on its
-// session and closes done. enqueued/waited measure time spent in the
+// solver and closes done. enqueued/waited measure time spent in the
 // admission queue (waited is written by the worker before done closes,
 // read by the handler after — ordered by the channel close).
 type task struct {
@@ -188,17 +190,11 @@ type task struct {
 	// worker consults it to tell a client disconnect (499) apart from a
 	// deadline that expired while the task queued (504).
 	clientCtx context.Context
-	exec      func(sess *session) response
+	exec      func(sv *mpss.Solver) response
 	resp      response
 	done      chan struct{}
 	enqueued  time.Time
 	waited    time.Duration
-}
-
-// session is the per-worker solver state: one mpss.Solver whose arenas
-// stay warm across the requests the worker serves.
-type session struct {
-	solver *mpss.Solver
 }
 
 // testHookTaskStart, when non-nil, runs on the worker goroutine before
@@ -291,15 +287,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// worker is one solver loop: it owns a session for its lifetime and
-// executes tasks from the shared queue and its own session-affinity
-// queue until both close at drain time.
+// worker is one solver loop: it executes tasks from the shared queue
+// and its own session-affinity queue until both close at drain time.
 func (s *Server) worker(i int) {
 	defer s.workers.Done()
-	// The session solver records into the shared (concurrency-safe)
-	// recorder, so /v1/metrics shows solver counters — rounds, warm
-	// hits, fallbacks — across all workers.
-	sess := &session{solver: mpss.NewSolver(mpss.WithRecorder(s.rec))}
+	// The worker's Solver records into the shared (concurrency-safe)
+	// recorder, so /v1/metrics shows solver counters — rounds, graph
+	// rebuilds, fallbacks — across all workers. It holds no solver
+	// scratch: every call borrows that from the pool.
+	sv := mpss.NewSolver(mpss.WithRecorder(s.rec))
 	shared, own := s.queue, s.sessQ[i]
 	for shared != nil || own != nil {
 		var t *task
@@ -334,7 +330,7 @@ func (s *Server) worker(i int) {
 				t.resp = errorResponse(api.StatusClientClosedRequest, "canceled", err.Error())
 			}
 		} else {
-			t.resp = s.runTask(t, sess)
+			t.resp = s.runTask(t, sv)
 		}
 		close(t.done)
 	}
@@ -344,14 +340,14 @@ func (s *Server) worker(i int) {
 // escaping the solver's own recover boundary (or raised in the handler
 // glue) becomes a 500 for this request, and the worker — with a fresh
 // per-call solver state — keeps serving.
-func (s *Server) runTask(t *task, sess *session) (resp response) {
+func (s *Server) runTask(t *task, sv *mpss.Solver) (resp response) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.rec.Add("server.panics", 1)
 			resp = errorResponse(http.StatusInternalServerError, "internal", fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	return t.exec(sess)
+	return t.exec(sv)
 }
 
 // admit enqueues a task on the shared queue unless the server is
@@ -473,12 +469,12 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 			t := &task{
 				ctx:       ctx,
 				clientCtx: r.Context(),
-				exec: func(sess *session) response {
+				exec: func(sv *mpss.Solver) response {
 					// The solve runs as a child of the flight-recorder request
 					// span, so queue wait and solve time separate in the trace.
 					solveSpan := spanFromContext(ctx).StartSpan("solve " + kind)
 					defer solveSpan.End()
-					return s.solve(ctx, kind, &req, sess, r)
+					return s.solve(ctx, kind, &req, sv, r)
 				},
 				done:     make(chan struct{}),
 				enqueued: time.Now(),
@@ -539,8 +535,8 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 	}
 }
 
-// solve dispatches one admitted request to the worker's solver session.
-func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, sess *session, r *http.Request) response {
+// solve dispatches one admitted request to the worker's solver.
+func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, sv *mpss.Solver, r *http.Request) response {
 	alpha := req.Alpha
 	if alpha == 0 {
 		alpha = 3
@@ -565,9 +561,9 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 
 	switch kind {
 	case "optimal":
-		solveFn := sess.solver.Solve
+		solveFn := sv.Solve
 		if req.Exact {
-			solveFn = sess.solver.SolveExact
+			solveFn = sv.SolveExact
 		}
 		decompose := s.cfg.Decompose
 		if req.Decompose != nil {
@@ -588,7 +584,7 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 		}
 		return jsonResponse(http.StatusOK, out)
 	case "oa":
-		res, err := sess.solver.OA(in, withCtx)
+		res, err := sv.OA(in, withCtx)
 		if err != nil {
 			return fail(err)
 		}
@@ -600,7 +596,7 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 			Schedule: res.Schedule,
 		})
 	case "avr":
-		res, err := sess.solver.AVR(in, withCtx)
+		res, err := sv.AVR(in, withCtx)
 		if err != nil {
 			return fail(err)
 		}
@@ -626,13 +622,13 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 			Schedule: sched,
 		})
 	case "feasible":
-		ok, err := sess.solver.FeasibleAtSpeed(in, req.Cap, withCtx)
+		ok, err := sv.FeasibleAtSpeed(in, req.Cap, withCtx)
 		if err != nil {
 			return fail(err)
 		}
 		return jsonResponse(http.StatusOK, api.FeasibleResponse{Cap: req.Cap, Feasible: ok})
 	case "mincap":
-		cap, err := sess.solver.MinFeasibleCap(in, req.Rel, withCtx)
+		cap, err := sv.MinFeasibleCap(in, req.Rel, withCtx)
 		if err != nil {
 			return fail(err)
 		}
@@ -667,7 +663,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics dumps the recorder snapshot as JSON — service counters
 // (server.requests, server.cache_hits, server.rejected,
 // server.canceled), the labeled per-endpoint series, and the solver
-// counters every worker session recorded.
+// counters every worker recorded.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.rec.WriteJSON(w); err != nil {

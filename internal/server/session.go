@@ -15,11 +15,14 @@ import (
 )
 
 // liveSession is one open streaming session: a named mutable instance
-// pinned to a single worker's warm solver. The solver field is touched
-// only on the owner worker (tasks reach it through sessQ[worker], which
-// serializes them), so it needs no lock; the mutable published state —
-// seq, last response, idle clock — is guarded by mu because the HTTP
-// goroutines of GET long-polls and the janitor read it concurrently.
+// pinned to a single worker. Its solver holds the job set, the cap and
+// the options, but no solver scratch: each resolve borrows that from the
+// pool, so an idle session costs little more than its job set (DESIGN.md
+// §13). The solver field is touched only on the owner worker (tasks
+// reach it through sessQ[worker], which serializes them), so it needs no
+// lock; the mutable published state — seq, last response, idle clock —
+// is guarded by mu because the HTTP goroutines of GET long-polls and
+// the janitor read it concurrently.
 type liveSession struct {
 	id     string
 	worker int
@@ -210,7 +213,7 @@ func (s *Server) runSessionTask(r *http.Request, ls *liveSession, timeout time.D
 	t := &task{
 		ctx:       ctx,
 		clientCtx: r.Context(),
-		exec: func(_ *session) response {
+		exec: func(*mpss.Solver) response {
 			return exec(ctx)
 		},
 		done:     make(chan struct{}),

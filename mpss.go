@@ -201,18 +201,14 @@ func MustAlpha(alpha float64) Alpha { return power.MustAlpha(alpha) }
 // ErrInvalidInstance and friends); the solver never panics on caller
 // input.
 func OptimalSchedule(in *Instance, opts ...SolveOption) (*OptimalResult, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.Solve(in)
+	return NewSolver(opts...).Solve(in)
 }
 
 // OptimalScheduleExact is OptimalSchedule with all phase decisions carried
 // out in exact rational arithmetic. Slower, but immune to floating-point
 // misclassification.
 func OptimalScheduleExact(in *Instance, opts ...SolveOption) (*OptimalResult, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.SolveExact(in)
+	return NewSolver(opts...).SolveExact(in)
 }
 
 // YDS computes the classic optimal single-processor schedule.
@@ -229,18 +225,14 @@ func YDS(jobs []Job) (*Schedule, error) {
 // paper: the result consumes at most alpha^alpha times the optimal energy
 // under P(s) = s^alpha.
 func OA(in *Instance, opts ...SolveOption) (*OAResult, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.OA(in)
+	return NewSolver(opts...).OA(in)
 }
 
 // AVR runs the online Average Rate algorithm on the instance. Theorem 3
 // of the paper: the result consumes at most (2 alpha)^alpha/2 + 1 times
 // the optimal energy under P(s) = s^alpha.
 func AVR(in *Instance, opts ...SolveOption) (*AVRResult, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.AVR(in)
+	return NewSolver(opts...).AVR(in)
 }
 
 // NonMigratory schedules without migration: jobs are assigned to
@@ -333,9 +325,7 @@ func UniformSpeedMenu(max float64, k int) ([]float64, error) {
 // test. Options: WithRecorder counts the probe and the flow-solver
 // operations, WithContext makes it cancelable.
 func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.FeasibleAtSpeed(in, cap)
+	return NewSolver(opts...).FeasibleAtSpeed(in, cap)
 }
 
 // MinFeasibleCap returns the smallest processor speed cap at which the
@@ -348,9 +338,7 @@ func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, erro
 // those the cut answered and "opt.feasibility_probes" the probes run;
 // WithContext makes it cancelable.
 func MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.MinFeasibleCap(in, rel)
+	return NewSolver(opts...).MinFeasibleCap(in, rel)
 }
 
 // PotentialTracker evaluates the potential function of the paper's OA(m)

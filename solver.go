@@ -6,7 +6,6 @@ import (
 
 	"mpss/internal/online"
 	"mpss/internal/opt"
-	"mpss/internal/pool"
 )
 
 // WithContext makes a solve cancelable: the solver polls ctx at its
@@ -14,37 +13,36 @@ import (
 // (each round is one max-flow computation), every OA replanning event,
 // every AVR interval, and every probe wave of the cap search — and a
 // canceled or expired context unwinds the solve promptly with an error
-// wrapping ErrCanceled. Cancellation never corrupts a Solver session:
-// the arenas are rebuilt from scratch at the next call, so a Solver
-// that had a solve canceled keeps producing correct results.
+// wrapping ErrCanceled. Cancellation never corrupts a Solver or its
+// streaming session: the solver scratch a call borrowed goes back to
+// the pool in a reusable state, so a Solver that had a solve canceled
+// keeps producing correct results.
 func WithContext(ctx context.Context) SolveOption {
 	return func(c *solveConfig) { c.ctx = ctx }
 }
 
-// Solver is a reusable solver session: the flow-network arenas, the
-// job×interval activity index and all round bookkeeping are retained
-// between calls, so a long-lived caller (a server worker, the online
-// planner, a benchmark loop) pays the allocation cost once and solves
-// at steady state without rebuilding graph storage per request.
+// Solver carries default options and at most one streaming session
+// (Begin … End). It holds no solver scratch: every call borrows the
+// flow networks, the job×interval activity index and the round
+// bookkeeping from a process-wide pool for its duration and returns
+// them, so steady-state solving reuses graph storage while an idle
+// Solver — or an open session — costs only its options and job set.
 //
 // Construct with NewSolver, optionally passing SolveOptions that become
-// the session defaults (recorder, parallelism, context); per-call
-// options are applied on top. The zero value is not usable.
+// the defaults (recorder, parallelism, context); per-call options are
+// applied on top. The zero value is not usable.
 //
 // A Solver is NOT safe for concurrent use — use one per goroutine. The
-// package-level functions (OptimalSchedule, OA, ...) remain the
-// convenient one-shot form; they draw a pooled session per call and
-// return bit-identical results to the equivalent Solver method.
+// package-level functions (OptimalSchedule, OA, ...) are the one-shot
+// form of the same calls and return bit-identical results.
 type Solver struct {
 	cfg  solveConfig
-	os   *opt.Solver
 	sess *opt.Session // active streaming session, nil outside Begin/End
 }
 
-// NewSolver returns a fresh solver session with the given default
-// options.
+// NewSolver returns a fresh Solver with the given default options.
 func NewSolver(opts ...SolveOption) *Solver {
-	return &Solver{cfg: buildSolveConfig(opts), os: opt.NewSolver()}
+	return &Solver{cfg: buildSolveConfig(opts)}
 }
 
 // merge layers per-call options over the session defaults.
@@ -56,14 +54,14 @@ func (s *Solver) merge(opts []SolveOption) solveConfig {
 	return cfg
 }
 
-// Solve computes an energy-optimal migratory schedule (the package-level
-// OptimalSchedule on this session's arenas).
+// Solve computes an energy-optimal migratory schedule: OptimalSchedule
+// with this Solver's default options.
 func (s *Solver) Solve(in *Instance, opts ...SolveOption) (*OptimalResult, error) {
 	if err := ValidateInstance(in); err != nil {
 		return nil, err
 	}
 	cfg := s.merge(opts)
-	return s.os.Schedule(in,
+	return opt.Schedule(in,
 		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
 		opt.WithDecomposition(cfg.decompose))
 }
@@ -75,20 +73,19 @@ func (s *Solver) SolveExact(in *Instance, opts ...SolveOption) (*OptimalResult, 
 		return nil, err
 	}
 	cfg := s.merge(opts)
-	return s.os.Schedule(in,
+	return opt.Schedule(in,
 		opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx),
 		opt.WithDecomposition(cfg.decompose))
 }
 
-// OA runs the online Optimal Available simulation; its per-arrival
-// replans reuse this session's arenas.
+// OA runs the online Optimal Available simulation.
 func (s *Solver) OA(in *Instance, opts ...SolveOption) (*OAResult, error) {
 	if err := ValidateInstance(in); err != nil {
 		return nil, err
 	}
 	cfg := s.merge(opts)
 	return online.OA(in,
-		online.WithRecorder(cfg.rec), online.WithContext(cfg.ctx), online.WithSolver(s.os))
+		online.WithRecorder(cfg.rec), online.WithContext(cfg.ctx))
 }
 
 // AVR runs the online Average Rate simulation.
@@ -130,7 +127,7 @@ type SessionResult struct {
 // Begin starts a streaming session over the instance: a mutable job set
 // revised by AddJob / RemoveJob / SetCap deltas and re-solved by
 // Resolve. Each Resolve is the one-shot Solve of the session's current
-// job set on this Solver's arenas, and returns bit-identical results.
+// job set and returns bit-identical results.
 // Any previously active session on this Solver is replaced.
 func (s *Solver) Begin(in *Instance, opts ...SolveOption) error {
 	return s.begin(in, false, opts)
@@ -153,7 +150,7 @@ func (s *Solver) begin(in *Instance, exact bool, opts []SolveOption) error {
 	if exact {
 		optOpts = append(optOpts, opt.Exact())
 	}
-	sess, err := s.os.NewSession(in, optOpts...)
+	sess, err := opt.NewSession(in, optOpts...)
 	if err != nil {
 		return err
 	}
@@ -222,21 +219,3 @@ func (s *Solver) SessionJobs() []Job {
 // End tears the active session down, dropping its job set. The Solver
 // remains usable for one-shot solves and a later Begin.
 func (s *Solver) End() { s.sess = nil }
-
-// oneShotArenas backs the package-level entry points: each call borrows
-// a solver arena, wraps it in a throwaway session and returns it, so
-// repeated one-shot calls reuse graph storage exactly as the pre-session
-// API did.
-var oneShotArenas pool.FreeList[opt.Solver]
-
-// oneShot builds a throwaway session over a pooled arena. The release
-// function must be called exactly once, after the last use of the
-// session.
-func oneShot(opts []SolveOption) (*Solver, func()) {
-	arena := oneShotArenas.Get()
-	s := &Solver{cfg: buildSolveConfig(opts), os: arena}
-	return s, func() {
-		s.os = nil
-		oneShotArenas.Put(arena)
-	}
-}

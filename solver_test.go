@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -393,5 +394,60 @@ func TestStreamingSessionExact(t *testing.T) {
 	b, _ := json.Marshal(want.Schedule)
 	if string(a) != string(b) {
 		t.Fatalf("exact session differs from one-shot:\n%s\n%s", a, b)
+	}
+}
+
+// TestResolvedSessionsRetainNoArena is the memory gate of open
+// streaming sessions, shaped like the server's session table: 64
+// Solvers with the server's recorder option, each over its own 64-job
+// instance (m = 4, bursty and uniform in turn) and resolved once. Every
+// call borrows its solver scratch from a pool and returns it, so an idle
+// session keeps its job set, ID map and options (~9 KB here), not a
+// flow-network arena sized by its largest solve (~140 KB).
+func TestResolvedSessionsRetainNoArena(t *testing.T) {
+	const sessions, perSession = 64, 16 << 10
+	ins := make([]*mpss.Instance, sessions)
+	for i := range ins {
+		gen := "bursty"
+		if i%2 == 1 {
+			gen = "uniform"
+		}
+		in, err := mpss.GenerateWorkload(gen, mpss.WorkloadSpec{N: 64, M: 4, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins[i] = in
+	}
+	rec := mpss.NewRecorder()
+	// One solve first, so the recorder's counters exist before the
+	// baseline.
+	if _, err := mpss.OptimalSchedule(ins[0], mpss.WithRecorder(rec)); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		// Two collections empty the pools: the first moves their items
+		// to the victim cache, the second drops them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	open := make([]*mpss.Solver, sessions)
+	for i, in := range ins {
+		s := mpss.NewSolver(mpss.WithRecorder(rec))
+		if err := s.Begin(in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		open[i] = s
+	}
+	after := heap()
+	runtime.KeepAlive(open)
+	if per := (int64(after) - int64(before)) / sessions; per > perSession {
+		t.Fatalf("%d bytes of heap kept per resolved 64-job session, want <= %d", per, perSession)
 	}
 }

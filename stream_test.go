@@ -3,6 +3,7 @@ package mpss
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -196,7 +197,7 @@ func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
 // Allocations are a deterministic cost too. Emission packs each phase
 // straight into the schedule from engine-owned scratch, and nothing per
 // phase is formatted when observability is off, so the trace above
-// allocates ~24k times (~114k with per-phase maps, slices and span
+// allocates ~19k times (~114k with per-phase maps, slices and span
 // names).
 func TestSolveTraceStreamAllocs(t *testing.T) {
 	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
@@ -212,6 +213,39 @@ func TestSolveTraceStreamAllocs(t *testing.T) {
 	}
 	if allocs > 40000 {
 		t.Fatalf("%.0f allocations per 2048-job trace, want <= 40000", allocs)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// The same trace in bytes. Each solve's segments are emitted into a
+// buffer kept in the pooled arena and copied out once at exact size, and
+// every phase's job IDs and m_ij are slices of two arrays allocated once
+// per solve, so the trace allocates ~3.1 MB (~5.3 MB when the segments
+// grew by append and each phase allocated its own two slices).
+func TestSolveTraceStreamBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled arenas at random")
+	}
+	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
+	p := MustAlpha(3)
+	solve := func() {
+		if _, err := SolveTraceStream(bytes.NewReader(data), p, WithParallelism(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	solve() // size the pooled arena
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4_500_000 {
+		t.Fatalf("%d bytes allocated per 2048-job trace, want <= 4500000", perRun)
 	}
 }
 
