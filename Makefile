@@ -108,9 +108,10 @@ verify: build vet test race cli-smoke serve-smoke session-smoke loadgen-smoke cl
 # allocs/op and the solver-internal counters reported via b.ReportMetric
 # — as BENCH_opt.json. Every benchmark runs 5 times and benchjson
 # archives each metric's median over the runs with the run count: a
-# single short run moves ~±30% in wall time, and its B/op includes a
-# whole arena whenever a collection emptied the pool before it. The
-# contraction on/off pair runs at 40 iterations, the rest at 3. The raw
+# single short run moves ~±30% in wall time. Each benchmark on pooled
+# arenas solves once untimed, on one P, so its B/op and allocs/op are
+# the steady state's (internal/opt/bench_test.go). The contraction
+# on/off pair runs at 40 iterations, the rest at 3. The raw
 # benchstat-compatible text lands in bench_opt.txt for
 # `benchstat old.txt bench_opt.txt` comparisons.
 bench:

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"mpss/internal/cert"
 )
 
 // FuzzSolvePipeline feeds raw, hostile job fields — NaN, infinities,
@@ -68,9 +70,14 @@ func FuzzSolvePipeline(f *testing.F) {
 			// Restrict the feasibility assertion to numerically sane
 			// inputs; at float64's range edges a schedule can be
 			// structurally right yet fail verification by rounding alone.
+			// On them the schedule must also pass the optimality
+			// certificate, which shares no code with the solver.
 			if sane(in) {
 				if verr := Verify(res.Schedule, in); verr != nil {
 					t.Errorf("OptimalSchedule: infeasible schedule for valid instance: %v", verr)
+				}
+				if cerr := cert.Check(res.Schedule, in); cerr != nil {
+					t.Errorf("OptimalSchedule: %v", cerr)
 				}
 			}
 		}

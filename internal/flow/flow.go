@@ -26,8 +26,8 @@
 //
 // EdgesScanned counts differently in Graph and PhaseNet: Graph counts
 // every adjacency entry its BFS and DFS visit, PhaseNet only the arcs
-// whose residual it reads, never the arcs into s, out of t or of removed
-// jobs, and no dead end, since its DFS never enters one. AugPaths and
+// whose residual it reads, never the arcs into s, out of t or of jobs
+// that are not set, and no dead end, since its DFS never enters one. AugPaths and
 // BFSPasses are the same in both.
 //
 // Graph, RatGraph and PRGraph store the residual network as a single

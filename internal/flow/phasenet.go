@@ -178,37 +178,15 @@ func (p *PhaseNet) flowReset() {
 	p.stale, p.zero, p.cut = true, true, false
 }
 
-// mutable panics unless the flow is zero: the mutators below re-set
-// capacities without draining anything.
-func (p *PhaseNet) mutable() {
+// SetSourceCap re-sets job i's source capacity. It re-sets capacities
+// without draining anything, so the flow must be zero.
+func (p *PhaseNet) SetSourceCap(i int, c float64) {
+	checkCap(c)
 	if !p.zero {
 		panic("flow: PhaseNet capacity change on a nonzero flow (call ResetFlow first)")
 	}
 	p.flowReset()
-}
-
-// RemoveJob takes job i out of the network, with all its edges. The
-// flow must be zero.
-func (p *PhaseNet) RemoveJob(i int) {
-	p.mutable()
-	p.jobLv0[i] = gone
-}
-
-// SetSourceCap re-sets job i's source capacity. The flow must be zero.
-func (p *PhaseNet) SetSourceCap(i int, c float64) {
-	checkCap(c)
-	p.mutable()
 	p.srcCap[i] = c
-}
-
-// SetSinkCap re-sets interval r's sink capacity. The flow must be zero.
-func (p *PhaseNet) SetSinkCap(r int, c float64) {
-	checkCap(c)
-	if !p.on(r) {
-		panic(fmt.Sprintf("flow: sink capacity of interval %d, which is not set", r))
-	}
-	p.mutable()
-	p.sinkCap[r] = c
 }
 
 // gone is the level of a job or interval that is not set: never -1, and
@@ -256,8 +234,8 @@ func (p *PhaseNet) EdgeFlow(i, r int) float64 {
 // flow) and derives the tolerance, DefaultTolerance times the largest
 // live capacity (at least 1): that of the set jobs' source edges, of the
 // job edges into set intervals, and of the sink edges. It is exactly
-// Graph's tolerance on the equivalent network, where removed jobs' edges
-// are gone or at capacity 0.
+// Graph's tolerance on the equivalent network, which has no edges for
+// the jobs and intervals that are not set.
 func (p *PhaseNet) initResiduals() {
 	mx := 0.0
 	for r := 0; r < p.nIvs; r++ {

@@ -81,28 +81,25 @@ func randomPhase(rng *rand.Rand) *phaseShape {
 // phaseTwin is a phase network built both as a PhaseNet and as a Graph,
 // the latter by the AddEdge sequence the scheduler's raw build uses:
 // source edges in job order, then per interval its job edges in list
-// order and its sink edge. The PhaseNet is mutated in place between
-// rounds; the Graph is rebuilt from the round's live jobs and
-// capacities.
+// order and its sink edge. Between rounds the PhaseNet's flow is reset
+// and its source capacities re-set in place, as the minimum-cap search
+// does; the Graph is rebuilt from the round's capacities.
 type phaseTwin struct {
 	sh   *phaseShape
 	p    *PhaseNet
 	g    *Graph
 	sink int
-	node []int    // per job: Graph vertex, -1 when not set or removed
+	node []int    // per job: Graph vertex, -1 when not set
 	src  []EdgeID // per job
 	mid  map[[2]int]EdgeID
 
-	removed         []bool    // per job: RemoveJob was called
-	srcCap, sinkCap []float64 // the capacities the PhaseNet holds now
+	srcCap []float64 // the source capacities the PhaseNet holds now
 }
 
 func buildPhaseTwin(sh *phaseShape, p *PhaseNet) *phaseTwin {
 	tw := &phaseTwin{
 		sh: sh, p: p,
-		removed: make([]bool, sh.nJobs),
-		srcCap:  append([]float64(nil), sh.srcCap...),
-		sinkCap: append([]float64(nil), sh.sinkCap...),
+		srcCap: append([]float64(nil), sh.srcCap...),
 	}
 	p.Reset(sh.nJobs, sh.nIvs)
 	for i := 0; i < sh.nJobs; i++ {
@@ -126,7 +123,7 @@ func (tw *phaseTwin) rebuild() {
 	tw.node = tw.node[:0]
 	for i := 0; i < sh.nJobs; i++ {
 		tw.node = append(tw.node, -1)
-		if sh.set[i] && !tw.removed[i] {
+		if sh.set[i] {
 			tw.node[i] = v
 			v++
 		}
@@ -157,7 +154,7 @@ func (tw *phaseTwin) rebuild() {
 				tw.mid[[2]int{int(i), r}] = tw.g.AddEdge(tw.node[i], ivNode[r], sh.edgeCap[r])
 			}
 		}
-		tw.g.AddEdge(ivNode[r], tw.sink, tw.sinkCap[r])
+		tw.g.AddEdge(ivNode[r], tw.sink, sh.sinkCap[r])
 	}
 }
 
@@ -218,8 +215,7 @@ func (tw *phaseTwin) checkCut(t *testing.T, label string) {
 }
 
 // checkPhaseNet runs one random network through several in-place rounds:
-// solve; reset the flow; remove jobs, lower sinks, re-set sources;
-// solve again. The Graph twin is rebuilt from scratch for every round,
+// solve; reset the flow; re-set the sources; solve again. The Graph twin is rebuilt from scratch for every round,
 // so each in-place round must match a from-zero solve of its network.
 func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scanned *[2]int64) {
 	t.Helper()
@@ -232,19 +228,6 @@ func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scann
 	tw.solve(t, label("round 0"), scanned)
 	for round := 1; round <= 3; round++ {
 		p.ResetFlow()
-		for i := 0; i < sh.nJobs; i++ {
-			if tw.node[i] >= 0 && p.live(i) && rng.Intn(4) == 0 {
-				p.RemoveJob(i)
-				tw.removed[i] = true
-			}
-		}
-		for r := 0; r < sh.nIvs; r++ {
-			if sh.on[r] && rng.Intn(3) == 0 {
-				c := tw.sinkCap[r] * float64(rng.Intn(3)) / 2
-				p.SetSinkCap(r, c)
-				tw.sinkCap[r] = c
-			}
-		}
 		scale := []float64{1, 0.5, 3, 1e-3}[rng.Intn(4)]
 		for i := 0; i < sh.nJobs; i++ {
 			if tw.node[i] >= 0 && p.live(i) {
@@ -275,8 +258,8 @@ func TestPhaseNetMatchesGraph(t *testing.T) {
 	t.Logf("edges scanned %d, Graph %d (%.1f%%)", scanned[0], scanned[1], 100*float64(scanned[0])/float64(scanned[1]))
 }
 
-// TestPhaseNetMutatorsNeedZeroFlow: the mutators re-set capacities
-// without draining, so they refuse a network carrying flow.
+// TestPhaseNetMutatorsNeedZeroFlow: SetSourceCap re-sets a capacity
+// without draining, so it refuses a network carrying flow.
 func TestPhaseNetMutatorsNeedZeroFlow(t *testing.T) {
 	var p PhaseNet
 	p.Reset(1, 1)
@@ -285,20 +268,14 @@ func TestPhaseNetMutatorsNeedZeroFlow(t *testing.T) {
 	if v := p.MaxFlow(); v != 1 {
 		t.Fatalf("max flow %v, want 1", v)
 	}
-	for name, mutate := range map[string]func(){
-		"RemoveJob":    func() { p.RemoveJob(0) },
-		"SetSourceCap": func() { p.SetSourceCap(0, 2) },
-		"SetSinkCap":   func() { p.SetSinkCap(0, 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a nonzero flow did not panic", name)
-				}
-			}()
-			mutate()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetSourceCap on a nonzero flow did not panic")
+			}
 		}()
-	}
+		p.SetSourceCap(0, 2)
+	}()
 	p.ResetFlow()
 	p.SetSourceCap(0, 0.5)
 	if v := p.MaxFlow(); v != 0.5 {

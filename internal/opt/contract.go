@@ -16,14 +16,11 @@ import "math/big"
 // graph of a maximum flow. Zero-capacity intervals (m_j = 0) contribute
 // no node either way and are transparent: a run may span them.
 //
-// The merge conditions are stable across a phase's removals: byIv is
-// fixed at phase start, and two intervals with equal active counts and
-// equal m_j = min(active, free) keep equal m_j as the active count
-// decreases (if m_j < active then free = m_j on both and stays the
-// binding term; if m_j = active both track the shrinking active count).
-// computeContraction therefore runs once per phase, and every round of
-// the phase — updated in place on the float path, rebuilt on the exact
-// one — solves over the same run partition.
+// Every round recomputes the partition from its own alive candidates'
+// lists over the phase's span (phaseSet.partition): a removal can make
+// neighbouring intervals interchangeable, so later rounds run on
+// coarser networks, and a round's network depends only on its
+// candidate set.
 //
 // Correctness of the phase decisions on the contracted graph:
 //
@@ -36,25 +33,25 @@ import "math/big"
 //     sink, and co-reachability of job nodes is a min-cut property
 //     preserved by the proportional-split equivalence above.
 //
-// Schedule emission, however, needs per-raw-interval times, so accept()
-// rebuilds the raw-shaped network for the surviving candidate set and
-// solves it from zero — exactly the graph and augmentation sequence the
-// uncontracted path runs for its accepted round, which is what
-// makes the contracted solver's output bit-identical to the raw one.
-// That rebuild is counted separately ("opt.emit_rebuilds") so the
-// build-once-per-phase accounting of the float engine stays observable.
+// Emission uses the same equivalence the other way round: accept cuts
+// each job's time on a super-interval into per-member times that meet
+// the members' job caps and budgets (phaseSet.emit), a feasible, and so
+// optimal, per-interval assignment of the accepted round (DESIGN.md
+// §12). The segments differ from those of a raw solve, which may find
+// another maximum flow; the phases do not, and internal/cert certifies
+// the segments.
 
-// contraction is the per-phase super-interval partition shared by the
-// float and exact engines (the exact engine carries the rational run
-// lengths separately). All slices are arenas reused across phases.
+// contraction is a round's super-interval partition of the phase's
+// span, shared by the float and exact engines (each carries its own run
+// lengths). All slices are arenas reused across rounds.
 type contraction struct {
-	supOf   []int32 // raw interval -> super-interval, -1 for m_j = 0
-	supHead []int32 // super-interval -> first raw member
+	supOf   []int32 // span interval -> super-interval, -1 for m_j = 0
+	supHead []int32 // super-interval -> its first member (span index)
 	nSup    int
-	on      bool // this phase runs its rounds on the contracted graph
+	on      bool // the round runs on the contracted graph
 }
 
-// compute builds the run partition for the current phase state: maximal
+// compute builds the run partition for the current round: maximal
 // runs of m_j > 0 intervals with identical active candidate lists and
 // identical m_j, spanning any m_j = 0 gaps between them. It reports the
 // number of m_j > 0 raw intervals, for the dispatch decision and the

@@ -26,22 +26,21 @@
 // starts from every job, as in the paper; every later phase reaches the
 // same J_i from a smaller candidate set, in fewer and smaller rounds.
 //
-// Consecutive rounds of a phase differ only by the removed jobs and a
-// uniform rescaling of the source capacities. The float path builds the
-// network once per phase as a flow.PhaseNet, the max-flow kernel for
-// this network shape, straight from the engine's job windows and
-// per-interval candidate lists. Each rejection resets the flow, removes
-// the excluded jobs and re-sets the capacities in place (PhaseNet's
-// ResetFlow, RemoveJob, SetSinkCap, SetSourceCap), and the next round
-// solves from zero on the same network: every round's flow — the
-// emitted one included — is bit-identical to that of a network rebuilt
-// for the round. The exact engine does rebuild its flow.RatGraph for
-// every round and solves it from zero (exact.go). The excluded jobs are
-// chosen by a flow-invariant rule — every candidate whose node can still
-// reach the sink in the residual graph (PhaseNet.CoReachable,
-// RatGraph.CoReachable) — so both engines remove exactly the jobs the
-// paper's rule removes. Each of them is outside J_i on its own, so one
-// rejected round removes them all. See DESIGN.md §7 for the invariants.
+// Every round of both engines builds its network afresh for the
+// round's alive candidates, over their interval span (the union of
+// their windows) and with flow-equivalent interval runs
+// contracted (contract.go), and solves it from zero: the float path on a
+// flow.PhaseNet, the max-flow kernel for this network shape, the exact
+// path on a flow.RatGraph (exact.go). A round's network thus depends
+// only on its candidate set and the processors earlier phases left free.
+// The excluded jobs are chosen by a flow-invariant rule — every
+// candidate whose node can still reach the sink in the residual graph
+// (PhaseNet.CoReachable, RatGraph.CoReachable) — so both engines remove
+// exactly the jobs the paper's rule removes. Each of them is outside J_i
+// on its own, so one rejected round removes them all. The accepted
+// round's flow is emitted as it stands, a super-interval's times cut
+// over its member intervals. See DESIGN.md §7 and §12 for the
+// invariants.
 //
 // A streaming Session (session.go) keeps a mutable job set and resolves
 // it through the same Schedule: nothing of one solve's flow carries
@@ -279,13 +278,14 @@ type phaseEngine interface {
 	// prepare is called once per solve: cache instance-wide state, most
 	// importantly the job×interval activity index.
 	prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder)
-	// beginPhase conjectures cand as the next phase's job set and builds
-	// the flow network G(J, m, s) once. It copies cand: runPhases reuses
-	// that storage for the blocks the phase's rounds exclude. degenerate
-	// reports a network with no capacity at all (every m_ij = 0).
+	// beginPhase conjectures cand as the next phase's job set. It copies
+	// cand: runPhases reuses that storage for the blocks the phase's
+	// rounds exclude. degenerate reports a network with no capacity at
+	// all (every m_ij = 0).
 	beginPhase(used, cand []int, span *obs.Span) (degenerate bool)
-	// solveRound (re-)solves the max flow and returns the number of
-	// candidates the residual graph certifies as excluded; 0 accepts the
+	// solveRound builds the network G(J, m, s) of the conjectured set,
+	// solves its max flow from zero and returns the number of candidates
+	// the residual graph certifies as excluded; 0 accepts the
 	// conjecture. A positive count leaves those candidates selected for
 	// excludedJobs and removeExcluded.
 	solveRound() (excluded int)
@@ -293,9 +293,8 @@ type phaseEngine interface {
 	// to dst as instance job indices, in candidate order.
 	excludedJobs(dst []int) []int
 	// removeExcluded removes every candidate selected by the last
-	// solveRound from the network and re-derives the phase speed once.
-	// The float engine resets its flow to zero and updates the network
-	// in place; the exact engine rebuilds it for the next round.
+	// solveRound from the conjectured set and re-derives the phase speed
+	// once; the next round builds its network afresh.
 	removeExcluded() (degenerate, empty bool)
 	// dropLeastWork removes the least-work candidate; the driver calls
 	// it to make progress on degenerate (zero-capacity) networks.
@@ -303,9 +302,8 @@ type phaseEngine interface {
 	// accept finalizes the phase and returns the phase speed, the m_ij
 	// vector and every positive job -> interval flow as a piece, in
 	// interval order (ivIdx non-decreasing). The accepted round's flow
-	// was solved from zero, so it is emitted as it stands; a phase whose
-	// rounds ran on a contracted network is first re-solved on the raw
-	// one.
+	// is emitted as it stands, a super-interval's times cut over its
+	// members (phaseSet.emit).
 	// The pieces live in the engine's emitScratch until the next accept.
 	accept() (speed float64, mj []int, pieces []piece)
 	// acceptedCand returns the accepted candidate set (instance job

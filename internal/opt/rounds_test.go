@@ -17,48 +17,37 @@ func comparePhases(t *testing.T, seed int64, got, want *Result) {
 	}
 }
 
-// The float network is built once per phase, not once per round: a
-// rejected round resets the flow in place and the next round solves from
-// zero on the same network. Every solve is a round or an emission re-solve of a
-// contracted phase. That each round's flow equals a rebuilt network's,
-// bit for bit, is TestBatchExclusionMatchesReference's business.
-func TestRoundsSolveFromZeroInPlace(t *testing.T) {
+// Every round of both engines builds its network for the round's alive
+// candidates and solves it once, from zero; the accepted round's flow is
+// emitted as it stands, so there is no other solve: opt.graph_rebuilds =
+// flow.solves = opt.rounds, contracted or not.
+func TestRoundsBuildAndSolveOnce(t *testing.T) {
 	for _, gen := range []func(workload.Spec) (*job.Instance, error){workload.Bursty, workload.Diurnal} {
+		in, err := gen(workload.Spec{N: 32, M: 3, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, contract := range []bool{true, false} {
-			in, err := gen(workload.Spec{N: 32, M: 3, Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := obs.New()
-			res, err := Schedule(in, WithRecorder(rec), withContraction(contract))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := rec.Snapshot().Counters
-			phases, rounds := c["opt.phases"], c["opt.rounds"]
-			if phases != int64(len(res.Phases)) || rounds <= phases {
-				t.Fatalf("contract=%v: opt.phases=%d for %d phases, opt.rounds=%d: want a rejected round",
-					contract, phases, len(res.Phases), rounds)
-			}
-			if c["opt.graph_rebuilds"] > phases {
-				t.Errorf("contract=%v: opt.graph_rebuilds=%d exceeds opt.phases=%d", contract, c["opt.graph_rebuilds"], phases)
-			}
-			if want := rounds + c["opt.emit_rebuilds"]; c["flow.solves"] != want {
-				t.Errorf("contract=%v: flow.solves=%d, want rounds + emit_rebuilds = %d", contract, c["flow.solves"], want)
-			}
-
-			// The exact engine builds a network for every round instead,
-			// and still solves nothing but rounds and emission rebuilds.
-			rec = obs.New()
-			if _, err := Schedule(in, Exact(), WithRecorder(rec), withContraction(contract)); err != nil {
-				t.Fatal(err)
-			}
-			c = rec.Snapshot().Counters
-			if c["opt.graph_rebuilds"] != c["opt.rounds"] {
-				t.Errorf("contract=%v exact: opt.graph_rebuilds=%d, want one per round (%d)", contract, c["opt.graph_rebuilds"], c["opt.rounds"])
-			}
-			if want := c["opt.rounds"] + c["opt.emit_rebuilds"]; c["flow.solves"] != want {
-				t.Errorf("contract=%v exact: flow.solves=%d, want rounds + emit_rebuilds = %d", contract, c["flow.solves"], want)
+			for _, exact := range []bool{false, true} {
+				opts := []Option{withContraction(contract)}
+				if exact {
+					opts = append(opts, Exact())
+				}
+				rec := obs.New()
+				res, err := Schedule(in, append(opts, WithRecorder(rec))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := rec.Snapshot().Counters
+				phases, rounds := c["opt.phases"], c["opt.rounds"]
+				if phases != int64(len(res.Phases)) || rounds <= phases {
+					t.Fatalf("contract=%v exact=%v: opt.phases=%d for %d phases, opt.rounds=%d: want a rejected round",
+						contract, exact, phases, len(res.Phases), rounds)
+				}
+				if c["opt.graph_rebuilds"] != rounds || c["flow.solves"] != rounds {
+					t.Errorf("contract=%v exact=%v: opt.graph_rebuilds=%d, flow.solves=%d, want one each per round (%d)",
+						contract, exact, c["opt.graph_rebuilds"], c["flow.solves"], rounds)
+				}
 			}
 		}
 	}

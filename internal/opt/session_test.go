@@ -152,7 +152,7 @@ func flatSession(n int) *job.Instance {
 // sessionCostCounters are the solver work counters a resolve and a
 // one-shot solve must agree on.
 var sessionCostCounters = []string{
-	"opt.rounds", "opt.phases", "opt.graph_rebuilds", "opt.emit_rebuilds",
+	"opt.rounds", "opt.phases", "opt.graph_rebuilds",
 	"flow.solves", "flow.dinic.aug_paths", "flow.dinic.bfs_passes", "flow.dinic.edges_scanned",
 }
 

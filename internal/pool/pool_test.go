@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -45,20 +46,43 @@ func TestMapErrors(t *testing.T) {
 	}
 }
 
+// Map's early stop, asserted without timing: a worker whose task fails
+// starts no further task, and the error returned is a failed task's.
+// How many tasks another worker starts before the failure is visible to
+// it depends on scheduling, so no test bounds that count.
 func TestMapStopsEarlyAfterError(t *testing.T) {
+	fail := errors.New("fail fast")
 	var calls atomic.Int64
-	_, err := Map(10000, 2, func(i int) (int, error) {
+	_, err := Map(10000, 1, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 0 {
-			return 0, errors.New("fail fast")
+			return 0, fail
 		}
 		return i, nil
 	})
-	if err == nil {
-		t.Fatal("expected error")
+	if !errors.Is(err, fail) || calls.Load() != 1 {
+		t.Fatalf("one worker, failing task 0: err %v after %d calls, want %v after 1", err, calls.Load(), fail)
 	}
-	if calls.Load() > 5000 {
-		t.Errorf("ran %d tasks after early failure", calls.Load())
+
+	// Two workers, each holding one of the first two tasks (each waits
+	// until the other has started), and both tasks fail: no third starts.
+	errs := []error{errors.New("task 0"), errors.New("task 1")}
+	var started sync.WaitGroup
+	started.Add(2)
+	calls.Store(0)
+	_, err = Map(10000, 2, func(i int) (int, error) {
+		if calls.Add(1) > 2 {
+			return i, nil
+		}
+		started.Done()
+		started.Wait()
+		return 0, errs[i]
+	})
+	if !errors.Is(err, errs[0]) && !errors.Is(err, errs[1]) {
+		t.Fatalf("two failing workers: err %v, want one of %v", err, errs)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("two failing workers: %d calls, want 2", calls.Load())
 	}
 }
 

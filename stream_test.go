@@ -160,12 +160,16 @@ func TestSolveTraceStreamRejectsBadInput(t *testing.T) {
 // keeps a diurnal trace near one round per job. Every round solves from
 // zero on the phase-network kernel (flow.PhaseNet): Dinic's first level
 // phase as one direct pass, then levels taken from the sink, so the DFS
-// never enters a dead end and the last BFS is the exclusion cut. That
-// scans ~451 edges per job, counting only the arcs whose residual the
-// kernel reads (~923 on the generic flow.Graph, ~1,110 when rejected
-// rounds drained and re-augmented their flow instead). Restarting each
-// phase from every remaining job costs about two rounds and ~7,500 edges
-// per job, removing one job per round about sixteen rounds.
+// never enters a dead end and the last BFS is the exclusion cut. Each
+// round's network is built for its own candidates over the phase's span,
+// contracted, and the accepted round's flow is emitted as it stands.
+// That scans ~324 edges per job, counting only the arcs whose residual
+// the kernel reads (~451 when contracted phases re-solved the raw
+// network for emission, ~923 on the generic flow.Graph, ~1,110 when
+// rejected rounds drained and re-augmented their flow instead).
+// Restarting each phase from every remaining job costs about two rounds
+// and ~7,500 edges per job, removing one job per round about sixteen
+// rounds.
 func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
 	data := writeTestTrace(t, WorkloadSpec{N: 2048, M: 8, Seed: 1})
 	rec := NewRecorder()
@@ -182,15 +186,13 @@ func TestSolveTraceStreamRoundsPerJob(t *testing.T) {
 	}
 	c := rec.Snapshot().Counters
 	edges := c["flow.dinic.edges_scanned"]
-	if limit := int64(475 * sum.Jobs); edges == 0 || edges > limit {
+	if limit := int64(350 * sum.Jobs); edges == 0 || edges > limit {
 		t.Fatalf("flow.dinic.edges_scanned = %d for %d jobs (%.0f per job), want in (0, %d]",
 			edges, sum.Jobs, float64(edges)/float64(sum.Jobs), limit)
 	}
-	// One max flow per round, plus one emission re-solve per contracted
-	// phase: a rejected round resets its network in place, so no accepted
-	// round needs a canonicalizing re-solve.
-	if limit := c["opt.rounds"] + c["opt.emit_rebuilds"]; c["flow.solves"] > limit {
-		t.Fatalf("flow.solves = %d, want <= opt.rounds + opt.emit_rebuilds = %d", c["flow.solves"], limit)
+	// One max flow per round, and none for emission.
+	if c["flow.solves"] != c["opt.rounds"] {
+		t.Fatalf("flow.solves = %d, want opt.rounds = %d", c["flow.solves"], c["opt.rounds"])
 	}
 }
 
