@@ -1,8 +1,8 @@
 # Developer entry points. `make verify` is the tier-1 recipe CI and the
 # ROADMAP reference: build + vet + full tests + race over the packages
 # with real concurrency (the observability substrate, the flow solvers,
-# the server, the cluster front tier, the solver with its decomposition
-# fan-out, and the streamed trace solve).
+# the server, the cluster front tier, the solver, and the streamed trace
+# solve with its component fan-out).
 
 GO ?= go
 
@@ -25,7 +25,7 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/opt/...
-	$(GO) test -race -run 'SolveTraceStream|Decomposition' .
+	$(GO) test -race -run 'SolveTraceStream' .
 
 # cli-smoke exercises every CLI end to end and fails when any tool exits
 # outside the documented {0,1,2} convention or prints a panic trace.
@@ -81,11 +81,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzMinFeasibleCap -fuzztime 20s ./internal/opt/
 
-# trace-smoke streams a 50k-job diurnal trace through the decomposed
+# trace-smoke streams a 50k-job diurnal trace through the component-wise
 # solve end to end: component counters asserted against the summary, a
-# 1-vs-4-worker differential, the mpss-gen trace | mpss-opt pipe, and a
-# 4096-job monolithic (-decompose=false) solve checked against its
-# decomposed summary.
+# 1-vs-4-worker differential, the mpss-gen trace | mpss-opt pipe, and
+# the jobs of a 4096-job trace solved as one instance JSON, checked
+# against its streamed summary.
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
@@ -127,9 +127,9 @@ bench:
 	sh scripts/bench_trace.sh
 
 # bench-trace archives streamed-trace throughput (jobs/sec, peak RSS at
-# 100k and 1M jobs, decompose on vs bounded-off baseline) on its own;
-# BENCH_TRACE_OFF_TIMEOUT caps the monolithic baseline's time and a
-# fixed 2 GB limit its address space (see the script).
+# 100k and 1M jobs, streamed vs the bounded one-instance baseline) on
+# its own; BENCH_TRACE_OFF_TIMEOUT caps the baseline's time and a fixed
+# 2 GB limit its address space (see the script).
 bench-trace:
 	sh scripts/bench_trace.sh
 

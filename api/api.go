@@ -49,12 +49,6 @@ type SolveRequest struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	// Exact switches /v1/solve/optimal to exact rational arithmetic.
 	Exact bool `json:"exact,omitempty"`
-	// Decompose overrides the server's decomposition default for
-	// /v1/solve/optimal (nil = use the server default). The schedule is
-	// bit-identical either way except at a float phase-density tie
-	// within one ulp, where one phase speed can differ by one ulp; the
-	// knob does not participate in the request key.
-	Decompose *bool `json:"decompose,omitempty"`
 	// Cap is the speed cap probed by /v1/feasible and /v1/solve/atcap.
 	Cap float64 `json:"cap,omitempty"`
 	// Rel is the relative tolerance of /v1/mincap (0 = solver default).
@@ -72,12 +66,8 @@ type PhaseResponse struct {
 }
 
 // OptimalResponse is the body of a successful /v1/solve/optimal call.
-// Energy, Phases and Schedule are bit-deterministic for a given
-// instance and, save the one-ulp tie RequestKey describes, the same
-// whether the solve was decomposed or not; Rounds is solver telemetry
-// (max-flow rounds executed) and depends on it — a decomposed solve
-// runs fewer rounds than a monolithic one, and a cache-replayed body
-// reports the rounds of whichever solve populated the entry.
+// Energy, Phases, Rounds and Schedule are bit-deterministic for a given
+// instance; Rounds is solver telemetry (max-flow rounds executed).
 type OptimalResponse struct {
 	Energy   float64         `json:"energy"`
 	Alpha    float64         `json:"alpha"`

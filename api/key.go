@@ -26,17 +26,12 @@ import (
 // the solve path resolves them to the same values — so the spelled-out
 // and elided forms of one request share a cache entry and a flight.
 //
-// The decompose knob is deliberately EXCLUDED: decomposition produces
-// the monolithic solve's schedule bit for bit on every tested
-// distribution (the differential suite in internal/opt pins this), so
-// a decomposed and a monolithic solve of the same instance are one
-// logical request and share a cache entry and a flight. The exception
-// is a float phase-density tie within one ulp: on the adversarial
-// instance kept as fuzz seed decompose-ulp-tie the two differ by one
-// ulp in one phase speed (internal/opt/decompose.go), and the cache
-// answers with whichever was solved first. (The telemetry "rounds"
-// field of the body also depends on the strategy; see
-// OptimalResponse.)
+// A "decompose" field, which clients of the removed decomposition
+// knob may still send, is an unknown field: decoding drops it, so such
+// a request shares the key, cache entry and flight of the same request
+// without it. Rounds, the telemetry field of the optimal body, is a
+// function of the instance too, so a replayed body is the body a fresh
+// solve would send.
 func RequestKey(kind string, req *SolveRequest) string {
 	alpha := req.Alpha
 	if alpha == 0 {

@@ -53,15 +53,4 @@ func TestRequestKeyNormalizesDefaults(t *testing.T) {
 	if RequestKey("mincap", &base) == RequestKey("mincap", &otherRel) {
 		t.Error("rel:0.5 collided with the default rel")
 	}
-
-	// Decomposition does not change the response bit-for-bit, so it must
-	// not split the cache: on, off and elided all share one key.
-	for _, on := range []bool{true, false} {
-		on := on
-		withDecompose := base
-		withDecompose.Decompose = &on
-		if RequestKey("optimal", &base) != RequestKey("optimal", &withDecompose) {
-			t.Errorf("decompose:%v produced a different key than elided", on)
-		}
-	}
 }

@@ -11,11 +11,13 @@
 // Streamed traces (the mpss-trace-v1 JSONL format of mpss-gen trace) are
 // detected automatically and solved without materializing the trace:
 // components are cut at zero-active boundaries as the reader advances
-// and solved independently (decomposed by default; -decompose=false
-// forces the materialized monolithic baseline). The streamed path prints
-// a fixed-size summary instead of the schedule:
+// and solved independently. The streamed path prints a fixed-size
+// summary instead of the schedule:
 //
 //	mpss-gen trace -n 1000000 -m 8 | mpss-opt -parallel 4 -summary-json summary.json
+//
+// -summary-json writes the same summary, less the component counts, for
+// an instance JSON too.
 package main
 
 import (
@@ -40,13 +42,12 @@ func main() {
 		inPath     = flag.String("in", "", "instance JSON or trace JSONL file (default stdin)")
 		alpha      = flag.Float64("alpha", 3, "power function exponent (P(s) = s^alpha)")
 		exact      = flag.Bool("exact", false, "use exact rational arithmetic for phase decisions")
-		parallel   = flag.Int("parallel", 1, "component workers (<=1 sequential; ignored with -exact)")
-		decompose  = flag.Bool("decompose", false, "cut the instance at zero-active boundaries and solve components independently (bit-identical results except at one-ulp phase-speed ties; streamed traces default to true)")
+		parallel   = flag.Int("parallel", 1, "trace component workers (<=1 sequential; streamed traces only)")
 		gantt      = flag.Bool("gantt", false, "print an ASCII Gantt chart")
 		jsonOut    = flag.String("json", "", "write the schedule as JSON to this file")
 		svgOut     = flag.String("svg", "", "write the schedule as an SVG figure to this file")
 		metricsOut = flag.String("metrics", "", "write solver metrics (counters, histograms, phase spans) as JSON to this file")
-		summaryOut = flag.String("summary-json", "", "write the streamed-solve summary (jobs/sec, peak RSS, components) as JSON to this file")
+		summaryOut = flag.String("summary-json", "", "write the solve summary (jobs/sec, peak RSS, and a streamed trace's components) as JSON to this file")
 		trace      = flag.Bool("trace", false, "print the solver's phase trace tree")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file")
@@ -84,18 +85,7 @@ func main() {
 	// solve, anything else is read whole as instance JSON.
 	head, _ := input.Peek(256)
 	if mpss.IsTraceStream(head) {
-		decomposeSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "decompose" {
-				decomposeSet = true
-			}
-		})
-		on := true // streamed traces decompose unless explicitly disabled
-		if decomposeSet {
-			on = *decompose
-		}
-		solveStream(input, p, *alpha, on, *parallel, rec,
-			*summaryOut, *metricsOut, *trace)
+		solveStream(input, p, *alpha, *parallel, rec, *summaryOut, *metricsOut, *trace)
 		writeHeapProfile(*memProfile)
 		return
 	}
@@ -111,11 +101,12 @@ func main() {
 	if *exact {
 		solve = mpss.OptimalScheduleExact
 	}
-	res, err := solve(in, mpss.WithRecorder(rec), mpss.WithParallelism(*parallel),
-		mpss.WithDecomposition(*decompose))
+	start := time.Now()
+	res, err := solve(in, mpss.WithRecorder(rec))
 	if err != nil {
 		fail(err)
 	}
+	elapsed := time.Since(start)
 	if err := mpss.Verify(res.Schedule, in); err != nil {
 		fail(fmt.Errorf("internal error — produced schedule failed verification: %w", err))
 	}
@@ -125,7 +116,12 @@ func main() {
 	for i, ph := range res.Phases {
 		fmt.Printf("  phase %d: speed %.6g, jobs %v\n", i+1, ph.Speed, ph.JobIDs)
 	}
-	fmt.Printf("energy (P=s^%g): %.6g\n", *alpha, res.Schedule.Energy(p))
+	energy := res.Schedule.Energy(p)
+	fmt.Printf("energy (P=s^%g): %.6g\n", *alpha, energy)
+	if *summaryOut != "" {
+		writeSummary(*summaryOut, summary{Jobs: in.N(), M: in.M, Phases: len(res.Phases),
+			Rounds: res.Stats.Rounds, Energy: energy}, elapsed)
+	}
 	if *gantt {
 		fmt.Print(res.Schedule.Gantt(100))
 	}
@@ -172,12 +168,10 @@ func main() {
 
 // solveStream runs the streaming trace solve and prints/records its
 // fixed-size summary.
-func solveStream(r io.Reader, p mpss.PowerFunction, alpha float64, decompose bool,
+func solveStream(r io.Reader, p mpss.PowerFunction, alpha float64,
 	parallel int, rec *mpss.Recorder, summaryOut, metricsOut string, trace bool) {
 	start := time.Now()
-	sum, err := mpss.SolveTraceStream(r, p,
-		mpss.WithDecomposition(decompose), mpss.WithParallelism(parallel),
-		mpss.WithRecorder(rec))
+	sum, err := mpss.SolveTraceStream(r, p, mpss.WithParallelism(parallel), mpss.WithRecorder(rec))
 	if err != nil {
 		fail(err)
 	}
@@ -188,31 +182,13 @@ func solveStream(r io.Reader, p mpss.PowerFunction, alpha float64, decompose boo
 	fmt.Printf("jobs: %d  processors: %d  components: %d  largest: %d  phases: %d  flow-rounds: %d\n",
 		sum.Jobs, sum.M, sum.Components, sum.MaxComponentJobs, sum.Phases, sum.Rounds)
 	fmt.Printf("energy (P=s^%g): %.6g\n", alpha, sum.Energy)
-	fmt.Printf("elapsed: %.3fs  jobs/sec: %.0f  peak-rss: %d bytes  decompose: %v\n",
-		elapsed.Seconds(), jobsPerSec, rss, decompose)
+	fmt.Printf("elapsed: %.3fs  jobs/sec: %.0f  peak-rss: %d bytes\n",
+		elapsed.Seconds(), jobsPerSec, rss)
 
 	if summaryOut != "" {
-		out := struct {
-			Jobs             int     `json:"jobs"`
-			M                int     `json:"m"`
-			Components       int     `json:"components"`
-			MaxComponentJobs int     `json:"max_component_jobs"`
-			Phases           int     `json:"phases"`
-			Rounds           int     `json:"rounds"`
-			Energy           float64 `json:"energy"`
-			ElapsedSec       float64 `json:"elapsed_sec"`
-			JobsPerSec       float64 `json:"jobs_per_sec"`
-			PeakRSSBytes     int64   `json:"peak_rss_bytes"`
-			Decompose        bool    `json:"decompose"`
-		}{sum.Jobs, sum.M, sum.Components, sum.MaxComponentJobs, sum.Phases, sum.Rounds,
-			sum.Energy, elapsed.Seconds(), jobsPerSec, rss, decompose}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(summaryOut, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
+		writeSummary(summaryOut, summary{Jobs: sum.Jobs, M: sum.M, Components: sum.Components,
+			MaxComponentJobs: sum.MaxComponentJobs, Phases: sum.Phases, Rounds: sum.Rounds,
+			Energy: sum.Energy}, elapsed)
 	}
 	if trace {
 		fmt.Print("phase trace:\n" + rec.TraceTree())
@@ -229,6 +205,36 @@ func solveStream(r io.Reader, p mpss.PowerFunction, alpha float64, decompose boo
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
+	}
+}
+
+// summary is the -summary-json record of a solve. An instance JSON has
+// no component counts.
+type summary struct {
+	Jobs             int     `json:"jobs"`
+	M                int     `json:"m"`
+	Components       int     `json:"components,omitempty"`
+	MaxComponentJobs int     `json:"max_component_jobs,omitempty"`
+	Phases           int     `json:"phases"`
+	Rounds           int     `json:"rounds"`
+	Energy           float64 `json:"energy"`
+	ElapsedSec       float64 `json:"elapsed_sec"`
+	JobsPerSec       float64 `json:"jobs_per_sec"`
+	PeakRSSBytes     int64   `json:"peak_rss_bytes"`
+}
+
+// writeSummary completes s with the solve's wall time, throughput and
+// the process's peak RSS, and writes it as JSON to path.
+func writeSummary(path string, s summary, elapsed time.Duration) {
+	s.ElapsedSec = elapsed.Seconds()
+	s.JobsPerSec = float64(s.Jobs) / elapsed.Seconds()
+	s.PeakRSSBytes = peakRSSBytes()
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		fail(err)
 	}
 }
 

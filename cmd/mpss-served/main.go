@@ -56,7 +56,6 @@ func main() {
 		sessionTTL   = flag.Duration("session-ttl", 10*time.Minute, "evict streaming sessions idle longer than this (negative disables)")
 		maxSessions  = flag.Int("max-sessions", 0, "max concurrently open streaming sessions (0 = default 256)")
 		sessionJobs  = flag.Int("session-max-jobs", 0, "max jobs per streaming session (0 = default 100000)")
-		decompose    = flag.Bool("decompose", false, "decompose separable instances in /v1/solve/optimal (bit-identical results except at one-ulp phase-speed ties; per-request \"decompose\" overrides)")
 		replica      = flag.String("replica", "", "replica name reported in /v1/status and cluster views (empty = standalone)")
 		debugAddr    = flag.String("debug-addr", "", "optional second listen address for pprof + debug endpoints (empty = disabled)")
 		logFormat    = flag.String("log-format", "json", "log encoding: json or text")
@@ -84,7 +83,6 @@ func main() {
 		SessionTTL:     *sessionTTL,
 		MaxSessions:    *maxSessions,
 		SessionMaxJobs: *sessionJobs,
-		Decompose:      *decompose,
 		ReplicaName:    *replica,
 		Logger:         logger,
 	})

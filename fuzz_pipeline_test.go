@@ -82,38 +82,6 @@ func FuzzSolvePipeline(f *testing.F) {
 			}
 		}
 
-		// Decomposition must preserve the optimum: re-solve with
-		// zero-active-boundary decomposition and demand a verifying
-		// schedule with energy equal to the monolithic one to ~ulp. Two
-		// corpus seeds (decompose-separable, decompose-touching) are
-		// separable, so the cut-and-merge path runs from the seed corpus
-		// on; non-separable inputs exercise the single-component
-		// passthrough. Bit-equality is NOT asserted here: the
-		// decompose-ulp-tie seed is an adversarial instance where the
-		// monolithic float solve merges two phases whose joint density
-		// rounds to exactly their common speed while the decomposed (and
-		// exact-arithmetic) solve keeps them one ulp apart — the
-		// deterministic differential suite in internal/opt pins
-		// bit-equality on every tested distribution, and DESIGN.md
-		// section 14 documents the tie-break caveat.
-		if err == nil && sane(in) {
-			dres, derr := OptimalSchedule(in, WithDecomposition(true))
-			check("OptimalSchedule(decomposed)", derr)
-			if derr == nil {
-				if dres == nil || dres.Schedule == nil {
-					t.Fatal("OptimalSchedule(decomposed): nil result without error")
-				}
-				if verr := Verify(dres.Schedule, in); verr != nil {
-					t.Errorf("OptimalSchedule(decomposed): infeasible schedule: %v", verr)
-				}
-				p := MustAlpha(3)
-				e, de := res.Schedule.Energy(p), dres.Schedule.Energy(p)
-				if diff := math.Abs(e - de); diff > 1e-9*math.Max(1, math.Abs(e)) {
-					t.Errorf("decomposition changed energy: %v vs %v", e, de)
-				}
-			}
-		}
-
 		_, err = OA(in)
 		check("OA", err)
 		_, err = AVR(in)

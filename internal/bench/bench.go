@@ -24,7 +24,6 @@ import (
 	"text/tabwriter"
 
 	"mpss/internal/obs"
-	"mpss/internal/opt"
 )
 
 // Config scales the whole suite. The zero value is replaced by Defaults.
@@ -37,17 +36,6 @@ type Config struct {
 	// experiments that exercise instrumented code paths. cmd/mpss-bench
 	// installs a fresh recorder per experiment and renders the snapshots.
 	Recorder *obs.Recorder
-
-	// Decompose turns on zero-active-boundary decomposition in every
-	// offline solve (mpss-bench -decompose). Results are bit-identical;
-	// only runtime changes, and only on separable instances.
-	Decompose bool
-}
-
-// solveOpts is the A/B toggle set every experiment passes to
-// opt.Schedule, so one Config switch flips the whole suite.
-func (c Config) solveOpts() []opt.Option {
-	return []opt.Option{opt.WithDecomposition(c.Decompose)}
 }
 
 // Defaults returns the configuration used by EXPERIMENTS.md.

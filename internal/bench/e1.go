@@ -56,7 +56,7 @@ func E1(cfg Config) ([]E1Row, error) {
 			if err != nil {
 				return E1Row{}, err
 			}
-			r, err := opt.Schedule(in, cfg.solveOpts()...)
+			r, err := opt.Schedule(in)
 			if err != nil {
 				return E1Row{}, fmt.Errorf("E1 %s m=%d seed=%d: %w", c.gname, c.m, seed, err)
 			}

@@ -56,7 +56,7 @@ func E10(cfg Config) ([]E10Row, error) {
 					term1 := accumulatedDensityEnergy(in, alpha)
 					term2 := perJobDensityEnergy(in, alpha)
 
-					optRes, err := opt.Schedule(in, cfg.solveOpts()...)
+					optRes, err := opt.Schedule(in)
 					if err != nil {
 						return nil, err
 					}

@@ -48,7 +48,7 @@ func E13(cfg Config) ([]E13Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				optRes, err := opt.Schedule(in, append(cfg.solveOpts(), opt.WithRecorder(cfg.Recorder))...)
+				optRes, err := opt.Schedule(in, opt.WithRecorder(cfg.Recorder))
 				if err != nil {
 					return nil, fmt.Errorf("E13 %s seed=%d: %w", gname, seed, err)
 				}

@@ -71,7 +71,7 @@ func E14(cfg Config) ([]E14Row, error) {
 					if err != nil {
 						return nil, err
 					}
-					optRes, err := opt.Schedule(in, cfg.solveOpts()...)
+					optRes, err := opt.Schedule(in)
 					if err != nil {
 						return nil, fmt.Errorf("E14 %s m=%d seed=%d: %w", gname, m, seed, err)
 					}

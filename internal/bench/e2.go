@@ -48,7 +48,7 @@ func E2(cfg Config, sizes []int) ([]E2Row, error) {
 				return nil, err
 			}
 			t0 := time.Now()
-			r, err := opt.Schedule(in, append(cfg.solveOpts(), opt.WithRecorder(cfg.Recorder))...)
+			r, err := opt.Schedule(in, opt.WithRecorder(cfg.Recorder))
 			if err != nil {
 				return nil, fmt.Errorf("E2 n=%d seed=%d: %w", n, seed, err)
 			}

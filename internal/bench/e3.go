@@ -48,7 +48,7 @@ func E3(cfg Config) ([]RatioRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			optRes, err := opt.Schedule(in, cfg.solveOpts()...)
+			optRes, err := opt.Schedule(in)
 			if err != nil {
 				return nil, err
 			}
@@ -93,7 +93,7 @@ func E4(cfg Config) ([]RatioRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			optRes, err := opt.Schedule(in, cfg.solveOpts()...)
+			optRes, err := opt.Schedule(in)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +137,7 @@ func ratioSweep(cfg Config, name string, run func(ratioInstance) (float64, error
 					if err != nil {
 						return nil, err
 					}
-					optRes, err := opt.Schedule(in, cfg.solveOpts()...)
+					optRes, err := opt.Schedule(in)
 					if err != nil {
 						return nil, fmt.Errorf("%s %s m=%d seed=%d: %w", name, gname, m, seed, err)
 					}

@@ -37,7 +37,7 @@ func E5(cfg Config) ([]E5Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := opt.Schedule(in, cfg.solveOpts()...)
+			res, err := opt.Schedule(in)
 			if err != nil {
 				return nil, fmt.Errorf("E5 %s seed=%d: %w", gname, seed, err)
 			}

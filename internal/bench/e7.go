@@ -45,7 +45,7 @@ func E7(cfg Config) ([]E7Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				optRes, err := opt.Schedule(in, cfg.solveOpts()...)
+				optRes, err := opt.Schedule(in)
 				if err != nil {
 					return nil, fmt.Errorf("E7 %s m=%d seed=%d: %w", gname, m, seed, err)
 				}

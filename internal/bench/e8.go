@@ -49,7 +49,7 @@ func E8(cfg Config) ([]E8Row, error) {
 					if err != nil {
 						return nil, err
 					}
-					multi, err := opt.Schedule(inM, cfg.solveOpts()...)
+					multi, err := opt.Schedule(inM)
 					if err != nil {
 						return nil, fmt.Errorf("E8 %s m=%d seed=%d: %w", gname, m, seed, err)
 					}

@@ -36,7 +36,7 @@ func E9(cfg Config, sizes []int) ([]E9Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			multi, err := opt.Schedule(in, cfg.solveOpts()...)
+			multi, err := opt.Schedule(in)
 			if err != nil {
 				return nil, fmt.Errorf("E9 n=%d seed=%d: %w", n, seed, err)
 			}

@@ -43,17 +43,15 @@ func sweep(t *testing.T, sizes []int, f func(t *testing.T, label string, in *job
 	}
 }
 
-// Every optimal schedule the solver emits certifies, decomposed or not.
+// Every optimal schedule the solver emits certifies.
 func TestOptimalSchedulesCertify(t *testing.T) {
 	sweep(t, sweepSizes(), func(t *testing.T, label string, in *job.Instance) {
-		for _, decompose := range []bool{false, true} {
-			res, err := opt.Schedule(in, opt.WithDecomposition(decompose))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if err := Check(res.Schedule, in); err != nil {
-				t.Errorf("%s decompose=%v: %v", label, decompose, err)
-			}
+		res, err := opt.Schedule(in)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := Check(res.Schedule, in); err != nil {
+			t.Errorf("%s: %v", label, err)
 		}
 	})
 }

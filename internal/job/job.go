@@ -90,9 +90,8 @@ func NewInstance(m int, jobs []Job) (*Instance, error) {
 // duplicate job IDs. All errors wrap mpsserr.ErrInvalidInstance. The
 // solver entry points (internal/opt) call it on every instance they
 // solve — including ones built as struct literals that never went
-// through NewInstance, and each component of a decomposed or streamed
-// solve — so hostile values are rejected before they reach the flow
-// arenas.
+// through NewInstance, and each component of a streamed solve — so
+// hostile values are rejected before they reach the flow arenas.
 func (in *Instance) Validate() error {
 	if in == nil {
 		return fmt.Errorf("%w: nil instance", mpsserr.ErrInvalidInstance)

@@ -62,12 +62,8 @@ func BenchmarkOptScheduleTraceComponents(b *testing.B) {
 		b.Fatal(err)
 	}
 	var parts []*job.Instance
-	for _, c := range componentRanges(in.Jobs) {
-		part := &job.Instance{M: in.M}
-		for _, k := range c {
-			part.Jobs = append(part.Jobs, in.Jobs[k])
-		}
-		parts = append(parts, part)
+	for _, c := range components(in) {
+		parts = append(parts, subInstance(in, c))
 	}
 	solveAll := func(opts ...Option) {
 		for _, part := range parts {

@@ -33,8 +33,8 @@ type scriptEngine struct {
 	emitScratch
 }
 
-func (e *scriptEngine) prepare(in *job.Instance, ivs []job.Interval, _ *Stats, _ *obs.Recorder) {
-	e.in, e.ivs = in, ivs
+func (e *scriptEngine) prepare(f *frame, _ *Stats, _ *obs.Recorder) {
+	e.in, e.ivs = f.in, f.ivs
 }
 
 func (e *scriptEngine) beginPhase(used, cand []int, _ *obs.Span) bool {
@@ -99,7 +99,7 @@ func (e *scriptEngine) accept() (float64, []int, []piece) {
 	}
 	e.mjs = append(e.mjs, mj)
 	e.phase++
-	return 1, mj, pieces
+	return 1 / float64(e.phase), mj, pieces // each phase slower than the last
 }
 
 func (e *scriptEngine) acceptedCand() []int {
@@ -118,7 +118,8 @@ func (e *scriptEngine) emptyErr() error           { return errors.New("scriptEng
 // runPhases keeps excluded jobs as a stack of blocks: each phase starts
 // from the block the most recent rejected round pushed, in input order,
 // with the processors the earlier phases occupied; a phase that pushes
-// nothing resumes the older blocks beneath.
+// nothing resumes the older blocks beneath. A block that falls apart in
+// time is split when popped, its earliest piece first.
 func TestRunPhasesSolvesExcludedBlocksLIFO(t *testing.T) {
 	in := &job.Instance{M: 2, Jobs: []job.Job{
 		{ID: 0, Release: 0, Deadline: 4, Work: 1},
@@ -131,15 +132,17 @@ func TestRunPhasesSolvesExcludedBlocksLIFO(t *testing.T) {
 	}}
 	eng := &scriptEngine{rounds: [][][]int{
 		{{5, 1, 4}, {3, 6}}, // phase 1 pushes {1,4,5}, then {3,6}; accepts {0,2}
-		{{6}},               // phase 2 pops {3,6}, pushes {6}; accepts {3}
-		{},                  // phase 3 pops {6}, pushes nothing
+		{},                  // phase 2 pops {3,6}, which splits at t=1: {6} on [0,1), then {3} on [1,3)
+		{},                  // phase 3 takes {3}
 		{{4}},               // phase 4 resumes {1,4,5}, pushes {4}; accepts {1,5}
 	}}
-	res, err := runPhases(context.Background(), in, eng, nil, nil)
+	var f frame
+	f.reset(in)
+	res, err := runPhases(context.Background(), &f, eng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]int{{0, 1, 2, 3, 4, 5, 6}, {3, 6}, {6}, {1, 4, 5}, {4}}
+	want := [][]int{{0, 1, 2, 3, 4, 5, 6}, {6}, {3}, {1, 4, 5}, {4}}
 	if !slices.EqualFunc(eng.gotCand, want, slices.Equal[[]int]) {
 		t.Fatalf("beginPhase candidates %v, want %v", eng.gotCand, want)
 	}
@@ -155,7 +158,7 @@ func TestRunPhasesSolvesExcludedBlocksLIFO(t *testing.T) {
 			used[jx] += m
 		}
 	}
-	if res.Stats.Rounds != 5+4 {
-		t.Errorf("rounds = %d, want 5 accepting + 4 rejecting", res.Stats.Rounds)
+	if res.Stats.Rounds != 5+3 {
+		t.Errorf("rounds = %d, want 5 accepting + 3 rejecting", res.Stats.Rounds)
 	}
 }

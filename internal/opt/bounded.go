@@ -39,7 +39,8 @@ func feasibleAtSpeed(in *job.Instance, s float64, cfg *config) (bool, error) {
 	}
 	sv := solverPool.Get()
 	defer solverPool.Put(sv)
-	sv.cn.set(in, job.Partition(in.Jobs))
+	sv.fr.reset(in)
+	sv.cn.set(&sv.fr)
 	return sv.cn.feasible(in, s, cfg.rec), nil
 }
 
@@ -67,22 +68,22 @@ type capNet struct {
 	prev  flow.DinicOps
 }
 
-// set shapes the network for the instance and its interval partition.
-func (c *capNet) set(in *job.Instance, ivs []job.Interval) {
-	c.pn.Reset(in.N(), len(ivs))
-	c.lists = growLists(c.lists, len(ivs))
+// set shapes the network for the frame's instance and partition.
+func (c *capNet) set(f *frame) {
+	c.pn.Reset(f.in.N(), len(f.ivs))
+	c.lists = growLists(c.lists, len(f.ivs))
 	for jx := range c.lists {
 		c.lists[jx] = c.lists[jx][:0]
 	}
-	for k, j := range in.Jobs {
-		lo, hi := activeRun(ivs, j)
-		c.pn.SetJob(k, lo, hi-1, 0)
+	for k := range f.in.Jobs {
+		lo, hi := f.lo[k], f.hi[k]
+		c.pn.SetJob(k, int(lo), int(hi)-1, 0)
 		for jx := lo; jx < hi; jx++ {
 			c.lists[jx] = append(c.lists[jx], int32(k))
 		}
 	}
-	m := float64(in.M)
-	for jx, iv := range ivs {
+	m := float64(f.in.M)
+	for jx, iv := range f.ivs {
 		c.pn.SetInterval(jx, iv.Len(), m*iv.Len(), c.lists[jx])
 	}
 	c.prev = flow.DinicOps{}
@@ -185,12 +186,12 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 	}
 	sv := solverPool.Get()
 	defer solverPool.Put(sv)
-	ivs := job.Partition(in.Jobs)
+	sv.fr.reset(in)
 	cn := &sv.cn
-	cn.set(in, ivs)
+	cn.set(&sv.fr)
 
 	sv.fe.contract = !cfg.noContract
-	top, cut, err := sv.bracketSpeed(cfg.ctx, in, ivs, cfg.rec)
+	top, cut, err := sv.bracketSpeed(cfg.ctx, &sv.fr, cfg.rec)
 	if err != nil {
 		if !retryable(err) {
 			return 0, err
@@ -247,7 +248,7 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 // cut certificate: the accepted set's work and processor time. The
 // float engine's contraction setting stays as the caller left it.
 // Shares the panic-containment conventions of Schedule.
-func (s *arena) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.Interval, rec *obs.Recorder) (top float64, cut cutCert, err error) {
+func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder) (top float64, cut cutCert, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -263,13 +264,13 @@ func (s *arena) bracketSpeed(ctx context.Context, in *job.Instance, ivs []job.In
 	rec.Add("opt.bracket_solves", 1)
 
 	e := &s.fe
-	used := make([]int, len(ivs))
-	cand := make([]int, in.N())
+	used := make([]int, len(f.ivs))
+	cand := make([]int, f.in.N())
 	for i := range cand {
 		cand[i] = i
 	}
 	var st Stats
-	e.prepare(in, ivs, &st, rec)
+	e.prepare(f, &st, rec)
 	span := rec.Root().StartSpan("bracket phase")
 	defer span.End()
 

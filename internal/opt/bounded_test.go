@@ -118,7 +118,8 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 		rec := obs.New()
 		sv := new(arena)
 		sv.fe.contract = true
-		top, cut, err := sv.bracketSpeed(nil, in, job.Partition(in.Jobs), rec)
+		sv.fr.reset(in)
+		top, cut, err := sv.bracketSpeed(nil, &sv.fr, rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,11 +25,12 @@ func ScheduleAtCap(in *job.Instance, cap float64) (*schedule.Schedule, error) {
 	if err := validateForSolve(in); err != nil {
 		return nil, err
 	}
-	ivs := job.Partition(in.Jobs)
 	sv := solverPool.Get()
 	defer solverPool.Put(sv)
+	sv.fr.reset(in)
+	ivs := sv.fr.ivs
 	cn := &sv.cn
-	cn.set(in, ivs)
+	cn.set(&sv.fr)
 	demand, late := cn.load(in, cap)
 	if late >= 0 {
 		return nil, fmt.Errorf("opt: job %d cannot finish inside its window at cap %v: %w", in.Jobs[late].ID, cap, mpsserr.ErrInfeasible)

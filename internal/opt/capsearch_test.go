@@ -106,7 +106,8 @@ func newRefSearch(t *testing.T, label string, in *job.Instance) *refSearch {
 	}
 	sv := new(arena)
 	sv.fe.contract = true
-	top, cut, err := sv.bracketSpeed(nil, in, ivs, nil)
+	sv.fr.reset(in)
+	top, cut, err := sv.bracketSpeed(nil, &sv.fr, nil)
 	if err != nil {
 		t.Fatalf("%s: bracket: %v", label, err)
 	}
@@ -132,7 +133,7 @@ func newRefSearch(t *testing.T, label string, in *job.Instance) *refSearch {
 	}
 
 	var cn capNet
-	cn.set(in, ivs)
+	cn.set(&sv.fr)
 	for _, w := range r.waves {
 		rn := buildRefNet(in, ivs, w.x)
 		demand, late := cn.load(in, w.x)

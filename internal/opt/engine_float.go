@@ -3,11 +3,9 @@ package opt
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"mpss/internal/flow"
-	"mpss/internal/job"
 	"mpss/internal/mpsserr"
 	"mpss/internal/obs"
 )
@@ -54,27 +52,16 @@ func (e *floatEngine) emptyErr() error {
 	return fmt.Errorf("opt: phase emptied its candidate set: %w", mpsserr.ErrNumeric)
 }
 
-func (e *floatEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
+func (e *floatEngine) prepare(f *frame, st *Stats, rec *obs.Recorder) {
 	e.st, e.rec = st, rec
 	// The histogram handle is cached once per solve: rec.Time allocates a
 	// closure per call, which the per-round profile showed as real.
 	e.solveHist = rec.Histogram("opt.flow_solve_seconds")
-	e.ivLen = growFloats(e.ivLen, len(ivs))
-	for jx, iv := range ivs {
+	e.ivLen = growFloats(e.ivLen, len(f.ivs))
+	for jx, iv := range f.ivs {
 		e.ivLen[jx] = iv.Len()
 	}
-	e.phaseSet.prepare(in, ivs)
-}
-
-// activeRun returns the run [lo, hi) of the intervals job j is active
-// in. The partition is sorted with increasing starts and ends, so the
-// intervals starting at or after the release form a suffix, those ending
-// by the deadline a prefix, and j.ActiveIn holds exactly on their
-// intersection.
-func activeRun(ivs []job.Interval, j job.Job) (lo, hi int) {
-	lo = sort.Search(len(ivs), func(x int) bool { return ivs[x].Start >= j.Release })
-	hi = sort.Search(len(ivs), func(x int) bool { return ivs[x].End > j.Deadline })
-	return lo, max(lo, hi)
+	e.phaseSet.prepare(f)
 }
 
 func (e *floatEngine) beginPhase(used, cand []int, span *obs.Span) bool {

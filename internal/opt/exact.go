@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"mpss/internal/flow"
-	"mpss/internal/job"
 	"mpss/internal/mpsserr"
 	"mpss/internal/obs"
 )
@@ -60,19 +59,19 @@ func (e *exactEngine) emptyErr() error {
 	return fmt.Errorf("opt: exact phase emptied its candidate set: %w", mpsserr.ErrInternal)
 }
 
-func (e *exactEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
+func (e *exactEngine) prepare(f *frame, st *Stats, rec *obs.Recorder) {
 	e.st, e.rec = st, rec
 	e.ivLen = e.ivLen[:0]
-	e.ivLenF = growFloats(e.ivLenF, len(ivs))
-	for jx, iv := range ivs {
+	e.ivLenF = growFloats(e.ivLenF, len(f.ivs))
+	for jx, iv := range f.ivs {
 		e.ivLenF[jx] = iv.Len()
 		e.ivLen = append(e.ivLen, new(big.Rat).SetFloat64(e.ivLenF[jx]))
 	}
 	e.work = e.work[:0]
-	for _, j := range in.Jobs {
+	for _, j := range f.in.Jobs {
 		e.work = append(e.work, new(big.Rat).SetFloat64(j.Work))
 	}
-	e.phaseSet.prepare(in, ivs)
+	e.phaseSet.prepare(f)
 }
 
 func (e *exactEngine) beginPhase(used, cand []int, span *obs.Span) bool {

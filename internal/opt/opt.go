@@ -25,6 +25,10 @@
 // next phase's job set lies entirely in the last one. The first phase
 // starts from every job, as in the paper; every later phase reaches the
 // same J_i from a smaller candidate set, in fewer and smaller rounds.
+// Every popped block is first split at its time gaps, the boundaries no
+// candidate's window crosses, and each piece is solved as a block of
+// its own: pieces share no interval, so their phases are those of the
+// whole block, merged by speed once the loop ends (blocks.go).
 //
 // Every round of both engines builds its network afresh for the
 // round's alive candidates, over their interval span (the union of
@@ -100,8 +104,6 @@ type Option func(*config)
 type config struct {
 	exact      bool
 	noContract bool
-	decompose  bool
-	par        int
 	rec        *obs.Recorder
 	span       *obs.Span
 	ctx        context.Context
@@ -128,30 +130,6 @@ func newConfig(opts []Option) config {
 // Substantially slower, but immune to floating-point misclassification;
 // used by tests to cross-validate the float64 fast path.
 func Exact() Option { return func(c *config) { c.exact = true } }
-
-// WithDecomposition toggles windowed decomposition (default off): before
-// choosing an engine, the solver sweeps the job windows for cut points no
-// window crosses, solves the resulting independent components separately
-// — fanned over WithParallelism workers — and merges the component
-// results into the Result a monolithic solve would return, bit for bit
-// (see decompose.go for the equivalence argument and the differential
-// suite for the proof). The exact fallback applies per component.
-// Counters: "opt.components", "opt.decompose_cuts",
-// "opt.component_jobs_max" (the Add of each solve's largest component —
-// the recorder has no gauge primitive, so a single-solve reading is the
-// counter delta).
-func WithDecomposition(on bool) Option {
-	return func(c *config) { c.decompose = on }
-}
-
-// WithParallelism sets how many decomposition components (see
-// WithDecomposition) are solved at once; n <= 1, the default, solves
-// them one after another. Every max-flow computation is sequential
-// Dinic whatever n is, so results are bit-identical at any n, and the
-// option has no effect on a solve that is not decomposed.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.par = n }
-}
 
 // WithRecorder attaches an observability recorder: the solver records
 // per-phase spans (critical speed, rounds, jobs saturated/removed) and
@@ -195,9 +173,10 @@ func canceled(ctx context.Context, phase, round int) error {
 // recycled from one solve to the next so that steady-state solving does
 // not allocate graph storage. solverPool is its only owner: every entry
 // point — Schedule, a Session's Resolve, FeasibleAtSpeed,
-// MinFeasibleCap, ScheduleAtCap and each decomposition worker — borrows
-// an arena for one call and returns it, so no idle object holds one.
+// MinFeasibleCap and ScheduleAtCap — borrows an arena for one call and
+// returns it, so no idle object holds one.
 type arena struct {
+	fr frame // the solve's partition and job runs, shared by both engines
 	fe floatEngine
 	ee exactEngine
 	cn capNet // feasibility probes and ScheduleAtCap
@@ -213,8 +192,9 @@ var solverPool pool.FreeList[arena]
 // hostile inputs (ErrNumeric) or trip a contained solver invariant
 // (ErrInternal). Both are retried once with the exact rational engine
 // (counter "opt.fallback_exact"), so production callers only see an
-// error when both engines fail. Explicit Exact() runs skip the retry:
-// there is nothing more exact to fall back to.
+// error when both engines fail. The retry solves the whole instance
+// again. Explicit Exact() runs skip the retry: there is nothing more
+// exact to fall back to.
 func Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 	return schedulePooled(in, newConfig(opts))
 }
@@ -231,23 +211,19 @@ func (s *arena) schedule(in *job.Instance, cfg config) (*Result, error) {
 	if err := validateForSolve(in); err != nil {
 		return nil, err
 	}
-	if cfg.decompose {
-		if comps := componentRanges(in.Jobs); len(comps) > 1 {
-			return scheduleDecomposed(in, comps, cfg)
-		}
-	}
+	s.fr.reset(in)
 	s.ee.contract = !cfg.noContract
 	if cfg.exact {
-		return runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
+		return runPhases(cfg.ctx, &s.fr, &s.ee, cfg.rec, cfg.span)
 	}
 	s.fe.contract = !cfg.noContract
-	res, err := runPhases(cfg.ctx, in, &s.fe, cfg.rec, cfg.span)
+	res, err := runPhases(cfg.ctx, &s.fr, &s.fe, cfg.rec, cfg.span)
 	if err == nil || !retryable(err) {
 		return res, err
 	}
 	floatErr := err
 	cfg.rec.Add("opt.fallback_exact", 1)
-	res, err = runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
+	res, err = runPhases(cfg.ctx, &s.fr, &s.ee, cfg.rec, cfg.span)
 	if err != nil {
 		return nil, fmt.Errorf("opt: exact fallback also failed: %w (float path: %v)", err, floatErr)
 	}
@@ -275,9 +251,9 @@ func validateForSolve(in *job.Instance) error {
 // it in float64, exactEngine in math/big.Rat; runPhases drives both so
 // the two paths cannot drift structurally.
 type phaseEngine interface {
-	// prepare is called once per solve: cache instance-wide state, most
-	// importantly the job×interval activity index.
-	prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder)
+	// prepare is called once per solve: cache instance-wide state on top
+	// of the frame, whose job runs the engine shares.
+	prepare(f *frame, st *Stats, rec *obs.Recorder)
 	// beginPhase conjectures cand as the next phase's job set. It copies
 	// cand: runPhases reuses that storage for the blocks the phase's
 	// rounds exclude. degenerate reports a network with no capacity at
@@ -336,23 +312,28 @@ var testHookEmitted func(segs []schedule.Segment, iv []int32)
 // solver had reached, mirroring the span trace internal/obs records.
 //
 // Candidate sets live on a stack of job blocks, each in input order. It
-// starts as one block holding every job; each phase pops the top block
-// as its candidates, and each rejected round pushes the jobs it excluded
-// as a new block. A rejected round at speed s splits its candidates by
-// optimal speed — the excluded jobs all run below s, the rest at s or
-// above — so the blocks one phase pushes get faster towards the top and
-// the next phase's job set lies entirely in the top block (DESIGN.md §7,
-// "Excluded blocks are solved next, not re-derived"). A phase that
-// excludes nothing resumes the older blocks below. Jobs dropped on a
-// degenerate network are not pushed: dropping never adds capacity, so
-// such a phase always ends in the emptied-candidate error.
+// starts as one block holding every job. Each pop first splits the top
+// block at its time gaps (frame.split) and pushes the pieces in its
+// place; a phase then takes the top block as its candidates, and each
+// rejected round pushes the jobs it excluded as a new block. A rejected
+// round at speed s splits its candidates by optimal speed — the
+// excluded jobs all run below s, the rest at s or above — so the blocks
+// one phase pushes get faster towards the top, and the next phase's job
+// set, that of the top block's piece of the instance, lies entirely in
+// the top block (DESIGN.md §7, "Excluded blocks are solved next, not
+// re-derived"). A phase that excludes nothing resumes the older blocks
+// below. Jobs dropped on a degenerate network are not
+// pushed: dropping never adds capacity, so such a phase always ends in
+// the emptied-candidate error. The phases come out in pop order, fastest
+// first within each piece, and mergePhases puts them in speed order once
+// the loop ends (DESIGN.md §14).
 //
 // It is also the cancellation boundary: a non-nil ctx is polled once
 // per round (each round is one max-flow solve, the natural quantum),
 // and a canceled context unwinds with ErrCanceled before the next
 // solve starts. Mid-round state never leaks: every later Schedule call
 // rebuilds the per-phase engine state from scratch in beginPhase.
-func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.Recorder, parent *obs.Span) (res *Result, err error) {
+func runPhases(ctx context.Context, f *frame, eng phaseEngine, rec *obs.Recorder, parent *obs.Span) (res *Result, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -371,7 +352,7 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 		res = nil
 	}()
 
-	ivs := job.Partition(in.Jobs)
+	in, ivs := f.in, f.ivs
 	used := make([]int, len(ivs)) // processors occupied by earlier phases
 	// The block stack, stored flat: block b is jobs[starts[b]:starts[b+1]],
 	// the top block runs to the end. Every unaccepted job sits in exactly
@@ -384,18 +365,20 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 
 	// Emission writes into the arena: the segments and every phase's
 	// positive m_ij go to scratch buffers and are copied out at exact
-	// size once the solve ends; every phase's job IDs go to ids, which
-	// holds the n accepted jobs exactly.
+	// size once the solve ends, and so do the jobs of every accepted
+	// phase (mergeScratch).
 	sc := eng.scratch()
 	res = &Result{Schedule: schedule.New(in.M), Intervals: ivs}
 	res.Schedule.Segments = sc.segs[:0]
 	sc.order.iv = sc.order.iv[:0]
 	sc.claims = sc.claims[:0]
-	ids := make([]int, 0, in.N())
-	eng.prepare(in, ivs, &res.Stats, rec)
+	accepted := &sc.merge
+	accepted.ks, accepted.at = accepted.ks[:0], append(accepted.at[:0], 0)
+	eng.prepare(f, &res.Stats, rec)
 	_, isExact := eng.(*exactEngine)
 
 	for len(starts) > 0 {
+		starts = f.split(jobs, starts)
 		top := starts[len(starts)-1]
 		starts = starts[:len(starts)-1]
 		var span *obs.Span
@@ -454,31 +437,21 @@ func runPhases(ctx context.Context, in *job.Instance, eng phaseEngine, rec *obs.
 			}
 			return nil, fmt.Errorf("%v: %w", err, mpsserr.ErrNumeric)
 		}
-		start := len(ids)
-		for _, k := range cand {
-			ids = append(ids, in.Jobs[k].ID)
-		}
+		accepted.ks = append(accepted.ks, cand...)
+		accepted.at = append(accepted.at, len(accepted.ks))
 		for jx, m := range mj {
 			if m > 0 {
 				sc.claims = append(sc.claims, claim{int32(len(res.Phases)), int32(jx), int32(m)})
 			}
 		}
-		res.Phases = append(res.Phases, Phase{Speed: speed, JobIDs: ids[start:len(ids):len(ids)]})
-		res.Stats.Phases++
-		rec.Add("opt.phases", 1)
+		res.Phases = append(res.Phases, Phase{Speed: speed})
 		span.Add("jobs_saturated", int64(len(cand)))
 		span.SetValue("speed", speed)
 		span.End()
 	}
 
-	nIv := len(ivs)
-	procs := make([]int, len(res.Phases)*nIv)
-	for _, c := range sc.claims {
-		procs[int(c.phase)*nIv+int(c.iv)] = int(c.m)
-	}
-	for i := range res.Phases {
-		res.Phases[i].Procs = procs[i*nIv : (i+1)*nIv : (i+1)*nIv]
-	}
+	mergePhases(f, res, sc.claims, accepted)
+	rec.Add("opt.phases", int64(len(res.Phases)))
 	if testHookEmitted != nil {
 		testHookEmitted(res.Schedule.Segments, sc.order.iv)
 	}
@@ -501,9 +474,9 @@ type piece struct {
 // emitScratch is an engine's reusable emission storage: accept fills
 // pieces, emitPhase packs them interval by interval through group and
 // procs into segs, runPhases collects every phase's positive m_ij in
-// claims, and order presorts the segments for Normalize. It lives in
-// the arena, never in a package variable, because decomposition workers
-// solve concurrently.
+// claims, order presorts the segments for Normalize, and merge is
+// mergePhases' storage. It lives in the arena, never in a package
+// variable, because solves run concurrently.
 type emitScratch struct {
 	pieces []piece
 	group  []schedule.Piece
@@ -511,12 +484,14 @@ type emitScratch struct {
 	segs   []schedule.Segment
 	claims []claim
 	order  segOrder
+	merge  mergeScratch
 }
 
-// claim records that phase occupies m > 0 processors in interval iv.
-// Each phase holds at least one processor wherever it claims, so a solve
-// has at most m·|intervals| claims however many phases it has, and
-// runPhases expands them into the dense Phase.Procs vectors only once.
+// claim records that accepted phase occupies m > 0 processors in
+// interval iv. Each phase holds at least one processor wherever it
+// claims, so a solve has at most m·|intervals| claims however many
+// phases it has, and mergePhases expands them into the dense Phase.Procs
+// vectors only once.
 type claim struct{ phase, iv, m int32 }
 
 func (s *emitScratch) scratch() *emitScratch { return s }

@@ -22,7 +22,8 @@ import (
 // it by raw interval.
 type phaseSet struct {
 	in *job.Instance
-	// Per instance job: the run [jobLo, jobHi) of intervals it is active in.
+	// Per instance job: the run [jobLo, jobHi) of intervals it is active
+	// in, the solve's frame's.
 	jobLo, jobHi []int32
 	rawHeads     []int32 // identity: span interval r is its own node's head
 
@@ -45,17 +46,12 @@ type phaseSet struct {
 	accepted []int
 }
 
-// prepare caches the solve's job windows and clears m_j once; begin
+// prepare takes the solve's job runs from f and clears m_j once; begin
 // then clears only the previous phase's span.
-func (p *phaseSet) prepare(in *job.Instance, ivs []job.Interval) {
-	p.in = in
-	nIv := len(ivs)
-	p.jobLo = growInt32s(p.jobLo, in.N())
-	p.jobHi = growInt32s(p.jobHi, in.N())
-	for k, j := range in.Jobs {
-		lo, hi := activeRun(ivs, j)
-		p.jobLo[k], p.jobHi[k] = int32(lo), int32(hi)
-	}
+func (p *phaseSet) prepare(f *frame) {
+	p.in = f.in
+	nIv := len(f.ivs)
+	p.jobLo, p.jobHi = f.lo, f.hi
 	p.rawHeads = identity(p.rawHeads, nIv)
 	p.free = growInts(p.free, nIv)
 	p.activeCount = growInts(p.activeCount, nIv)

@@ -26,7 +26,9 @@ import (
 // depend on the removal order, so both loops stop at the same saturating
 // set: the emitted phases must agree bit for bit, and so must the
 // segments of the uncontracted engines, which solve the same accepted
-// network.
+// network. The reference also solves every block whole, where the
+// engines split blocks at their time gaps (blocks.go), so it holds the
+// split to the loop without it.
 
 // refRound solves one conjecture round on a freshly built network for
 // the candidate set cand (instance job indices) and the per-interval
@@ -276,6 +278,11 @@ func resultDiff(a, b *Result) string {
 	if d := phaseDiff(a, b); d != "" {
 		return d
 	}
+	return segmentDiff(a, b)
+}
+
+// segmentDiff is resultDiff's segment half.
+func segmentDiff(a, b *Result) string {
 	sa, sb := a.Schedule.Segments, b.Schedule.Segments
 	if len(sa) != len(sb) {
 		return fmt.Sprintf("segment counts %d vs %d", len(sa), len(sb))
@@ -331,22 +338,6 @@ func phaseDiff(a, b *Result) string {
 	return ""
 }
 
-// refVariants are the engine settings a reference comparison of in
-// runs: decomposition on/off, each raw and contracted. Decomposition is
-// left out for a single-component instance, which Solver.Schedule then
-// solves on the monolithic path it already runs with it off.
-func refVariants(in *job.Instance) map[string][]Option {
-	decomposes := []bool{false}
-	if len(componentRanges(in.Jobs)) > 1 {
-		decomposes = append(decomposes, true)
-	}
-	out := make(map[string][]Option)
-	for _, decompose := range decomposes {
-		out[fmt.Sprintf("decompose=%v", decompose)] = []Option{WithDecomposition(decompose)}
-	}
-	return out
-}
-
 // refArith pairs a reference round with the options selecting the
 // engine arithmetic it must match.
 type refArith struct {
@@ -371,25 +362,22 @@ func checkAgainstReference(t *testing.T, label string, in *job.Instance, arith r
 	if err != nil {
 		t.Fatalf("%s: %s reference: %v", label, arith.name, err)
 	}
-	for name, opts := range refVariants(in) {
-		opts = append(opts, arith.extra...)
-		raw, err := Schedule(in, append(opts, withContraction(false))...)
-		if err != nil {
-			t.Fatalf("%s: %s contract=false/%s: %v", label, arith.name, name, err)
-		}
-		if d := resultDiff(want, raw); d != "" {
-			t.Errorf("%s: %s contract=false/%s differs from the one-at-a-time reference: %s", label, arith.name, name, d)
-		}
-		con, err := Schedule(in, opts...)
-		if err != nil {
-			t.Fatalf("%s: %s contract=true/%s: %v", label, arith.name, name, err)
-		}
-		if d := contractedDiff(in, con, want); d != "" {
-			t.Errorf("%s: %s contract=true/%s against the one-at-a-time reference: %s", label, arith.name, name, d)
-		}
-		if con.Stats.Rounds != raw.Stats.Rounds {
-			t.Errorf("%s: %s contract=true/%s: %d rounds, %d uncontracted", label, arith.name, name, con.Stats.Rounds, raw.Stats.Rounds)
-		}
+	raw, err := Schedule(in, append(arith.extra, withContraction(false))...)
+	if err != nil {
+		t.Fatalf("%s: %s contract=false: %v", label, arith.name, err)
+	}
+	if d := resultDiff(want, raw); d != "" {
+		t.Errorf("%s: %s contract=false differs from the one-at-a-time reference: %s", label, arith.name, d)
+	}
+	con, err := Schedule(in, arith.extra...)
+	if err != nil {
+		t.Fatalf("%s: %s contract=true: %v", label, arith.name, err)
+	}
+	if d := contractedDiff(in, con, want); d != "" {
+		t.Errorf("%s: %s contract=true against the one-at-a-time reference: %s", label, arith.name, d)
+	}
+	if con.Stats.Rounds != raw.Stats.Rounds {
+		t.Errorf("%s: %s contract=true: %d rounds, %d uncontracted", label, arith.name, con.Stats.Rounds, raw.Stats.Rounds)
 	}
 }
 
@@ -478,11 +466,11 @@ type refEmitEngine struct {
 	err  error
 }
 
-func (e *refEmitEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
-	e.phaseEngine.prepare(in, ivs, st, rec)
-	e.in = in
-	e.used = make([]int, len(ivs))
-	e.ref = &Result{Schedule: schedule.New(in.M), Intervals: ivs}
+func (e *refEmitEngine) prepare(f *frame, st *Stats, rec *obs.Recorder) {
+	e.phaseEngine.prepare(f, st, rec)
+	e.in = f.in
+	e.used = make([]int, len(f.ivs))
+	e.ref = &Result{Schedule: schedule.New(f.in.M), Intervals: f.ivs}
 }
 
 func (e *refEmitEngine) accept() (float64, []int, []piece) {
@@ -500,8 +488,8 @@ func (e *refEmitEngine) accept() (float64, []int, []piece) {
 // TestEmissionMatchesReference holds the interval-ordered emission to the
 // map-based one it replaced, bit for bit: every accepted phase of the
 // float and the exact engine, contraction on and off, is emitted both
-// ways from the same flow, and the decomposed solve must land on the same
-// schedule. Every solve's segments also go through checkPresorted.
+// ways from the same flow, and Schedule must land on the same result.
+// Every solve's segments also go through checkPresorted.
 // -short keeps n <= 24, and n = 8 in exact arithmetic.
 func TestEmissionMatchesReference(t *testing.T) {
 	// Set before the parallel subtests start; Cleanup runs after they end.
@@ -545,29 +533,33 @@ func TestEmissionMatchesReference(t *testing.T) {
 func checkEmission(t *testing.T, label string, in *job.Instance, exact, contract bool) {
 	t.Helper()
 	var eng phaseEngine = &floatEngine{contract: contract}
-	opts := []Option{withContraction(contract), WithDecomposition(true)}
+	opts := []Option{withContraction(contract)}
 	if exact {
 		eng = &exactEngine{contract: contract}
 		opts = append(opts, Exact())
 	}
 	w := &refEmitEngine{phaseEngine: eng}
-	got, err := runPhases(nil, in, w, nil, nil)
+	var f frame
+	f.reset(in)
+	got, err := runPhases(nil, &f, w, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	if w.err != nil {
 		t.Fatalf("%s: reference emission: %v", label, w.err)
 	}
+	// The reference lists the phases as they were accepted; runPhases
+	// merges them by speed, so only the segments compare.
 	w.ref.Schedule.Normalize()
-	if d := resultDiff(w.ref, got); d != "" {
+	if d := segmentDiff(w.ref, got); d != "" {
 		t.Errorf("%s: emission differs from the map-based reference: %s", label, d)
 	}
-	dec, err := Schedule(in, opts...)
+	res, err := Schedule(in, opts...)
 	if err != nil {
-		t.Fatalf("%s: decomposed: %v", label, err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	if d := resultDiff(w.ref, dec); d != "" {
-		t.Errorf("%s: decomposed emission differs from the map-based reference: %s", label, d)
+	if d := resultDiff(got, res); d != "" {
+		t.Errorf("%s: Schedule differs from runPhases on the same engine: %s", label, d)
 	}
 }
 

@@ -53,13 +53,14 @@ func TestRoundsBuildAndSolveOnce(t *testing.T) {
 	}
 }
 
-// Phase 1 starts from every job; every later phase starts from the block
-// of jobs the most recent rejected round excluded. Each candidate is
-// either removed by a rejected round or saturated in the phase, so per
-// phase span jobs_removed + jobs_saturated = candidates. Every removed
-// job is pushed as a candidate of exactly one later phase, so over the
-// solve sum_i candidates_i = n + opt.jobs_removed. A rejected round that
-// excludes several jobs must count each of them.
+// Phase 1 starts from the earliest piece of the whole instance; every
+// later phase starts from a piece of the block the most recent rejected
+// round excluded. Each candidate is either removed by a rejected round
+// or saturated in the phase, so per phase span jobs_removed +
+// jobs_saturated = candidates, and the spans saturate every job once.
+// Every removed job is pushed as a candidate of exactly one later phase,
+// so over the solve sum_i candidates_i = n + opt.jobs_removed. A
+// rejected round that excludes several jobs must count each of them.
 func TestJobsRemovedCountsEveryJob(t *testing.T) {
 	in, err := workload.Bursty(workload.Spec{N: 48, M: 3, Seed: 5})
 	if err != nil {
@@ -75,21 +76,24 @@ func TestJobsRemovedCountsEveryJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := rec.Snapshot()
-		if len(snap.Trace) != len(res.Phases) {
+		if len(snap.Trace) < len(res.Phases) {
 			t.Fatalf("%s: %d phase spans for %d phases", name, len(snap.Trace), len(res.Phases))
 		}
-		if got := snap.Trace[0].Counters["candidates"]; got != int64(in.N()) {
-			t.Errorf("%s phase 1: candidates = %d, want every job (%d)", name, got, in.N())
+		first := components(in)[0]
+		if got := snap.Trace[0].Counters["candidates"]; got != int64(len(first)) {
+			t.Errorf("%s phase 1: candidates = %d, want the earliest piece's %d jobs", name, got, len(first))
 		}
-		var candidates int64
+		var candidates, saturated int64
 		for i, sp := range snap.Trace {
 			c := sp.Counters
-			if c["jobs_saturated"] != int64(len(res.Phases[i].JobIDs)) ||
-				c["jobs_removed"]+c["jobs_saturated"] != c["candidates"] {
-				t.Errorf("%s phase %d: span counters %v, want candidates = jobs_removed + jobs_saturated=%d",
-					name, i+1, c, len(res.Phases[i].JobIDs))
+			if c["jobs_removed"]+c["jobs_saturated"] != c["candidates"] {
+				t.Errorf("%s phase %d: span counters %v, want candidates = jobs_removed + jobs_saturated", name, i+1, c)
 			}
 			candidates += c["candidates"]
+			saturated += c["jobs_saturated"]
+		}
+		if saturated != int64(in.N()) {
+			t.Errorf("%s: the spans saturate %d jobs, want %d", name, saturated, in.N())
 		}
 		removed := snap.Counters["opt.jobs_removed"]
 		if candidates != int64(in.N())+removed {

@@ -127,13 +127,6 @@ type Config struct {
 	// ReplicaName names this replica in GET /v1/status and the cluster
 	// tier's views (empty for a standalone server).
 	ReplicaName string
-	// Decompose turns on zero-active-boundary decomposition for
-	// /v1/solve/optimal (default off); a request's "decompose" field
-	// overrides it either way. Results are bit-identical with or
-	// without, except that a float phase-density tie within one ulp can
-	// move one phase speed by one ulp, so the knob is a latency lever
-	// for servers whose clients submit long separable instances.
-	Decompose bool
 }
 
 func (c *Config) applyDefaults() {
@@ -565,11 +558,7 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 		if req.Exact {
 			solveFn = sv.SolveExact
 		}
-		decompose := s.cfg.Decompose
-		if req.Decompose != nil {
-			decompose = *req.Decompose
-		}
-		res, err := solveFn(in, withCtx, mpss.WithDecomposition(decompose))
+		res, err := solveFn(in, withCtx)
 		if err != nil {
 			return fail(err)
 		}

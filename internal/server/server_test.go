@@ -562,70 +562,41 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// Decomposition must be invisible in the response: a separable
-// instance solved with decompose on, off and elided yields byte-equal
-// bodies, and — since the knob is excluded from the cache key — the
-// variants share one cache entry.
-func TestSolveOptimalDecompose(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
+// Bodies written for the removed decomposition knob still carry a
+// "decompose" field. It is an unknown field now: a body with it, true or
+// false, gets the reply bytes of the same body without it, solved
+// afresh with the cache off and answered from one entry with it on.
+func TestSolveOptimalIgnoresDecomposeField(t *testing.T) {
 	in, err := mpss.GenerateWorkload("diurnal", mpss.WorkloadSpec{N: 128, M: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := api.SolveRequest{M: in.M, Jobs: in.Jobs}
-
-	code, base := post(t, ts.URL+"/v1/solve/optimal", req)
-	if code != http.StatusOK {
-		t.Fatalf("baseline: status %d: %s", code, base)
-	}
-	for _, on := range []bool{true, false} {
-		on := on
-		withKnob := req
-		withKnob.Decompose = &on
-		code, body := post(t, ts.URL+"/v1/solve/optimal", withKnob)
-		if code != http.StatusOK {
-			t.Fatalf("decompose=%v: status %d: %s", on, code, body)
-		}
-		if !bytes.Equal(base, body) {
-			t.Fatalf("decompose=%v body diverged from the baseline", on)
-		}
-	}
-	if hits := s.Recorder().Value("server.cache_hits"); hits < 2 {
-		t.Errorf("server.cache_hits = %d, want >= 2 (knob variants must share a key)", hits)
-	}
-}
-
-// A server configured with Decompose on answers with the bit-identical
-// schedule of one with it off; only the telemetry rounds field (flow
-// rounds actually executed) reflects the strategy.
-func TestServerDecomposeDefault(t *testing.T) {
-	in, err := mpss.GenerateWorkload("diurnal", mpss.WorkloadSpec{N: 128, M: 2, Seed: 5})
+	plain, err := json.Marshal(api.SolveRequest{M: in.M, Jobs: in.Jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := api.SolveRequest{M: in.M, Jobs: in.Jobs}
-	_, tsOff := newTestServer(t, Config{Workers: 1})
-	_, tsOn := newTestServer(t, Config{Workers: 1, Decompose: true})
-	codeOff, bodyOff := post(t, tsOff.URL+"/v1/solve/optimal", req)
-	codeOn, bodyOn := post(t, tsOn.URL+"/v1/solve/optimal", req)
-	if codeOff != http.StatusOK || codeOn != http.StatusOK {
-		t.Fatalf("status off=%d on=%d", codeOff, codeOn)
+	bodies := map[string]json.RawMessage{"elided": plain}
+	for _, v := range []string{"true", "false"} {
+		bodies["decompose="+v] = append([]byte(`{"decompose":`+v+`,`), plain[1:]...)
 	}
-	var off, on api.OptimalResponse
-	if err := json.Unmarshal(bodyOff, &off); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(bodyOn, &on); err != nil {
-		t.Fatal(err)
-	}
-	if on.Rounds >= off.Rounds {
-		t.Errorf("decomposed rounds = %d, want < monolithic %d (shorter removal ladders)", on.Rounds, off.Rounds)
-	}
-	off.Rounds, on.Rounds = 0, 0
-	a, _ := json.Marshal(off)
-	b, _ := json.Marshal(on)
-	if !bytes.Equal(a, b) {
-		t.Fatal("Decompose:true server result diverged from default server beyond the rounds telemetry")
+	for _, cache := range []int{-1, 0} {
+		s, ts := newTestServer(t, Config{Workers: 2, CacheEntries: cache})
+		code, base := post(t, ts.URL+"/v1/solve/optimal", bodies["elided"])
+		if code != http.StatusOK {
+			t.Fatalf("cache=%d elided: status %d: %s", cache, code, base)
+		}
+		for _, name := range []string{"decompose=true", "decompose=false"} {
+			code, body := post(t, ts.URL+"/v1/solve/optimal", bodies[name])
+			if code != http.StatusOK {
+				t.Fatalf("cache=%d %s: status %d: %s", cache, name, code, body)
+			}
+			if !bytes.Equal(base, body) {
+				t.Errorf("cache=%d %s: reply differs from the body without the field", cache, name)
+			}
+		}
+		if hits := s.Recorder().Value("server.cache_hits"); cache == 0 && hits != 2 {
+			t.Errorf("server.cache_hits = %d, want 2: the field must not split the key", hits)
+		}
 	}
 }
 

@@ -17,8 +17,8 @@
 // same object.
 //
 // Job IDs must be unique within each separable component when the trace
-// is solved streamed (decomposed), and within the whole trace when it is
-// solved monolithically: the solver rejects a repeated ID in the
+// is solved streamed, and within the whole trace when it is solved as
+// one instance: the solver rejects a repeated ID in the
 // instance it solves with ErrInvalidInstance. The reader itself does not
 // track IDs, so a streamed trace may reuse an ID in a later component.
 package workload

@@ -17,8 +17,8 @@ import (
 )
 
 // traceJobsPerWave is the target component size: each diurnal wave holds
-// about this many jobs, so the decomposed solve cost is governed by this
-// constant rather than the trace length.
+// about this many jobs, so the solve cost is governed by this constant
+// rather than the trace length.
 const traceJobsPerWave = 64
 
 // Job-class mix of the trace, modelled on the interactive/service/batch

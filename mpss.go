@@ -130,14 +130,9 @@ type Metrics = obs.Snapshot
 type SolveOption func(*solveConfig)
 
 type solveConfig struct {
-	rec       *obs.Recorder
-	par       int
-	decompose bool
-	// decomposeSet distinguishes an explicit WithDecomposition(false)
-	// from the unset default: one-shot solves default off, the streaming
-	// trace solve defaults on.
-	decomposeSet bool
-	ctx          context.Context
+	rec *obs.Recorder
+	par int
+	ctx context.Context
 }
 
 // WithRecorder directs a solver run to record its metrics and phase
@@ -146,31 +141,13 @@ func WithRecorder(r *Recorder) SolveOption {
 	return func(c *solveConfig) { c.rec = r }
 }
 
-// WithParallelism sets how many decomposition components (see
-// WithDecomposition) are solved at once; n <= 1, the default, solves
-// them one after another. Every max-flow computation is sequential, so
-// results are bit-identical at any n, and the option has no effect on
-// solves that are not decomposed, on MinFeasibleCap or on
-// FeasibleAtSpeed.
+// WithParallelism sets how many trace components SolveTraceStream
+// solves at once; n <= 1, the default, solves them one after another.
+// Only SolveTraceStream reads it. Every max-flow computation is
+// sequential, and the summary is accumulated in component order, so the
+// result is bit-identical at any n.
 func WithParallelism(n int) SolveOption {
 	return func(c *solveConfig) { c.par = n }
-}
-
-// WithDecomposition toggles windowed decomposition (default off for
-// Solve/OptimalSchedule, on for SolveTraceStream): the solver finds the
-// time points no job window crosses, solves the resulting independent
-// components separately — concurrently, when WithParallelism(n > 1) is
-// given — and merges the results. The merged schedule, phases, speeds
-// and energy are bit-identical to the monolithic solve's, except where
-// two candidate phase densities tie within one float64 ulp: there one
-// phase speed can differ by one ulp (the fuzz seed decompose-ulp-tie
-// keeps such an instance; internal/opt/decompose.go explains it). The cost
-// grows with the largest component instead of the whole instance, which
-// on separable traces (see the "diurnal" workload) is the difference
-// between minutes and seconds at datacenter scale. Instances with no
-// cut points pay one O(n log n) sweep and solve exactly as before.
-func WithDecomposition(on bool) SolveOption {
-	return func(c *solveConfig) { c.decompose = on; c.decomposeSet = true }
 }
 
 func buildSolveConfig(opts []SolveOption) solveConfig {

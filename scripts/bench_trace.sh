@@ -1,23 +1,22 @@
 #!/bin/sh
 # Streaming-trace throughput benchmark: archives jobs/sec and peak RSS
-# for the decomposed streaming solve at 100k and 1M jobs, plus the
-# decompose=off monolithic baseline at 100k, into BENCH_trace.json.
+# for the streamed trace solve at 100k and 1M jobs, plus the same 100k
+# jobs solved as one instance JSON, into BENCH_trace.json.
 #
-# The monolithic baseline cannot be run to completion at 100k. Each
-# phase starts from the block of jobs the last rejected round excluded,
-# so rounds stay near one per job, but every phase still walks all event
-# intervals and its Phase.Procs vector holds one entry per interval:
-# time and memory both grow as phases x intervals. A 4k-job diurnal
-# trace solves monolithically in ~0.7s and ~240 MB, a 16k-job one in
-# ~10s and ~3.5 GB, so 100k would need tens of GB. The baseline is
-# therefore bounded by BENCH_TRACE_OFF_TIMEOUT (default 300s) and by a
-# fixed 2048 MB address-space cap (OFF_MEM_MB). When it stops
-# at either bound after t seconds without finishing, its throughput is
-# recorded as the UPPER BOUND jobs/t — every jobs/sec the monolithic
-# solve could possibly have achieved is below it, so the reported
-# speedup is a lower bound on the true speedup.
+# The one-instance baseline cannot be run to completion at 100k. The
+# phase loop splits the whole instance at its time gaps on its first
+# pop, so rounds stay below one per job, but the instance is decoded
+# whole and every phase's Phase.Procs vector holds one entry per
+# interval of the whole instance: memory grows as phases x intervals.
+# A 16k-job diurnal instance needs several GB, so 100k would need tens
+# of GB. The baseline is therefore bounded by BENCH_TRACE_OFF_TIMEOUT
+# (default 300s) and by a fixed 2048 MB address-space cap (OFF_MEM_MB).
+# When it stops at either bound after t seconds without finishing, its
+# throughput is recorded as the UPPER BOUND jobs/t — every jobs/sec the
+# one-instance solve could possibly have achieved is below it, so the
+# reported speedup is a lower bound on the true speedup.
 #
-# Run from the repository root (make bench does).
+# Run from the repository root (make bench-trace does).
 set -u
 
 GO=${GO:-go}
@@ -36,38 +35,39 @@ done
 echo "bench-trace: generating $N100K- and $N1M-job traces"
 "$tmp/mpss-gen" trace -n "$N100K" -m 8 -seed 1 -o "$tmp/t100k.jsonl" || exit 1
 "$tmp/mpss-gen" trace -n "$N1M" -m 8 -seed 1 -o "$tmp/t1m.jsonl" || exit 1
+jq -s '{m: .[0].m, jobs: .[1:]}' "$tmp/t100k.jsonl" > "$tmp/t100k.json" || exit 1
 
-echo "bench-trace: $N100K jobs, decompose=on"
+echo "bench-trace: $N100K jobs, streamed"
 "$tmp/mpss-opt" -in "$tmp/t100k.jsonl" -summary-json "$tmp/on100k.json" || exit 1
 
-echo "bench-trace: $N100K jobs, decompose=off (timeout ${OFF_TIMEOUT}s, address space ${OFF_MEM_MB} MB)"
+echo "bench-trace: $N100K jobs, one instance (timeout ${OFF_TIMEOUT}s, address space ${OFF_MEM_MB} MB)"
 start=$(date +%s.%N)
 (
     ulimit -v $((OFF_MEM_MB * 1024))
     exec timeout -k 10 "${OFF_TIMEOUT}s" \
-        "$tmp/mpss-opt" -in "$tmp/t100k.jsonl" -decompose=false -summary-json "$tmp/off100k.json"
-) 2> "$tmp/off100k.err"
+        "$tmp/mpss-opt" -in "$tmp/t100k.json" -summary-json "$tmp/off100k.json"
+) > /dev/null 2> "$tmp/off100k.err"
 rc=$?
 elapsed=$(awk "BEGIN { print $(date +%s.%N) - $start }")
 if [ "$rc" -eq 0 ]; then
     off=$(jq '. + {timed_out: false}' "$tmp/off100k.json")
 elif [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
-    echo "bench-trace: monolithic baseline timed out (expected); recording throughput upper bound"
+    echo "bench-trace: one-instance baseline timed out (expected); recording throughput upper bound"
     off=$(jq -n --argjson n "$N100K" --argjson t "$OFF_TIMEOUT" \
-        '{jobs: $n, decompose: false, timed_out: true, timeout_sec: $t,
+        '{jobs: $n, timed_out: true, timeout_sec: $t,
           jobs_per_sec: ($n / $t), jobs_per_sec_is_upper_bound: true}')
 elif grep -q "out of memory" "$tmp/off100k.err"; then
-    echo "bench-trace: monolithic baseline ran out of its ${OFF_MEM_MB} MB after ${elapsed}s (expected); recording throughput upper bound"
+    echo "bench-trace: one-instance baseline ran out of its ${OFF_MEM_MB} MB after ${elapsed}s (expected); recording throughput upper bound"
     off=$(jq -n --argjson n "$N100K" --argjson t "$elapsed" --argjson mb "$OFF_MEM_MB" \
-        '{jobs: $n, decompose: false, timed_out: false, out_of_memory: true, mem_limit_mb: $mb,
+        '{jobs: $n, timed_out: false, out_of_memory: true, mem_limit_mb: $mb,
           elapsed_sec: $t, jobs_per_sec: ($n / $t), jobs_per_sec_is_upper_bound: true}')
 else
     cat "$tmp/off100k.err" >&2
-    echo "bench-trace: monolithic baseline failed with exit $rc" >&2
+    echo "bench-trace: one-instance baseline failed with exit $rc" >&2
     exit 1
 fi
 
-echo "bench-trace: $N1M jobs, decompose=on"
+echo "bench-trace: $N1M jobs, streamed"
 "$tmp/mpss-opt" -in "$tmp/t1m.jsonl" -summary-json "$tmp/on1m.json" || exit 1
 
 on_jps=$(jq -r .jobs_per_sec "$tmp/on100k.json")
@@ -80,11 +80,11 @@ jq -n \
     --argjson off100k "$off" \
     --argjson speedup "$speedup" \
     '{
-      note: "decompose=off is a bounded run: timed_out=true or out_of_memory=true means it stopped unfinished and jobs_per_sec is the upper bound jobs/seconds run, so speedup_100k is a lower bound",
-      "100k_decompose_on": $on100k[0],
-      "100k_decompose_off": $off100k,
-      "1m_decompose_on": $on1m[0],
+      note: "100k_one_instance is a bounded run: timed_out=true or out_of_memory=true means it stopped unfinished and jobs_per_sec is the upper bound jobs/seconds run, so speedup_100k is a lower bound",
+      "100k_streamed": $on100k[0],
+      "100k_one_instance": $off100k,
+      "1m_streamed": $on1m[0],
       speedup_100k: $speedup
     }' > "$OUT" || exit 1
 
-echo "bench-trace: wrote $OUT (100k on: $on_jps jobs/sec, off: $off_jps jobs/sec, speedup >= $speedup)"
+echo "bench-trace: wrote $OUT (100k streamed: $on_jps jobs/sec, one instance: $off_jps jobs/sec, speedup >= $speedup)"

@@ -4,15 +4,15 @@
 # dispatched as the reader crosses zero-active boundaries), and assert
 #
 #   - the summary accounts for every job and a healthy component count,
-#   - the decomposition counters (opt.components, opt.decompose_cuts,
+#   - the component counters (opt.components, opt.decompose_cuts,
 #     opt.component_jobs_max) agree with the summary,
 #   - 4 solver workers produce the byte-identical summary as 1 worker
-#     (the decomposition differential at the CLI level),
+#     (the component fan-out differential at the CLI level),
 #   - the pipe form (mpss-gen trace | mpss-opt) streams end to end,
-#   - a 4096-job trace solved monolithically (-decompose=false, one flow
-#     network over every job) agrees with its decomposed solve on jobs,
-#     phases and energy. Each phase starts from the block of jobs the
-#     last rejected round excluded, so this takes about a second.
+#   - the jobs of a 4096-job trace solved as one instance JSON (the
+#     instance path, which splits the whole instance at the same
+#     boundaries) agree with the streamed solve on jobs, phases and
+#     rounds, and on energy to within 1e-12 relative.
 #
 # Run from the repository root (make trace-smoke does).
 set -u
@@ -53,10 +53,8 @@ jobs=$(field "$tmp/sum1.json" .jobs)
 components=$(field "$tmp/sum1.json" .components)
 largest=$(field "$tmp/sum1.json" .max_component_jobs)
 energy=$(field "$tmp/sum1.json" .energy)
-decompose=$(field "$tmp/sum1.json" .decompose)
 
 [ "$jobs" = "$N" ] || { echo "trace-smoke: summary jobs $jobs != $N" >&2; fail=1; }
-[ "$decompose" = "true" ] || { echo "trace-smoke: streamed solve did not decompose" >&2; fail=1; }
 # The diurnal generator emits one separable wave per ~64 jobs; demand at
 # least half that many components so a cut-condition regression (e.g.
 # everything landing in one component) fails loudly.
@@ -106,33 +104,39 @@ elif [ "$(field "$tmp/pipe.json" .jobs)" != "2000" ]; then
     fail=1
 fi
 
-# Monolithic leg: the same summary with and without decomposition.
+# Monolithic leg: the same jobs as one instance JSON, solved whole.
 NM=4096
 if ! "$tmp/mpss-gen" trace -n "$NM" -m 8 -seed 42 -o "$tmp/mono.jsonl"; then
     echo "trace-smoke: monolithic-leg trace generation failed" >&2
     exit 1
 fi
-if ! "$tmp/mpss-opt" -in "$tmp/mono.jsonl" -summary-json "$tmp/mono_on.json" > /dev/null ||
-    ! "$tmp/mpss-opt" -in "$tmp/mono.jsonl" -decompose=false -summary-json "$tmp/mono_off.json" > /dev/null; then
+if ! jq -s '{m: .[0].m, jobs: .[1:]}' "$tmp/mono.jsonl" > "$tmp/mono.json"; then
+    echo "trace-smoke: converting the trace to instance JSON failed" >&2
+    exit 1
+fi
+if ! "$tmp/mpss-opt" -in "$tmp/mono.jsonl" -summary-json "$tmp/mono_stream.json" > /dev/null ||
+    ! "$tmp/mpss-opt" -in "$tmp/mono.json" -summary-json "$tmp/mono_whole.json" > /dev/null; then
     echo "trace-smoke: monolithic-leg solve failed" >&2
     fail=1
 else
-    [ "$(field "$tmp/mono_off.json" .decompose)" = "false" ] || {
-        echo "trace-smoke: -decompose=false solve decomposed" >&2
-        fail=1
-    }
-    for key in .jobs .phases .energy; do
-        a=$(field "$tmp/mono_on.json" $key)
-        b=$(field "$tmp/mono_off.json" $key)
+    for key in .jobs .phases .rounds; do
+        a=$(field "$tmp/mono_stream.json" $key)
+        b=$(field "$tmp/mono_whole.json" $key)
         if [ "$a" != "$b" ]; then
-            echo "trace-smoke: $key diverged between decomposed and monolithic solves: $a vs $b" >&2
+            echo "trace-smoke: $key diverged between the streamed and the one-instance solve: $a vs $b" >&2
             fail=1
         fi
     done
+    a=$(field "$tmp/mono_stream.json" .energy)
+    b=$(field "$tmp/mono_whole.json" .energy)
+    if ! awk -v a="$a" -v b="$b" 'BEGIN { d = a - b; if (d < 0) d = -d; exit !(d <= 1e-12 * b) }'; then
+        echo "trace-smoke: energy diverged between the streamed and the one-instance solve: $a vs $b" >&2
+        fail=1
+    fi
 fi
 
 if [ "$fail" -ne 0 ]; then
     echo "trace-smoke: FAILED" >&2
     exit 1
 fi
-echo "trace-smoke: OK ($N jobs, $components components, largest $largest, energy $energy; $NM-job monolithic leg agrees)"
+echo "trace-smoke: OK ($N jobs, $components components, largest $largest, energy $energy; $NM-job one-instance leg agrees)"

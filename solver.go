@@ -61,9 +61,7 @@ func (s *Solver) Solve(in *Instance, opts ...SolveOption) (*OptimalResult, error
 		return nil, err
 	}
 	cfg := s.merge(opts)
-	return opt.Schedule(in,
-		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithDecomposition(cfg.decompose))
+	return opt.Schedule(in, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
 
 // SolveExact is Solve with all phase decisions carried out in exact
@@ -73,9 +71,7 @@ func (s *Solver) SolveExact(in *Instance, opts ...SolveOption) (*OptimalResult, 
 		return nil, err
 	}
 	cfg := s.merge(opts)
-	return opt.Schedule(in,
-		opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx),
-		opt.WithDecomposition(cfg.decompose))
+	return opt.Schedule(in, opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
 
 // OA runs the online Optimal Available simulation.
@@ -144,9 +140,7 @@ func (s *Solver) begin(in *Instance, exact bool, opts []SolveOption) error {
 		return err
 	}
 	cfg := s.merge(opts)
-	optOpts := []opt.Option{
-		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-	}
+	optOpts := []opt.Option{opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx)}
 	if exact {
 		optOpts = append(optOpts, opt.Exact())
 	}

@@ -216,11 +216,12 @@ func TestCancellationAllEntryPoints(t *testing.T) {
 }
 
 // TestParallelismOnlyFansOutComponents pins the one meaning
-// WithParallelism has: how many decomposition components are solved at
-// once. Without decomposition, a solve and a cap search must be
-// bit-identical to the default's, down to the number of feasibility
-// probes the search spends. The 256-job instance builds flow networks
-// well past 4096 edges, so no size-gated engine switch can hide.
+// WithParallelism has: how many trace components SolveTraceStream
+// solves at once. Every other entry point ignores it: a solve and a cap
+// search must be bit-identical to the default's, down to the number of
+// feasibility probes the search spends. The 256-job instance builds
+// flow networks well past 4096 edges, so no size-gated engine switch
+// can hide.
 func TestParallelismOnlyFansOutComponents(t *testing.T) {
 	cases := []struct {
 		gen  string

@@ -65,25 +65,15 @@ type TraceSolveSummary struct {
 // separable trace is never materialized in full, so memory is bounded by
 // the largest component (times the worker count), not the trace length.
 // Energy is summed in component order, so the result is deterministic at
-// any WithParallelism setting.
-//
-// With WithDecomposition(false) the entire trace is materialized and
-// solved monolithically instead — the A/B baseline the benchmarks
-// compare against; the reported Energy is identical (the decomposition
-// differential suite proves the schedules bit-equal, and the summary
-// sums per-component energies in the same component order either way).
+// any WithParallelism setting. Each component is one Schedule call, so
+// the exact fallback applies per component. The phases and energy are
+// those of OptimalSchedule of the whole trace, which splits it at the
+// same boundaries.
 func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*TraceSolveSummary, error) {
 	cfg := buildSolveConfig(opts)
-	decompose := true
-	if cfg.decomposeSet {
-		decompose = cfg.decompose
-	}
 	sr, err := workload.NewStreamReader(r)
 	if err != nil {
 		return nil, err
-	}
-	if !decompose {
-		return solveTraceMonolithic(sr, p, &cfg)
 	}
 
 	workers := cfg.par
@@ -155,7 +145,7 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 			readErr = err
 			break
 		}
-		if _, cut := cur.add(j); cut {
+		if cur.add(j) {
 			if err := dispatch(comp{idx: sum.Components, jobs: buf}); err != nil {
 				readErr = err
 				break
@@ -202,84 +192,27 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 	return sum, nil
 }
 
-// solveTraceMonolithic materializes the whole trace and solves it as one
-// instance — the decompose-off baseline.
-func solveTraceMonolithic(sr *workload.StreamReader, p PowerFunction, cfg *solveConfig) (*TraceSolveSummary, error) {
-	in := &job.Instance{M: sr.M()}
-	for {
-		j, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		in.Jobs = append(in.Jobs, j)
-	}
-	res, err := opt.Schedule(in,
-		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx))
-	if err != nil {
-		return nil, err
-	}
-	// Mirror the streamed path's energy summation: per component, in
-	// component order — the segment-order float sum over the whole
-	// schedule could differ in the last ulp.
-	comps := componentCuts(in.Jobs)
-	sum := &TraceSolveSummary{
-		Jobs: in.N(), M: in.M,
-		Components: len(comps),
-		Phases:     res.Stats.Phases, Rounds: res.Stats.Rounds,
-	}
-	for _, c := range comps {
-		if c.n > sum.MaxComponentJobs {
-			sum.MaxComponentJobs = c.n
-		}
-		sum.Energy += res.Schedule.Clip(c.start, c.end).Energy(p)
-	}
-	return sum, nil
-}
-
 // componentSpan applies the streaming cut rule to jobs in release
 // order: a job whose release reaches the largest deadline seen so far
 // starts a new component, because no window of the jobs before it
-// crosses that point. It holds the running component's time range and
-// job count.
+// crosses that point. It holds the running component's end and job
+// count.
 type componentSpan struct {
-	start, end float64
-	n          int
+	end float64
+	n   int
 }
 
 // add extends the running component by j, first closing it when j's
-// release reaches its end; cut reports that, with closed the component
-// j closed.
-func (c *componentSpan) add(j job.Job) (closed componentSpan, cut bool) {
+// release reaches its end; cut reports that.
+func (c *componentSpan) add(j job.Job) (cut bool) {
 	if c.n > 0 && j.Release >= c.end {
-		closed, cut = *c, true
+		cut = true
 		c.n = 0
 	}
 	if c.n == 0 {
-		c.start, c.end = j.Release, j.Deadline
-	}
-	c.n++
-	if j.Deadline > c.end {
 		c.end = j.Deadline
 	}
-	return closed, cut
-}
-
-// componentCuts returns the time range and job count of each separable
-// component of release-sorted jobs (the cuts the streaming reader
-// makes).
-func componentCuts(jobs []job.Job) []componentSpan {
-	var out []componentSpan
-	var cur componentSpan
-	for _, j := range jobs {
-		if closed, cut := cur.add(j); cut {
-			out = append(out, closed)
-		}
-	}
-	if cur.n > 0 {
-		out = append(out, cur)
-	}
-	return out
+	c.n++
+	c.end = max(c.end, j.Deadline)
+	return cut
 }
