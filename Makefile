@@ -69,8 +69,10 @@ apidoc:
 # third fuzzes phase networks through in-place rounds against plain
 # Dinic on flow.Graph twins rebuilt every round, for the phase-network
 # kernel and its one-pass first level phase (internal/flow/phasenet.go);
-# the fourth fuzzes session delta batches (add, remove, cap) against
-# one-shot solves of the session's job set (internal/opt/session.go);
+# the fourth posts fuzzed session delta batches (add, remove, cap) as
+# JSON through the server's handler and holds every reply to the
+# one-shot /v1/solve/optimal and /v1/feasible answers for the session's
+# job set (internal/server/fuzz_test.go);
 # the fifth fuzzes the minimum-cap search
 # against a search probing every wave on a flow.Graph, and checks the
 # fixed-frequency schedule at the cap it returns (internal/opt/bounded.go).
@@ -78,7 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzPhaseNet -fuzztime 20s ./internal/flow/
-	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/opt/
+	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzMinFeasibleCap -fuzztime 20s ./internal/opt/
 
 # trace-smoke streams a 50k-job diurnal trace through the component-wise

@@ -64,9 +64,9 @@ func ExampleAVR() {
 	// dedicated: [1], pool speed: 1.5
 }
 
-// A Solver session keeps its flow-network arenas warm across calls —
-// the right shape for servers and batch loops. Results are bit-identical
-// to the package-level one-shot functions.
+// A Solver bundles default options for repeated calls — the right
+// shape for servers and batch loops; it is safe for concurrent use.
+// Results are bit-identical to the package-level one-shot functions.
 func ExampleNewSolver() {
 	s := mpss.NewSolver()
 	jobs := []mpss.Job{

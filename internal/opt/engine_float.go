@@ -24,8 +24,7 @@ import (
 // kernel's last BFS of each solve is the co-reachable set the exclusion
 // rule needs (flow.PhaseNet.CoReachable), and accept emits the accepted
 // round's flow as it stands: on a contracted network each super-interval
-// time is cut over the member intervals (phaseSet.emit, DESIGN.md §12). No flow carries over from one solve to the next; a
-// session resolve is an ordinary solve (session.go).
+// time is cut over the member intervals (phaseSet.emit, DESIGN.md §12). No flow carries over from one solve to the next.
 type floatEngine struct {
 	contract bool // merge flow-equivalent interval runs before solving
 

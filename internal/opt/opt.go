@@ -46,9 +46,9 @@
 // over its member intervals. See DESIGN.md §7 and §12 for the
 // invariants.
 //
-// A streaming Session (session.go) keeps a mutable job set and resolves
-// it through the same Schedule: nothing of one solve's flow carries
-// into the next.
+// Nothing of one solve's flow carries into the next: a caller that
+// revises a job set step by step (the server's streaming sessions)
+// solves each revision with Schedule.
 //
 // Because the optimal speed levels depend only on the combinatorial
 // structure (not on the particular convex power function), the same
@@ -97,7 +97,7 @@ type Result struct {
 type Option func(*config)
 
 // config is the one option set of every entry point: Schedule,
-// NewSession, FeasibleAtSpeed and MinFeasibleCap. Interval contraction
+// FeasibleAtSpeed and MinFeasibleCap. Interval contraction
 // is always on outside tests; noContract, the raw-interval reference
 // mode the differential tests and benchmarks compare against, is set
 // only by an option defined in the package's tests.
@@ -172,8 +172,8 @@ func canceled(ctx context.Context, phase, round int) error {
 // activity index, the round bookkeeping and the emission buffers, all
 // recycled from one solve to the next so that steady-state solving does
 // not allocate graph storage. solverPool is its only owner: every entry
-// point — Schedule, a Session's Resolve, FeasibleAtSpeed,
-// MinFeasibleCap and ScheduleAtCap — borrows an arena for one call and
+// point — Schedule, FeasibleAtSpeed, MinFeasibleCap and
+// ScheduleAtCap — borrows an arena for one call and
 // returns it, so no idle object holds one.
 type arena struct {
 	fr frame // the solve's partition and job runs, shared by both engines

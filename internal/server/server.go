@@ -50,13 +50,12 @@
 //	GET    /metrics              Prometheus text exposition (version 0.0.4)
 //	GET    /v1/debug/traces      flight recorder (recent + slowest spans)
 //
-// Streaming sessions (DESIGN.md §13) pin a named job set to one
-// worker: each delta re-solves the session's current job set exactly
-// as a one-shot solve, on solver scratch borrowed for that resolve, so
-// an open session holds only its job set. Session tasks are routed
-// through per-worker affinity queues so a session's state is only ever
-// touched by its owner worker; a janitor evicts sessions idle past
-// SessionTTL.
+// A streaming session (DESIGN.md §13) is a named job set the server
+// holds: each delta solves the job set it leaves with the one-shot
+// calls, through the same admission queue as every other solve, and
+// commits it only when that solve succeeds. A per-session turn keeps
+// one session's deltas one at a time, in arrival order; a janitor
+// evicts sessions idle past SessionTTL.
 package server
 
 import (
@@ -173,8 +172,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// task is one admitted solve request: the worker executes exec on its
-// solver and closes done. enqueued/waited measure time spent in the
+// task is one admitted solve request: the worker executes exec and
+// closes done. enqueued/waited measure time spent in the
 // admission queue (waited is written by the worker before done closes,
 // read by the handler after — ordered by the channel close).
 type task struct {
@@ -183,7 +182,7 @@ type task struct {
 	// worker consults it to tell a client disconnect (499) apart from a
 	// deadline that expired while the task queued (504).
 	clientCtx context.Context
-	exec      func(sv *mpss.Solver) response
+	exec      func() response
 	resp      response
 	done      chan struct{}
 	enqueued  time.Time
@@ -205,9 +204,10 @@ type Server struct {
 	cache  *resultCache
 	flight *flightRecorder
 	queue  chan *task
-	// sessQ[i] is worker i's session-affinity queue: tasks touching a
-	// streaming session are routed to the one worker owning its solver.
-	sessQ    []chan *task
+	// solver carries the recorder into every solve, so /v1/metrics
+	// shows solver counters — rounds, graph rebuilds, fallbacks — across
+	// all workers. It holds no solver scratch and is shared by them.
+	solver   *mpss.Solver
 	sessions *sessionRegistry
 	sf       pool.Group[response] // coalesces duplicate concurrent solves
 
@@ -232,16 +232,10 @@ func New(cfg Config) *Server {
 		cache:       newResultCache(cfg.CacheEntries),
 		flight:      newFlightRecorder(cfg.FlightEntries),
 		queue:       make(chan *task, cfg.QueueDepth),
-		sessQ:       make([]chan *task, cfg.Workers),
+		solver:      mpss.NewSolver(mpss.WithRecorder(cfg.Recorder)),
 		sessions:    newSessionRegistry(),
 		janitorStop: make(chan struct{}),
 		start:       time.Now(),
-	}
-	for i := range s.sessQ {
-		// Session queues are shallow: a session serializes its deltas
-		// anyway, and rejecting with 503 beats queuing behind a stranger's
-		// long solve.
-		s.sessQ[i] = make(chan *task, 16)
 	}
 	for _, ep := range [...]string{"optimal", "oa", "avr", "atcap"} {
 		s.mux.HandleFunc("/v1/solve/"+ep, s.instrument(ep, s.solveHandler(ep)))
@@ -261,7 +255,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/debug/traces", s.instrument("traces", s.handleTraces))
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
-		go s.worker(i)
+		go s.worker()
 	}
 	go s.sessionJanitor()
 	return s
@@ -280,91 +274,104 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// worker is one solver loop: it executes tasks from the shared queue
-// and its own session-affinity queue until both close at drain time.
-func (s *Server) worker(i int) {
+// worker is one solver loop: it executes tasks from the admission
+// queue until the queue closes at drain time.
+func (s *Server) worker() {
 	defer s.workers.Done()
-	// The worker's Solver records into the shared (concurrency-safe)
-	// recorder, so /v1/metrics shows solver counters — rounds, graph
-	// rebuilds, fallbacks — across all workers. It holds no solver
-	// scratch: every call borrows that from the pool.
-	sv := mpss.NewSolver(mpss.WithRecorder(s.rec))
-	shared, own := s.queue, s.sessQ[i]
-	for shared != nil || own != nil {
-		var t *task
-		var ok bool
-		select {
-		case t, ok = <-shared:
-			if !ok {
-				shared = nil
-				continue
-			}
-		case t, ok = <-own:
-			if !ok {
-				own = nil
-				continue
-			}
-		}
+	for t := range s.queue {
 		if testHookTaskStart != nil {
 			testHookTaskStart()
 		}
 		t.waited = time.Since(t.enqueued)
-		// A task whose context died while queued is not worth starting —
-		// but the reason decides the status: a deadline that expired with
-		// the client still connected is the server's failure to schedule
-		// in time (504), while a client that hung up is 499.
-		if err := t.ctx.Err(); err != nil {
-			clientGone := t.clientCtx != nil && t.clientCtx.Err() != nil
-			if errors.Is(err, context.DeadlineExceeded) && !clientGone {
-				s.rec.Add("server.deadline_exceeded", 1)
-				t.resp = errorResponse(http.StatusGatewayTimeout, "canceled", "deadline expired while queued: "+err.Error())
-			} else {
-				s.rec.Add("server.canceled", 1)
-				t.resp = errorResponse(api.StatusClientClosedRequest, "canceled", err.Error())
-			}
+		// A task whose context died while queued is not worth starting.
+		if t.ctx.Err() != nil {
+			t.resp = s.expired(t.ctx, t.clientCtx)
 		} else {
-			t.resp = s.runTask(t, sv)
+			t.resp = s.runTask(t)
 		}
 		close(t.done)
 	}
 }
 
+// expired answers a request whose context died before its solve
+// started, in the queue or waiting for its session's turn. The reason
+// decides the status: a deadline that expired with the client still
+// connected is the server's failure to schedule in time (504), while a
+// client that hung up is 499.
+func (s *Server) expired(ctx, clientCtx context.Context) response {
+	err := ctx.Err()
+	if errors.Is(err, context.DeadlineExceeded) && clientCtx.Err() == nil {
+		s.rec.Add("server.deadline_exceeded", 1)
+		return errorResponse(http.StatusGatewayTimeout, "canceled", "deadline expired while queued: "+err.Error())
+	}
+	s.rec.Add("server.canceled", 1)
+	return errorResponse(api.StatusClientClosedRequest, "canceled", err.Error())
+}
+
 // runTask executes one task with per-request panic containment: a panic
 // escaping the solver's own recover boundary (or raised in the handler
-// glue) becomes a 500 for this request, and the worker — with a fresh
-// per-call solver state — keeps serving.
-func (s *Server) runTask(t *task, sv *mpss.Solver) (resp response) {
+// glue) becomes a 500 for this request, and the worker keeps serving.
+func (s *Server) runTask(t *task) (resp response) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.rec.Add("server.panics", 1)
 			resp = errorResponse(http.StatusInternalServerError, "internal", fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	return t.exec(sv)
+	return t.exec()
 }
 
-// admit enqueues a task on the shared queue unless the server is
-// draining or the queue is full.
-func (s *Server) admit(t *task) bool { return s.admitTo(s.queue, t) }
-
-// admitTo enqueues a task on the given queue (the shared queue or a
-// worker's session-affinity queue) unless the server is draining or the
-// queue is full. It holds the read lock across the send so Shutdown's
-// queue close (under the write lock) cannot race a send on a closed
-// channel.
-func (s *Server) admitTo(q chan *task, t *task) bool {
+// admit enqueues a task unless the server is draining or the queue is
+// full. It holds the read lock across the send so Shutdown's queue
+// close (under the write lock) cannot race a send on a closed channel.
+func (s *Server) admit(t *task) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.draining {
 		return false
 	}
 	select {
-	case q <- t:
+	case s.queue <- t:
 		s.inflight.Add(1)
 		return true
 	default:
 		return false
 	}
+}
+
+// await admits exec under the request's deadline context ctx and waits
+// for the worker's answer; 503 when the task cannot be admitted. The
+// worker always answers: a canceled context unwinds the solve at its
+// next phase/round boundary, so the wait is bounded.
+func (s *Server) await(ctx context.Context, r *http.Request, exec func() response) response {
+	t := &task{
+		ctx:       ctx,
+		clientCtx: r.Context(),
+		exec:      exec,
+		done:      make(chan struct{}),
+		enqueued:  time.Now(),
+	}
+	if !s.admit(t) {
+		s.rec.Add("server.rejected", 1)
+		return errorResponse(http.StatusServiceUnavailable, "overloaded", "solver queue full or server draining")
+	}
+	<-t.done
+	s.inflight.Done()
+	s.rec.Observe("server.queue_wait_seconds", t.waited.Seconds())
+	spanFromContext(r.Context()).SetValue("queue_wait_seconds", t.waited.Seconds())
+	return t.resp
+}
+
+// requestTimeout resolves a request's timeout_ms against the server
+// default: it may shorten the deadline, never extend it.
+func (s *Server) requestTimeout(ms int64) time.Duration {
+	timeout := s.cfg.DefaultTimeout
+	if ms > 0 {
+		if d := time.Duration(ms) * time.Millisecond; d < timeout {
+			timeout = d
+		}
+	}
+	return timeout
 }
 
 // Shutdown gracefully drains the server: new solve requests are
@@ -388,12 +395,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.inflight.Wait()
 		if !already {
 			// All admitted tasks are answered and no further admit can
-			// succeed; the queues are empty and safe to close.
+			// succeed; the queue is empty and safe to close.
 			s.mu.Lock()
 			close(s.queue)
-			for _, q := range s.sessQ {
-				close(q)
-			}
 			s.mu.Unlock()
 		}
 		s.workers.Wait()
@@ -443,13 +447,7 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		// wait. Run by the flight leader (and by a follower whose leader
 		// came back with an uncacheable answer).
 		runSolve := func() response {
-			timeout := s.cfg.DefaultTimeout
-			if req.TimeoutMS > 0 {
-				if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-					timeout = d
-				}
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+			ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 			defer cancel()
 
 			var span *obs.Span
@@ -459,31 +457,15 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 				defer span.End()
 			}
 
-			t := &task{
-				ctx:       ctx,
-				clientCtx: r.Context(),
-				exec: func(sv *mpss.Solver) response {
-					// The solve runs as a child of the flight-recorder request
-					// span, so queue wait and solve time separate in the trace.
-					solveSpan := spanFromContext(ctx).StartSpan("solve " + kind)
-					defer solveSpan.End()
-					return s.solve(ctx, kind, &req, sv, r)
-				},
-				done:     make(chan struct{}),
-				enqueued: time.Now(),
-			}
-			if !s.admit(t) {
-				s.rec.Add("server.rejected", 1)
-				return errorResponse(http.StatusServiceUnavailable, "overloaded", "solver queue full or server draining")
-			}
-			// The worker always answers: a canceled context unwinds the solve
-			// at its next phase/round boundary, so this wait is bounded.
-			<-t.done
-			s.inflight.Done()
-			s.rec.Observe("server.queue_wait_seconds", t.waited.Seconds())
-			span.Add("status", int64(t.resp.code))
-			spanFromContext(r.Context()).SetValue("queue_wait_seconds", t.waited.Seconds())
-			return t.resp
+			resp := s.await(ctx, r, func() response {
+				// The solve runs as a child of the flight-recorder request
+				// span, so queue wait and solve time separate in the trace.
+				solveSpan := spanFromContext(ctx).StartSpan("solve " + kind)
+				defer solveSpan.End()
+				return s.solve(ctx, kind, &req, r)
+			})
+			span.Add("status", int64(resp.code))
+			return resp
 		}
 
 		// Coalesce the stampede: concurrent identical requests (same key,
@@ -528,8 +510,8 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 	}
 }
 
-// solve dispatches one admitted request to the worker's solver.
-func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, sv *mpss.Solver, r *http.Request) response {
+// solve dispatches one admitted request to the solver.
+func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, r *http.Request) response {
 	alpha := req.Alpha
 	if alpha == 0 {
 		alpha = 3
@@ -541,41 +523,27 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 	in := &mpss.Instance{M: req.M, Jobs: req.Jobs}
 	withCtx := mpss.WithContext(ctx)
 
-	fail := func(err error) response {
-		// The request context distinguishes "client hung up" from "the
-		// deadline we imposed expired".
-		clientGone := r.Context().Err() != nil
-		code, errKind := errToStatus(err, clientGone)
-		if errKind == "canceled" {
-			s.rec.Add("server.canceled", 1)
-		}
-		return errorResponse(code, errKind, err.Error())
-	}
-
 	switch kind {
 	case "optimal":
-		solveFn := sv.Solve
+		solveFn := s.solver.Solve
 		if req.Exact {
-			solveFn = sv.SolveExact
+			solveFn = s.solver.SolveExact
 		}
 		res, err := solveFn(in, withCtx)
 		if err != nil {
-			return fail(err)
+			return s.failure(r, err)
 		}
-		out := api.OptimalResponse{
+		return jsonResponse(http.StatusOK, api.OptimalResponse{
 			Energy:   res.Schedule.Energy(p),
 			Alpha:    alpha,
 			Rounds:   res.Stats.Rounds,
 			Schedule: res.Schedule,
-		}
-		for _, ph := range res.Phases {
-			out.Phases = append(out.Phases, api.PhaseResponse{Speed: ph.Speed, JobIDs: ph.JobIDs, Procs: ph.Procs})
-		}
-		return jsonResponse(http.StatusOK, out)
+			Phases:   phaseResponses(res.Phases),
+		})
 	case "oa":
-		res, err := sv.OA(in, withCtx)
+		res, err := s.solver.OA(in, withCtx)
 		if err != nil {
-			return fail(err)
+			return s.failure(r, err)
 		}
 		return jsonResponse(http.StatusOK, api.OnlineResponse{
 			Energy:   res.Schedule.Energy(p),
@@ -585,9 +553,9 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 			Schedule: res.Schedule,
 		})
 	case "avr":
-		res, err := sv.AVR(in, withCtx)
+		res, err := s.solver.AVR(in, withCtx)
 		if err != nil {
-			return fail(err)
+			return s.failure(r, err)
 		}
 		return jsonResponse(http.StatusOK, api.OnlineResponse{
 			Energy:   res.Schedule.Energy(p),
@@ -602,7 +570,7 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 		// minimum feasible speed admits no schedule.
 		sched, err := mpss.ScheduleAtCap(in, req.Cap)
 		if err != nil {
-			return fail(err)
+			return s.failure(r, err)
 		}
 		return jsonResponse(http.StatusOK, api.AtCapResponse{
 			Energy:   sched.Energy(p),
@@ -611,20 +579,41 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 			Schedule: sched,
 		})
 	case "feasible":
-		ok, err := sv.FeasibleAtSpeed(in, req.Cap, withCtx)
+		ok, err := s.solver.FeasibleAtSpeed(in, req.Cap, withCtx)
 		if err != nil {
-			return fail(err)
+			return s.failure(r, err)
 		}
 		return jsonResponse(http.StatusOK, api.FeasibleResponse{Cap: req.Cap, Feasible: ok})
 	case "mincap":
-		cap, err := sv.MinFeasibleCap(in, req.Rel, withCtx)
+		cap, err := s.solver.MinFeasibleCap(in, req.Rel, withCtx)
 		if err != nil {
-			return fail(err)
+			return s.failure(r, err)
 		}
 		return jsonResponse(http.StatusOK, api.MinCapResponse{Cap: cap})
 	default:
 		return errorResponse(http.StatusNotFound, "unknown_endpoint", kind)
 	}
+}
+
+// failure maps a solver error onto its HTTP answer. The request context
+// tells "client hung up" (499) from "the deadline we imposed expired"
+// (504).
+func (s *Server) failure(r *http.Request, err error) response {
+	code, kind := errToStatus(err, r.Context().Err() != nil)
+	if kind == "canceled" {
+		s.rec.Add("server.canceled", 1)
+	}
+	return errorResponse(code, kind, err.Error())
+}
+
+// phaseResponses renders the optimum's phases for the wire (nil for
+// none).
+func phaseResponses(phases []mpss.OptimalPhase) []api.PhaseResponse {
+	var out []api.PhaseResponse
+	for _, ph := range phases {
+		out = append(out, api.PhaseResponse{Speed: ph.Speed, JobIDs: ph.JobIDs, Procs: ph.Procs})
+	}
+	return out
 }
 
 // handleHealthz answers liveness probes: 200 "ok" for as long as the

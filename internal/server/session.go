@@ -14,29 +14,31 @@ import (
 	"mpss"
 )
 
-// liveSession is one open streaming session: a named mutable instance
-// pinned to a single worker. Its solver holds the job set, the cap and
-// the options, but no solver scratch: each resolve borrows that from the
-// pool, so an idle session costs little more than its job set (DESIGN.md
-// §13). The solver field is touched only on the owner worker (tasks
-// reach it through sessQ[worker], which serializes them), so it needs no
-// lock; the mutable published state — seq, last response, idle clock —
-// is guarded by mu because the HTTP goroutines of GET long-polls and
-// the janitor read it concurrently.
+// liveSession is one open streaming session: a named job set, the
+// cap and the solve options. It holds nothing of the solver: each delta
+// solves the next job set with the one-shot calls, whose scratch comes
+// from the solver pool, so an idle session costs little more than its
+// job set and its last reply (DESIGN.md §13).
 type liveSession struct {
-	id     string
-	worker int
-	alpha  float64
-	power  mpss.Alpha
-	exact  bool
-	solver *mpss.Solver // owner-worker only
-	// Owner-worker only, like solver: the machine size and the speed cap
-	// last applied (0 = none), which an undone delta restores.
-	m   int
-	cap float64
+	id    string
+	alpha float64
+	power mpss.Alpha
+	exact bool
+	m     int
+	// turn holds one token. A request that changes the session takes it
+	// before its solve is admitted and gives it back once answered, so
+	// one session's deltas run one at a time, in arrival order, and a
+	// delta waiting for its turn holds no worker.
+	turn chan struct{}
+	// Guarded by turn: the committed job set, in session order, and the
+	// speed cap (0 = none). A failed delta never touches them.
+	jobs []mpss.Job
+	cap  float64
 
+	// The published state — seq, last response, idle clock — is guarded
+	// by mu: the HTTP goroutines of GET long-polls and the janitor read
+	// it concurrently.
 	mu       sync.Mutex
-	jobs     int
 	lastUsed time.Time
 	seq      int64
 	last     response
@@ -46,11 +48,10 @@ type liveSession struct {
 
 // publish stores a new latest response under the next sequence number
 // and wakes every long-poller.
-func (ls *liveSession) publish(resp response, jobs int) {
+func (ls *liveSession) publish(resp response) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ls.seq++
-	ls.jobs = jobs
 	ls.last = resp
 	ls.lastUsed = time.Now()
 	close(ls.notify)
@@ -65,12 +66,10 @@ func (ls *liveSession) touch() {
 	ls.mu.Unlock()
 }
 
-// sessionRegistry is the server's table of open sessions plus the
-// round-robin cursor that spreads new sessions across workers.
+// sessionRegistry is the server's table of open sessions.
 type sessionRegistry struct {
-	mu   sync.Mutex
-	m    map[string]*liveSession
-	next int
+	mu sync.Mutex
+	m  map[string]*liveSession
 }
 
 func newSessionRegistry() *sessionRegistry {
@@ -103,15 +102,6 @@ func (r *sessionRegistry) remove(id string) *liveSession {
 	ls := r.m[id]
 	delete(r.m, id)
 	return ls
-}
-
-// pickWorker assigns the next session's owner worker round-robin.
-func (r *sessionRegistry) pickWorker(workers int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.next % workers
-	r.next++
-	return w
 }
 
 // snapshot returns the open sessions for the janitor's idle sweep.
@@ -170,67 +160,41 @@ func (s *Server) sessionJanitor() {
 	}
 }
 
-// sessionTimeout resolves a per-call timeout_ms against the server
-// default (shorten only, like the one-shot path).
-func (s *Server) sessionTimeout(ms int64) time.Duration {
-	timeout := s.cfg.DefaultTimeout
-	if ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+// solveSession solves a session's job set with the one-shot calls —
+// the optimal schedule, plus FeasibleAtSpeed's verdict while cap > 0 —
+// and renders it as reply seq. Run on a worker.
+func (s *Server) solveSession(ctx context.Context, r *http.Request, ls *liveSession, seq int64, jobs []mpss.Job, cap float64) response {
+	in := &mpss.Instance{M: ls.m, Jobs: jobs}
+	solve := s.solver.Solve
+	if ls.exact {
+		solve = s.solver.SolveExact
 	}
-	return timeout
-}
-
-// sessionResponse renders the session's coordinates plus one resolve.
-// Called on the owner worker only (it reads the solver's job set).
-func sessionResponse(ls *liveSession, seq int64, res *mpss.SessionResult) response {
+	res, err := solve(in, mpss.WithContext(ctx))
+	if err != nil {
+		return s.failure(r, err)
+	}
 	out := api.SessionResponse{
 		SessionID: ls.id,
 		Seq:       seq,
-		Jobs:      len(ls.solver.SessionJobs()),
-		Energy:    res.Result.Schedule.Energy(ls.power),
+		Jobs:      len(jobs),
+		Energy:    res.Schedule.Energy(ls.power),
 		Alpha:     ls.alpha,
-		Cap:       res.Cap,
-		Schedule:  res.Result.Schedule,
+		Cap:       cap,
+		Schedule:  res.Schedule,
+		Phases:    phaseResponses(res.Phases),
 	}
-	if res.Cap > 0 {
-		feasible := res.CapFeasible
+	if cap > 0 {
+		feasible, err := s.solver.FeasibleAtSpeed(in, cap, mpss.WithContext(ctx))
+		if err != nil {
+			return s.failure(r, err)
+		}
 		out.CapFeasible = &feasible
-	}
-	for _, ph := range res.Result.Phases {
-		out.Phases = append(out.Phases, api.PhaseResponse{Speed: ph.Speed, JobIDs: ph.JobIDs, Procs: ph.Procs})
 	}
 	return jsonResponse(http.StatusOK, out)
 }
 
-// runSessionTask routes exec to the session's owner worker and waits.
-// The returned response is exec's, or 503/499/504 when the task could
-// not be admitted or died in the queue.
-func (s *Server) runSessionTask(r *http.Request, ls *liveSession, timeout time.Duration, exec func(ctx context.Context) response) response {
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	t := &task{
-		ctx:       ctx,
-		clientCtx: r.Context(),
-		exec: func(*mpss.Solver) response {
-			return exec(ctx)
-		},
-		done:     make(chan struct{}),
-		enqueued: time.Now(),
-	}
-	if !s.admitTo(s.sessQ[ls.worker], t) {
-		s.rec.Add("server.rejected", 1)
-		return errorResponse(http.StatusServiceUnavailable, "overloaded", "session queue full or server draining")
-	}
-	<-t.done
-	s.inflight.Done()
-	s.rec.Observe("server.queue_wait_seconds", t.waited.Seconds())
-	return t.resp
-}
-
-// handleSessionCreate opens a streaming session: validate, pin to a
-// worker, run the initial solve there, publish seq 1.
+// handleSessionCreate opens a streaming session: validate, register,
+// solve the job set on a worker, publish seq 1.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	reqID := RequestIDFromContext(r.Context())
 	s.rec.Add("server.requests", 1)
@@ -257,14 +221,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ls := &liveSession{
 		id:     api.NewRequestID(),
-		worker: s.sessions.pickWorker(s.cfg.Workers),
 		alpha:  alpha,
 		power:  p,
 		exact:  req.Exact,
-		solver: mpss.NewSolver(mpss.WithRecorder(s.rec)),
 		m:      req.M,
+		turn:   make(chan struct{}, 1),
 		notify: make(chan struct{}),
 	}
+	// The creator holds the turn from the start: a delta that finds the
+	// session before seq 1 is published waits for it.
+	defer func() { ls.turn <- struct{}{} }()
 	ls.lastUsed = time.Now()
 	if !s.sessions.insert(ls, s.cfg.MaxSessions) {
 		errorResponse(http.StatusServiceUnavailable, "overloaded",
@@ -272,26 +238,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	in := &mpss.Instance{M: req.M, Jobs: req.Jobs}
-	resp := s.runSessionTask(r, ls, s.sessionTimeout(req.TimeoutMS), func(ctx context.Context) response {
-		begin := ls.solver.Begin
-		if ls.exact {
-			begin = ls.solver.BeginExact
-		}
-		if err := begin(in, mpss.WithContext(ctx)); err != nil {
-			return s.sessionFail(r, err)
-		}
-		if req.Cap > 0 {
-			if err := ls.solver.SetCap(req.Cap); err != nil {
-				return s.sessionFail(r, err)
-			}
-			ls.cap = req.Cap
-		}
-		res, err := ls.solver.Resolve(mpss.WithContext(ctx))
-		if err != nil {
-			return s.sessionFail(r, err)
-		}
-		return sessionResponse(ls, 1, res)
+	var cap float64
+	if req.Cap > 0 {
+		cap = req.Cap
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
+	defer cancel()
+	resp := s.await(ctx, r, func() response {
+		return s.solveSession(ctx, r, ls, 1, req.Jobs, cap)
 	})
 	if resp.code != http.StatusOK {
 		// The session never came alive; take it back out of the table.
@@ -303,19 +257,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		resp.write(w, reqID)
 		return
 	}
+	ls.jobs, ls.cap = req.Jobs, cap
 	s.rec.Add("server.sessions_active", 1)
-	ls.publish(resp, len(req.Jobs))
+	ls.publish(resp)
 	resp.write(w, reqID)
-}
-
-// sessionFail maps a solver error exactly like the one-shot path.
-func (s *Server) sessionFail(r *http.Request, err error) response {
-	clientGone := r.Context().Err() != nil
-	code, kind := errToStatus(err, clientGone)
-	if kind == "canceled" {
-		s.rec.Add("server.canceled", 1)
-	}
-	return errorResponse(code, kind, err.Error())
 }
 
 // validCap rejects caps the session layer cannot represent.
@@ -323,12 +268,11 @@ func validCap(c float64) bool {
 	return c >= 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
 }
 
-// handleSessionDelta applies one mutation batch atomically — every
-// mutation is validated against the session's current job set before
-// any is applied, so a 400 leaves the session exactly as it was — then
-// re-solves the session's job set and publishes the result. A batch
-// whose resolve fails (504 on a deadline, 499 on a disconnect) is
-// undone, so the session stays as last published.
+// handleSessionDelta applies one mutation batch atomically. It waits
+// for the session's turn, checks the whole batch against the committed
+// job set, solves the job set the batch leaves and commits it only when
+// that solve succeeds: a 400, a 504 on a deadline or a 499 on a
+// disconnect leaves the session exactly as last published.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	reqID := RequestIDFromContext(r.Context())
 	s.rec.Add("server.requests", 1)
@@ -348,125 +292,92 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		errorResponse(http.StatusBadRequest, "invalid_instance", "cap must be finite and non-negative").write(w, reqID)
 		return
 	}
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
+	defer cancel()
+	select {
+	case <-ls.turn:
+	case <-ctx.Done():
+		s.expired(ctx, r.Context()).write(w, reqID)
+		return
+	}
+	defer func() { ls.turn <- struct{}{} }()
+
 	ls.mu.Lock()
-	grown := ls.jobs - len(req.RemoveIDs) + len(req.AddJobs)
+	closed, seq := ls.closed, ls.seq
 	ls.mu.Unlock()
-	if grown > s.cfg.SessionMaxJobs {
+	if closed {
+		errorResponse(http.StatusNotFound, "unknown_session", "session closed").write(w, reqID)
+		return
+	}
+	if grown := len(ls.jobs) - len(req.RemoveIDs) + len(req.AddJobs); grown > s.cfg.SessionMaxJobs {
 		errorResponse(http.StatusRequestEntityTooLarge, "session_too_large",
 			fmt.Sprintf("delta would grow the session to %d jobs (bound %d)", grown, s.cfg.SessionMaxJobs)).write(w, reqID)
 		return
 	}
-
-	resp := s.runSessionTask(r, ls, s.sessionTimeout(req.TimeoutMS), func(ctx context.Context) response {
-		ls.mu.Lock()
-		closed := ls.closed
-		seq := ls.seq
-		ls.mu.Unlock()
-		if closed {
-			return errorResponse(http.StatusNotFound, "unknown_session", "session closed")
+	next, err := nextJobs(ls.jobs, &req)
+	if err != nil {
+		s.failure(r, err).write(w, reqID)
+		return
+	}
+	cap := ls.cap
+	if req.Cap != nil {
+		cap = *req.Cap
+	}
+	resp := s.await(ctx, r, func() response {
+		if testHookDeltaSolve != nil {
+			testHookDeltaSolve(ctx)
 		}
-		if err := s.validateDelta(ls, &req); err != nil {
-			return s.sessionFail(r, err)
-		}
-		jobs, cap := ls.solver.SessionJobs(), ls.cap
-		res, err := ls.applyDelta(ctx, &req)
-		if err != nil {
-			// Nothing of a failed batch is published, so none of it may
-			// stay applied: restore the job set and cap it started from.
-			ls.restore(jobs, cap)
-			return s.sessionFail(r, err)
-		}
-		s.rec.Add("server.delta_solves", 1)
-		out := sessionResponse(ls, seq+1, res)
-		ls.publish(out, len(ls.solver.SessionJobs()))
-		return out
+		return s.solveSession(ctx, r, ls, seq+1, next, cap)
 	})
+	if resp.code == http.StatusOK {
+		ls.jobs, ls.cap = next, cap
+		s.rec.Add("server.delta_solves", 1)
+		ls.publish(resp)
+	}
 	resp.write(w, reqID)
 }
 
-// testHookDeltaApplied, when non-nil, runs on the owner worker between
-// a delta's mutations and its resolve, with the resolve's context.
-var testHookDeltaApplied func(ctx context.Context)
+// testHookDeltaSolve, when non-nil, runs on the worker before a delta's
+// solve, with the solve's context.
+var testHookDeltaSolve func(ctx context.Context)
 
-// applyDelta applies a validated batch to the session's solver and
-// re-solves the job set. Owner worker only.
-func (ls *liveSession) applyDelta(ctx context.Context, req *api.SessionDeltaRequest) (*mpss.SessionResult, error) {
-	for _, id := range req.RemoveIDs {
-		if err := ls.solver.RemoveJob(id); err != nil {
-			return nil, err
-		}
-	}
-	for _, j := range req.AddJobs {
-		if err := ls.solver.AddJob(j); err != nil {
-			return nil, err
-		}
-	}
-	if req.Cap != nil {
-		if err := ls.solver.SetCap(*req.Cap); err != nil {
-			return nil, err
-		}
-		ls.cap = *req.Cap
-	}
-	if testHookDeltaApplied != nil {
-		testHookDeltaApplied(ctx)
-	}
-	return ls.solver.Resolve(mpss.WithContext(ctx))
-}
-
-// restore restarts the session over the job set and cap it held before
-// a failed batch, in the same job order, so later resolves are those of
-// a session that never saw the batch. Owner worker only.
-func (ls *liveSession) restore(jobs []mpss.Job, cap float64) {
-	begin := ls.solver.Begin
-	if ls.exact {
-		begin = ls.solver.BeginExact
-	}
-	// The job set and cap passed validation when they were applied; a
-	// failure here is a bug, which runTask turns into a 500.
-	if err := begin(&mpss.Instance{M: ls.m, Jobs: jobs}); err != nil {
-		panic(fmt.Sprintf("server: restoring session %s: %v", ls.id, err))
-	}
-	if err := ls.solver.SetCap(cap); err != nil {
-		panic(fmt.Sprintf("server: restoring session %s cap: %v", ls.id, err))
-	}
-	ls.cap = cap
-}
-
-// validateDelta checks the whole mutation batch against the current job
-// set: removals must name live jobs, adds must be valid and not collide
-// (with surviving jobs or each other), and the result must hold at least
-// one job and respect the per-session job bound. Nothing is applied
-// here.
-func (s *Server) validateDelta(ls *liveSession, req *api.SessionDeltaRequest) error {
-	cur := ls.solver.SessionJobs()
-	have := make(map[int]bool, len(cur))
+// nextJobs checks a mutation batch against the job set cur and returns
+// the job set it leaves: the survivors in order, then the added jobs.
+// Removals must name live jobs, adds must be valid and not collide (with
+// surviving jobs or each other), and at least one job must remain. cur
+// is not modified.
+func nextJobs(cur []mpss.Job, req *api.SessionDeltaRequest) ([]mpss.Job, error) {
+	alive := make(map[int]bool, len(cur))
 	for _, j := range cur {
-		have[j.ID] = true
+		alive[j.ID] = true
 	}
 	for _, id := range req.RemoveIDs {
-		if !have[id] {
-			return fmt.Errorf("remove_ids: no job %d in session: %w", id, mpss.ErrInvalidInstance)
+		if !alive[id] {
+			return nil, fmt.Errorf("remove_ids: no job %d in session: %w", id, mpss.ErrInvalidInstance)
 		}
-		have[id] = false
+		alive[id] = false
+	}
+	n := len(cur) - len(req.RemoveIDs) + len(req.AddJobs)
+	next := make([]mpss.Job, 0, n)
+	for _, j := range cur {
+		if alive[j.ID] {
+			next = append(next, j)
+		}
 	}
 	for _, j := range req.AddJobs {
 		if err := j.Validate(); err != nil {
-			return err
+			return nil, err
 		}
-		if have[j.ID] {
-			return fmt.Errorf("add_jobs: duplicate job id %d: %w", j.ID, mpss.ErrInvalidInstance)
+		if alive[j.ID] {
+			return nil, fmt.Errorf("add_jobs: duplicate job id %d: %w", j.ID, mpss.ErrInvalidInstance)
 		}
-		have[j.ID] = true
+		alive[j.ID] = true
 	}
-	n := len(cur) - len(req.RemoveIDs) + len(req.AddJobs)
 	if n == 0 {
-		return fmt.Errorf("delta would leave the session with no jobs: %w", mpss.ErrInvalidInstance)
+		return nil, fmt.Errorf("delta would leave the session with no jobs: %w", mpss.ErrInvalidInstance)
 	}
-	if n > s.cfg.SessionMaxJobs {
-		return fmt.Errorf("delta would grow the session to %d jobs (bound %d): %w",
-			n, s.cfg.SessionMaxJobs, mpss.ErrInvalidInstance)
-	}
-	return nil
+	return append(next, req.AddJobs...), nil
 }
 
 // handleSessionGet returns the latest published resolve. With
@@ -494,9 +405,12 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			timeout = s.sessionTimeout(n)
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			errorResponse(http.StatusBadRequest, "bad_query", "timeout_ms must be an integer").write(w, reqID)
+			return
 		}
+		timeout = s.requestTimeout(n)
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()

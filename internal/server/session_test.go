@@ -32,46 +32,6 @@ func do(t *testing.T, method, url string) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
-// oneShotEnergyAndSchedule solves the job set through /v1/solve/optimal
-// and returns the energy and the marshaled schedule — the reference a
-// session resolve must match.
-func oneShotEnergyAndSchedule(t *testing.T, ts string, m int, jobs []mpss.Job) (float64, []byte) {
-	t.Helper()
-	code, body := post(t, ts+"/v1/solve/optimal", api.SolveRequest{M: m, Jobs: jobs})
-	if code != http.StatusOK {
-		t.Fatalf("one-shot solve: status %d (%.300s)", code, body)
-	}
-	var out api.OptimalResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	sched, err := json.Marshal(out.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out.Energy, sched
-}
-
-// checkSession asserts one api.SessionResponse against the one-shot solve
-// of the same job set: same energy, bit-identical schedule JSON.
-func checkSession(t *testing.T, ts string, sr *api.SessionResponse, m int, jobs []mpss.Job) {
-	t.Helper()
-	energy, sched := oneShotEnergyAndSchedule(t, ts, m, jobs)
-	if sr.Energy != energy {
-		t.Errorf("seq %d: session energy %v, one-shot %v", sr.Seq, sr.Energy, energy)
-	}
-	got, err := json.Marshal(sr.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, sched) {
-		t.Errorf("seq %d: session schedule differs from one-shot", sr.Seq)
-	}
-	if sr.Jobs != len(jobs) {
-		t.Errorf("seq %d: session reports %d jobs, want %d", sr.Seq, sr.Jobs, len(jobs))
-	}
-}
-
 // The session e2e: create, three deltas (remove, add, cap retune), each
 // resolve equal to a one-shot solve of the same job set; long-poll GET;
 // teardown answers 404 everywhere.
@@ -93,7 +53,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if sr.SessionID == "" || sr.Seq != 1 {
 		t.Fatalf("session create: id %q seq %d, want non-empty id, seq 1", sr.SessionID, sr.Seq)
 	}
-	checkSession(t, ts.URL, &sr, in.M, in.Jobs)
+	sessionModel{m: in.M, jobs: in.Jobs}.check(t, s, "create", body)
 	if got := s.Recorder().Value("server.sessions_active"); got != 1 {
 		t.Errorf("server.sessions_active = %d, want 1", got)
 	}
@@ -111,7 +71,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if sr.Seq != 2 {
 		t.Errorf("delta remove: seq %d, want 2", sr.Seq)
 	}
-	checkSession(t, ts.URL, &sr, in.M, jobs)
+	sessionModel{m: in.M, jobs: jobs}.check(t, s, "delta remove", body)
 
 	// Delta 2: add a fresh job.
 	nj := mpss.Job{ID: 9001, Release: 1, Deadline: 6, Work: 3}
@@ -123,7 +83,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	checkSession(t, ts.URL, &sr, in.M, jobs)
+	sessionModel{m: in.M, jobs: jobs}.check(t, s, "delta add", body)
 
 	// Delta 3: retune the cap; the verdict rides the response.
 	cap := 1e6
@@ -137,7 +97,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if sr.Cap != cap || sr.CapFeasible == nil || !*sr.CapFeasible {
 		t.Errorf("delta cap: cap %v feasible %v, want %v true", sr.Cap, sr.CapFeasible, cap)
 	}
-	checkSession(t, ts.URL, &sr, in.M, jobs)
+	sessionModel{m: in.M, jobs: jobs, cap: cap}.check(t, s, "delta cap", body)
 	if got := s.Recorder().Value("server.delta_solves"); got != 3 {
 		t.Errorf("server.delta_solves = %d, want 3", got)
 	}
@@ -206,6 +166,18 @@ func TestSessionLongPoll(t *testing.T) {
 	if time.Since(start) < 50*time.Millisecond {
 		t.Error("long-poll returned before the delta published")
 	}
+
+	// Malformed query parameters are rejected alike, not ignored.
+	for _, q := range []string{"wait_seq=abc", "timeout_ms=abc", "wait_seq=2&timeout_ms=1.5"} {
+		code, body := do(t, http.MethodGet, base+"?"+q)
+		var eb api.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusBadRequest || eb.Error.Kind != "bad_query" {
+			t.Errorf("GET ?%s: status %d kind %q, want 400 bad_query", q, code, eb.Error.Kind)
+		}
+	}
 }
 
 // Idle sessions are evicted after SessionTTL and counted.
@@ -237,7 +209,7 @@ func TestSessionTTLEviction(t *testing.T) {
 // The session table and per-session job bounds reject with 503/413, and
 // a rejected delta leaves the session untouched.
 func TestSessionLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxSessions: 1, SessionMaxJobs: 3})
+	s, ts := newTestServer(t, Config{Workers: 1, MaxSessions: 1, SessionMaxJobs: 3})
 	jobs, m := testInstance() // 2 jobs, inside the bound of 3
 
 	code, body := post(t, ts.URL+"/v1/session", api.SolveRequest{M: m, Jobs: jobs})
@@ -276,14 +248,14 @@ func TestSessionLimits(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	checkSession(t, ts.URL, &sr, m, jobs[1:])
+	sessionModel{m: m, jobs: jobs[1:]}.check(t, s, "after the rejection", body)
 }
 
 // A delta that would leave the session with no jobs is rejected before
 // any mutation applies: the session keeps its job set and seq, and a
 // later delta against that job set succeeds.
 func TestSessionDeltaToEmptyIsAtomic(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	jobs, m := testInstance()
 	code, body := post(t, ts.URL+"/v1/session", api.SolveRequest{M: m, Jobs: jobs})
 	if code != http.StatusOK {
@@ -333,16 +305,16 @@ func TestSessionDeltaToEmptyIsAtomic(t *testing.T) {
 	if sr.Seq != got.Seq+1 {
 		t.Errorf("delta after rejection: seq %d, want %d", sr.Seq, got.Seq+1)
 	}
-	checkSession(t, ts.URL, &sr, m, jobs[1:])
+	sessionModel{m: m, jobs: jobs[1:]}.check(t, s, "after the rejection", body)
 }
 
-// A batch whose resolve fails is undone: the deadline expires between
-// the batch's mutations and its resolve (504), GET still reads the last
-// published seq and job count, and a delta naming a job the failed batch
-// added is rejected as unknown (400). The next delta solves as if the
-// failed one had never been sent.
+// A batch whose solve fails leaves nothing behind: the deadline expires
+// before the batch's solve (504), GET still reads the last published seq
+// and job count, and a delta naming a job the failed batch added is
+// rejected as unknown (400). The next delta solves as if the failed one
+// had never been sent.
 func TestSessionFailedDeltaIsUndone(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	jobs, m := testInstance()
 	code, body := post(t, ts.URL+"/v1/session", api.SolveRequest{M: m, Jobs: jobs, Cap: 100})
 	if code != http.StatusOK {
@@ -354,13 +326,13 @@ func TestSessionFailedDeltaIsUndone(t *testing.T) {
 	}
 	base := ts.URL + "/v1/session/" + sr.SessionID
 
-	testHookDeltaApplied = func(ctx context.Context) { <-ctx.Done() }
+	testHookDeltaSolve = func(ctx context.Context) { <-ctx.Done() }
 	added := mpss.Job{ID: 3, Release: 0, Deadline: 6, Work: 1}
 	cap := 0.5
 	code, body = post(t, base+"/delta", api.SessionDeltaRequest{
 		RemoveIDs: []int{jobs[0].ID}, AddJobs: []mpss.Job{added}, Cap: &cap, TimeoutMS: 20,
 	})
-	testHookDeltaApplied = nil
+	testHookDeltaSolve = nil
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("delta past its deadline: status %d (%.300s), want 504", code, body)
 	}
@@ -392,7 +364,7 @@ func TestSessionFailedDeltaIsUndone(t *testing.T) {
 	if sr.Seq != got.Seq+1 || sr.Cap != 100 {
 		t.Errorf("delta after the failed one: seq %d cap %v, want %d 100", sr.Seq, sr.Cap, got.Seq+1)
 	}
-	checkSession(t, ts.URL, &sr, m, jobs[:1])
+	sessionModel{m: m, jobs: jobs[:1], cap: 100}.check(t, s, "after the failed delta", body)
 }
 
 // A deadline that expires while the task queues — client still

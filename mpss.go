@@ -124,9 +124,9 @@ type Metrics = obs.Snapshot
 
 // SolveOption configures the solver entry points — the package-level
 // one-shot functions (OptimalSchedule, OptimalScheduleExact, OA, AVR,
-// FeasibleAtSpeed, MinFeasibleCap) and the Solver session methods.
-// Options given to NewSolver become session defaults; options given to
-// an individual call are applied on top.
+// FeasibleAtSpeed, MinFeasibleCap) and the Solver methods. Options
+// given to NewSolver become the Solver's defaults; options given to an
+// individual call are applied on top.
 type SolveOption func(*solveConfig)
 
 type solveConfig struct {

@@ -5,17 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
 	"mpss"
 )
 
-// TestSolverDifferential pins the session API to the package-level
+// TestSolverDifferential pins the Solver methods to the package-level
 // functions: the one-shot wrappers must be bit-identical to calling the
 // same methods on a long-lived Solver, across every entry point and
-// repeated session reuse (warm arenas must not change results).
+// repeated reuse of one Solver (warm arenas must not change results).
 func TestSolverDifferential(t *testing.T) {
 	s := mpss.NewSolver()
 	alpha := mpss.MustAlpha(3)
@@ -25,7 +24,7 @@ func TestSolverDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Solve each instance twice per path: the second session call
+			// Solve each instance twice per path: the second Solver call
 			// runs on warm arenas and must still agree bit-for-bit.
 			for rep := 0; rep < 2; rep++ {
 				pkgOpt, err1 := mpss.OptimalSchedule(in)
@@ -33,7 +32,7 @@ func TestSolverDifferential(t *testing.T) {
 				requireSameResult(t, gen, seed, "optimal", err1, err2)
 				if err1 == nil {
 					if a, b := pkgOpt.Schedule.Energy(alpha), sesOpt.Schedule.Energy(alpha); a != b {
-						t.Errorf("%s/%d optimal: package energy %v, session %v", gen, seed, a, b)
+						t.Errorf("%s/%d optimal: package energy %v, Solver %v", gen, seed, a, b)
 					}
 					requireSameJSON(t, gen, seed, "optimal schedule", pkgOpt.Schedule, sesOpt.Schedule)
 				}
@@ -44,7 +43,7 @@ func TestSolverDifferential(t *testing.T) {
 				if err1 == nil {
 					requireSameJSON(t, gen, seed, "oa schedule", pkgOA.Schedule, sesOA.Schedule)
 					if pkgOA.Replans != sesOA.Replans {
-						t.Errorf("%s/%d oa: package replans %d, session %d", gen, seed, pkgOA.Replans, sesOA.Replans)
+						t.Errorf("%s/%d oa: package replans %d, Solver %d", gen, seed, pkgOA.Replans, sesOA.Replans)
 					}
 				}
 
@@ -59,14 +58,14 @@ func TestSolverDifferential(t *testing.T) {
 				sesCap, err2 := s.MinFeasibleCap(in, 1e-9)
 				requireSameResult(t, gen, seed, "mincap", err1, err2)
 				if pkgCap != sesCap {
-					t.Errorf("%s/%d mincap: package %v, session %v", gen, seed, pkgCap, sesCap)
+					t.Errorf("%s/%d mincap: package %v, Solver %v", gen, seed, pkgCap, sesCap)
 				}
 
 				pkgFeas, err1 := mpss.FeasibleAtSpeed(in, pkgCap*1.01)
 				sesFeas, err2 := s.FeasibleAtSpeed(in, pkgCap*1.01)
 				requireSameResult(t, gen, seed, "feasible", err1, err2)
 				if pkgFeas != sesFeas || !pkgFeas {
-					t.Errorf("%s/%d feasible at 1.01*mincap: package %v, session %v, want both true",
+					t.Errorf("%s/%d feasible at 1.01*mincap: package %v, Solver %v, want both true",
 						gen, seed, pkgFeas, sesFeas)
 				}
 			}
@@ -77,7 +76,7 @@ func TestSolverDifferential(t *testing.T) {
 func requireSameResult(t *testing.T, gen string, seed int64, what string, err1, err2 error) {
 	t.Helper()
 	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s/%d %s: package err %v, session err %v", gen, seed, what, err1, err2)
+		t.Fatalf("%s/%d %s: package err %v, Solver err %v", gen, seed, what, err1, err2)
 	}
 	if err1 != nil {
 		t.Fatalf("%s/%d %s: %v", gen, seed, what, err1)
@@ -95,7 +94,7 @@ func requireSameJSON(t *testing.T, gen string, seed int64, what string, a, b any
 		t.Fatal(err)
 	}
 	if string(ja) != string(jb) {
-		t.Errorf("%s/%d %s: package and session JSON differ:\n%s\n%s", gen, seed, what, ja, jb)
+		t.Errorf("%s/%d %s: package and Solver JSON differ:\n%s\n%s", gen, seed, what, ja, jb)
 	}
 }
 
@@ -113,7 +112,7 @@ func TestSolverExactMatchesPackage(t *testing.T) {
 }
 
 // TestSolverSessionOptions checks that options given to NewSolver act as
-// session defaults and per-call options layer on top.
+// the Solver's defaults and per-call options layer on top.
 func TestSolverSessionOptions(t *testing.T) {
 	rec := mpss.NewRecorder()
 	s := mpss.NewSolver(mpss.WithRecorder(rec))
@@ -125,16 +124,16 @@ func TestSolverSessionOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Value("opt.rounds") == 0 {
-		t.Error("session recorder saw no opt.rounds; NewSolver options not applied")
+		t.Error("the default recorder saw no opt.rounds; NewSolver options not applied")
 	}
 
-	// A canceled per-call context must override the session default...
+	// A canceled per-call context must override the default...
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Solve(in, mpss.WithContext(canceled)); !errors.Is(err, mpss.ErrCanceled) {
 		t.Errorf("Solve with canceled ctx: err %v, want ErrCanceled", err)
 	}
-	// ...without sticking to the session: the next plain call succeeds.
+	// ...without sticking to the Solver: the next plain call succeeds.
 	if _, err := s.Solve(in); err != nil {
 		t.Errorf("Solve after canceled call: %v", err)
 	}
@@ -143,7 +142,7 @@ func TestSolverSessionOptions(t *testing.T) {
 // TestCancellationMidSolve drives a large instance with a deadline that
 // expires mid-solve and checks three things: the solve unwinds promptly
 // with ErrCanceled, the CLI-visible sentinel matches, and the same
-// session solves correctly afterwards (no arena poisoning).
+// Solver solves correctly afterwards (no arena poisoning).
 func TestCancellationMidSolve(t *testing.T) {
 	big, err := mpss.GenerateWorkload("bursty", mpss.WorkloadSpec{N: 600, M: 4, Seed: 11})
 	if err != nil {
@@ -162,7 +161,7 @@ func TestCancellationMidSolve(t *testing.T) {
 		t.Errorf("cancellation took %v; want prompt unwind at a round boundary", d)
 	}
 
-	// The session must be unpoisoned: re-solve a small instance and
+	// The Solver must be unpoisoned: re-solve a small instance and
 	// compare against a fresh one-shot call.
 	small, err := mpss.GenerateWorkload("uniform", mpss.WorkloadSpec{N: 16, M: 2, Seed: 3})
 	if err != nil {
@@ -278,177 +277,5 @@ func TestFeasibleAtSpeedVariadic(t *testing.T) {
 	ok, err = mpss.FeasibleAtSpeed(in, 1e-9)
 	if err != nil || ok {
 		t.Fatalf("tiny cap: ok=%v err=%v, want infeasible", ok, err)
-	}
-}
-
-// TestStreamingSession pins the public session surface: Begin, the
-// AddJob/RemoveJob/SetCap deltas and Resolve, whose every result must be
-// bit-identical to a one-shot Solve of the session's current job set.
-func TestStreamingSession(t *testing.T) {
-	in, err := mpss.GenerateWorkload("bursty", mpss.WorkloadSpec{N: 16, M: 3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mpss.NewSolver()
-	if err := s.Begin(in); err != nil {
-		t.Fatal(err)
-	}
-	defer s.End()
-	oneShot := mpss.NewSolver()
-	jobs := append([]mpss.Job(nil), in.Jobs...)
-
-	check := func(step string, got *mpss.SessionResult) {
-		t.Helper()
-		want, err := oneShot.Solve(&mpss.Instance{M: in.M, Jobs: jobs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, jerr1 := json.Marshal(got.Result.Schedule)
-		b, jerr2 := json.Marshal(want.Schedule)
-		if jerr1 != nil || jerr2 != nil {
-			t.Fatalf("%s: marshal: %v %v", step, jerr1, jerr2)
-		}
-		if string(a) != string(b) {
-			t.Fatalf("%s: session schedule differs from one-shot:\n%s\n%s", step, a, b)
-		}
-	}
-
-	res, err := s.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("initial", res)
-
-	if err := s.RemoveJob(jobs[2].ID); err != nil {
-		t.Fatal(err)
-	}
-	jobs = append(jobs[:2], jobs[3:]...)
-	if res, err = s.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	check("remove", res)
-
-	add := mpss.Job{ID: 999, Release: 1, Deadline: 6, Work: 2.5}
-	if err := s.AddJob(add); err != nil {
-		t.Fatal(err)
-	}
-	jobs = append(jobs, add)
-	if res, err = s.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	check("add", res)
-
-	if err := s.SetCap(1e6); err != nil {
-		t.Fatal(err)
-	}
-	if res, err = s.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	check("cap", res)
-	if res.Cap != 1e6 || !res.CapFeasible {
-		t.Fatalf("cap resolve: Cap=%v CapFeasible=%v, want 1e6/true", res.Cap, res.CapFeasible)
-	}
-
-	// Error surface: duplicate add, unknown remove, mutations after End.
-	if err := s.AddJob(add); !errors.Is(err, mpss.ErrInvalidInstance) {
-		t.Fatalf("duplicate AddJob: err %v, want ErrInvalidInstance", err)
-	}
-	if err := s.RemoveJob(123456); !errors.Is(err, mpss.ErrInvalidInstance) {
-		t.Fatalf("unknown RemoveJob: err %v, want ErrInvalidInstance", err)
-	}
-	s.End()
-	s.End() // idempotent
-	if _, err := s.Resolve(); !errors.Is(err, mpss.ErrInvalidInstance) {
-		t.Fatalf("Resolve after End: err %v, want ErrInvalidInstance", err)
-	}
-	if err := s.AddJob(add); !errors.Is(err, mpss.ErrInvalidInstance) {
-		t.Fatalf("AddJob after End: err %v, want ErrInvalidInstance", err)
-	}
-}
-
-// TestStreamingSessionExact runs the same differential through the
-// exact rational engine.
-func TestStreamingSessionExact(t *testing.T) {
-	in, err := mpss.GenerateWorkload("uniform", mpss.WorkloadSpec{N: 8, M: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mpss.NewSolver()
-	if err := s.BeginExact(in); err != nil {
-		t.Fatal(err)
-	}
-	defer s.End()
-	jobs := append([]mpss.Job(nil), in.Jobs...)
-	if err := s.RemoveJob(jobs[0].ID); err != nil {
-		t.Fatal(err)
-	}
-	jobs = jobs[1:]
-	got, err := s.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mpss.NewSolver().SolveExact(&mpss.Instance{M: in.M, Jobs: jobs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(got.Result.Schedule)
-	b, _ := json.Marshal(want.Schedule)
-	if string(a) != string(b) {
-		t.Fatalf("exact session differs from one-shot:\n%s\n%s", a, b)
-	}
-}
-
-// TestResolvedSessionsRetainNoArena is the memory gate of open
-// streaming sessions, shaped like the server's session table: 64
-// Solvers with the server's recorder option, each over its own 64-job
-// instance (m = 4, bursty and uniform in turn) and resolved once. Every
-// call borrows its solver scratch from a pool and returns it, so an idle
-// session keeps its job set, ID map and options (~9 KB here), not a
-// flow-network arena sized by its largest solve (~140 KB).
-func TestResolvedSessionsRetainNoArena(t *testing.T) {
-	const sessions, perSession = 64, 16 << 10
-	ins := make([]*mpss.Instance, sessions)
-	for i := range ins {
-		gen := "bursty"
-		if i%2 == 1 {
-			gen = "uniform"
-		}
-		in, err := mpss.GenerateWorkload(gen, mpss.WorkloadSpec{N: 64, M: 4, Seed: int64(i + 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins[i] = in
-	}
-	rec := mpss.NewRecorder()
-	// One solve first, so the recorder's counters exist before the
-	// baseline.
-	if _, err := mpss.OptimalSchedule(ins[0], mpss.WithRecorder(rec)); err != nil {
-		t.Fatal(err)
-	}
-	heap := func() uint64 {
-		// Two collections empty the pools: the first moves their items
-		// to the victim cache, the second drops them.
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	open := make([]*mpss.Solver, sessions)
-	for i, in := range ins {
-		s := mpss.NewSolver(mpss.WithRecorder(rec))
-		if err := s.Begin(in); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Resolve(); err != nil {
-			t.Fatal(err)
-		}
-		open[i] = s
-	}
-	after := heap()
-	runtime.KeepAlive(open)
-	if per := (int64(after) - int64(before)) / sessions; per > perSession {
-		t.Fatalf("%d bytes of heap kept per resolved 64-job session, want <= %d", per, perSession)
 	}
 }
