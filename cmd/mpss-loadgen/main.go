@@ -326,8 +326,8 @@ func requestBody(workload string, jobs, m int, seed int64, cap float64) ([]byte,
 
 // fire issues one request through the shared api.Client and classifies
 // the outcome. The client pins the X-Request-ID we mint and applies the
-// per-request timeout; api.DecodeError understands both the new nested
-// error envelope and the deprecated top-level fields.
+// per-request timeout; api.DecodeError reads the nested error envelope
+// and falls back to the bare status when it is missing.
 func fire(c *api.Client, name string, body []byte, reqID string) outcome {
 	o := outcome{endpoint: name, requestID: reqID}
 	path := endpointPaths[name]

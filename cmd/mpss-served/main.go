@@ -11,14 +11,15 @@
 //	curl -s localhost:8080/v1/solve/optimal -d '{"m":2,"jobs":[{"id":1,"release":0,"deadline":4,"work":8}]}'
 //	curl -s localhost:8080/v1/metrics       # JSON snapshot
 //	curl -s localhost:8080/metrics          # Prometheus exposition
-//	curl -s localhost:8080/v1/debug/traces  # flight recorder
+//	curl -s localhost:8080/v1/debug/traces  # request span trees, down to the solver's phases
 //
 // The daemon logs structured records (slog; JSON by default) to stderr:
 // one "listening" record at startup — the readiness sentinel
 // scripts/serve_smoke.sh waits for — one access-log record per request,
-// and "draining"/"drained" records around shutdown. -debug-addr starts
-// a second listener with net/http/pprof and the flight recorder, meant
-// to stay private.
+// and "draining"/"drained" records around shutdown. Spans live only in
+// the flight recorder's per-request trees; the metrics carry none.
+// -debug-addr starts a second listener with net/http/pprof and the
+// flight recorder, meant to stay private.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops
 // accepting, in-flight solves run to completion (bounded by
@@ -51,8 +52,7 @@ func main() {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default 64)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request solve deadline")
 		cache        = flag.Int("cache", 0, "result cache entries (0 = default 1024, negative disables)")
-		trace        = flag.Bool("trace", false, "record a span per request (bounded by the trace span limit)")
-		flight       = flag.Int("flight", 0, "flight recorder size: retain N most recent + N slowest request traces (0 = default 64, negative disables)")
+		flight       = flag.Int("flight", 0, "flight recorder size: retain N most recent + N slowest request traces (0 = default 64)")
 		sessionTTL   = flag.Duration("session-ttl", 10*time.Minute, "evict streaming sessions idle longer than this (negative disables)")
 		maxSessions  = flag.Int("max-sessions", 0, "max concurrently open streaming sessions (0 = default 256)")
 		sessionJobs  = flag.Int("session-max-jobs", 0, "max jobs per streaming session (0 = default 100000)")
@@ -78,7 +78,6 @@ func main() {
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		CacheEntries:   *cache,
-		TraceRequests:  *trace,
 		FlightEntries:  *flight,
 		SessionTTL:     *sessionTTL,
 		MaxSessions:    *maxSessions,

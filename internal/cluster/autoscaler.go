@@ -8,6 +8,7 @@ import (
 
 	"mpss"
 	"mpss/api"
+	"mpss/internal/obs"
 )
 
 // The autoscaler closes the loop the paper opens: mpss schedules jobs
@@ -121,6 +122,9 @@ func (a *autoscaler) statusView() api.AutoscalerStatus {
 // autoscaler (reached in tests via Front.AutoscaleTick) so the e2e
 // suite can step the loop deterministically.
 func (a *autoscaler) Tick(ctx context.Context) {
+	// The solves' spans go to a tree of the tick's own, dropped with it:
+	// the front's recorder keeps counters, histograms and gauges.
+	ctx = obs.ContextWithSpan(ctx, obs.New().Root())
 	demand, backlog := a.observe(ctx)
 	cur := a.f.activeCount()
 	window := a.cfg.Window.Seconds()

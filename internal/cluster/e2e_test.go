@@ -282,6 +282,10 @@ func TestClusterAutoscalerScalesUpAndDown(t *testing.T) {
 	if !st.Autoscaler.Enabled {
 		t.Error("autoscaler status not reported enabled")
 	}
+	// The ticks' cap searches leave no span in the front's recorder.
+	if trace := tc.front.Recorder().Snapshot().Trace; len(trace) != 0 {
+		t.Errorf("front recorder holds %d spans after the ticks, want none", len(trace))
+	}
 }
 
 // A session follows its replica: deltas reach the replica holding its job set, and

@@ -47,8 +47,6 @@ type Config struct {
 	// Autoscale configures the solver-driven replica-count control loop
 	// (autoscaler.go). Zero value: disabled.
 	Autoscale AutoscaleConfig
-	// Recorder receives the front's counters and gauges.
-	Recorder *obs.Recorder
 	// Logger receives structured lifecycle records. Nil discards.
 	Logger *slog.Logger
 }
@@ -77,9 +75,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.Recorder == nil {
-		c.Recorder = obs.New()
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
@@ -128,7 +123,7 @@ func New(cfg Config) (*Front, error) {
 	}
 	f := &Front{
 		cfg:      cfg,
-		rec:      cfg.Recorder,
+		rec:      obs.New(),
 		log:      cfg.Logger,
 		mux:      http.NewServeMux(),
 		replicas: make(map[string]*replica),

@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -231,9 +232,8 @@ type Span struct {
 }
 
 // StartSpan opens a child span under s. When the recorder's trace cap
-// (LimitTrace) is exhausted it returns nil — a no-op span — so
-// long-running processes can keep counters and histograms without the
-// trace tree growing unboundedly.
+// (LimitTrace) is exhausted it returns nil — a no-op span — so the
+// trace tree stays bounded however many spans its callers open.
 func (s *Span) StartSpan(name string) *Span {
 	if s == nil {
 		return nil
@@ -313,6 +313,26 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
+// spanKey is the context key ContextWithSpan stores the span under.
+type spanKey struct{}
+
+// ContextWithSpan returns a copy of ctx carrying s, so a layer that
+// only receives a context (a solver entry point) can nest its spans
+// under the caller's.
+func ContextWithSpan(ctx context.Context, s *Span) context.Context {
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// SpanFromContext returns the span ContextWithSpan stored in ctx (nil
+// when there is none, and on a nil ctx).
+func SpanFromContext(ctx context.Context) *Span {
+	if ctx == nil {
+		return nil
+	}
+	s, _ := ctx.Value(spanKey{}).(*Span)
+	return s
+}
+
 // Recorder collects named counters, histograms and a trace tree for one
 // solver run (or one experiment). The zero value is not usable; construct
 // with New. A nil *Recorder is the no-op default: every method returns
@@ -351,9 +371,10 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // LimitTrace caps the total number of spans the recorder will record;
 // once n spans have been started, further StartSpan calls return nil
 // (the no-op span) and are tallied in the "obs.spans_dropped" counter.
-// Counters and histograms are unaffected. Long-running processes (the
-// scheduling daemon) use this to keep per-solve tracing from growing
-// without bound; n <= 0 restores the unlimited default.
+// Counters and histograms are unaffected. The scheduling daemon caps
+// each request's own span tree this way, so one solve with thousands of
+// phases cannot grow it without bound; n <= 0 restores the unlimited
+// default.
 func (r *Recorder) LimitTrace(n int) {
 	if r == nil {
 		return

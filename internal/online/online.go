@@ -60,7 +60,8 @@ func WithRecorder(r *obs.Recorder) Option {
 // arrival event (each event is one offline replan, the expensive
 // quantum, and the replan itself inherits ctx), AVR at every event
 // interval. A canceled context surfaces as an error wrapping
-// mpsserr.ErrCanceled. Nil disables the checks (the default).
+// mpsserr.ErrCanceled. Nil disables the checks (the default). A span
+// the context carries (obs.ContextWithSpan) is the run span's parent.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
@@ -82,6 +83,15 @@ func buildConfig(opts []Option) config {
 		o(&cfg)
 	}
 	return cfg
+}
+
+// parent is the span a run's span nests under: the one WithContext's
+// context carries (obs.ContextWithSpan), else the recorder's root.
+func (c config) parent() *obs.Span {
+	if s := obs.SpanFromContext(c.ctx); s != nil {
+		return s
+	}
+	return c.rec.Root()
 }
 
 // publishRunMetrics folds the executed schedule's descriptive metrics
@@ -125,7 +135,7 @@ func OA(in *job.Instance, opts ...Option) (*OAResult, error) {
 	}
 	cfg := buildConfig(opts)
 	rec := cfg.rec
-	run := rec.StartSpan("OA")
+	run := cfg.parent().StartSpan("OA")
 	// Event times: distinct release times, ascending.
 	releases := make([]float64, 0, in.N())
 	for _, j := range in.Jobs {
@@ -255,7 +265,7 @@ func AVR(in *job.Instance, opts ...Option) (*AVRResult, error) {
 	}
 	cfg := buildConfig(opts)
 	rec := cfg.rec
-	run := rec.StartSpan("AVR")
+	run := cfg.parent().StartSpan("AVR")
 	ivs := job.Partition(in.Jobs)
 	res := &AVRResult{Schedule: schedule.New(in.M)}
 

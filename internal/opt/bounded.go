@@ -191,7 +191,7 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 	cn.set(&sv.fr)
 
 	sv.fe.contract = !cfg.noContract
-	top, cut, err := sv.bracketSpeed(cfg.ctx, &sv.fr, cfg.rec)
+	top, cut, err := sv.bracketSpeed(cfg.ctx, &sv.fr, cfg.rec, cfg.span)
 	if err != nil {
 		if !retryable(err) {
 			return 0, err
@@ -246,9 +246,10 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 // of the offline algorithm on the float engine, stopping at the first
 // acceptance without emitting a schedule. It also returns that phase's
 // cut certificate: the accepted set's work and processor time. The
-// float engine's contraction setting stays as the caller left it.
+// float engine's contraction setting stays as the caller left it. Its
+// "bracket phase" span nests under parent, the solve's config span.
 // Shares the panic-containment conventions of Schedule.
-func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder) (top float64, cut cutCert, err error) {
+func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder, parent *obs.Span) (top float64, cut cutCert, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -271,7 +272,7 @@ func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder) (
 	}
 	var st Stats
 	e.prepare(f, &st, rec)
-	span := rec.Root().StartSpan("bracket phase")
+	span := parent.StartSpan("bracket phase")
 	defer span.End()
 
 	degenerate := e.beginPhase(used, cand, span)

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -119,7 +120,7 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 		sv := new(arena)
 		sv.fe.contract = true
 		sv.fr.reset(in)
-		top, cut, err := sv.bracketSpeed(nil, &sv.fr, rec)
+		top, cut, err := sv.bracketSpeed(nil, &sv.fr, rec, rec.Root())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +134,36 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 		}
 		if rec.Value("opt.bracket_solves") != 1 {
 			t.Fatal("bracket solve not counted")
+		}
+	}
+}
+
+// MinFeasibleCap's "bracket phase" span nests where every other solver
+// span does: under UnderSpan's parent, else under the span the context
+// carries, and never on the recorder root beside them.
+func TestBracketSpanNestsUnderParent(t *testing.T) {
+	in, err := workload.Uniform(workload.Spec{N: 8, M: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, via := range []string{"UnderSpan", "context"} {
+		rec := obs.New()
+		parent := rec.StartSpan("parent")
+		opts := []Option{WithRecorder(rec), UnderSpan(parent)}
+		if via == "context" {
+			opts = []Option{WithRecorder(rec), WithContext(obs.ContextWithSpan(context.Background(), parent))}
+		}
+		if _, err := MinFeasibleCap(in, 1e-9, opts...); err != nil {
+			t.Fatal(err)
+		}
+		parent.End()
+		trace := rec.Snapshot().Trace
+		if len(trace) != 1 || trace[0].Name != "parent" {
+			t.Fatalf("%s: root holds %d spans, want only parent: %+v", via, len(trace), trace)
+		}
+		kids := trace[0].Children
+		if len(kids) != 1 || kids[0].Name != "bracket phase" {
+			t.Fatalf("%s: parent's children = %+v, want one bracket phase", via, kids)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func newRefSearch(t *testing.T, label string, in *job.Instance) *refSearch {
 	sv := new(arena)
 	sv.fe.contract = true
 	sv.fr.reset(in)
-	top, cut, err := sv.bracketSpeed(nil, &sv.fr, nil)
+	top, cut, err := sv.bracketSpeed(nil, &sv.fr, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: bracket: %v", label, err)
 	}

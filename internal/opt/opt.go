@@ -110,12 +110,16 @@ type config struct {
 }
 
 // newConfig applies opts to the defaults: without UnderSpan, spans nest
-// under the recorder's root; without WithRecorder, the span's recorder
-// records.
+// under the span WithContext's context carries (obs.ContextWithSpan),
+// else under the recorder's root; without WithRecorder, the span's
+// recorder records.
 func newConfig(opts []Option) config {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.span == nil {
+		cfg.span = obs.SpanFromContext(cfg.ctx)
 	}
 	if cfg.span == nil {
 		cfg.span = cfg.rec.Root()
@@ -140,8 +144,9 @@ func WithRecorder(r *obs.Recorder) Option {
 }
 
 // UnderSpan nests the solver's phase spans under the given parent span
-// (e.g. one OA replanning event) instead of the recorder root. The
-// span's recorder is used when WithRecorder was not given.
+// (e.g. one OA replanning event) instead of the context's span or the
+// recorder root. The span's recorder is used when WithRecorder was not
+// given.
 func UnderSpan(s *obs.Span) Option {
 	return func(c *config) { c.span = s }
 }
@@ -151,7 +156,8 @@ func UnderSpan(s *obs.Span) Option {
 // context unwinds the solve promptly with an error wrapping
 // mpsserr.ErrCanceled. The arena the solve borrowed goes back to the
 // pool in a reusable state: the next solve on it starts fresh. A nil
-// ctx (the default) disables the checks entirely.
+// ctx (the default) disables the checks entirely. A span the context
+// carries (obs.ContextWithSpan) is the parent of the solve's spans.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // TraceEntry is one recorded request: identity, outcome, timing and the
-// span tree the request produced (request → solve children, with the
-// request ID as a span tag).
+// span tree the request produced (request → solve → the solver's
+// phase spans, with the request ID as a span tag).
 type TraceEntry struct {
 	RequestID string           `json:"request_id"`
 	Endpoint  string           `json:"endpoint"`
@@ -33,8 +33,13 @@ type TracesResponse struct {
 	Slowest []TraceEntry `json:"slowest"` // slowest first
 }
 
-// flightRecorder is safe for concurrent use. A nil *flightRecorder is
-// the disabled no-op (mirroring the obs conventions).
+// spanBudget caps the spans of one request's tree. A 64-job solve
+// opens about a dozen phase spans; a solve with more phases than the
+// budget keeps the first ones and counts the rest on the request span
+// as "spans_dropped".
+const spanBudget = 256
+
+// flightRecorder is safe for concurrent use.
 type flightRecorder struct {
 	mu     sync.Mutex
 	size   int
@@ -44,36 +49,22 @@ type flightRecorder struct {
 	slow   []TraceEntry // sorted by Seconds descending, ≤ size entries
 }
 
-// newFlightRecorder returns a recorder keeping the size most recent and
-// size slowest requests; size <= 0 disables recording (nil).
-func newFlightRecorder(size int) *flightRecorder {
-	if size <= 0 {
-		return nil
-	}
-	return &flightRecorder{size: size}
-}
-
-// startSpan opens the per-request span tree: a fresh single-request
-// recorder, so flight traces are bounded per request and independent of
-// the shared recorder's global span cap. Returns the nil no-op span
-// when the flight recorder is disabled.
+// startSpan opens a request's span tree on a fresh recorder of its
+// own, capped at spanBudget spans: every span the request opens, the
+// solver's included, lands in this tree and nowhere else.
 func (f *flightRecorder) startSpan(name string) *obs.Span {
-	if f == nil {
-		return nil
-	}
-	return obs.New().StartSpan(name)
+	rec := obs.New()
+	rec.LimitTrace(spanBudget)
+	return rec.StartSpan(name)
 }
 
 // record stores one finished request, snapshotting its span tree.
 func (f *flightRecorder) record(e TraceEntry, span *obs.Span) {
-	if f == nil {
-		return
+	rec := span.Recorder()
+	if dropped := rec.Value("obs.spans_dropped"); dropped > 0 {
+		span.Add("spans_dropped", dropped)
 	}
-	if rec := span.Recorder(); rec != nil {
-		if trace := rec.Snapshot().Trace; len(trace) > 0 {
-			e.Trace = trace[0]
-		}
-	}
+	e.Trace = rec.Snapshot().Trace[0]
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.total++
@@ -99,9 +90,6 @@ func (f *flightRecorder) record(e TraceEntry, span *obs.Span) {
 // snapshot returns the current rings: recent (most recent first) and
 // slowest (slowest first).
 func (f *flightRecorder) snapshot() TracesResponse {
-	if f == nil {
-		return TracesResponse{Recent: []TraceEntry{}, Slowest: []TraceEntry{}}
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	recent := make([]TraceEntry, 0, len(f.recent))

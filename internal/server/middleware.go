@@ -7,7 +7,6 @@ package server
 // clients send (DESIGN.md §11).
 
 import (
-	"context"
 	"log/slog"
 	"mpss/api"
 	"net/http"
@@ -16,28 +15,6 @@ import (
 
 	"mpss/internal/obs"
 )
-
-// ctxKey is the private context-key namespace of this package.
-type ctxKey int
-
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeySpan
-)
-
-// RequestIDFromContext returns the request ID the middleware assigned
-// to this request ("" outside a server request).
-func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// spanFromContext returns the per-request trace span (nil-safe: obs
-// spans are usable when nil, so handlers never check).
-func spanFromContext(ctx context.Context) *obs.Span {
-	sp, _ := ctx.Value(ctxKeySpan).(*obs.Span)
-	return sp
-}
 
 // statusWriter captures the status code and body size a handler wrote.
 type statusWriter struct {
@@ -80,8 +57,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		span.SetTag("request_id", id)
 		span.SetTag("endpoint", endpoint)
 
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
-		ctx = context.WithValue(ctx, ctxKeySpan, span)
+		ctx := obs.ContextWithSpan(api.WithRequestID(r.Context(), id), span)
 
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(ctx))

@@ -94,24 +94,13 @@ type Config struct {
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// Recorder receives the service counters and histograms (and solver
-	// counters from every worker). Defaults to a fresh recorder,
-	// exposed at /v1/metrics either way.
-	Recorder *obs.Recorder
-	// TraceRequests adds a span per solve request to the recorder.
-	TraceRequests bool
-	// TraceSpanLimit caps the recorder's span tree: solver phase spans
-	// and request spans stop accumulating beyond it (counted in
-	// "obs.spans_dropped"), keeping a long-lived daemon's memory
-	// bounded. Default 4096; negative means unlimited.
-	TraceSpanLimit int
 	// Logger receives the structured access/error log records (one JSON
 	// line per request when built with slog.NewJSONHandler). Defaults to
 	// a discarding logger.
 	Logger *slog.Logger
 	// FlightEntries sizes the flight recorder: the server retains the
 	// FlightEntries most recent and FlightEntries slowest request span
-	// trees for /v1/debug/traces. Default 64; negative disables.
+	// trees for /v1/debug/traces (default 64).
 	FlightEntries int
 	// SessionTTL evicts streaming sessions idle longer than this
 	// (default 10m; negative disables eviction).
@@ -144,21 +133,12 @@ func (c *Config) applyDefaults() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.Recorder == nil {
-		c.Recorder = obs.New()
-	}
-	if c.TraceSpanLimit == 0 {
-		c.TraceSpanLimit = 4096
-	}
-	if c.TraceSpanLimit > 0 {
-		c.Recorder.LimitTrace(c.TraceSpanLimit)
-	}
 	if c.Logger == nil {
 		// A level above every named level: Enabled is always false, so
 		// the default logger costs one comparison per request.
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
 	}
-	if c.FlightEntries == 0 {
+	if c.FlightEntries <= 0 {
 		c.FlightEntries = 64
 	}
 	if c.SessionTTL == 0 {
@@ -224,15 +204,16 @@ type Server struct {
 // New starts a Server's worker pool and returns it ready to serve.
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
+	rec := obs.New()
 	s := &Server{
 		cfg:         cfg,
-		rec:         cfg.Recorder,
+		rec:         rec,
 		log:         cfg.Logger,
 		mux:         http.NewServeMux(),
 		cache:       newResultCache(cfg.CacheEntries),
-		flight:      newFlightRecorder(cfg.FlightEntries),
+		flight:      &flightRecorder{size: cfg.FlightEntries},
 		queue:       make(chan *task, cfg.QueueDepth),
-		solver:      mpss.NewSolver(mpss.WithRecorder(cfg.Recorder)),
+		solver:      mpss.NewSolver(mpss.WithRecorder(rec)),
 		sessions:    newSessionRegistry(),
 		janitorStop: make(chan struct{}),
 		start:       time.Now(),
@@ -358,7 +339,7 @@ func (s *Server) await(ctx context.Context, r *http.Request, exec func() respons
 	<-t.done
 	s.inflight.Done()
 	s.rec.Observe("server.queue_wait_seconds", t.waited.Seconds())
-	spanFromContext(r.Context()).SetValue("queue_wait_seconds", t.waited.Seconds())
+	obs.SpanFromContext(r.Context()).SetValue("queue_wait_seconds", t.waited.Seconds())
 	return t.resp
 }
 
@@ -417,7 +398,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // ID and opened the request span by the time this runs.
 func (s *Server) solveHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqID := RequestIDFromContext(r.Context())
+		reqID := api.RequestIDFrom(r.Context())
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			errorResponse(http.StatusMethodNotAllowed, "method_not_allowed", "POST required").write(w, reqID)
@@ -436,7 +417,7 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		key := api.RequestKey(kind, &req)
 		if resp, ok := s.cache.Get(key); ok {
 			s.rec.Add("server.cache_hits", 1)
-			spanFromContext(r.Context()).SetTag("cache", "hit")
+			obs.SpanFromContext(r.Context()).SetTag("cache", "hit")
 			w.Header().Set(api.HeaderCache, "hit")
 			resp.write(w, reqID)
 			return
@@ -450,22 +431,14 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 			ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 			defer cancel()
 
-			var span *obs.Span
-			if s.cfg.TraceRequests {
-				span = s.rec.StartSpan("request " + kind)
-				span.SetTag("request_id", reqID)
-				defer span.End()
-			}
-
-			resp := s.await(ctx, r, func() response {
+			return s.await(ctx, r, func() response {
 				// The solve runs as a child of the flight-recorder request
-				// span, so queue wait and solve time separate in the trace.
-				solveSpan := spanFromContext(ctx).StartSpan("solve " + kind)
-				defer solveSpan.End()
-				return s.solve(ctx, kind, &req, r)
+				// span, so queue wait and solve time separate in the trace,
+				// and the solver's phase spans nest under it.
+				span := obs.SpanFromContext(ctx).StartSpan("solve " + kind)
+				defer span.End()
+				return s.solve(obs.ContextWithSpan(ctx, span), kind, &req, r)
 			})
-			span.Add("status", int64(resp.code))
-			return resp
 		}
 
 		// Coalesce the stampede: concurrent identical requests (same key,
@@ -474,7 +447,7 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		call, leader := s.sf.Join(key)
 		if !leader {
 			s.rec.Add("server.coalesced", 1)
-			spanFromContext(r.Context()).SetTag("flight", "coalesced")
+			obs.SpanFromContext(r.Context()).SetTag("flight", "coalesced")
 			select {
 			case <-call.Done():
 				if resp := call.Val(); resp.cacheable() {
@@ -621,7 +594,7 @@ func phaseResponses(phases []mpss.OptimalPhase) []api.PhaseResponse {
 // an orchestrator must not kill it. Readiness (drain/saturation) lives
 // on /v1/readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	jsonResponse(http.StatusOK, api.HealthResponse{Status: "ok"}).write(w, RequestIDFromContext(r.Context()))
+	jsonResponse(http.StatusOK, api.HealthResponse{Status: "ok"}).write(w, api.RequestIDFrom(r.Context()))
 }
 
 // handleReadyz answers readiness probes: a load balancer should stop
@@ -629,7 +602,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // admission queue is saturated (the next solve would be rejected 503
 // anyway).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	reqID := RequestIDFromContext(r.Context())
+	reqID := api.RequestIDFrom(r.Context())
 	state := s.readyState()
 	code := http.StatusOK
 	if state != "ready" {
@@ -662,7 +635,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 // handleTraces serves the flight recorder: the bounded rings of most
 // recent and slowest request span trees.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	jsonResponse(http.StatusOK, s.flight.snapshot()).write(w, RequestIDFromContext(r.Context()))
+	jsonResponse(http.StatusOK, s.flight.snapshot()).write(w, api.RequestIDFrom(r.Context()))
 }
 
 // DebugHandler returns the opt-in debug surface meant for a separate,

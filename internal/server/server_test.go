@@ -539,7 +539,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, TraceRequests: true})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	jobs, m := testInstance()
 	post(t, ts.URL+"/v1/solve/optimal", api.SolveRequest{M: m, Jobs: jobs})
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mpss"
+	"mpss/internal/obs"
 )
 
 // liveSession is one open streaming session: a named job set, the
@@ -162,8 +163,12 @@ func (s *Server) sessionJanitor() {
 
 // solveSession solves a session's job set with the one-shot calls —
 // the optimal schedule, plus FeasibleAtSpeed's verdict while cap > 0 —
-// and renders it as reply seq. Run on a worker.
+// and renders it as reply seq. Run on a worker, under a "solve
+// session" span that holds the solver's phase spans.
 func (s *Server) solveSession(ctx context.Context, r *http.Request, ls *liveSession, seq int64, jobs []mpss.Job, cap float64) response {
+	span := obs.SpanFromContext(ctx).StartSpan("solve session")
+	defer span.End()
+	ctx = obs.ContextWithSpan(ctx, span)
 	in := &mpss.Instance{M: ls.m, Jobs: jobs}
 	solve := s.solver.Solve
 	if ls.exact {
@@ -196,7 +201,7 @@ func (s *Server) solveSession(ctx context.Context, r *http.Request, ls *liveSess
 // handleSessionCreate opens a streaming session: validate, register,
 // solve the job set on a worker, publish seq 1.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	reqID := RequestIDFromContext(r.Context())
+	reqID := api.RequestIDFrom(r.Context())
 	s.rec.Add("server.requests", 1)
 
 	var req api.SolveRequest
@@ -274,7 +279,7 @@ func validCap(c float64) bool {
 // that solve succeeds: a 400, a 504 on a deadline or a 499 on a
 // disconnect leaves the session exactly as last published.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	reqID := RequestIDFromContext(r.Context())
+	reqID := api.RequestIDFrom(r.Context())
 	s.rec.Add("server.requests", 1)
 
 	ls, ok := s.sessions.get(r.PathValue("id"))
@@ -385,7 +390,7 @@ func nextJobs(cur []mpss.Job, req *api.SessionDeltaRequest) ([]mpss.Job, error) 
 // newer than N exists, the timeout passes (the current state is
 // returned, same seq), or the client goes away.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	reqID := RequestIDFromContext(r.Context())
+	reqID := api.RequestIDFrom(r.Context())
 	s.rec.Add("server.requests", 1)
 
 	ls, ok := s.sessions.get(r.PathValue("id"))
@@ -443,7 +448,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // handleSessionDelete tears a session down: later calls under its ID
 // answer 404 and its long-pollers wake with 404.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	reqID := RequestIDFromContext(r.Context())
+	reqID := api.RequestIDFrom(r.Context())
 	s.rec.Add("server.requests", 1)
 
 	ls := s.sessions.remove(r.PathValue("id"))

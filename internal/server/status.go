@@ -49,7 +49,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		CacheHits:     s.rec.Value("server.cache_hits"),
 		SolveSeconds:  solveSeconds,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-	}).write(w, RequestIDFromContext(r.Context()))
+	}).write(w, api.RequestIDFrom(r.Context()))
 }
 
 // handleCachePeek answers a result-cache lookup by canonical request
@@ -60,7 +60,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // cache_hits/cache_misses counters: they are not client solves, and the
 // hash-affinity accounting in the cluster tests depends on that.
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	reqID := RequestIDFromContext(r.Context())
+	reqID := api.RequestIDFrom(r.Context())
 	key := r.PathValue("hash")
 	resp, ok := s.cache.Get(key)
 	if !ok {

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpss"
 	"mpss/internal/obs"
 )
 
@@ -469,5 +470,189 @@ func TestCachedErrorCarriesFreshRequestID(t *testing.T) {
 	}
 	if second.Error.Kind != first.Error.Kind || second.Error.Message != first.Error.Message {
 		t.Errorf("replayed 422 diverged: %+v vs %+v", second, first)
+	}
+}
+
+// flightEntries fetches /v1/debug/traces and returns its recent
+// entries for endpoint, most recent first.
+func flightEntries(t *testing.T, s *Server, endpoint string) []TraceEntry {
+	t.Helper()
+	code, body := serve(t, s, http.MethodGet, "/v1/debug/traces", nil)
+	if code != http.StatusOK {
+		t.Fatalf("traces: status %d", code)
+	}
+	var traces TracesResponse
+	if err := json.Unmarshal(body, &traces); err != nil {
+		t.Fatal(err)
+	}
+	var out []TraceEntry
+	for _, e := range traces.Recent {
+		if e.Endpoint == endpoint {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// solveChild returns the first child of the entry's "solve ..." span.
+func solveChild(e TraceEntry) (obs.SpanSnapshot, bool) {
+	for _, c := range e.Trace.Children {
+		if strings.HasPrefix(c.Name, "solve ") && len(c.Children) > 0 {
+			return c.Children[0], true
+		}
+	}
+	return obs.SpanSnapshot{}, false
+}
+
+// Every server path records its spans in the request's own flight
+// tree: after one solve on each endpoint, the shared recorder holds no
+// span and /v1/metrics no trace, while each solver's spans sit under
+// its request's solve span.
+func TestServerSpansStayInRequestTrees(t *testing.T) {
+	s := New(Config{Workers: 1})
+	shutdown(t, s)
+	jobs, m := testInstance()
+	req := api.SolveRequest{M: m, Jobs: jobs, Cap: 100}
+	exact := req
+	exact.Exact = true
+	// want names the first span under each request's solve span; ""
+	// for the endpoints whose solver opens none.
+	for _, c := range []struct {
+		path, endpoint, want string
+		body                 api.SolveRequest
+	}{
+		{"/v1/solve/optimal", "optimal", "phase 1", req},
+		{"/v1/solve/optimal", "optimal", "phase 1 (exact)", exact},
+		{"/v1/solve/oa", "oa", "OA", req},
+		{"/v1/solve/avr", "avr", "AVR", req},
+		{"/v1/solve/atcap", "atcap", "", req},
+		{"/v1/feasible", "feasible", "", req},
+		{"/v1/mincap", "mincap", "bracket phase", req},
+		{"/v1/session", "session_create", "phase 1", req},
+	} {
+		code, body := serve(t, s, http.MethodPost, c.path, c.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, code, body)
+		}
+		if c.endpoint == "session_create" {
+			var sr api.SessionResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			delta := api.SessionDeltaRequest{AddJobs: []mpss.Job{{ID: 3, Release: 2, Deadline: 6, Work: 3}}}
+			if code, body := serve(t, s, http.MethodPost, "/v1/session/"+sr.SessionID+"/delta", delta); code != http.StatusOK {
+				t.Fatalf("delta: status %d: %s", code, body)
+			}
+			if got, ok := solveChild(flightEntries(t, s, "session_delta")[0]); !ok || got.Name != "phase 1" {
+				t.Errorf("session_delta: first solver span %q, want phase 1", got.Name)
+			}
+		}
+		got, _ := solveChild(flightEntries(t, s, c.endpoint)[0])
+		if got.Name != c.want {
+			t.Errorf("%s exact=%v: first solver span %q, want %q", c.path, c.body.Exact, got.Name, c.want)
+		}
+	}
+	if trace := s.Recorder().Snapshot().Trace; len(trace) != 0 {
+		t.Errorf("shared recorder holds %d spans, want none: %+v", len(trace), trace)
+	}
+	code, body := serve(t, s, http.MethodGet, "/v1/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	var metrics map[string]json.RawMessage
+	if err := json.Unmarshal(body, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := metrics["trace"]; ok {
+		t.Errorf("/v1/metrics carries a trace: %.300s", metrics["trace"])
+	}
+}
+
+// A 64-job optimal solve's flight entry holds one "phase N" span per
+// accepted phase under "solve optimal", each with its critical speed:
+// the speeds the reply's phases were merged from.
+func TestFlightTraceHoldsPhaseSpans(t *testing.T) {
+	s := New(Config{Workers: 1})
+	shutdown(t, s)
+	in, err := mpss.GenerateWorkload("bursty", mpss.WorkloadSpec{N: 64, M: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := serve(t, s, http.MethodPost, "/v1/solve/optimal", api.SolveRequest{M: in.M, Jobs: in.Jobs})
+	if code != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", code, body)
+	}
+	var reply api.OptimalResponse
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	entries := flightEntries(t, s, "optimal")
+	if len(entries) != 1 || len(entries[0].Trace.Children) != 1 || entries[0].Trace.Children[0].Name != "solve optimal" {
+		t.Fatalf("flight entries %+v, want one request with a solve optimal child", entries)
+	}
+	spans := entries[0].Trace.Children[0].Children
+	spanSpeeds := map[float64]bool{}
+	for i, sp := range spans {
+		speed, ok := sp.Values["speed"]
+		if sp.Name != fmt.Sprintf("phase %d", i+1) || !ok || speed <= 0 {
+			t.Fatalf("span %d = %q values %v, want phase %d with a speed", i, sp.Name, sp.Values, i+1)
+		}
+		spanSpeeds[speed] = true
+	}
+	if len(spans) < len(reply.Phases) {
+		t.Fatalf("%d phase spans for %d phases", len(spans), len(reply.Phases))
+	}
+	replySpeeds := map[float64]bool{}
+	for _, ph := range reply.Phases {
+		replySpeeds[ph.Speed] = true
+	}
+	if len(spanSpeeds) != len(replySpeeds) {
+		t.Errorf("span speeds %v, reply speeds %v", spanSpeeds, replySpeeds)
+	}
+	for v := range replySpeeds {
+		if !spanSpeeds[v] {
+			t.Errorf("reply phase speed %v has no phase span", v)
+		}
+	}
+}
+
+// A request whose solve opens more spans than the per-request budget
+// keeps spanBudget of them and counts the rest on its request span.
+func TestFlightTraceSpanBudget(t *testing.T) {
+	s := New(Config{Workers: 1})
+	shutdown(t, s)
+	// Disjoint unit windows with distinct densities: one phase each.
+	const n = spanBudget + 44
+	jobs := make([]mpss.Job, n)
+	for i := range jobs {
+		jobs[i] = mpss.Job{ID: i + 1, Release: float64(2 * i), Deadline: float64(2*i + 1), Work: float64(i + 1)}
+	}
+	code, body := serve(t, s, http.MethodPost, "/v1/solve/optimal", api.SolveRequest{M: 1, Jobs: jobs})
+	if code != http.StatusOK {
+		t.Fatalf("solve: status %d: %.300s", code, body)
+	}
+	var reply api.OptimalResponse
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Phases) != n {
+		t.Fatalf("%d phases, want %d", len(reply.Phases), n)
+	}
+	tree := flightEntries(t, s, "optimal")[0].Trace
+	var count func(obs.SpanSnapshot) int
+	count = func(sp obs.SpanSnapshot) int {
+		c := 1
+		for _, ch := range sp.Children {
+			c += count(ch)
+		}
+		return c
+	}
+	// The request span, its solve span and one span per phase.
+	opened := 2 + n
+	if got := count(tree); got != spanBudget {
+		t.Errorf("request tree holds %d spans, want the budget %d", got, spanBudget)
+	}
+	if got := tree.Counters["spans_dropped"]; got != int64(opened-spanBudget) {
+		t.Errorf("spans_dropped = %d, want %d", got, opened-spanBudget)
 	}
 }

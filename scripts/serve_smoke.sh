@@ -1,7 +1,8 @@
 #!/bin/sh
 # Daemon smoke test: build mpss-served, boot it on an ephemeral port,
 # exercise a solve (twice, so the second hits the result cache), the
-# error mapping, /v1/metrics, /metrics (Prometheus), the liveness and
+# error mapping, /v1/metrics (no span trace), /v1/debug/traces (the
+# solve's phase spans), /metrics (Prometheus), the liveness and
 # readiness probes, then SIGTERM it and require a clean drain (exit 0).
 # Complements the in-process httptest suite in internal/server by
 # covering the real binary: flag parsing, the readiness record, signal
@@ -94,6 +95,12 @@ if ! grep -q '"server.cache_hits": *[1-9]' "$tmp/body"; then
     grep -o '"server\.[a-z_]*": *[0-9]*' "$tmp/body" | sed 's/^/    /' >&2
     fail=1
 fi
+# Spans live in the per-request flight trees, never in the metrics.
+if grep -q '"trace":' "$tmp/body"; then
+    echo "serve-smoke: /v1/metrics carries a span trace" >&2
+    fail=1
+fi
+req "traces" 200 '"phase 1"' /v1/debug/traces
 
 # Prometheus exposition: the scrape endpoint must serve the text format
 # with the right media type and carry the per-endpoint request counters.
