@@ -11,10 +11,10 @@ import (
 // every non-2xx body.
 type ErrorDetail struct {
 	// Kind is the stable machine-readable error class: one of
-	// "bad_json", "bad_query", "invalid_instance", "infeasible",
-	// "canceled", "overloaded", "session_too_large", "unknown_session",
-	// "cache_miss", "no_replica", "method_not_allowed",
-	// "unknown_endpoint" or "internal".
+	// "bad_json", "body_too_large", "bad_query", "invalid_instance",
+	// "infeasible", "canceled", "overloaded", "session_too_large",
+	// "unknown_session", "cache_miss", "no_replica",
+	// "method_not_allowed", "unknown_endpoint" or "internal".
 	Kind string `json:"kind"`
 	// Message is the human-readable description.
 	Message string `json:"message"`
@@ -59,6 +59,12 @@ func (e *Error) Error() string {
 // records when the client went away mid-solve; the client never sees
 // it, but it keeps the canceled case distinct from 504 in logs/tests.
 const StatusClientClosedRequest = 499
+
+// MaxRequestBytes bounds every request body, at the front and at each
+// replica alike: the front forwards bodies as they came, so both tiers
+// accept exactly the same ones. A longer body is answered 413
+// "body_too_large".
+const MaxRequestBytes = 8 << 20
 
 // HeaderRequestID is the canonical request-identity header, honored
 // inbound and echoed on every response by replicas and the front tier.

@@ -2,10 +2,11 @@
 // endpoint fanned out over mpss-served replicas (see internal/cluster
 // and DESIGN.md §15). Solve requests route by consistent hash on the
 // canonical request key, so repeats of an instance land on the replica
-// whose LRU already holds the answer; dead replicas are detected and
-// routed around; duplicate concurrent solves coalesce cluster-wide; and
-// the autoscaler sizes the fleet by asking the solver itself how many
-// replica-processors the observed demand needs.
+// whose LRU already holds the answer, and identical concurrent requests
+// meet on the one replica whose singleflight solves them once; dead
+// replicas are detected and routed around; and the autoscaler sizes
+// the fleet by asking the solver itself how many replica-processors the
+// observed demand needs. The front keeps no answers of its own.
 //
 // Two modes:
 //
@@ -46,7 +47,6 @@ func main() {
 		servedFlags   = flag.String("served-flags", "", "extra flags passed to every spawned replica (space-separated)")
 		minReplicas   = flag.Int("min", 1, "minimum replica count")
 		maxReplicas   = flag.Int("max", 4, "maximum replica count")
-		vnodes        = flag.Int("vnodes", 0, "consistent-hash virtual nodes per replica (0 = default 64)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "replica health probe period")
 		autoscale     = flag.Bool("autoscale", true, "enable the solver-driven autoscaler (ignored with -targets)")
 		scaleInterval = flag.Duration("scale-interval", 2*time.Second, "autoscaler tick period and demand window")
@@ -71,7 +71,6 @@ func main() {
 	cfg := cluster.Config{
 		MinReplicas:   *minReplicas,
 		MaxReplicas:   *maxReplicas,
-		Vnodes:        *vnodes,
 		ProbeInterval: *probeInterval,
 		Logger:        logger,
 	}

@@ -3,59 +3,10 @@ package cluster
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 
 	"mpss"
-	"mpss/internal/pool"
 )
-
-func TestFlightGroupCoalesces(t *testing.T) {
-	var g pool.Group[proxied]
-	lead, isLeader := g.Join("k")
-	if !isLeader {
-		t.Fatal("first join must lead")
-	}
-	const followers = 5
-	var wg, joined sync.WaitGroup
-	results := make([]proxied, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		joined.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f, leader := g.Join("k")
-			joined.Done()
-			if leader {
-				t.Error("follower became leader while flight open")
-			}
-			<-f.Done()
-			results[i] = f.Val()
-		}(i)
-	}
-	want := proxied{status: 200, body: []byte(`{"x":1}`), replica: "r1"}
-	joined.Wait() // every follower is on the flight before it lands
-	g.Finish("k", lead, want)
-	wg.Wait()
-	for i, got := range results {
-		if got.status != want.status || string(got.body) != string(want.body) {
-			t.Fatalf("follower %d got %+v, want %+v", i, got, want)
-		}
-	}
-	// The key is retired: the next join leads a fresh flight.
-	next, leader := g.Join("k")
-	if !leader {
-		t.Fatal("join after finish must lead")
-	}
-	// A leader that aborts publishes the zero proxied, which followers
-	// must not replay.
-	follower, _ := g.Join("k")
-	g.Finish("k", next, proxied{})
-	<-follower.Done()
-	if follower.Val().cacheable() {
-		t.Fatal("aborted flight replayed as a cacheable answer")
-	}
-}
 
 func TestParsePrometheus(t *testing.T) {
 	text := `# HELP whatever

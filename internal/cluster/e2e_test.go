@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,45 +187,50 @@ func TestClusterReplicaKillReroutes(t *testing.T) {
 	}
 }
 
-// Cross-replica singleflight: K identical concurrent requests through
-// the front execute exactly one solve cluster-wide.
+// One coalescing layer: K identical concurrent requests through the
+// front share their key, so they meet on one replica, whose
+// singleflight and cache run one solve per key. A solve is a cache miss
+// that did not coalesce onto a flight. 16 keys at once give a gap
+// between a flight's finish and its cache write many chances to show.
 func TestClusterSingleflight(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{})
-	req := solveBody(0)
-	body, _ := json.Marshal(req)
-
-	const K = 8
+	const keys, K = 16, 8
+	statuses := make([][K]int, keys)
+	bodies := make([][K][]byte, keys)
 	var wg sync.WaitGroup
-	statuses := make([]int, K)
-	bodies := make([][]byte, K)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := tc.client.DoRaw(context.Background(), http.MethodPost, "/v1/solve/optimal", body)
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			statuses[i] = res.Status
-			bodies[i] = res.Body
-		}(i)
+	for k := 0; k < keys; k++ {
+		body, _ := json.Marshal(solveBody(k))
+		for i := 0; i < K; i++ {
+			wg.Add(1)
+			go func(k, i int) {
+				defer wg.Done()
+				res, err := tc.client.DoRaw(context.Background(), http.MethodPost, "/v1/solve/optimal", body)
+				if err != nil {
+					t.Errorf("key %d request %d: %v", k, i, err)
+					return
+				}
+				statuses[k][i] = res.Status
+				bodies[k][i] = res.Body
+			}(k, i)
+		}
 	}
 	wg.Wait()
 
 	var solves int64
 	for _, s := range tc.servers {
-		solves += s.Recorder().Value("server.cache_misses")
+		solves += s.Recorder().Value("server.cache_misses") - s.Recorder().Value("server.coalesced")
 	}
-	if solves != 1 {
-		t.Errorf("cluster executed %d solves for %d identical requests, want exactly 1", solves, K)
+	if solves != keys {
+		t.Errorf("cluster ran %d solves for %d keys × %d identical requests, want exactly %d", solves, keys, K, keys)
 	}
-	for i := 0; i < K; i++ {
-		if statuses[i] != http.StatusOK {
-			t.Errorf("request %d: status %d", i, statuses[i])
-		}
-		if string(bodies[i]) != string(bodies[0]) {
-			t.Errorf("request %d body differs from request 0 — replay not bit-identical", i)
+	for k := 0; k < keys; k++ {
+		for i := 0; i < K; i++ {
+			if statuses[k][i] != http.StatusOK {
+				t.Errorf("key %d request %d: status %d", k, i, statuses[k][i])
+			}
+			if string(bodies[k][i]) != string(bodies[k][0]) {
+				t.Errorf("key %d request %d body differs from request 0 — replay not bit-identical", k, i)
+			}
 		}
 	}
 }
@@ -317,5 +324,76 @@ func TestClusterSessionAffinity(t *testing.T) {
 	}
 	if _, err := tc.client.SessionPoll(context.Background(), sess.SessionID, 0, 0); err == nil {
 		t.Error("poll after delete succeeded, want 404")
+	}
+}
+
+// sessionPins reports the front's session pins and the sum of its
+// replicas' session counts.
+func (tc *testCluster) sessionPins() (pins int, counted int64) {
+	f := tc.front
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for _, r := range f.replicas {
+		r.mu.Lock()
+		counted += r.sessions
+		r.mu.Unlock()
+	}
+	return len(f.sessions), counted
+}
+
+// A session its replica dropped on its own (TTL eviction) loses its
+// pin at the front on the first 404, and with it its replica's count.
+func TestClusterSessionPinDropsOn404(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	ctx := context.Background()
+	sess, err := tc.client.SessionCreate(ctx, solveBody(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pins, counted := tc.sessionPins(); pins != 1 || counted != 1 {
+		t.Fatalf("after create: pins = %d, counted = %d, want 1 and 1", pins, counted)
+	}
+	// Drop the session on the replicas themselves, behind the front's
+	// back; the non-owners answer 404.
+	for _, b := range tc.backends {
+		api.NewClient(b.URL).SessionDelete(ctx, sess.SessionID)
+	}
+	_, err = tc.client.SessionPoll(ctx, sess.SessionID, 0, 0)
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Kind != "unknown_session" {
+		t.Fatalf("poll of an evicted session: %v, want 404 unknown_session", err)
+	}
+	if pins, counted := tc.sessionPins(); pins != 0 || counted != 0 {
+		t.Errorf("after the 404: pins = %d, counted = %d, want 0 and 0", pins, counted)
+	}
+}
+
+// The front's own errors use the documented kinds, and both tiers
+// answer a body one byte over api.MaxRequestBytes with 413.
+func TestClusterErrorKinds(t *testing.T) {
+	tc := newTestCluster(t, 2, Config{})
+	ctx := context.Background()
+	_, err := tc.client.SessionPoll(ctx, "nope", 0, 0)
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Kind != "unknown_session" {
+		t.Errorf("unknown session through the front: %v, want 404 unknown_session", err)
+	}
+
+	// Valid JSON whose object only closes past the limit, so a decoder
+	// has to read over it.
+	big := []byte(`{"m":2,` + strings.Repeat(" ", api.MaxRequestBytes-len(`{"m":2,"jobs":[]}`)+1) + `"jobs":[]}`)
+	if len(big) != api.MaxRequestBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(big), api.MaxRequestBytes+1)
+	}
+	for _, tier := range []struct{ name, url string }{{"front", tc.http.URL}, {"replica", tc.backends[0].URL}} {
+		for _, path := range []string{"/v1/solve/optimal", "/v1/session"} {
+			res, err := api.NewClient(tier.url).DoRaw(ctx, http.MethodPost, path, big)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tier.name, path, err)
+			}
+			if e := api.DecodeError(res.Status, res.RequestID, res.Body); e.Status != http.StatusRequestEntityTooLarge || e.Kind != "body_too_large" {
+				t.Errorf("%s %s: %d %s, want 413 body_too_large", tier.name, path, e.Status, e.Kind)
+			}
+		}
 	}
 }

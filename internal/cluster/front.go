@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +17,6 @@ import (
 
 	"mpss/api"
 	"mpss/internal/obs"
-	"mpss/internal/pool"
 )
 
 // Config parameterizes a Front. Spawner is required; everything else
@@ -29,27 +29,24 @@ type Config struct {
 	// The front starts MinReplicas synchronously.
 	MinReplicas int
 	MaxReplicas int
-	// Vnodes is the consistent-hash virtual-node count per replica
-	// (default 64).
-	Vnodes int
 	// ProbeInterval paces the health/status poll loop (default 500ms;
 	// negative disables the loop — tests drive probes manually).
 	ProbeInterval time.Duration
-	// ProxyAttempts bounds how many ring successors one request tries
-	// before giving up with 503 (default 3).
-	ProxyAttempts int
-	// ProxyTimeout bounds one proxied call when the inbound request has
-	// no deadline of its own (default 60s — above the replicas' solve
-	// deadline, so the replica's own 504 wins).
-	ProxyTimeout time.Duration
-	// MaxBodyBytes bounds inbound request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// Autoscale configures the solver-driven replica-count control loop
 	// (autoscaler.go). Zero value: disabled.
 	Autoscale AutoscaleConfig
 	// Logger receives structured lifecycle records. Nil discards.
 	Logger *slog.Logger
 }
+
+// proxyAttempts bounds how many ring successors one request tries
+// before the front gives up with 503 no_replica.
+const proxyAttempts = 3
+
+// proxyTimeout bounds one proxied call when the inbound request has no
+// deadline of its own: above the replicas' 30 s solve deadline, so the
+// replica's own 504 wins.
+const proxyTimeout = 60 * time.Second
 
 func (c *Config) applyDefaults() error {
 	if c.Spawner == nil {
@@ -61,20 +58,8 @@ func (c *Config) applyDefaults() error {
 	if c.MaxReplicas < c.MinReplicas {
 		c.MaxReplicas = c.MinReplicas + 3
 	}
-	if c.Vnodes <= 0 {
-		c.Vnodes = defaultVnodes
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProxyAttempts <= 0 {
-		c.ProxyAttempts = 3
-	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = 60 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
@@ -84,17 +69,16 @@ func (c *Config) applyDefaults() error {
 
 // Front is the cluster's public tier: one http.Handler exposing the
 // same /v1 surface as a single replica, plus /v1/cluster/status. It
-// routes solves by consistent hash on the canonical request key (cache
-// locality), reroutes around dead replicas, coalesces duplicate
-// concurrent solves cluster-wide, and — with autoscaling enabled —
-// resizes the replica set by asking the solver how many processors the
-// observed demand needs.
+// routes solves by consistent hash on the canonical request key, so
+// identical requests meet on the replica whose cache and singleflight
+// answer them; it reroutes around dead replicas and — with autoscaling
+// enabled — resizes the replica set by asking the solver how many
+// processors the observed demand needs. It keeps no answers of its own.
 type Front struct {
 	cfg Config
 	rec *obs.Recorder
 	log *slog.Logger
 	mux *http.ServeMux
-	sf  pool.Group[proxied]
 	as  *autoscaler
 
 	mu       sync.RWMutex
@@ -290,22 +274,33 @@ func (f *Front) dropNewest(ctx context.Context) {
 				f.log.Warn("replica stop", "replica", rep.name, "error", err.Error())
 			}
 		}
-		f.mu.Lock()
-		delete(f.replicas, rep.name)
-		for i, n := range f.order {
-			if n == rep.name {
-				f.order = append(f.order[:i], f.order[i+1:]...)
-				break
-			}
-		}
-		for id, owner := range f.sessions {
-			if owner == rep.name {
-				delete(f.sessions, id)
-			}
-		}
-		f.mu.Unlock()
+		f.removeMember(rep)
 		f.log.Info("replica removed", "replica", rep.name)
 	}()
+}
+
+// removeMember forgets rep: its membership, its spawn-order slot and
+// its session pins. It reports whether rep was still a member.
+func (f *Front) removeMember(rep *replica) bool {
+	f.mu.Lock()
+	_, ok := f.replicas[rep.name]
+	delete(f.replicas, rep.name)
+	f.order = slices.DeleteFunc(f.order, func(n string) bool { return n == rep.name })
+	f.mu.Unlock()
+	f.unpinSessions(rep)
+	return ok
+}
+
+// unpinSessions forgets every session pinned to rep: a session's job
+// set lives only on its replica, so once rep is gone or down they are
+// gone too, and the client recreates them.
+func (f *Front) unpinSessions(rep *replica) {
+	f.mu.Lock()
+	maps.DeleteFunc(f.sessions, func(_, owner string) bool { return owner == rep.name })
+	f.mu.Unlock()
+	rep.mu.Lock()
+	rep.sessions = 0
+	rep.mu.Unlock()
 }
 
 // scaleTo moves the active replica count toward n (clamped to
@@ -380,31 +375,12 @@ func (f *Front) rebuildRing() {
 			members = append(members, name)
 		}
 	}
-	sort.Strings(members)
-	old := f.ring
-	next := newRing(members, f.cfg.Vnodes)
-	if old != nil && old.n == next.n && sameMembers(old, next) {
+	next := newRing(members)
+	if f.ring != nil && slices.Equal(f.ring.names, next.names) {
 		return
 	}
-	f.ring, f.prevRing = next, old
+	f.ring, f.prevRing = next, f.ring
 	f.rec.SetGauge("cluster.replicas_routable", float64(len(members)))
-}
-
-func sameMembers(a, b *ring) bool {
-	seen := make(map[string]bool)
-	for _, p := range a.points {
-		seen[p.member] = true
-	}
-	n := 0
-	for _, p := range b.points {
-		if !seen[p.member] {
-			return false
-		}
-	}
-	for range seen {
-		n++
-	}
-	return n == b.n
 }
 
 // --- health probing ---------------------------------------------------
@@ -457,24 +433,9 @@ func (f *Front) ProbeAll(ctx context.Context) {
 // reap removes a dead spawned replica from the cluster and releases its
 // process (the stop call collects the child, dead or stuck).
 func (f *Front) reap(rep *replica) {
-	f.mu.Lock()
-	if _, ok := f.replicas[rep.name]; !ok {
-		f.mu.Unlock()
+	if !f.removeMember(rep) {
 		return
 	}
-	delete(f.replicas, rep.name)
-	for i, n := range f.order {
-		if n == rep.name {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
-	for id, owner := range f.sessions {
-		if owner == rep.name {
-			delete(f.sessions, id)
-		}
-	}
-	f.mu.Unlock()
 	f.rec.Add("cluster.replicas_reaped", 1)
 	f.log.Warn("replica reaped", "replica", rep.name, "last_error", rep.view().LastError)
 	f.bg.Add(1)
@@ -534,12 +495,29 @@ func (f *Front) candidates(key string, n int) []*replica {
 	return out
 }
 
+// proxied is one replica answer as the front relays it: the upstream
+// status, the raw JSON body, which replica produced it, and the
+// upstream X-Mpss-Cache header, if any.
+type proxied struct {
+	status  int
+	body    []byte
+	replica string
+	cached  string
+}
+
+// cacheable reports whether a proxied answer is a replica's cached kind
+// — the deterministic domain answers, 200 and 422 — and so may stand in
+// for a solve of the same key (cache migration).
+func (p proxied) cacheable() bool {
+	return p.status == 200 || p.status == 422
+}
+
 // forward proxies one call to a replica, returning the replica's
 // response or a transport error.
 func (f *Front) forward(ctx context.Context, r *replica, method, path string, body []byte, reqID string) (proxied, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.ProxyTimeout)
+		ctx, cancel = context.WithTimeout(ctx, proxyTimeout)
 		defer cancel()
 	}
 	res, err := r.api.DoRaw(api.WithRequestID(ctx, reqID), method, path, body)
@@ -562,7 +540,7 @@ func (f *Front) forward(ctx context.Context, r *replica, method, path string, bo
 // walking to the next ring successor; a 503 (overloaded/draining
 // replica) also advances. Returns the first real answer.
 func (f *Front) route(ctx context.Context, key, method, path string, body []byte, reqID string) (proxied, bool) {
-	cands := f.candidates(key, f.cfg.ProxyAttempts)
+	cands := f.candidates(key, proxyAttempts)
 	var last proxied
 	var have bool
 	for i, r := range cands {
@@ -622,9 +600,26 @@ func requestID(r *http.Request) string {
 	return api.NewRequestID()
 }
 
+// readBody reads an inbound body up to api.MaxRequestBytes, answering
+// a longer one 413 body_too_large and a broken one 400 bad_json itself.
+func (f *Front) readBody(w http.ResponseWriter, r *http.Request, reqID string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return body, true
+	case errors.As(err, &tooLarge):
+		f.frontError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error(), reqID)
+	default:
+		f.frontError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("reading request: %v", err), reqID)
+	}
+	return nil, false
+}
+
 // solveProxy builds the handler for one solve endpoint: decode enough
-// to compute the canonical key, coalesce cluster-wide, route by
-// consistent hash, reroute on failure.
+// to compute the canonical key, route by consistent hash, reroute on
+// failure. Identical concurrent requests share the key, so they reach
+// one replica, whose singleflight runs one solve for them all.
 func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqID := requestID(r)
@@ -632,9 +627,8 @@ func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 		stop := f.rec.Time("cluster.request_seconds")
 		defer stop()
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
-		if err != nil {
-			f.frontError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error(), reqID)
+		body, ok := f.readBody(w, r, reqID)
+		if !ok {
 			return
 		}
 		var req api.SolveRequest
@@ -642,48 +636,13 @@ func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 			f.frontError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err), reqID)
 			return
 		}
-		key := api.RequestKey(kind, &req)
-
-		// Cluster-wide singleflight: concurrent identical requests —
-		// arriving for ANY replica — share one proxied solve.
-		call, leader := f.sf.Join(key)
-		if !leader {
-			f.rec.Add("cluster.coalesced", 1)
-			select {
-			case <-call.Done():
-				if resp := call.Val(); resp.cacheable() {
-					f.writeProxied(w, resp, reqID)
-					return
-				}
-			case <-r.Context().Done():
-				f.frontError(w, api.StatusClientClosedRequest, "canceled", r.Context().Err().Error(), reqID)
-				return
-			}
-			// Leader failed transiently; solve solo.
-			f.routeAndWrite(w, r, key, path, body, reqID)
-			return
-		}
-		var resp proxied
-		var ok bool
-		func() {
-			defer func() { f.sf.Finish(key, call, resp) }()
-			resp, ok = f.routeMigrated(r.Context(), key, path, body, reqID)
-		}()
+		resp, ok := f.routeMigrated(r.Context(), api.RequestKey(kind, &req), path, body, reqID)
 		if !ok {
-			f.frontError(w, http.StatusServiceUnavailable, "unavailable", "no replica available", reqID)
+			f.frontError(w, http.StatusServiceUnavailable, "no_replica", "no replica available", reqID)
 			return
 		}
 		f.writeProxied(w, resp, reqID)
 	}
-}
-
-func (f *Front) routeAndWrite(w http.ResponseWriter, r *http.Request, key, path string, body []byte, reqID string) {
-	resp, ok := f.route(r.Context(), key, http.MethodPost, path, body, reqID)
-	if !ok {
-		f.frontError(w, http.StatusServiceUnavailable, "unavailable", "no replica available", reqID)
-		return
-	}
-	f.writeProxied(w, resp, reqID)
 }
 
 // routeMigrated is route plus cache migration: when the last membership
@@ -723,21 +682,20 @@ func (f *Front) routeMigrated(ctx context.Context, key, path string, body []byte
 func (f *Front) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r)
 	f.rec.Add("cluster.requests", 1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
-	if err != nil {
-		f.frontError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error(), reqID)
+	body, ok := f.readBody(w, r, reqID)
+	if !ok {
 		return
 	}
 	rep := f.leastSessions()
 	if rep == nil {
-		f.frontError(w, http.StatusServiceUnavailable, "unavailable", "no replica available", reqID)
+		f.frontError(w, http.StatusServiceUnavailable, "no_replica", "no replica available", reqID)
 		return
 	}
 	resp, err := f.forward(r.Context(), rep, http.MethodPost, "/v1/session", body, reqID)
 	if err != nil {
 		rep.markFailure(err)
 		f.rebuildRing()
-		f.frontError(w, http.StatusServiceUnavailable, "unavailable", "session create failed: "+err.Error(), reqID)
+		f.frontError(w, http.StatusServiceUnavailable, "no_replica", "session create failed: "+err.Error(), reqID)
 		return
 	}
 	if resp.status >= 200 && resp.status < 300 {
@@ -786,21 +744,21 @@ func (f *Front) leastSessions() *replica {
 // sessionProxy forwards delta/poll/delete to the replica pinned at
 // create time. A session whose replica died is gone — solver state is
 // replica-local — so the front answers 404 and the client recreates.
+// Every 404 drops the pin: the owner evicts idle sessions on its own.
 func (f *Front) sessionProxy(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r)
 	f.rec.Add("cluster.requests", 1)
 	id := r.PathValue("id")
 	f.mu.RLock()
-	owner := f.sessions[id]
-	rep := f.replicas[owner]
+	rep := f.replicas[f.sessions[id]]
 	f.mu.RUnlock()
-	if owner == "" || rep == nil {
-		f.frontError(w, http.StatusNotFound, "session_unknown", "no such session (its replica may have left)", reqID)
+	if rep == nil {
+		f.unpin(id)
+		f.frontError(w, http.StatusNotFound, "unknown_session", "no such session (its replica may have left)", reqID)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
-	if err != nil {
-		f.frontError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error(), reqID)
+	body, ok := f.readBody(w, r, reqID)
+	if !ok {
 		return
 	}
 	path := "/v1/session/" + id
@@ -818,30 +776,29 @@ func (f *Front) sessionProxy(w http.ResponseWriter, r *http.Request) {
 		st := rep.markFailure(ferr)
 		f.rebuildRing()
 		if st == stateDown {
-			f.dropSessionsOf(rep.name)
+			f.unpinSessions(rep)
 		}
-		f.frontError(w, http.StatusServiceUnavailable, "unavailable", "session replica unreachable: "+ferr.Error(), reqID)
+		f.frontError(w, http.StatusServiceUnavailable, "no_replica", "session replica unreachable: "+ferr.Error(), reqID)
 		return
 	}
-	if r.Method == http.MethodDelete && resp.status < 300 {
-		f.mu.Lock()
-		delete(f.sessions, id)
-		f.mu.Unlock()
-		rep.mu.Lock()
-		rep.sessions--
-		rep.mu.Unlock()
+	if resp.status == http.StatusNotFound || (r.Method == http.MethodDelete && resp.status < 300) {
+		f.unpin(id)
 	}
 	f.writeProxied(w, resp, reqID)
 }
 
-// dropSessionsOf forgets every session pinned to a dead replica.
-func (f *Front) dropSessionsOf(name string) {
+// unpin forgets session id's pin and takes it off its replica's
+// session count.
+func (f *Front) unpin(id string) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	for id, owner := range f.sessions {
-		if owner == name {
-			delete(f.sessions, id)
-		}
+	owner, ok := f.sessions[id]
+	rep := f.replicas[owner]
+	delete(f.sessions, id)
+	f.mu.Unlock()
+	if ok && rep != nil {
+		rep.mu.Lock()
+		rep.sessions--
+		rep.mu.Unlock()
 	}
 }
 
@@ -853,7 +810,7 @@ func (f *Front) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("hash")
 	resp, ok := f.route(r.Context(), key, http.MethodGet, "/v1/cache/"+key, nil, reqID)
 	if !ok {
-		f.frontError(w, http.StatusServiceUnavailable, "unavailable", "no replica available", reqID)
+		f.frontError(w, http.StatusServiceUnavailable, "no_replica", "no replica available", reqID)
 		return
 	}
 	f.writeProxied(w, resp, reqID)

@@ -1,18 +1,19 @@
 // Package cluster scales mpss-served horizontally: a front tier that
 // routes the public /v1 API across replicas by consistent hash on the
 // canonical request key (api.RequestKey — the same sha256 each replica
-// uses as its result-cache key, so routing by it keeps every replica's
-// LRU hot), health-checks the replicas, coalesces duplicate concurrent
-// solves cluster-wide, and sizes the replica set with the solver
-// itself: the autoscaler phrases "how many replicas do we need" as an
-// mpss feasibility question — observed solve demand as jobs, replicas
-// as processors — and picks the smallest feasible count (DESIGN.md
-// §15).
+// uses as its result-cache and singleflight key, so routing by it keeps
+// every replica's LRU hot and sends identical concurrent requests to
+// one replica, which solves them once), health-checks the replicas, and
+// sizes the replica set with the solver itself: the autoscaler phrases
+// "how many replicas do we need" as an mpss feasibility question —
+// observed solve demand as jobs, replicas as processors — and picks the
+// smallest feasible count (DESIGN.md §15).
 package cluster
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -26,7 +27,7 @@ const defaultVnodes = 64
 // never lock.
 type ring struct {
 	points []ringPoint // sorted by hash
-	n      int         // distinct members
+	names  []string    // distinct members, sorted
 }
 
 type ringPoint struct {
@@ -41,18 +42,15 @@ func ringHash(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// newRing builds a ring with vnodes virtual nodes per member
-// (defaultVnodes if vnodes <= 0). An empty member list yields an empty
-// ring whose pick returns nil.
-func newRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	r := &ring{n: len(members)}
-	r.points = make([]ringPoint, 0, len(members)*vnodes)
+// newRing builds a ring with defaultVnodes virtual nodes per member. An
+// empty member list yields an empty ring whose pick returns nil.
+func newRing(members []string) *ring {
+	r := &ring{names: slices.Clone(members)}
+	slices.Sort(r.names)
+	r.points = make([]ringPoint, 0, len(members)*defaultVnodes)
 	var buf [8]byte
 	for _, m := range members {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < defaultVnodes; i++ {
 			binary.LittleEndian.PutUint64(buf[:], uint64(i))
 			r.points = append(r.points, ringPoint{
 				hash:   ringHash(m + "#" + string(buf[:])),
@@ -85,9 +83,7 @@ func (r *ring) pick(key string, n int) []string {
 	if r == nil || len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > r.n {
-		n = r.n
-	}
+	n = min(n, len(r.names))
 	out := make([]string, 0, n)
 	seen := make(map[string]bool, n)
 	for i, at := 0, r.search(key); i < len(r.points) && len(out) < n; i++ {
@@ -115,5 +111,5 @@ func (r *ring) members() int {
 	if r == nil {
 		return 0
 	}
-	return r.n
+	return len(r.names)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRingPickStableAndDistinct(t *testing.T) {
-	r := newRing([]string{"a", "b", "c"}, 64)
+	r := newRing([]string{"a", "b", "c"})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		got := r.pick(key, 3)
@@ -24,7 +24,7 @@ func TestRingPickStableAndDistinct(t *testing.T) {
 			t.Fatalf("pick(%q)[0] = %q, owner = %q", key, got[0], r.owner(key))
 		}
 		// Determinism: a rebuilt identical ring routes identically.
-		if again := newRing([]string{"c", "a", "b"}, 64).owner(key); again != got[0] {
+		if again := newRing([]string{"c", "a", "b"}).owner(key); again != got[0] {
 			t.Fatalf("owner(%q) unstable across member order: %q vs %q", key, got[0], again)
 		}
 	}
@@ -32,7 +32,7 @@ func TestRingPickStableAndDistinct(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	members := []string{"r1", "r2", "r3", "r4"}
-	r := newRing(members, 0) // default vnodes
+	r := newRing(members)
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -49,8 +49,8 @@ func TestRingDistribution(t *testing.T) {
 // Removing one member must only move the keys it owned: consistent
 // hashing's whole point — the other replicas' caches stay hot.
 func TestRingRemovalMovesOnlyOwnedKeys(t *testing.T) {
-	full := newRing([]string{"a", "b", "c"}, 64)
-	without := newRing([]string{"a", "b"}, 64)
+	full := newRing([]string{"a", "b", "c"})
+	without := newRing([]string{"a", "b"})
 	const keys = 2000
 	moved := 0
 	for i := 0; i < keys; i++ {
@@ -73,7 +73,7 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.pick("k", 2); got != nil {
 		t.Fatalf("nil ring pick = %v, want nil", got)
 	}
-	if got := newRing(nil, 8).owner("k"); got != "" {
+	if got := newRing(nil).owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
 }

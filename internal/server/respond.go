@@ -44,6 +44,22 @@ type response struct {
 	errMsg  string
 }
 
+// decodeRequest decodes r's JSON body into v, reading at most
+// api.MaxRequestBytes of it. On failure it returns the answer to send:
+// 413 body_too_large for a longer body, 400 bad_json otherwise.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (response, bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return response{}, true
+	case errors.As(err, &tooLarge):
+		return errorResponse(http.StatusRequestEntityTooLarge, "body_too_large", err.Error()), false
+	default:
+		return errorResponse(http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err)), false
+	}
+}
+
 // jsonResponse marshals v; a marshal failure (cannot happen for the
 // wire types in mpss/api) degrades to a 500.
 func jsonResponse(code int, v any) response {

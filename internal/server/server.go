@@ -60,7 +60,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -92,8 +91,6 @@ type Config struct {
 	// CacheEntries bounds the result cache (default 1024; negative
 	// disables caching).
 	CacheEntries int
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// Logger receives the structured access/error log records (one JSON
 	// line per request when built with slog.NewJSONHandler). Defaults to
 	// a discarding logger.
@@ -129,9 +126,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.Logger == nil {
 		// A level above every named level: Enabled is always false, so
@@ -409,29 +403,45 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		defer stop()
 
 		var req api.SolveRequest
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			errorResponse(http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err)).write(w, reqID)
+		if resp, ok := decodeRequest(w, r, &req); !ok {
+			resp.write(w, reqID)
 			return
 		}
 		key := api.RequestKey(kind, &req)
-		if resp, ok := s.cache.Get(key); ok {
+		hit := func(resp response) {
 			s.rec.Add("server.cache_hits", 1)
 			obs.SpanFromContext(r.Context()).SetTag("cache", "hit")
 			w.Header().Set(api.HeaderCache, "hit")
 			resp.write(w, reqID)
+		}
+		if resp, ok := s.cache.Get(key); ok {
+			hit(resp)
 			return
+		}
+
+		// Coalesce the stampede: concurrent identical requests (same key,
+		// result not cached yet) share one solve instead of queuing one
+		// each. A flight caches its answer before it finishes, so a leader
+		// that looks again finds any flight that landed since the lookup
+		// above: one solve per key, however the requests interleave.
+		call, leader := s.sf.Join(key)
+		if leader {
+			if resp, ok := s.cache.Get(key); ok {
+				s.sf.Finish(key, call, resp)
+				hit(resp)
+				return
+			}
 		}
 		s.rec.Add("server.cache_misses", 1)
 
 		// runSolve is the full admission path: deadline, queue, worker,
-		// wait. Run by the flight leader (and by a follower whose leader
-		// came back with an uncacheable answer).
+		// wait, cache. Run by the flight leader (and by a follower whose
+		// leader came back with an uncacheable answer).
 		runSolve := func() response {
 			ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 			defer cancel()
 
-			return s.await(ctx, r, func() response {
+			resp := s.await(ctx, r, func() response {
 				// The solve runs as a child of the flight-recorder request
 				// span, so queue wait and solve time separate in the trace,
 				// and the solver's phase spans nest under it.
@@ -439,12 +449,12 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 				defer span.End()
 				return s.solve(obs.ContextWithSpan(ctx, span), kind, &req, r)
 			})
+			if resp.cacheable() {
+				s.cache.Put(key, resp)
+			}
+			return resp
 		}
 
-		// Coalesce the stampede: concurrent identical requests (same key,
-		// result not cached yet) share one solve instead of queuing one
-		// each.
-		call, leader := s.sf.Join(key)
 		if !leader {
 			s.rec.Add("server.coalesced", 1)
 			obs.SpanFromContext(r.Context()).SetTag("flight", "coalesced")
@@ -462,11 +472,7 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 				errorResponse(api.StatusClientClosedRequest, "canceled", r.Context().Err().Error()).write(w, reqID)
 				return
 			}
-			resp := runSolve()
-			if resp.cacheable() {
-				s.cache.Put(key, resp)
-			}
-			resp.write(w, reqID)
+			runSolve().write(w, reqID)
 			return
 		}
 		var resp response
@@ -476,9 +482,6 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 			defer func() { s.sf.Finish(key, call, resp) }()
 			resp = runSolve()
 		}()
-		if resp.cacheable() {
-			s.cache.Put(key, resp)
-		}
 		resp.write(w, reqID)
 	}
 }
@@ -616,6 +619,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // server.canceled), the labeled per-endpoint series, and the solver
 // counters every worker recorded.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.queueDepth()
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.rec.WriteJSON(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -626,6 +630,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // exposition format for scrapers (see internal/obs prom.go for the
 // metric naming and the histogram/summary encoding).
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
+	s.queueDepth()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.rec.WritePrometheus(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

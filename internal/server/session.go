@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"mpss/api"
@@ -205,9 +204,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.rec.Add("server.requests", 1)
 
 	var req api.SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		errorResponse(http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err)).write(w, reqID)
+	if resp, ok := decodeRequest(w, r, &req); !ok {
+		resp.write(w, reqID)
 		return
 	}
 	if len(req.Jobs) > s.cfg.SessionMaxJobs {
@@ -288,9 +286,8 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SessionDeltaRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		errorResponse(http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err)).write(w, reqID)
+	if resp, ok := decodeRequest(w, r, &req); !ok {
+		resp.write(w, reqID)
 		return
 	}
 	if req.Cap != nil && !validCap(*req.Cap) {

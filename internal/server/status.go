@@ -30,12 +30,19 @@ func (s *Server) readyState() string {
 	}
 }
 
-// handleStatus serves the replica introspection snapshot. The queue
-// depth is also published as the server.queue_depth gauge so the
-// Prometheus exposition carries it too.
+// queueDepth returns the admission queue's length and publishes it as
+// the server.queue_depth gauge. Every endpoint that reports the gauge
+// — /v1/status, /v1/metrics and /metrics — refreshes it first, so a
+// scrape never reads a depth left by an earlier probe.
+func (s *Server) queueDepth() int {
+	n := len(s.queue)
+	s.rec.SetGauge("server.queue_depth", float64(n))
+	return n
+}
+
+// handleStatus serves the replica introspection snapshot.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	queueLen := len(s.queue)
-	s.rec.SetGauge("server.queue_depth", float64(queueLen))
+	queueLen := s.queueDepth()
 	_, solveSeconds := s.rec.Histogram("server.request_seconds").Total()
 	jsonResponse(http.StatusOK, api.ReplicaStatusResponse{
 		Replica:       s.cfg.ReplicaName,

@@ -237,6 +237,47 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 }
 
+// The queue-depth gauge is current on a /metrics scrape that no
+// /v1/status call preceded: the scrape refreshes it itself.
+func TestQueueDepthGaugeOnScrape(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 8)
+	testHookTaskStart = func() {
+		started <- struct{}{}
+		<-release
+	}
+	defer func() { testHookTaskStart = nil }()
+
+	s, ts := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	jobs, m := testInstance()
+	// One request holds the worker in the hook and three queue behind
+	// it; the alphas differ so no two coalesce.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			post(t, ts.URL+"/v1/solve/optimal", api.SolveRequest{M: m, Jobs: jobs, Alpha: float64(2 + i)})
+		}(i)
+	}
+	<-started
+	waitFor(t, func() bool { return len(s.queue) == 3 })
+	resp, err := http.Get(ts.URL + "/metrics")
+	var text []byte
+	if err == nil {
+		text, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	close(release)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), "\nmpss_server_queue_depth 3\n") {
+		t.Errorf("scrape lacks mpss_server_queue_depth 3:\n%s", text)
+	}
+}
+
 // TestFlightRecorderConcurrent hammers the flight recorder from many
 // clients under -race: the rings stay bounded and internally
 // consistent.

@@ -9,6 +9,7 @@
 #   - the solver-driven autoscaler scales the fleet up under load
 #     (a scale event with to > from in /v1/cluster/status) and back
 #     down to -min once the load stops;
+#   - an unknown session gets the front's 404 "unknown_session";
 #   - requests actually spread over multiple replicas (cache locality
 #     is per-replica, so the proxied counter must show >= 2 members);
 #   - SIGTERM drains the front to exit 0 and leaves no orphaned
@@ -83,6 +84,15 @@ healthy_count() {
 if [ "$(healthy_count)" -lt 2 ]; then
     echo "cluster-smoke: front ready with fewer than 2 healthy replicas:" >&2
     $CURL -s "$base/v1/cluster/status" | sed 's/^/    /' >&2
+    fail=1
+fi
+
+# An unknown session is the front's own 404, in the documented error
+# kind.
+status=$($CURL -s -o "$tmp/nosess.json" -w '%{http_code}' "$base/v1/session/nope")
+if [ "$status" != 404 ] || ! grep -q '"kind":"unknown_session"' "$tmp/nosess.json"; then
+    echo "cluster-smoke: GET /v1/session/nope: status $status, want 404 unknown_session:" >&2
+    sed 's/^/    /' "$tmp/nosess.json" >&2
     fail=1
 fi
 

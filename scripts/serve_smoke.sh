@@ -2,8 +2,9 @@
 # Daemon smoke test: build mpss-served, boot it on an ephemeral port,
 # exercise a solve (twice, so the second hits the result cache), the
 # error mapping, /v1/metrics (no span trace), /v1/debug/traces (the
-# solve's phase spans), /metrics (Prometheus), the liveness and
-# readiness probes, then SIGTERM it and require a clean drain (exit 0).
+# solve's phase spans), /metrics (Prometheus, the queue-depth gauge
+# among it), the liveness and readiness probes, then SIGTERM it and
+# require a clean drain (exit 0).
 # Complements the in-process httptest suite in internal/server by
 # covering the real binary: flag parsing, the readiness record, signal
 # handling and process exit codes.
@@ -118,6 +119,12 @@ if ! grep -q '^mpss_server_http_requests_total{code="200",endpoint="optimal"}' "
 fi
 if ! grep -q '_bucket{.*le="+Inf"' "$tmp/prom"; then
     echo "serve-smoke: /metrics lacks histogram +Inf buckets" >&2
+    fail=1
+fi
+# The queue-depth gauge is refreshed by every scrape, not only by
+# GET /v1/status, which nothing above has called.
+if ! grep -q '^mpss_server_queue_depth ' "$tmp/prom"; then
+    echo "serve-smoke: /metrics lacks mpss_server_queue_depth before any /v1/status call" >&2
     fail=1
 fi
 
