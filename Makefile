@@ -73,9 +73,9 @@ apidoc:
 # JSON through the server's handler and holds every reply to the
 # one-shot /v1/solve/optimal and /v1/feasible answers for the session's
 # job set (internal/server/fuzz_test.go);
-# the fifth fuzzes the minimum-cap search
-# against a search probing every wave on a flow.Graph, and checks the
-# fixed-frequency schedule at the cap it returns (internal/opt/bounded.go).
+# the fifth fuzzes the minimum cap against the full solver's top phase
+# speed and probes on a flow.Graph at and just below it, and checks the
+# fixed-frequency schedule at the cap (internal/opt/bounded.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
@@ -92,7 +92,7 @@ trace-smoke:
 	sh scripts/trace_smoke.sh
 
 # contract-smoke runs the contracted-vs-raw differential solves, and the
-# cap searches with contraction on and off against their reference,
+# minimum caps with contraction on and off against their reference,
 # under the race detector: the contraction pass shares per-phase state
 # with the round engine, so one racy write there would silently corrupt
 # the active-set runs. The raw side runs through withContraction(false),

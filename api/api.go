@@ -51,8 +51,6 @@ type SolveRequest struct {
 	Exact bool `json:"exact,omitempty"`
 	// Cap is the speed cap probed by /v1/feasible and /v1/solve/atcap.
 	Cap float64 `json:"cap,omitempty"`
-	// Rel is the relative tolerance of /v1/mincap (0 = solver default).
-	Rel float64 `json:"rel,omitempty"`
 	// TimeoutMS overrides the server's per-request solve deadline in
 	// milliseconds (capped at the server default; 0 = use the default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

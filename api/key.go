@@ -21,25 +21,22 @@ import (
 // is bit-deterministic, so bit-equal inputs are exactly the requests
 // with bit-equal responses.
 //
-// Defaultable knobs are normalized before hashing: alpha 0 means the
-// server default 3, rel <= 0 means the solver's default tolerance, and
-// the solve path resolves them to the same values — so the spelled-out
-// and elided forms of one request share a cache entry and a flight.
+// Alpha is normalized before hashing: 0 means the server default 3, and
+// the solve path resolves it to the same value — so the spelled-out and
+// elided forms of one request share a cache entry and a flight. Where
+// the removed mincap tolerance was hashed, flow.SolveTolerance still is,
+// so every key keeps its former bytes.
 //
-// A "decompose" field, which clients of the removed decomposition
-// knob may still send, is an unknown field: decoding drops it, so such
-// a request shares the key, cache entry and flight of the same request
-// without it. Rounds, the telemetry field of the optimal body, is a
-// function of the instance too, so a replayed body is the body a fresh
-// solve would send.
+// A "decompose" or "rel" field, which clients of the removed
+// decomposition knob and mincap tolerance may still send, is an unknown
+// field: decoding drops it, so such a request shares the key, cache
+// entry and flight of the same request without it. Rounds, the
+// telemetry field of the optimal body, is a function of the instance
+// too, so a replayed body is the body a fresh solve would send.
 func RequestKey(kind string, req *SolveRequest) string {
 	alpha := req.Alpha
 	if alpha == 0 {
 		alpha = 3
-	}
-	rel := req.Rel
-	if rel <= 0 {
-		rel = flow.SolveTolerance
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -59,7 +56,7 @@ func RequestKey(kind string, req *SolveRequest) string {
 		h.Write([]byte{0})
 	}
 	f64(req.Cap)
-	f64(rel)
+	f64(flow.SolveTolerance)
 	u64(uint64(len(req.Jobs)))
 	for _, j := range req.Jobs {
 		u64(uint64(j.ID))

@@ -32,8 +32,8 @@ var (
 
 	// ErrCanceled marks a solve abandoned because the context given via
 	// WithContext was canceled or its deadline expired mid-solve. The
-	// solver unwinds at the next phase/round or probe-wave boundary; a
-	// Solver session that had a call canceled stays valid for further
+	// solver unwinds at the next phase/round boundary or before a probe's
+	// max flow; a Solver that had a call canceled stays valid for further
 	// calls. CLIs map it to exit code 1.
 	ErrCanceled = mpsserr.ErrCanceled
 )

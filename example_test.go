@@ -75,7 +75,7 @@ func ExampleNewSolver() {
 	}
 	in, _ := mpss.NewInstance(2, jobs)
 	res, _ := s.Solve(in)
-	cap, _ := s.MinFeasibleCap(in, 1e-9)
+	cap, _ := s.MinFeasibleCap(in, 0)
 	fmt.Printf("energy: %.2f\n", res.Schedule.Energy(mpss.MustAlpha(3)))
 	fmt.Printf("min cap: %.2f\n", cap)
 	// Output:

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	minCap, err := mpss.MinFeasibleCap(in, 1e-6)
+	minCap, err := mpss.MinFeasibleCap(in, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestIntegrationPeriodicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cap, err := MinFeasibleCap(in, 1e-6)
+	cap, err := MinFeasibleCap(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func E13(cfg Config) ([]E13Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E13 %s seed=%d: %w", gname, seed, err)
 				}
-				minCap, err := opt.MinFeasibleCap(in, 1e-6, opt.WithRecorder(cfg.Recorder))
+				minCap, err := opt.MinFeasibleCap(in, opt.WithRecorder(cfg.Recorder))
 				if err != nil {
 					return nil, err
 				}

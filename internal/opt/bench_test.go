@@ -166,49 +166,47 @@ func BenchmarkFeasibleAtSpeed256Jobs(b *testing.B) {
 	}
 }
 
-// The minimum-cap search: one bracketing solve, then bisection probes.
+// The minimum-cap search: the first-phase solve, then one probe.
 func BenchmarkMinFeasibleCap256Jobs(b *testing.B) {
 	in, err := workload.Uniform(workload.Spec{N: 256, M: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if _, err := MinFeasibleCap(in, 1e-6); err != nil {
+	if _, err := MinFeasibleCap(in); err != nil {
 		b.Fatal(err)
 	}
 	rec := obs.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinFeasibleCap(in, 1e-6, WithRecorder(rec)); err != nil {
+		if _, err := MinFeasibleCap(in, WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	snap := rec.Snapshot()
 	div := float64(b.N)
-	b.ReportMetric(float64(snap.Counters["opt.probe_waves"])/div, "opt.probe_waves/op")
 	b.ReportMetric(float64(snap.Counters["opt.feasibility_probes"])/div, "opt.feasibility_probes/op")
 	b.ReportMetric(float64(snap.Counters["opt.bracket_solves"])/div, "opt.bracket_solves/op")
 }
 
 // The minimum-cap search on the wire-solve shape (64 jobs, m = 4): the
-// first-phase solve, the upper-bound check, and probes only for the
-// waves the first phase's cut does not refute.
+// first-phase solve and the one probe that checks its speed.
 func BenchmarkMinFeasibleCap64Jobs(b *testing.B) {
 	in, err := workload.Bursty(workload.Spec{N: 64, M: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if _, err := MinFeasibleCap(in, 0); err != nil {
+	if _, err := MinFeasibleCap(in); err != nil {
 		b.Fatal(err)
 	}
 	rec := obs.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinFeasibleCap(in, 0, WithRecorder(rec)); err != nil {
+		if _, err := MinFeasibleCap(in, WithRecorder(rec)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,6 +214,5 @@ func BenchmarkMinFeasibleCap64Jobs(b *testing.B) {
 	snap := rec.Snapshot()
 	div := float64(b.N)
 	b.ReportMetric(float64(snap.Counters["opt.feasibility_probes"])/div, "opt.feasibility_probes/op")
-	b.ReportMetric(float64(snap.Counters["opt.cut_waves"])/div, "opt.cut_waves/op")
 	b.ReportMetric(float64(snap.Counters["flow.dinic.edges_scanned"])/div, "flow.edges_scanned/op")
 }

@@ -131,55 +131,28 @@ func (c *capNet) feasible(in *job.Instance, x float64, rec *obs.Recorder) bool {
 	return ok
 }
 
-// cutCert is the first phase's min cut, which refutes caps below s_1
-// without a flow. With J_1 the first phase's job set, W1 = W(J_1) and
-// C1 = sum over intervals of min(n_j(J_1), m)|I_j|, the cut
-// {s} ∪ J_1 ∪ {intervals with n_j(J_1) > m} of the probe network at cap
-// x has capacity demand(x) - W1/x + C1: the source edges of the jobs
-// outside J_1, J_1's edges into the intervals outside the cut, and the
-// sink edges of the intervals inside it. When W1/x - C1 exceeds twice
-// the probe's slack, that capacity — and so every flow — falls short of
-// the probe's acceptance threshold by more than the slack, which dwarfs
-// Dinic's float rounding: the probe would answer "infeasible". The zero
-// value certifies nothing.
-type cutCert struct{ work, time float64 }
-
-// refutes reports whether the certificate proves cap x infeasible.
-func (c cutCert) refutes(in *job.Instance, x float64) bool {
-	if c.work == 0 {
-		return false
-	}
-	var demand float64
-	for _, j := range in.Jobs {
-		demand += j.Work / x
-	}
-	return c.work/x-c.time > 2*flow.SolveTolerance*math.Max(1, demand)
-}
-
-// MinFeasibleCap returns (a tight numerical approximation of) the
-// smallest processor speed cap at which the instance remains feasible —
-// the "minimum peak speed" of the instance. The value equals the highest
-// phase speed s_1 of the unbounded optimum, which provides the initial
-// bracket; the function then shrinks the bracket with feasibility probes
-// to within rel relative tolerance (default flow.SolveTolerance when
-// rel <= 0).
+// MinFeasibleCap returns the smallest processor speed cap at which the
+// instance remains feasible — the "minimum peak speed" of the instance.
+// That cap is the unbounded optimum's top phase speed s_1 = W(J_1)/C(J_1),
+// the first phase's work over its processor time, which bracketSpeed
+// computes by running the first phase only.
 //
-// The first phase's min cut refutes, without a flow, every wave whose
-// cap lies far enough below s_1 (cutCert); the other waves, and the
-// upper-bound check, probe one network built once per search (capNet).
-// Both answer exactly as a probe on a freshly built flow.Graph would, so
-// the cap does not depend on which of them answered a wave.
+// No cap below s_1 is feasible: with C(J_1) = Σ_j min(n_j(J_1), m)|I_j|,
+// the cut {s} ∪ J_1 ∪ {intervals with n_j(J_1) > m} of the probe network
+// at cap x has capacity demand(x) − W(J_1)/x + C(J_1) — the source edges
+// of the jobs outside J_1, J_1's edges into the intervals outside the
+// cut, and the sink edges of the intervals inside it — which falls short
+// of demand(x) whenever x < s_1. And s_1 is feasible, since the optimum
+// runs no faster. So the answer is s_1 itself, checked by one capNet
+// probe, the probe FeasibleAtSpeed and ScheduleAtCap run; should the
+// probe refuse it to rounding, the cap is raised once by SolveTolerance
+// and once more by DiffTolerance before the search fails with ErrNumeric.
 //
-// WithRecorder counts every probe: "opt.probe_waves" counts
-// bracket-shrinking waves, "opt.cut_waves" those the cut certificate
-// answered, and "opt.feasibility_probes" the probes that ran.
-// WithContext is polled before the first-phase solve, at its rounds and
-// between probe waves. Should the first-phase solve fail numerically,
-// s_1 comes from a full Schedule with the same options.
-func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, error) {
-	if rel <= 0 {
-		rel = flow.SolveTolerance
-	}
+// WithRecorder counts "opt.bracket_solves" and "opt.feasibility_probes".
+// WithContext is polled before the first-phase solve and at its rounds.
+// Should the first-phase solve fail numerically, s_1 comes from a full
+// Schedule with the same options ("opt.bracket_fallbacks").
+func MinFeasibleCap(in *job.Instance, opts ...Option) (float64, error) {
 	cfg := newConfig(opts)
 	if err := validateForSolve(in); err != nil {
 		return 0, err
@@ -191,7 +164,7 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 	cn.set(&sv.fr)
 
 	sv.fe.contract = !cfg.noContract
-	top, cut, err := sv.bracketSpeed(cfg.ctx, &sv.fr, cfg.rec, cfg.span)
+	top, err := sv.bracketSpeed(cfg.ctx, &sv.fr, cfg.rec, cfg.span)
 	if err != nil {
 		if !retryable(err) {
 			return 0, err
@@ -205,51 +178,23 @@ func MinFeasibleCap(in *job.Instance, rel float64, opts ...Option) (float64, err
 		}
 		top = res.Phases[0].Speed
 	}
-	hi := top * (1 + flow.SolveTolerance)
-	if !cn.feasible(in, hi, cfg.rec) {
-		// The unbounded optimum's top speed must be feasible; tolerate
-		// rounding by nudging upward.
-		hi *= 1 + flow.DiffTolerance
-		if !cn.feasible(in, hi, cfg.rec) {
-			return 0, fmt.Errorf("opt: optimum speed %v not feasible as cap: %w", hi, mpsserr.ErrNumeric)
+	for _, nudge := range [...]float64{0, flow.SolveTolerance, flow.DiffTolerance} {
+		top *= 1 + nudge
+		if cn.feasible(in, top, cfg.rec) {
+			return top, nil
 		}
 	}
-
-	// Bisection: each wave probes the bracket midpoint, which becomes the
-	// new upper bound when feasible and the new lower bound otherwise
-	// (feasibility is monotone in the cap).
-	lo := 0.0
-	for hi-lo > rel*hi {
-		if cerr := canceled(cfg.ctx, 0, 0); cerr != nil {
-			cfg.rec.Add("opt.canceled", 1)
-			return 0, cerr
-		}
-		mid := lo + (hi-lo)/2
-		if mid <= 0 {
-			break
-		}
-		cfg.rec.Add("opt.probe_waves", 1)
-		if cut.refutes(in, mid) {
-			cfg.rec.Add("opt.cut_waves", 1)
-			lo = mid
-		} else if cn.feasible(in, mid, cfg.rec) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	return 0, fmt.Errorf("opt: optimum speed %v not feasible as cap: %w", top, mpsserr.ErrNumeric)
 }
 
 // bracketSpeed computes the unbounded optimum's top phase speed s_1 —
-// the natural MinFeasibleCap bracket — by running only the *first* phase
-// of the offline algorithm on the float engine, stopping at the first
-// acceptance without emitting a schedule. It also returns that phase's
-// cut certificate: the accepted set's work and processor time. The
-// float engine's contraction setting stays as the caller left it. Its
+// the minimum feasible cap — by running only the *first* phase of the
+// offline algorithm on the float engine, stopping at the first
+// acceptance without emitting a schedule. The float engine's
+// contraction setting stays as the caller left it. Its
 // "bracket phase" span nests under parent, the solve's config span.
 // Shares the panic-containment conventions of Schedule.
-func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder, parent *obs.Span) (top float64, cut cutCert, err error) {
+func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder, parent *obs.Span) (top float64, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -279,24 +224,24 @@ func (s *arena) bracketSpeed(ctx context.Context, f *frame, rec *obs.Recorder, p
 	for {
 		if cerr := canceled(ctx, 1, 0); cerr != nil {
 			rec.Add("opt.canceled", 1)
-			return 0, cutCert{}, cerr
+			return 0, cerr
 		}
 		rec.Add("opt.rounds", 1)
 		if degenerate {
 			var empty bool
 			degenerate, empty = e.dropLeastWork()
 			if empty {
-				return 0, cutCert{}, e.emptyErr()
+				return 0, e.emptyErr()
 			}
 			continue
 		}
 		if e.solveRound() == 0 {
-			return e.speed, cutCert{work: e.totalWork, time: e.totalTime}, nil
+			return e.speed, nil
 		}
 		var empty bool
 		degenerate, empty = e.removeExcluded()
 		if empty {
-			return 0, cutCert{}, e.emptyErr()
+			return 0, e.emptyErr()
 		}
 	}
 }

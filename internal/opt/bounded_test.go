@@ -55,9 +55,9 @@ func TestFeasibleAtSpeedValidation(t *testing.T) {
 }
 
 func TestMinFeasibleCapMatchesTopPhaseSpeed(t *testing.T) {
-	// The minimum feasible cap equals the unbounded optimum's top speed:
-	// the optimum never runs faster than necessary, and below s_1 the
-	// phase-1 jobs cannot finish.
+	// The minimum feasible cap is the unbounded optimum's top speed, bit
+	// for bit: the optimum never runs faster than necessary, and below
+	// s_1 the phase-1 jobs cannot finish.
 	for seed := int64(0); seed < 6; seed++ {
 		in, err := workload.Uniform(workload.Spec{N: 8, M: 2, Seed: seed})
 		if err != nil {
@@ -67,12 +67,12 @@ func TestMinFeasibleCapMatchesTopPhaseSpeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap, err := MinFeasibleCap(in, 1e-9)
+		cap, err := MinFeasibleCap(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s1 := res.Phases[0].Speed
-		if math.Abs(cap-s1) > 1e-6*(1+s1) {
+		if math.Float64bits(cap) != math.Float64bits(s1) {
 			t.Errorf("seed %d: MinFeasibleCap = %v, top phase speed = %v", seed, cap, s1)
 		}
 	}
@@ -85,7 +85,7 @@ func TestFeasibilityMonotoneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cap, err := MinFeasibleCap(in, 1e-6)
+		cap, err := MinFeasibleCap(in)
 		if err != nil {
 			return false
 		}
@@ -120,17 +120,13 @@ func TestBracketFastPathMatchesSchedule(t *testing.T) {
 		sv := new(arena)
 		sv.fe.contract = true
 		sv.fr.reset(in)
-		top, cut, err := sv.bracketSpeed(nil, &sv.fr, rec, rec.Root())
+		top, err := sv.bracketSpeed(nil, &sv.fr, rec, rec.Root())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if top != res.Phases[0].Speed {
 			t.Fatalf("seed %d: bracket speed %v != Phases[0].Speed %v",
 				seed, top, res.Phases[0].Speed)
-		}
-		// The certificate is the accepted set's W(J_1) and C(J_1).
-		if cut.work/cut.time != top {
-			t.Fatalf("seed %d: cut certificate %v/%v != bracket speed %v", seed, cut.work, cut.time, top)
 		}
 		if rec.Value("opt.bracket_solves") != 1 {
 			t.Fatal("bracket solve not counted")
@@ -153,7 +149,7 @@ func TestBracketSpanNestsUnderParent(t *testing.T) {
 		if via == "context" {
 			opts = []Option{WithRecorder(rec), WithContext(obs.ContextWithSpan(context.Background(), parent))}
 		}
-		if _, err := MinFeasibleCap(in, 1e-9, opts...); err != nil {
+		if _, err := MinFeasibleCap(in, opts...); err != nil {
 			t.Fatal(err)
 		}
 		parent.End()

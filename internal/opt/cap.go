@@ -18,12 +18,20 @@ import (
 //
 // Experiment E13 uses it to quantify how much energy the paper's optimal
 // multi-speed profile saves over single-frequency operation.
-func ScheduleAtCap(in *job.Instance, cap float64) (*schedule.Schedule, error) {
+//
+// WithRecorder counts the flow-solver operations of its one max flow;
+// WithContext is checked before the flow solve. Other options have no
+// effect.
+func ScheduleAtCap(in *job.Instance, cap float64, opts ...Option) (*schedule.Schedule, error) {
+	cfg := newConfig(opts)
 	if err := checkCap(cap); err != nil {
 		return nil, err
 	}
 	if err := validateForSolve(in); err != nil {
 		return nil, err
+	}
+	if cerr := canceled(cfg.ctx, 0, 0); cerr != nil {
+		return nil, cerr
 	}
 	sv := solverPool.Get()
 	defer solverPool.Put(sv)
@@ -35,7 +43,7 @@ func ScheduleAtCap(in *job.Instance, cap float64) (*schedule.Schedule, error) {
 	if late >= 0 {
 		return nil, fmt.Errorf("opt: job %d cannot finish inside its window at cap %v: %w", in.Jobs[late].ID, cap, mpsserr.ErrInfeasible)
 	}
-	value, ok := cn.solve(demand, nil)
+	value, ok := cn.solve(demand, cfg.rec)
 	if !ok {
 		return nil, fmt.Errorf("opt: instance infeasible at cap %v (flow %v of %v): %w", cap, value, demand, mpsserr.ErrInfeasible)
 	}

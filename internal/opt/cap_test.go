@@ -46,7 +46,7 @@ func TestScheduleAtCapAtMinimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap, err := MinFeasibleCap(in, 1e-9)
+		cap, err := MinFeasibleCap(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,10 +13,10 @@ import (
 	"mpss/internal/workload"
 )
 
-// The cap search's reference: every wave probed on a flow.Graph built
-// edge by edge — the source edge w_k/x, then the job's edges to the
-// intervals it is active in, job by job, then the sink edges — with no
-// cut certificate and no network reuse.
+// The cap search's reference: the full solver's top phase speed s_1,
+// and probes on a flow.Graph built edge by edge — the source edge w_k/x,
+// then the job's edges to the intervals it is active in, job by job,
+// then the sink edges — with no network reuse.
 
 // refNet is the probe network at cap x on a flow.Graph, with its job to
 // interval edges in build order. late is the first job that cannot
@@ -76,108 +76,6 @@ func (r *refNet) release() { graphArena.Put(r.g) }
 // from spending its time growing fresh edge arrays.
 var graphArena pool.FreeList[flow.Graph]
 
-type refWave struct {
-	x  float64
-	ok bool
-}
-
-// refSearch is the reference bisection of one search: the upper end of
-// its bracket [0, hi] and every wave at tolerance SolveTolerance, each
-// probed on a freshly built refNet. A search at a coarser tolerance
-// walks a prefix of the same waves. cut is the search's certificate.
-type refSearch struct {
-	hi    float64
-	cut   cutCert
-	waves []refWave
-}
-
-// newRefSearch runs the reference search. It derives the bracket as the
-// search does, from the first phase: hi = s_1(1+SolveTolerance), nudged
-// once when infeasible. It also checks capNet against refNet at every
-// wave: the same verdict, flow value, augmenting paths and BFS passes.
-func newRefSearch(t *testing.T, label string, in *job.Instance) *refSearch {
-	t.Helper()
-	ivs := job.Partition(in.Jobs)
-	probe := func(x float64) bool {
-		rn := buildRefNet(in, ivs, x)
-		defer rn.release()
-		_, ok := rn.solve()
-		return ok
-	}
-	sv := new(arena)
-	sv.fe.contract = true
-	sv.fr.reset(in)
-	top, cut, err := sv.bracketSpeed(nil, &sv.fr, nil, nil)
-	if err != nil {
-		t.Fatalf("%s: bracket: %v", label, err)
-	}
-	r := &refSearch{hi: top * (1 + flow.SolveTolerance), cut: cut}
-	if !probe(r.hi) {
-		r.hi *= 1 + flow.DiffTolerance
-		if !probe(r.hi) {
-			t.Fatalf("%s: reference: top speed %v not feasible as cap", label, r.hi)
-		}
-	}
-	for lo, hi := 0.0, r.hi; hi-lo > flow.SolveTolerance*hi; {
-		mid := lo + (hi-lo)/2
-		if mid <= 0 {
-			break
-		}
-		ok := probe(mid)
-		r.waves = append(r.waves, refWave{mid, ok})
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-
-	var cn capNet
-	cn.set(&sv.fr)
-	for _, w := range r.waves {
-		rn := buildRefNet(in, ivs, w.x)
-		demand, late := cn.load(in, w.x)
-		if (late >= 0) != (rn.late >= 0) {
-			t.Fatalf("%s: cap %v: capNet late job %d, reference %d", label, w.x, late, rn.late)
-		}
-		if late >= 0 {
-			rn.release()
-			continue
-		}
-		before := cn.pn.Ops()
-		v, ok := cn.solve(demand, nil)
-		rv, rok := rn.solve()
-		ops, rops := cn.pn.Ops().Sub(before), rn.g.Ops()
-		rn.release()
-		if math.Float64bits(v) != math.Float64bits(rv) || ok != rok ||
-			ops.AugPaths != rops.AugPaths || ops.BFSPasses != rops.BFSPasses {
-			t.Fatalf("%s: cap %v: capNet flow %v (%v, %d paths, %d BFS), reference %v (%v, %d paths, %d BFS)",
-				label, w.x, v, ok, ops.AugPaths, ops.BFSPasses, rv, rok, rops.AugPaths, rops.BFSPasses)
-		}
-	}
-	return r
-}
-
-// at returns the reference's cap at tolerance rel and the waves it
-// walks to get there.
-func (r *refSearch) at(rel float64) (float64, []refWave) {
-	if rel <= 0 {
-		rel = flow.SolveTolerance
-	}
-	lo, hi := 0.0, r.hi
-	for i, w := range r.waves {
-		if !(hi-lo > rel*hi) {
-			return hi, r.waves[:i]
-		}
-		if w.ok {
-			hi = w.x
-		} else {
-			lo = w.x
-		}
-	}
-	return hi, r.waves
-}
-
 // refScheduleAtCap is ScheduleAtCap on a refNet: pieces per interval in
 // job order, packed by wrap-around.
 func refScheduleAtCap(in *job.Instance, x float64) (*schedule.Schedule, error) {
@@ -213,42 +111,67 @@ func refScheduleAtCap(in *job.Instance, x float64) (*schedule.Schedule, error) {
 	return out, nil
 }
 
-// checkCapSearch runs the search on in and compares it with the
-// reference: the same cap bit for bit, the reference answering
-// "infeasible" at every wave the cut certificate answered, and the
-// counters adding up. It returns the cap.
-func checkCapSearch(t *testing.T, label string, in *job.Instance, ref *refSearch, rel float64, opts ...Option) float64 {
+// checkCapSearch runs the search on in and returns its cap, which must
+// be bit-equal to s1, the full solver's top phase speed, after one
+// bracket solve and one probe. At the cap and just below it,
+// cap·(1−DiffTolerance), a refNet probe must accept and refute, and the
+// capNet probe must match it: the same verdict, flow value, augmenting
+// paths and BFS passes.
+func checkCapSearch(t *testing.T, label string, in *job.Instance, s1 float64, opts ...Option) float64 {
 	t.Helper()
 	rec := obs.New()
-	got, err := MinFeasibleCap(in, rel, append(opts, WithRecorder(rec))...)
+	got, err := MinFeasibleCap(in, append(opts, WithRecorder(rec))...)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	want, waves := ref.at(rel)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s: cap %v, reference %v", label, got, want)
+	if math.Float64bits(got) != math.Float64bits(s1) {
+		t.Fatalf("%s: cap %v, top phase speed %v", label, got, s1)
 	}
-	cutWaves := 0
-	for _, w := range waves {
-		if ref.cut.refutes(in, w.x) {
-			cutWaves++
-			if w.ok {
-				t.Fatalf("%s: the cut refutes cap %v, which the reference probe accepts", label, w.x)
-			}
+	for _, name := range []string{"opt.bracket_solves", "opt.feasibility_probes"} {
+		if n := rec.Value(name); n != 1 {
+			t.Fatalf("%s: %s %d, want 1", label, name, n)
 		}
 	}
-	snap := rec.Snapshot()
-	if n := snap.Counters["opt.probe_waves"]; n != int64(len(waves)) {
-		t.Fatalf("%s: opt.probe_waves %d, reference waves %d", label, n, len(waves))
-	}
-	if n := snap.Counters["opt.cut_waves"]; n != int64(cutWaves) {
-		t.Fatalf("%s: opt.cut_waves %d, certified waves %d", label, n, cutWaves)
-	}
-	// One or two upper-bound checks, then one probe per uncertified wave.
-	if n := snap.Counters["opt.feasibility_probes"] - int64(len(waves)-cutWaves); n != 1 && n != 2 {
-		t.Fatalf("%s: %d feasibility probes besides the uncertified waves", label, n)
+
+	ivs := job.Partition(in.Jobs)
+	var sv arena
+	sv.fr.reset(in)
+	sv.cn.set(&sv.fr)
+	for _, x := range []float64{got, got * (1 - flow.DiffTolerance)} {
+		rn := buildRefNet(in, ivs, x)
+		demand, late := sv.cn.load(in, x)
+		if (late >= 0) != (rn.late >= 0) {
+			t.Fatalf("%s: cap %v: capNet late job %d, reference %d", label, x, late, rn.late)
+		}
+		rv, rok := rn.solve()
+		if rok != (x == got) {
+			t.Fatalf("%s: the reference probe answers %v at cap %v (minimum %v)", label, rok, x, got)
+		}
+		if late >= 0 {
+			rn.release()
+			continue
+		}
+		before := sv.cn.pn.Ops()
+		v, ok := sv.cn.solve(demand, nil)
+		ops, rops := sv.cn.pn.Ops().Sub(before), rn.g.Ops()
+		rn.release()
+		if math.Float64bits(v) != math.Float64bits(rv) || ok != rok ||
+			ops.AugPaths != rops.AugPaths || ops.BFSPasses != rops.BFSPasses {
+			t.Fatalf("%s: cap %v: capNet flow %v (%v, %d paths, %d BFS), reference %v (%v, %d paths, %d BFS)",
+				label, x, v, ok, ops.AugPaths, ops.BFSPasses, rv, rok, rops.AugPaths, rops.BFSPasses)
+		}
 	}
 	return got
+}
+
+// topSpeed is the full solver's top phase speed s_1.
+func topSpeed(t *testing.T, label string, in *job.Instance) float64 {
+	t.Helper()
+	res, err := Schedule(in)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return res.Phases[0].Speed
 }
 
 // checkScheduleAtCap compares ScheduleAtCap with the refNet-built
@@ -276,12 +199,11 @@ func checkScheduleAtCap(t *testing.T, label string, in *job.Instance, x float64)
 }
 
 // TestCapSearchMatchesReference sweeps every workload generator over
-// sizes, machine sizes, seeds and tolerances: the default search and the
-// search with contraction off must each return the reference's cap
-// (checkCapSearch), and ScheduleAtCap must emit the reference's
-// segments. The 160-job instances, whose reference probes
-// take most of the time, run two seeds; -short runs two seeds of the
-// smaller sizes only.
+// sizes, machine sizes and seeds: the search with contraction on and off
+// must each return the full solver's top phase speed (checkCapSearch),
+// and ScheduleAtCap must emit the reference's segments at that cap and
+// twice it. The 160-job instances run two seeds; -short runs two seeds
+// of the smaller sizes only.
 func TestCapSearchMatchesReference(t *testing.T) {
 	sizes := []int{4, 8, 24, 64, 160}
 	if testing.Short() {
@@ -300,13 +222,9 @@ func TestCapSearchMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("%s n=%d m=%d seed=%d", gen.Name, n, m, seed)
-					ref := newRefSearch(t, label, in)
-					var cap float64
-					for _, rel := range []float64{0, 1e-6, 1e-3} {
-						l := fmt.Sprintf("%s rel=%g", label, rel)
-						cap = checkCapSearch(t, l, in, ref, rel)
-						checkCapSearch(t, l+" contraction off", in, ref, rel, withContraction(false))
-					}
+					s1 := topSpeed(t, label, in)
+					cap := checkCapSearch(t, label, in, s1)
+					checkCapSearch(t, label+" contraction off", in, s1, withContraction(false))
 					checkScheduleAtCap(t, label, in, cap)
 					checkScheduleAtCap(t, label, in, 2*cap)
 				}
@@ -316,7 +234,9 @@ func TestCapSearchMatchesReference(t *testing.T) {
 }
 
 // FuzzMinFeasibleCap: on fuzzer-chosen instances the search returns the
-// reference's cap, and ScheduleAtCap at that cap is a valid schedule.
+// full solver's top phase speed, which the reference probe accepts and
+// refutes just below, and ScheduleAtCap at that cap is a valid schedule
+// with the reference's segments.
 func FuzzMinFeasibleCap(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(1))
 	f.Add(int64(2), uint8(20), uint8(2))
@@ -329,7 +249,7 @@ func FuzzMinFeasibleCap(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generator produced invalid instance: %v", err)
 		}
-		cap := checkCapSearch(t, "fuzz", in, newRefSearch(t, "fuzz", in), 0)
+		cap := checkCapSearch(t, "fuzz", in, topSpeed(t, "fuzz", in))
 		s, err := ScheduleAtCap(in, cap)
 		if err != nil {
 			t.Fatalf("ScheduleAtCap at the minimum cap %v: %v", cap, err)
@@ -337,15 +257,14 @@ func FuzzMinFeasibleCap(f *testing.F) {
 		if err := s.Verify(in); err != nil {
 			t.Fatalf("ScheduleAtCap at the minimum cap %v: %v", cap, err)
 		}
+		checkScheduleAtCap(t, "fuzz", in, cap)
 	})
 }
 
 // The search's op counts on the wire-solve shape (64 jobs, m = 4,
-// bursty and uniform alternating): the cut answers the waves far below
-// s_1, so a search runs at most 8 probes (7.56 measured; 31 with every
-// wave probed), and the flows of the bracket solve and the probes scan
-// at most their measured 28,327 edges per search (105,680 with every
-// wave probed on a flow.Graph).
+// bursty and uniform alternating): the first-phase solve and exactly one
+// probe per search, whose flows scan at most 19,800 edges per search
+// (19,746 measured).
 func TestCapSearchWireShapeGate(t *testing.T) {
 	rec := obs.New()
 	const searches = 16
@@ -358,16 +277,16 @@ func TestCapSearchWireShapeGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MinFeasibleCap(in, 0, WithRecorder(rec)); err != nil {
+		if _, err := MinFeasibleCap(in, WithRecorder(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := rec.Snapshot()
 	perSearch := func(name string) float64 { return float64(snap.Counters[name]) / searches }
-	if got := perSearch("opt.feasibility_probes"); got > 8 {
-		t.Errorf("%.2f feasibility probes per search, gate 8", got)
+	if got := perSearch("opt.feasibility_probes"); got != 1 {
+		t.Errorf("%.2f feasibility probes per search, want 1", got)
 	}
-	if got := perSearch("flow.dinic.edges_scanned"); got > 28400 {
-		t.Errorf("%.0f edges scanned per search, gate 28,400", got)
+	if got := perSearch("flow.dinic.edges_scanned"); got > 19800 {
+		t.Errorf("%.0f edges scanned per search, gate 19,800", got)
 	}
 }

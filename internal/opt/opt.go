@@ -97,7 +97,7 @@ type Result struct {
 type Option func(*config)
 
 // config is the one option set of every entry point: Schedule,
-// FeasibleAtSpeed and MinFeasibleCap. Interval contraction
+// FeasibleAtSpeed, MinFeasibleCap and ScheduleAtCap. Interval contraction
 // is always on outside tests; noContract, the raw-interval reference
 // mode the differential tests and benchmarks compare against, is set
 // only by an option defined in the package's tests.

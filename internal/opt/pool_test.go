@@ -48,7 +48,7 @@ func TestConcurrentSessionsShareArenaPool(t *testing.T) {
 		if readded[i], err = Schedule(&job.Instance{M: in.M, Jobs: moved}); err != nil {
 			t.Fatal(err)
 		}
-		if caps[i], err = MinFeasibleCap(in, 0); err != nil {
+		if caps[i], err = MinFeasibleCap(in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestConcurrentSessionsShareArenaPool(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range steps {
-				c, err := MinFeasibleCap(in, 0)
+				c, err := MinFeasibleCap(in)
 				if err != nil {
 					t.Error(err)
 					return

@@ -281,6 +281,14 @@ func (s *Schedule) Verify(in *job.Instance, opts ...VerifyOption) error {
 		return fmt.Errorf("schedule: schedule has m=%d, instance m=%d", s.M, in.M)
 	}
 
+	// One lookup per call, keeping the first of any duplicate IDs as
+	// Instance.ByID does.
+	jobs := make(map[int]job.Job, len(in.Jobs))
+	for _, j := range in.Jobs {
+		if _, dup := jobs[j.ID]; !dup {
+			jobs[j.ID] = j
+		}
+	}
 	byProc := make([][]Segment, s.M)
 	byJob := make(map[int][]Segment)
 	for _, seg := range s.Segments {
@@ -293,7 +301,7 @@ func (s *Schedule) Verify(in *job.Instance, opts ...VerifyOption) error {
 		if seg.Speed <= 0 || math.IsNaN(seg.Speed) || math.IsInf(seg.Speed, 0) {
 			return fmt.Errorf("schedule: segment %v has invalid speed", seg)
 		}
-		j, ok := in.ByID(seg.JobID)
+		j, ok := jobs[seg.JobID]
 		if !ok {
 			return fmt.Errorf("schedule: segment %v references unknown job", seg)
 		}

@@ -168,6 +168,11 @@ type task struct {
 // deterministically fill the queue / exercise the drain path.
 var testHookTaskStart func()
 
+// testHookBeforeJoin, when non-nil, runs in the handler between a
+// request's cache miss and its singleflight Join. Tests use it to hold
+// a request in that window while an identical one solves and caches.
+var testHookBeforeJoin func()
+
 // Server is the scheduling service. Construct with New, serve it as an
 // http.Handler, stop it with Shutdown. Safe for concurrent use.
 type Server struct {
@@ -424,6 +429,9 @@ func (s *Server) solveHandler(kind string) http.HandlerFunc {
 		// each. A flight caches its answer before it finishes, so a leader
 		// that looks again finds any flight that landed since the lookup
 		// above: one solve per key, however the requests interleave.
+		if testHookBeforeJoin != nil {
+			testHookBeforeJoin()
+		}
 		call, leader := s.sf.Join(key)
 		if leader {
 			if resp, ok := s.cache.Get(key); ok {
@@ -544,7 +552,7 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 		// at exactly req.Cap or idles. The one endpoint whose domain
 		// answer can be ErrInfeasible (422): a cap below the instance's
 		// minimum feasible speed admits no schedule.
-		sched, err := mpss.ScheduleAtCap(in, req.Cap)
+		sched, err := mpss.ScheduleAtCap(in, req.Cap, mpss.WithRecorder(s.rec), withCtx)
 		if err != nil {
 			return s.failure(r, err)
 		}
@@ -561,7 +569,7 @@ func (s *Server) solve(ctx context.Context, kind string, req *api.SolveRequest, 
 		}
 		return jsonResponse(http.StatusOK, api.FeasibleResponse{Cap: req.Cap, Feasible: ok})
 	case "mincap":
-		cap, err := s.solver.MinFeasibleCap(in, req.Rel, withCtx)
+		cap, err := s.solver.MinFeasibleCap(in, 0, withCtx)
 		if err != nil {
 			return s.failure(r, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,9 +188,7 @@ func TestEndpointsMatchLibrary(t *testing.T) {
 	})
 
 	t.Run("mincap", func(t *testing.T) {
-		capReq := req
-		capReq.Rel = 1e-6
-		code, body := post(t, ts.URL+"/v1/mincap", capReq)
+		code, body := post(t, ts.URL+"/v1/mincap", req)
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, body)
 		}
@@ -197,7 +196,7 @@ func TestEndpointsMatchLibrary(t *testing.T) {
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
-		want, err := mpss.MinFeasibleCap(in, 1e-6)
+		want, err := mpss.MinFeasibleCap(in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,6 +291,81 @@ func TestCacheHitDeterminism(t *testing.T) {
 	_, otherBody := post(t, ts.URL+"/v1/solve/optimal", other)
 	if bytes.Equal(first, otherBody) {
 		t.Error("different instance returned the cached body")
+	}
+}
+
+// TestSingleflightLeaderGap holds request B between its cache miss and
+// its Join while request A with the same key solves, caches and
+// finishes; released, B becomes a flight's leader after A's flight is
+// gone, and must find A's answer in the cache rather than solve again.
+func TestSingleflightLeaderGap(t *testing.T) {
+	var tasks atomic.Int64
+	testHookTaskStart = func() { tasks.Add(1) }
+	held, release := make(chan struct{}), make(chan struct{})
+	var holding atomic.Bool
+	testHookBeforeJoin = func() {
+		if holding.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+	}
+	defer func() { testHookTaskStart, testHookBeforeJoin = nil, nil }()
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	jobs, m := testInstance()
+	body, err := json.Marshal(api.SolveRequest{M: m, Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		cache string
+		body  []byte
+		err   error
+	}
+	send := func() reply {
+		resp, err := http.Post(ts.URL+"/v1/solve/optimal", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return reply{err: err}
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, out)
+		}
+		return reply{cache: resp.Header.Get(api.HeaderCache), body: out, err: err}
+	}
+
+	bDone := make(chan reply, 1)
+	go func() { bDone <- send() }()
+	<-held
+	a := send()
+	if a.err != nil {
+		t.Fatalf("request A: %v", a.err)
+	}
+	close(release)
+	b := <-bDone
+	if b.err != nil {
+		t.Fatalf("request B: %v", b.err)
+	}
+	if n := tasks.Load(); n != 1 {
+		t.Errorf("%d solves ran for one key, want 1", n)
+	}
+	if b.cache != "hit" || !bytes.Equal(a.body, b.body) {
+		t.Errorf("request B: cache %q, body equal to A's %v; want a hit with A's body", b.cache, bytes.Equal(a.body, b.body))
+	}
+}
+
+// TestAtCapFlowCounted: /v1/solve/atcap's one max flow reaches the
+// server's recorder like every other endpoint's flows.
+func TestAtCapFlowCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	jobs, m := testInstance()
+	before := s.Recorder().Value("flow.solves")
+	if code, body := post(t, ts.URL+"/v1/solve/atcap", api.SolveRequest{M: m, Jobs: jobs, Cap: 10}); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if got := s.Recorder().Value("flow.solves") - before; got != 1 {
+		t.Errorf("one atcap request raised flow.solves by %d, want 1", got)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestRaceToIdleCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capSpeed, err := opt.MinFeasibleCap(in, 1e-6)
+	capSpeed, err := opt.MinFeasibleCap(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,8 @@ type Metrics = obs.Snapshot
 
 // SolveOption configures the solver entry points — the package-level
 // one-shot functions (OptimalSchedule, OptimalScheduleExact, OA, AVR,
-// FeasibleAtSpeed, MinFeasibleCap) and the Solver methods. Options
+// FeasibleAtSpeed, MinFeasibleCap, ScheduleAtCap) and the Solver
+// methods. Options
 // given to NewSolver become the Solver's defaults; options given to an
 // individual call are applied on top.
 type SolveOption func(*solveConfig)
@@ -306,13 +307,12 @@ func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, erro
 }
 
 // MinFeasibleCap returns the smallest processor speed cap at which the
-// instance remains feasible, to relative tolerance rel, by bisection
-// from the unbounded optimum's top phase speed s_1. That speed comes
-// from solving the optimum's first phase only, and the phase's min cut
-// answers the waves far below s_1 without a flow; every other wave runs
-// one feasibility probe on a network built once per search. With
-// WithRecorder, "opt.probe_waves" counts the waves, "opt.cut_waves"
-// those the cut answered and "opt.feasibility_probes" the probes run;
+// instance remains feasible: the unbounded optimum's top phase speed
+// s_1, which it computes by solving the optimum's first phase only and
+// checks with one feasibility probe, so FeasibleAtSpeed and
+// ScheduleAtCap accept it. No cap below s_1 is feasible. rel is ignored;
+// it stays for callers written against the former bisection. With
+// WithRecorder, "opt.feasibility_probes" counts the probes run;
 // WithContext makes it cancelable.
 func MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	return NewSolver(opts...).MinFeasibleCap(in, rel)
@@ -357,9 +357,11 @@ func BKPBound(alpha float64) float64 { return bkp.Bound(alpha) }
 
 // ScheduleAtCap builds a feasible fixed-frequency schedule: every
 // processor runs at exactly cap or idles ("race to idle"). It fails when
-// the instance is infeasible at the cap.
-func ScheduleAtCap(in *Instance, cap float64) (*Schedule, error) {
-	return opt.ScheduleAtCap(in, cap)
+// the instance is infeasible at the cap. Options: WithRecorder counts its
+// max flow's flow-solver operations, WithContext makes it cancelable.
+func ScheduleAtCap(in *Instance, cap float64, opts ...SolveOption) (*Schedule, error) {
+	cfg := buildSolveConfig(opts)
+	return opt.ScheduleAtCap(in, cap, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
 
 // SleepModel describes static (leakage) power and the cost of waking

@@ -33,7 +33,7 @@ func TestPublicDiscretePipeline(t *testing.T) {
 
 func TestPublicBoundedSpeed(t *testing.T) {
 	in := quickInstance(t)
-	cap, err := MinFeasibleCap(in, 1e-6)
+	cap, err := MinFeasibleCap(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPublicMetricsAndGantt(t *testing.T) {
 func TestPublicCapAndSleep(t *testing.T) {
 	in := quickInstance(t)
 	p := MustAlpha(3)
-	cap, err := MinFeasibleCap(in, 1e-6)
+	cap, err := MinFeasibleCap(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@ import (
 // WithContext makes a solve cancelable: the solver polls ctx at its
 // natural work boundaries — every phase/round of the offline optimum
 // (each round is one max-flow computation), every OA replanning event,
-// every AVR interval, and every probe wave of the cap search — and a
+// every AVR interval, and before the max flow of a feasibility probe or
+// a fixed-cap schedule — and a
 // canceled or expired context unwinds the solve promptly with an error
 // wrapping ErrCanceled. Cancellation never corrupts a Solver: the
 // solver scratch a call borrowed goes back to the pool in a reusable
@@ -58,9 +59,6 @@ func (s *Solver) merge(opts []SolveOption) solveConfig {
 // Solve computes an energy-optimal migratory schedule: OptimalSchedule
 // with this Solver's default options.
 func (s *Solver) Solve(in *Instance, opts ...SolveOption) (*OptimalResult, error) {
-	if err := ValidateInstance(in); err != nil {
-		return nil, err
-	}
 	cfg := s.merge(opts)
 	return opt.Schedule(in, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
@@ -68,18 +66,12 @@ func (s *Solver) Solve(in *Instance, opts ...SolveOption) (*OptimalResult, error
 // SolveExact is Solve with all phase decisions carried out in exact
 // rational arithmetic.
 func (s *Solver) SolveExact(in *Instance, opts ...SolveOption) (*OptimalResult, error) {
-	if err := ValidateInstance(in); err != nil {
-		return nil, err
-	}
 	cfg := s.merge(opts)
 	return opt.Schedule(in, opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }
 
 // OA runs the online Optimal Available simulation.
 func (s *Solver) OA(in *Instance, opts ...SolveOption) (*OAResult, error) {
-	if err := ValidateInstance(in); err != nil {
-		return nil, err
-	}
 	cfg := s.merge(opts)
 	return online.OA(in,
 		online.WithRecorder(cfg.rec), online.WithContext(cfg.ctx))
@@ -87,9 +79,6 @@ func (s *Solver) OA(in *Instance, opts ...SolveOption) (*OAResult, error) {
 
 // AVR runs the online Average Rate simulation.
 func (s *Solver) AVR(in *Instance, opts ...SolveOption) (*AVRResult, error) {
-	if err := ValidateInstance(in); err != nil {
-		return nil, err
-	}
 	cfg := s.merge(opts)
 	return online.AVR(in,
 		online.WithRecorder(cfg.rec), online.WithContext(cfg.ctx))
@@ -103,9 +92,9 @@ func (s *Solver) FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption)
 }
 
 // MinFeasibleCap returns the smallest processor speed cap at which the
-// instance remains feasible, to relative tolerance rel; see the
-// package-level function.
+// instance remains feasible, the optimum's top phase speed s_1; rel is
+// ignored. See the package-level function.
 func (s *Solver) MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	cfg := s.merge(opts)
-	return opt.MinFeasibleCap(in, rel, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
+	return opt.MinFeasibleCap(in, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 }

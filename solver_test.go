@@ -54,8 +54,8 @@ func TestSolverDifferential(t *testing.T) {
 					requireSameJSON(t, gen, seed, "avr schedule", pkgAVR.Schedule, sesAVR.Schedule)
 				}
 
-				pkgCap, err1 := mpss.MinFeasibleCap(in, 1e-9)
-				sesCap, err2 := s.MinFeasibleCap(in, 1e-9)
+				pkgCap, err1 := mpss.MinFeasibleCap(in, 0)
+				sesCap, err2 := s.MinFeasibleCap(in, 0)
 				requireSameResult(t, gen, seed, "mincap", err1, err2)
 				if pkgCap != sesCap {
 					t.Errorf("%s/%d mincap: package %v, Solver %v", gen, seed, pkgCap, sesCap)
@@ -193,7 +193,7 @@ func TestCancellationAllEntryPoints(t *testing.T) {
 		"OptimalSchedule": func() error { _, err := mpss.OptimalSchedule(in, withCtx); return err },
 		"OA":              func() error { _, err := mpss.OA(in, withCtx); return err },
 		"AVR":             func() error { _, err := mpss.AVR(in, withCtx); return err },
-		"MinFeasibleCap":  func() error { _, err := mpss.MinFeasibleCap(in, 1e-6, withCtx); return err },
+		"MinFeasibleCap":  func() error { _, err := mpss.MinFeasibleCap(in, 0, withCtx); return err },
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, mpss.ErrCanceled) {
@@ -245,13 +245,13 @@ func TestParallelismOnlyFansOutComponents(t *testing.T) {
 		requireSameJSON(t, c.gen, seed, "solver vs parallelism 4", base, ses)
 
 		baseRec, parRec := mpss.NewRecorder(), mpss.NewRecorder()
-		baseCap, err1 := mpss.MinFeasibleCap(in, 1e-9, mpss.WithRecorder(baseRec))
-		parCap, err2 := mpss.MinFeasibleCap(in, 1e-9, mpss.WithRecorder(parRec), mpss.WithParallelism(4))
+		baseCap, err1 := mpss.MinFeasibleCap(in, 0, mpss.WithRecorder(baseRec))
+		parCap, err2 := mpss.MinFeasibleCap(in, 0, mpss.WithRecorder(parRec), mpss.WithParallelism(4))
 		requireSameResult(t, c.gen, seed, "mincap", err1, err2)
 		if math.Float64bits(baseCap) != math.Float64bits(parCap) {
 			t.Errorf("%s/%d mincap: %v by default, %v at parallelism 4", c.gen, seed, baseCap, parCap)
 		}
-		for _, name := range []string{"opt.feasibility_probes", "opt.probe_waves"} {
+		for _, name := range []string{"opt.bracket_solves", "opt.feasibility_probes"} {
 			if a, b := baseRec.Value(name), parRec.Value(name); a != b {
 				t.Errorf("%s/%d mincap %s: %d by default, %d at parallelism 4", c.gen, seed, name, a, b)
 			}
