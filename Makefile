@@ -1,8 +1,9 @@
 # Developer entry points. `make verify` is the tier-1 recipe CI and the
 # ROADMAP reference: build + vet + full tests + race over the packages
-# with real concurrency (the observability substrate, the flow solvers,
-# the server, the cluster front tier, the solver, and the streamed trace
-# solve with its component fan-out).
+# with real concurrency (the observability substrate, the worker pool
+# and free lists under every server and trace worker, the server, the
+# cluster front tier, the solver, and the streamed trace solve with its
+# component fan-out).
 
 GO ?= go
 
@@ -23,7 +24,7 @@ test:
 # minutes at full size under the race detector, and `make test` runs
 # them in full.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/... ./internal/cluster/...
+	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/server/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/opt/...
 	$(GO) test -race -run 'SolveTraceStream' .
 
@@ -67,21 +68,26 @@ apidoc:
 # second leg fuzzes instance shapes against the one-removal-per-round
 # reference of the phase loop (internal/opt/reference_test.go); the
 # third fuzzes phase networks through in-place rounds against plain
-# Dinic on flow.Graph twins rebuilt every round, for the phase-network
+# Dinic on flowref.Graph twins rebuilt every round, for the phase-network
 # kernel and its one-pass first level phase (internal/flow/phasenet.go);
 # the fourth posts fuzzed session delta batches (add, remove, cap) as
 # JSON through the server's handler and holds every reply to the
 # one-shot /v1/solve/optimal and /v1/feasible answers for the session's
 # job set (internal/server/fuzz_test.go);
 # the fifth fuzzes the minimum cap against the full solver's top phase
-# speed and probes on a flow.Graph at and just below it, and checks the
-# fixed-frequency schedule at the cap (internal/opt/bounded.go).
+# speed and probes on a flowref.Graph at and just below it, and checks the
+# fixed-frequency schedule at the cap (internal/opt/bounded.go); the
+# sixth fuzzes layered networks through flowref.Graph's Dinic and
+# push-relabel and the exact flow.RatGraph, which must agree on the
+# max-flow value before and after one rejected round's mutations
+# (internal/flow/differential_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolvePipeline -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 20s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzPhaseNet -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz FuzzSessionDeltas -fuzztime 20s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzMinFeasibleCap -fuzztime 20s ./internal/opt/
+	$(GO) test -run '^$$' -fuzz FuzzDifferentialSolvers -fuzztime 20s ./internal/flow/
 
 # trace-smoke streams a 50k-job diurnal trace through the component-wise
 # solve end to end: component counters asserted against the summary, a

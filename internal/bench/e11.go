@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 	"mpss/internal/job"
 	"mpss/internal/workload"
 )
@@ -66,13 +67,12 @@ func E11(cfg Config, sizes []int) ([]E11Row, error) {
 			rec.Add("flow.dinic.edges_scanned", dops.EdgesScanned)
 
 			t1 := time.Now()
-			pg := flow.NewPRGraph(net.vertices)
+			pg := flowref.NewGraph(net.vertices)
 			for _, e := range net.edges {
 				pg.AddEdge(e.from, e.to, e.cap)
 			}
-			pv := pg.MaxFlow(0, net.vertices-1)
+			pv, pops := pg.PushRelabel(0, net.vertices-1)
 			row.PRNanos += time.Since(t1).Nanoseconds()
-			pops := pg.Ops()
 			rec.Add("flow.pr.pushes", pops.Pushes)
 			rec.Add("flow.pr.relabels", pops.Relabels)
 			rec.Add("flow.pr.gap_firings", pops.GapFirings)

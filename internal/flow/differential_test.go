@@ -1,12 +1,14 @@
-package flow
+package flow_test
 
 import (
 	"encoding/binary"
-	"math"
 	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 )
 
 // layeredNet is a random instance of the scheduling network shape used by
@@ -54,7 +56,7 @@ func randomNet(rng *rand.Rand) *layeredNet {
 	return net
 }
 
-func (net *layeredNet) buildFloat(g *Graph) (src, sink []EdgeID) {
+func (net *layeredNet) buildFloat(g *flowref.Graph) (src, sink []flow.EdgeID) {
 	d := float64(net.denom)
 	for k := 0; k < net.nJobs; k++ {
 		src = append(src, g.AddEdge(0, 1+k, float64(net.srcCap[k])/d))
@@ -72,7 +74,7 @@ func (net *layeredNet) buildFloat(g *Graph) (src, sink []EdgeID) {
 	return src, sink
 }
 
-func (net *layeredNet) buildRat(g *RatGraph) (src, sink []EdgeID) {
+func (net *layeredNet) buildRat(g *flow.RatGraph) (src, sink []flow.EdgeID) {
 	c := new(big.Rat)
 	for k := 0; k < net.nJobs; k++ {
 		c.SetFrac64(net.srcCap[k], net.denom)
@@ -91,23 +93,6 @@ func (net *layeredNet) buildRat(g *RatGraph) (src, sink []EdgeID) {
 		sink = append(sink, g.AddEdge(1+net.nJobs+j, net.sink(), c))
 	}
 	return src, sink
-}
-
-func (net *layeredNet) buildPR(g *PRGraph) {
-	d := float64(net.denom)
-	for k := 0; k < net.nJobs; k++ {
-		g.AddEdge(0, 1+k, float64(net.srcCap[k])/d)
-	}
-	for k := 0; k < net.nJobs; k++ {
-		for j := 0; j < net.nIvs; j++ {
-			if c := net.midCap[k*net.nIvs+j]; c > 0 {
-				g.AddEdge(1+k, 1+net.nJobs+j, float64(c)/d)
-			}
-		}
-	}
-	for j := 0; j < net.nIvs; j++ {
-		g.AddEdge(1+net.nJobs+j, net.sink(), float64(net.sinkCap[j])/d)
-	}
 }
 
 // mutated returns the net of the round after one rejection, as the
@@ -148,21 +133,21 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 	net := randomNet(rng)
 	s, sink := 0, net.sink()
 
-	dg := NewGraph(net.vertices())
+	dg := flowref.NewGraph(net.vertices())
 	net.buildFloat(dg)
-	pg := NewPRGraph(net.vertices())
-	net.buildPR(pg)
-	rg := NewRatGraph(net.vertices())
+	pg := flowref.NewGraph(net.vertices())
+	net.buildFloat(pg)
+	rg := flow.NewRatGraph(net.vertices())
 	net.buildRat(rg)
 
 	fv := dg.MaxFlow(s, sink)
-	pv := pg.MaxFlow(s, sink)
+	pv, _ := pg.PushRelabel(s, sink)
 	rv, _ := rg.MaxFlow(s, sink).Float64()
 
-	if !Close(fv, rv, SolveTolerance) {
+	if !flowref.Close(fv, rv, flow.SolveTolerance) {
 		t.Fatalf("dinic %v vs exact %v (net %+v)", fv, rv, net)
 	}
-	if !Close(pv, rv, SolveTolerance) {
+	if !flowref.Close(pv, rv, flow.SolveTolerance) {
 		t.Fatalf("push-relabel %v vs exact %v (net %+v)", pv, rv, net)
 	}
 	if err := dg.CheckConservation(s, sink); err != nil {
@@ -178,7 +163,7 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 
 	// Graphs built directly at the final capacities.
 	final := net.mutated(kill, shrink, factorNum, factorDen)
-	cr := NewRatGraph(final.vertices())
+	cr := flow.NewRatGraph(final.vertices())
 	csrc, _ := final.buildRat(cr)
 	cr.MaxFlow(s, sink)
 	exactVal := new(big.Rat)
@@ -187,7 +172,7 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 			exactVal.Add(exactVal, cr.Flow(id))
 		}
 	}
-	fg := NewGraph(final.vertices())
+	fg := flowref.NewGraph(final.vertices())
 	fsrc, _ := final.buildFloat(fg)
 	fg.MaxFlow(s, sink)
 	floatVal := 0.0
@@ -200,7 +185,7 @@ func checkDifferential(t *testing.T, rng *rand.Rand) {
 		t.Fatalf("rebuilt conservation: %v", err)
 	}
 	ev, _ := exactVal.Float64()
-	if !Close(floatVal, ev, SolveTolerance) {
+	if !flowref.Close(floatVal, ev, flow.SolveTolerance) {
 		t.Fatalf("float rebuilt %v vs exact rebuilt %v (net %+v)", floatVal, ev, net)
 	}
 }
@@ -226,190 +211,37 @@ func FuzzDifferentialSolvers(f *testing.F) {
 	})
 }
 
-// The Dinic BFS stops as soon as it labels the sink. parentMaxFlow and
-// parentRatMaxFlow keep the earlier BFS, which expanded every reachable
-// vertex, as a test-local reference: on every network below the two must
-// route bit-equal per-edge flows through the same augmenting paths and
-// level graphs, and the stopping BFS may only scan fewer edges.
-
-func parentMaxFlow(g *Graph, s, t int) float64 {
-	g.build()
-	g.ensureScratch(g.nv)
-	tol := g.tolerance()
-	n := g.nv
-	level, iter := g.level, g.iter
-	var bfsPasses, augPaths, edgesScanned int64
-	bfs := func() bool {
-		bfsPasses++
-		for i := 0; i < n; i++ {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue := append(g.queue[:0], int32(s))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			edgesScanned += int64(g.adjOff[v+1] - g.adjOff[v])
-			for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-				e := &g.edges[g.adjLst[i]]
-				if e.cap > tol && level[e.to] < 0 {
-					level[e.to] = level[v] + 1
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		g.queue = queue[:0]
-		return level[t] >= 0
-	}
-	var dfs func(v int32, f float64) float64
-	dfs = func(v int32, f float64) float64 {
-		if int(v) == t {
-			return f
-		}
-		for ; iter[v] < g.adjOff[v+1]; iter[v]++ {
-			edgesScanned++
-			eid := g.adjLst[iter[v]]
-			e := &g.edges[eid]
-			if e.cap > tol && level[v] < level[e.to] {
-				d := dfs(e.to, math.Min(f, e.cap))
-				if d > 0 {
-					e.cap -= d
-					g.edges[eid^1].cap += d
-					return d
-				}
-			}
-		}
-		return 0
-	}
-	var total float64
-	for bfs() {
-		copy(iter[:n], g.adjOff[:n])
-		for {
-			f := dfs(int32(s), math.Inf(1))
-			if f <= 0 {
-				break
-			}
-			augPaths++
-			total += f
-		}
-	}
-	g.ops.Add(DinicOps{BFSPasses: bfsPasses, AugPaths: augPaths, EdgesScanned: edgesScanned})
-	return total
-}
-
-func parentRatMaxFlow(g *RatGraph, s, t int) *big.Rat {
-	g.build()
-	g.ensureScratch(g.nv)
-	n := g.nv
-	level, iter := g.level, g.iter
-	var bfsPasses, augPaths, edgesScanned int64
-	bfs := func() bool {
-		bfsPasses++
-		for i := 0; i < n; i++ {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue := append(g.queue[:0], int32(s))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			edgesScanned += int64(g.adjOff[v+1] - g.adjOff[v])
-			for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-				e := &g.edges[g.adjLst[i]]
-				if e.cap.Sign() > 0 && level[e.to] < 0 {
-					level[e.to] = level[v] + 1
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		g.queue = queue[:0]
-		return level[t] >= 0
-	}
-	var dfs func(v int32, f *big.Rat) *big.Rat
-	dfs = func(v int32, f *big.Rat) *big.Rat {
-		if int(v) == t {
-			return new(big.Rat).Set(f)
-		}
-		for ; iter[v] < g.adjOff[v+1]; iter[v]++ {
-			edgesScanned++
-			eid := g.adjLst[iter[v]]
-			e := &g.edges[eid]
-			if e.cap.Sign() > 0 && level[v] < level[e.to] {
-				push := e.cap
-				if f != nil && f.Cmp(e.cap) < 0 {
-					push = f
-				}
-				d := dfs(e.to, push)
-				if d != nil && d.Sign() > 0 {
-					e.cap.Sub(e.cap, d)
-					p := &g.edges[eid^1]
-					p.cap.Add(p.cap, d)
-					return d
-				}
-			}
-		}
-		return nil
-	}
-	total := new(big.Rat)
-	for bfs() {
-		copy(iter[:n], g.adjOff[:n])
-		for {
-			bound := new(big.Rat)
-			for i := g.adjOff[s]; i < g.adjOff[s+1]; i++ {
-				bound.Add(bound, g.edges[g.adjLst[i]].cap)
-			}
-			if bound.Sign() == 0 {
-				break
-			}
-			d := dfs(int32(s), bound)
-			if d == nil || d.Sign() == 0 {
-				break
-			}
-			augPaths++
-			total.Add(total, d)
-		}
-	}
-	g.ops.Add(DinicOps{BFSPasses: bfsPasses, AugPaths: augPaths, EdgesScanned: edgesScanned})
-	return total
-}
+// RatGraph's Dinic BFS stops as soon as it labels the sink.
+// flow.ParentRatMaxFlow keeps the earlier BFS, which expanded every
+// reachable vertex, as a test-local reference: on every network below
+// the two must route equal per-edge flows through the same augmenting
+// paths and level graphs, and the stopping BFS may only scan fewer
+// edges. flowref's TestBFSStopMatchesParentBFS holds flowref.Graph to
+// the same reference on the same networks.
 
 // bfsStopTally sums the edges scanned by the stopping BFS and by the
 // parent BFS over a suite of networks.
 type bfsStopTally struct{ got, parent int64 }
 
-// checkFloatTwins solves g with MaxFlow and its twin p (built by the same
-// calls) with parentMaxFlow, then compares the two bit for bit.
-func (tl *bfsStopTally) checkFloatTwins(t *testing.T, label string, g, p *Graph, s, sink int) {
+// checkRatTwins solves g with MaxFlow and its twin p (built by the same
+// calls) with the parent BFS, then compares the two edge by edge.
+func (tl *bfsStopTally) checkRatTwins(t *testing.T, label string, g, p *flow.RatGraph, s, sink int) {
 	t.Helper()
 	before, pbefore := g.Ops(), p.Ops()
-	v, pv := g.MaxFlow(s, sink), parentMaxFlow(p, s, sink)
-	if math.Float64bits(v) != math.Float64bits(pv) {
-		t.Fatalf("%s: flow value %v, parent BFS %v", label, v, pv)
-	}
-	for i := range g.edges {
-		if math.Float64bits(g.edges[i].cap) != math.Float64bits(p.edges[i].cap) {
-			t.Fatalf("%s: edge %d residual %v, parent BFS %v", label, i, g.edges[i].cap, p.edges[i].cap)
-		}
-	}
-	tl.compareOps(t, label, g.Ops().Sub(before), p.Ops().Sub(pbefore))
-}
-
-// checkRatTwins is checkFloatTwins for the exact solver.
-func (tl *bfsStopTally) checkRatTwins(t *testing.T, label string, g, p *RatGraph, s, sink int) {
-	t.Helper()
-	before, pbefore := g.Ops(), p.Ops()
-	v, pv := g.MaxFlow(s, sink), parentRatMaxFlow(p, s, sink)
+	v, pv := g.MaxFlow(s, sink), flow.ParentRatMaxFlow(p, s, sink)
 	if v.Cmp(pv) != 0 {
 		t.Fatalf("%s: exact flow value %v, parent BFS %v", label, v, pv)
 	}
-	for i := range g.edges {
-		if g.edges[i].cap.Cmp(p.edges[i].cap) != 0 {
-			t.Fatalf("%s: exact edge %d residual %v, parent BFS %v", label, i, g.edges[i].cap, p.edges[i].cap)
+	for i := 0; ; i++ {
+		c, ok := flow.RatResidual(g, i)
+		if !ok {
+			break
+		}
+		if pc, _ := flow.RatResidual(p, i); c.Cmp(pc) != 0 {
+			t.Fatalf("%s: exact edge %d residual %v, parent BFS %v", label, i, c, pc)
 		}
 	}
-	tl.compareOps(t, label, g.Ops().Sub(before), p.Ops().Sub(pbefore))
-}
-
-func (tl *bfsStopTally) compareOps(t *testing.T, label string, got, parent DinicOps) {
-	t.Helper()
+	got, parent := g.Ops().Sub(before), p.Ops().Sub(pbefore)
 	if got.AugPaths != parent.AugPaths || got.BFSPasses != parent.BFSPasses {
 		t.Fatalf("%s: aug paths/BFS passes %d/%d, parent BFS %d/%d",
 			label, got.AugPaths, got.BFSPasses, parent.AugPaths, parent.BFSPasses)
@@ -421,22 +253,19 @@ func (tl *bfsStopTally) compareOps(t *testing.T, label string, got, parent Dinic
 	tl.parent += parent.EdgesScanned
 }
 
-// randomDigraph builds the same arbitrary directed network (not layered:
-// back edges, skips and parallel arcs) into a float and an exact graph,
-// with integer capacities.
-func randomDigraph(rng *rand.Rand) (g *Graph, rg *RatGraph, n int) {
+// randomDigraph builds an arbitrary directed network (not layered: back
+// edges, skips and parallel arcs) with integer capacities.
+func randomDigraph(rng *rand.Rand) (rg *flow.RatGraph, n int) {
 	n = 3 + rng.Intn(10)
-	g, rg = NewGraph(n), NewRatGraph(n)
+	rg = flow.NewRatGraph(n)
 	for i := 3 * n; i > 0; i-- {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			continue
 		}
-		c := int64(rng.Intn(12))
-		g.AddEdge(u, v, float64(c))
-		rg.AddEdge(u, v, new(big.Rat).SetInt64(c))
+		rg.AddEdge(u, v, new(big.Rat).SetInt64(int64(rng.Intn(12))))
 	}
-	return g, rg, n
+	return rg, n
 }
 
 func TestBFSStopMatchesParentBFS(t *testing.T) {
@@ -448,25 +277,16 @@ func TestBFSStopMatchesParentBFS(t *testing.T) {
 		kill := rng.Intn(net.nJobs)
 		shrink := rng.Intn(net.nIvs)
 		den, num := int64(1+rng.Intn(3)), int64(1+rng.Intn(3))
+		label := func(step string) string { return "net seed " + strconv.FormatInt(seed, 10) + " " + step }
 
 		// A solve, then a solve of the net rebuilt after the mutation
 		// sequence of checkDifferential, on twin graphs.
-		g, p := NewGraph(net.vertices()), NewGraph(net.vertices())
-		net.buildFloat(g)
-		net.buildFloat(p)
-		label := func(step string) string { return "net seed " + strconv.FormatInt(seed, 10) + " " + step }
-		tl.checkFloatTwins(t, label("first"), g, p, s, sink)
-		final := net.mutated(kill, shrink, num, den)
-		g, p = NewGraph(final.vertices()), NewGraph(final.vertices())
-		final.buildFloat(g)
-		final.buildFloat(p)
-		tl.checkFloatTwins(t, label("rebuilt"), g, p, s, sink)
-
-		r, rp := NewRatGraph(net.vertices()), NewRatGraph(net.vertices())
+		r, rp := flow.NewRatGraph(net.vertices()), flow.NewRatGraph(net.vertices())
 		net.buildRat(r)
 		net.buildRat(rp)
 		tl.checkRatTwins(t, label("exact first"), r, rp, s, sink)
-		r, rp = NewRatGraph(final.vertices()), NewRatGraph(final.vertices())
+		final := net.mutated(kill, shrink, num, den)
+		r, rp = flow.NewRatGraph(final.vertices()), flow.NewRatGraph(final.vertices())
 		final.buildRat(r)
 		final.buildRat(rp)
 		tl.checkRatTwins(t, label("exact rebuilt"), r, rp, s, sink)
@@ -474,16 +294,14 @@ func TestBFSStopMatchesParentBFS(t *testing.T) {
 		// The bipartite networks of flow_test.go.
 		nj, ni := 1+rng.Intn(8), 1+rng.Intn(8)
 		bseed := rng.Int63()
-		fg, rg, _, bs, bt := buildRandomBipartite(rand.New(rand.NewSource(bseed)), nj, ni)
-		pfg, prg, _, _, _ := buildRandomBipartite(rand.New(rand.NewSource(bseed)), nj, ni)
-		tl.checkFloatTwins(t, label("bipartite"), fg, pfg, bs, bt)
+		_, rg, _, bs, bt := buildRandomBipartite(rand.New(rand.NewSource(bseed)), nj, ni)
+		_, prg, _, _, _ := buildRandomBipartite(rand.New(rand.NewSource(bseed)), nj, ni)
 		tl.checkRatTwins(t, label("exact bipartite"), rg, prg, bs, bt)
 
 		// Arbitrary digraphs, where t's level is shared with other vertices.
 		dseed := rng.Int63()
-		dg, drg, dn := randomDigraph(rand.New(rand.NewSource(dseed)))
-		pdg, pdrg, _ := randomDigraph(rand.New(rand.NewSource(dseed)))
-		tl.checkFloatTwins(t, label("digraph"), dg, pdg, 0, dn-1)
+		drg, dn := randomDigraph(rand.New(rand.NewSource(dseed)))
+		pdrg, _ := randomDigraph(rand.New(rand.NewSource(dseed)))
 		tl.checkRatTwins(t, label("exact digraph"), drg, pdrg, 0, dn-1)
 	}
 	if tl.got >= tl.parent {

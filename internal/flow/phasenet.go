@@ -17,10 +17,11 @@ import (
 //   - interval r has one capacity shared by all its job edges, a sink
 //     edge, and a job list that fixes the order of its reverse arcs.
 //
-// There is no AddEdge, no CSR build and no max-capacity rescan. The solver is Graph's Dinic, made to push the
+// There is no AddEdge, no CSR build and no max-capacity rescan. The
+// solver is the Dinic of the reference flowref.Graph, made to push the
 // same paths in the same order with the same float operations, so the
 // per-edge flows, the flow value, AugPaths and BFSPasses are bit-for-bit
-// those of a Graph built by adding, in this order, the source edges of
+// those of a flowref.Graph built by adding, in this order, the source edges of
 // the set jobs in index order and then, interval by interval, the job
 // edges in list order followed by the sink edge. That fixes the
 // adjacency order the kernel follows:
@@ -197,9 +198,9 @@ func (p *PhaseNet) live(i int) bool { return p.jobLv0[i] < 0 }
 
 func (p *PhaseNet) on(r int) bool { return p.ivLv0[r] < 0 }
 
-// checkCap rejects a capacity AddEdge would reject, with the same
-// numeric classification: non-finite or negative values reach the
-// kernel only through float64 overflow or underflow upstream.
+// checkCap rejects a non-finite or negative capacity, classified as
+// numeric: such values reach the kernel only through float64 overflow or
+// underflow upstream.
 func checkCap(c float64) {
 	if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
 		violate(true, fmt.Sprintf("invalid capacity %v", c))
@@ -234,7 +235,7 @@ func (p *PhaseNet) EdgeFlow(i, r int) float64 {
 // flow) and derives the tolerance, DefaultTolerance times the largest
 // live capacity (at least 1): that of the set jobs' source edges, of the
 // job edges into set intervals, and of the sink edges. It is exactly
-// Graph's tolerance on the equivalent network, which has no edges for
+// flowref.Graph's tolerance on the equivalent network, which has no edges for
 // the jobs and intervals that are not set.
 func (p *PhaseNet) initResiduals() {
 	mx := 0.0
@@ -337,9 +338,9 @@ func (p *PhaseNet) CoReachable() []bool {
 // order.
 //
 // Why it is exact. On a zero flow every reverse arc has residual 0, so
-// BFS 1 of Graph's Dinic would label the live jobs with level 1, the
-// intervals they reach through live arcs with level 2, and t with level
-// 3: the level graph is exactly s -> job -> interval -> t. The recursive
+// BFS 1 of flowref.Graph's Dinic would label the live jobs with level 1,
+// the intervals they reach through live arcs with level 2, and t with
+// level 3: the level graph is exactly s -> job -> interval -> t. The recursive
 // DFS walks s's arcs in job order and, from each job, its arcs from the
 // current one; from an interval the only arc into a higher level is its
 // sink arc, and once that is at or below the tolerance the interval is
@@ -586,6 +587,13 @@ func fillInt32(s []int32, v int32) {
 	for i := range s {
 		s[i] = v
 	}
+}
+
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 func growBools(s []bool, n int) []bool {

@@ -1,4 +1,4 @@
-package flow
+package flow_test
 
 import (
 	"encoding/binary"
@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 )
 
 // phaseShape is a random phase network: job windows over a row of
@@ -78,7 +81,8 @@ func randomPhase(rng *rand.Rand) *phaseShape {
 	return sh
 }
 
-// phaseTwin is a phase network built both as a PhaseNet and as a Graph,
+// phaseTwin is a phase network built both as a PhaseNet and as a
+// flowref.Graph,
 // the latter by the AddEdge sequence the scheduler's raw build uses:
 // source edges in job order, then per interval its job edges in list
 // order and its sink edge. Between rounds the PhaseNet's flow is reset
@@ -86,17 +90,17 @@ func randomPhase(rng *rand.Rand) *phaseShape {
 // does; the Graph is rebuilt from the round's capacities.
 type phaseTwin struct {
 	sh   *phaseShape
-	p    *PhaseNet
-	g    *Graph
+	p    *flow.PhaseNet
+	g    *flowref.Graph
 	sink int
-	node []int    // per job: Graph vertex, -1 when not set
-	src  []EdgeID // per job
-	mid  map[[2]int]EdgeID
+	node []int         // per job: Graph vertex, -1 when not set
+	src  []flow.EdgeID // per job
+	mid  map[[2]int]flow.EdgeID
 
 	srcCap []float64 // the source capacities the PhaseNet holds now
 }
 
-func buildPhaseTwin(sh *phaseShape, p *PhaseNet) *phaseTwin {
+func buildPhaseTwin(sh *phaseShape, p *flow.PhaseNet) *phaseTwin {
 	tw := &phaseTwin{
 		sh: sh, p: p,
 		srcCap: append([]float64(nil), sh.srcCap...),
@@ -137,9 +141,9 @@ func (tw *phaseTwin) rebuild() {
 		}
 	}
 	tw.sink = v
-	tw.g = NewGraph(v + 1)
-	tw.src = make([]EdgeID, sh.nJobs)
-	tw.mid = map[[2]int]EdgeID{}
+	tw.g = flowref.NewGraph(v + 1)
+	tw.src = make([]flow.EdgeID, sh.nJobs)
+	tw.mid = map[[2]int]flow.EdgeID{}
 	for i, n := range tw.node {
 		if n >= 0 {
 			tw.src[i] = tw.g.AddEdge(0, n, tw.srcCap[i])
@@ -171,8 +175,8 @@ func (tw *phaseTwin) solve(t *testing.T, label string, scanned *[2]int64) {
 	if !sameBits(v, gv) {
 		t.Fatalf("%s: flow value %v, Graph %v", label, v, gv)
 	}
-	if !sameBits(p.tol, g.tolerance()) {
-		t.Fatalf("%s: tolerance %v, Graph %v", label, p.tol, g.tolerance())
+	if tol := flow.PhaseNetTol(p); !sameBits(tol, g.Tolerance()) {
+		t.Fatalf("%s: tolerance %v, Graph %v", label, tol, g.Tolerance())
 	}
 	got, want := p.Ops().Sub(before), g.Ops().Sub(gbefore)
 	if got.AugPaths != want.AugPaths || got.BFSPasses != want.BFSPasses {
@@ -182,7 +186,7 @@ func (tw *phaseTwin) solve(t *testing.T, label string, scanned *[2]int64) {
 	scanned[0] += got.EdgesScanned
 	scanned[1] += want.EdgesScanned
 	for i := 0; i < sh.nJobs; i++ {
-		if tw.node[i] < 0 || !p.live(i) {
+		if tw.node[i] < 0 || !flow.PhaseNetLive(p, i) {
 			continue
 		}
 		if f, gf := p.SourceFlow(i), g.Flow(tw.src[i]); !sameBits(f, gf) {
@@ -207,7 +211,7 @@ func (tw *phaseTwin) checkCut(t *testing.T, label string) {
 	mark := tw.p.CoReachable()
 	gmark := tw.g.CoReachable(tw.sink)
 	for i, v := range tw.node {
-		want := v >= 0 && tw.p.live(i) && gmark[v]
+		want := v >= 0 && flow.PhaseNetLive(tw.p, i) && gmark[v]
 		if mark[i] != want {
 			t.Fatalf("%s: job %d co-reachable %v, Graph %v", label, i, mark[i], want)
 		}
@@ -217,7 +221,7 @@ func (tw *phaseTwin) checkCut(t *testing.T, label string) {
 // checkPhaseNet runs one random network through several in-place rounds:
 // solve; reset the flow; re-set the sources; solve again. The Graph twin is rebuilt from scratch for every round,
 // so each in-place round must match a from-zero solve of its network.
-func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scanned *[2]int64) {
+func checkPhaseNet(t *testing.T, rng *rand.Rand, p *flow.PhaseNet, seed string, scanned *[2]int64) {
 	t.Helper()
 	sh := randomPhase(rng)
 	tw := buildPhaseTwin(sh, p)
@@ -230,7 +234,7 @@ func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scann
 		p.ResetFlow()
 		scale := []float64{1, 0.5, 3, 1e-3}[rng.Intn(4)]
 		for i := 0; i < sh.nJobs; i++ {
-			if tw.node[i] >= 0 && p.live(i) {
+			if tw.node[i] >= 0 && flow.PhaseNetLive(p, i) {
 				c := sh.srcCap[i] * scale
 				p.SetSourceCap(i, c)
 				tw.srcCap[i] = c
@@ -247,7 +251,7 @@ func checkPhaseNet(t *testing.T, rng *rand.Rand, p *PhaseNet, seed string, scann
 }
 
 func TestPhaseNetMatchesGraph(t *testing.T) {
-	var p PhaseNet // one arena across every network: Reset must forget all
+	var p flow.PhaseNet // one arena across every network: Reset must forget all
 	var scanned [2]int64
 	for seed := int64(1); seed <= 20000; seed++ {
 		if testing.Short() && seed > 2000 {
@@ -261,7 +265,7 @@ func TestPhaseNetMatchesGraph(t *testing.T) {
 // TestPhaseNetMutatorsNeedZeroFlow: SetSourceCap re-sets a capacity
 // without draining, so it refuses a network carrying flow.
 func TestPhaseNetMutatorsNeedZeroFlow(t *testing.T) {
-	var p PhaseNet
+	var p flow.PhaseNet
 	p.Reset(1, 1)
 	p.SetJob(0, 0, 0, 1)
 	p.SetInterval(0, 1, 1, []int32{0})
@@ -293,7 +297,7 @@ func FuzzPhaseNet(f *testing.F) {
 		var b [8]byte
 		copy(b[:], data)
 		seed := int64(binary.LittleEndian.Uint64(b[:]))
-		var p PhaseNet
+		var p flow.PhaseNet
 		var scanned [2]int64
 		checkPhaseNet(t, rand.New(rand.NewSource(seed)), &p, strconv.FormatInt(seed, 10), &scanned)
 	})

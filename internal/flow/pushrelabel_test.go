@@ -1,18 +1,21 @@
-package flow
+package flow_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 )
 
 func TestPRSimplePath(t *testing.T) {
-	g := NewPRGraph(3)
+	g := flowref.NewGraph(3)
 	a := g.AddEdge(0, 1, 5)
 	b := g.AddEdge(1, 2, 3)
-	if got := g.MaxFlow(0, 2); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("MaxFlow = %v, want 3", got)
+	if got, _ := g.PushRelabel(0, 2); math.Abs(got-3) > 1e-9 {
+		t.Fatalf("PushRelabel = %v, want 3", got)
 	}
 	if math.Abs(g.Flow(a)-3) > 1e-9 || math.Abs(g.Flow(b)-3) > 1e-9 {
 		t.Errorf("edge flows = %v, %v", g.Flow(a), g.Flow(b))
@@ -26,7 +29,7 @@ func TestPRSimplePath(t *testing.T) {
 }
 
 func TestPRClassicNetwork(t *testing.T) {
-	g := NewPRGraph(6)
+	g := flowref.NewGraph(6)
 	g.AddEdge(0, 1, 16)
 	g.AddEdge(0, 2, 13)
 	g.AddEdge(1, 2, 10)
@@ -37,29 +40,29 @@ func TestPRClassicNetwork(t *testing.T) {
 	g.AddEdge(4, 3, 7)
 	g.AddEdge(3, 5, 20)
 	g.AddEdge(4, 5, 4)
-	if got := g.MaxFlow(0, 5); math.Abs(got-23) > 1e-9 {
-		t.Fatalf("MaxFlow = %v, want 23", got)
+	if got, _ := g.PushRelabel(0, 5); math.Abs(got-23) > 1e-9 {
+		t.Fatalf("PushRelabel = %v, want 23", got)
 	}
 }
 
 func TestPRDisconnected(t *testing.T) {
-	g := NewPRGraph(4)
+	g := flowref.NewGraph(4)
 	g.AddEdge(0, 1, 10)
 	g.AddEdge(2, 3, 10)
-	if got := g.MaxFlow(0, 3); got != 0 {
-		t.Errorf("MaxFlow = %v, want 0", got)
+	if got, _ := g.PushRelabel(0, 3); got != 0 {
+		t.Errorf("PushRelabel = %v, want 0", got)
 	}
 }
 
 func TestPRBackEdgeNetwork(t *testing.T) {
 	// A network where the preflow must drain excess back to the source.
-	g := NewPRGraph(4)
+	g := flowref.NewGraph(4)
 	g.AddEdge(0, 1, 100)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(1, 3, 2)
 	g.AddEdge(2, 3, 5)
-	if got := g.MaxFlow(0, 3); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("MaxFlow = %v, want 3", got)
+	if got, _ := g.PushRelabel(0, 3); math.Abs(got-3) > 1e-9 {
+		t.Fatalf("PushRelabel = %v, want 3", got)
 	}
 }
 
@@ -72,10 +75,10 @@ func TestPRPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("NewPRGraph(1)", func() { NewPRGraph(1) })
-	mustPanic("self-loop", func() { NewPRGraph(3).AddEdge(2, 2, 1) })
-	mustPanic("negative", func() { NewPRGraph(3).AddEdge(0, 1, -3) })
-	mustPanic("s==t", func() { NewPRGraph(3).MaxFlow(2, 2) })
+	mustPanic("NewGraph(1)", func() { flowref.NewGraph(1) })
+	mustPanic("self-loop", func() { flowref.NewGraph(3).AddEdge(2, 2, 1) })
+	mustPanic("negative", func() { flowref.NewGraph(3).AddEdge(0, 1, -3) })
+	mustPanic("s==t", func() { flowref.NewGraph(3).PushRelabel(2, 2) })
 }
 
 // Property: push-relabel agrees with Dinic (and thus the exact solver)
@@ -87,8 +90,8 @@ func TestPushRelabelMatchesDinicProperty(t *testing.T) {
 		ni := 1 + rng.Intn(10)
 		fg, _, pg, s, snk := buildRandomBipartite(rng, nj, ni)
 		dv := fg.MaxFlow(s, snk)
-		pv := pg.MaxFlow(s, snk)
-		return Close(dv, pv, DiffTolerance)
+		pv, _ := pg.PushRelabel(s, snk)
+		return flowref.Close(dv, pv, flow.DiffTolerance)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -99,6 +102,6 @@ func BenchmarkPushRelabel(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < b.N; i++ {
 		_, _, pg, s, snk := buildRandomBipartite(rng, 40, 80)
-		pg.MaxFlow(s, snk)
+		pg.PushRelabel(s, snk)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"math/big"
 )
 
-// ratEdge is one arc of the flat exact residual-edge array, paired like
-// edge: forward at even index i, reverse at i^1.
+// ratEdge is one arc of the flat exact residual-edge array: the forward
+// edge at even index i, its reverse at i^1.
 type ratEdge struct {
 	from, to int32
 	cap      *big.Rat // residual capacity
@@ -14,8 +14,8 @@ type ratEdge struct {
 }
 
 // RatGraph is a flow network over exact rational capacities. It mirrors
-// Graph — same flat edge layout, same EdgeID scheme, same Dinic — but
-// performs all arithmetic in math/big.Rat, so saturation tests are
+// flowref.Graph — same flat edge layout, same EdgeID scheme, same Dinic —
+// but performs all arithmetic in math/big.Rat, so saturation tests are
 // exact. It is used to cross-check the float64 solver and to run the
 // offline optimum in exact mode on rational inputs: the exact round loop
 // builds one per round and solves it from zero (DESIGN.md §7).
@@ -56,9 +56,6 @@ func (g *RatGraph) Reset(n int) {
 	g.ops = DinicOps{}
 }
 
-// N returns the number of vertices.
-func (g *RatGraph) N() int { return g.nv }
-
 // AddEdge adds a directed edge with the given non-negative capacity. The
 // capacity is copied.
 func (g *RatGraph) AddEdge(from, to int, capacity *big.Rat) EdgeID {
@@ -93,16 +90,6 @@ func (g *RatGraph) Flow(id EdgeID) *big.Rat {
 	return new(big.Rat).Sub(e.orig, e.cap)
 }
 
-// Capacity returns the exact original capacity of the edge.
-func (g *RatGraph) Capacity(id EdgeID) *big.Rat {
-	return new(big.Rat).Set(g.fwd(id).orig)
-}
-
-// Saturated reports whether the edge carries exactly its capacity.
-func (g *RatGraph) Saturated(id EdgeID) bool {
-	return g.fwd(id).cap.Sign() == 0
-}
-
 func (g *RatGraph) build() {
 	if g.csrOK {
 		return
@@ -111,7 +98,7 @@ func (g *RatGraph) build() {
 	g.adjOff = growInt32(g.adjOff, n+1)
 	g.adjLst = growInt32(g.adjLst, len(g.edges))
 	g.ensureScratch(n)
-	buildCSR(n, len(g.edges), func(i int) int32 { return g.edges[i].from }, g.adjOff, g.adjLst, g.iter)
+	BuildCSR(n, len(g.edges), func(i int) int32 { return g.edges[i].from }, g.adjOff, g.adjLst, g.iter)
 	g.csrOK = true
 }
 
@@ -147,7 +134,7 @@ func (g *RatGraph) MaxFlow(s, t int) *big.Rat {
 		}
 		level[s] = 0
 		queue := append(g.queue[:0], int32(s))
-		// Stop once t is labelled, as Graph's BFS does.
+		// Stop once t is labelled (see the package doc).
 		for head := 0; head < len(queue) && level[t] < 0; head++ {
 			v := queue[head]
 			edgesScanned += int64(g.adjOff[v+1] - g.adjOff[v])

@@ -163,6 +163,8 @@ func (p *Planner) CanAdmit(cap float64, cand job.Job) (bool, error) {
 	for id, lj := range p.live {
 		jobs = append(jobs, job.Job{ID: id, Release: p.now, Deadline: lj.deadline, Work: lj.remaining})
 	}
+	// Map order is random: sort, so every call probes the same network.
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
 	sub, err := job.NewInstance(p.m, jobs)
 	if err != nil {
 		return false, err

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mpss/internal/job"
+	"mpss/internal/obs"
+	"mpss/internal/opt"
 	"mpss/internal/power"
 	"mpss/internal/workload"
 )
@@ -165,5 +167,60 @@ func TestPlannerCanAdmit(t *testing.T) {
 	}
 	if _, err := pl.CanAdmit(2, job.Job{ID: 3, Deadline: -1, Work: 1}); err == nil {
 		t.Error("invalid candidate accepted")
+	}
+}
+
+// CanAdmit probes the same network on every call: the live jobs enter
+// the admission instance in ID order, so repeated probes of one planner
+// state scan the same edges and push the same paths, and a verdict near
+// the minimum cap cannot flip between calls.
+func TestPlannerCanAdmitDeterministic(t *testing.T) {
+	in, err := workload.Uniform(workload.Spec{N: 60, M: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := append([]job.Job(nil), in.Jobs...)
+	for i := range jobs {
+		jobs[i].Release = 0
+	}
+	pl, err := NewPlanner(in.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Arrive(0, jobs...); err != nil {
+		t.Fatal(err)
+	}
+	cand := job.Job{ID: 1000, Deadline: 30, Work: 20}
+	all, err := job.NewInstance(in.M, append(jobs, cand))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := opt.MinFeasibleCap(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{1, 1.25, 1.5, 2} {
+		var first [2]int64
+		var firstOK bool
+		for call := 0; call < 10; call++ {
+			rec := obs.New()
+			pl.SetRecorder(rec)
+			ok, err := pl.CanAdmit(f*s1, cand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := [2]int64{rec.Value("flow.dinic.edges_scanned"), rec.Value("flow.dinic.aug_paths")}
+			if call == 0 {
+				first, firstOK = ops, ok
+				continue
+			}
+			if ops != first || ok != firstOK {
+				t.Fatalf("cap %g·s_1, call %d: verdict %v, (edges scanned, aug paths) %v; call 0: %v, %v",
+					f, call, ok, ops, firstOK, first)
+			}
+		}
+		if !firstOK {
+			t.Errorf("cap %g·s_1 refused", f)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 	"mpss/internal/job"
 	"mpss/internal/obs"
 	"mpss/internal/pool"
@@ -14,16 +15,16 @@ import (
 )
 
 // The cap search's reference: the full solver's top phase speed s_1,
-// and probes on a flow.Graph built edge by edge — the source edge w_k/x,
+// and probes on a flowref.Graph built edge by edge — the source edge w_k/x,
 // then the job's edges to the intervals it is active in, job by job,
 // then the sink edges — with no network reuse.
 
-// refNet is the probe network at cap x on a flow.Graph, with its job to
+// refNet is the probe network at cap x on a flowref.Graph, with its job to
 // interval edges in build order. late is the first job that cannot
 // finish inside its own window at x (-1 when none); the graph is then
 // incomplete.
 type refNet struct {
-	g      *flow.Graph
+	g      *flowref.Graph
 	sink   int
 	demand float64
 	late   int
@@ -74,7 +75,7 @@ func (r *refNet) release() { graphArena.Put(r.g) }
 
 // graphArena recycles refNet graphs, which keeps the reference sweep
 // from spending its time growing fresh edge arrays.
-var graphArena pool.FreeList[flow.Graph]
+var graphArena pool.FreeList[flowref.Graph]
 
 // refScheduleAtCap is ScheduleAtCap on a refNet: pieces per interval in
 // job order, packed by wrap-around.

@@ -10,6 +10,7 @@ import (
 
 	"mpss/internal/cert"
 	"mpss/internal/flow"
+	"mpss/internal/flow/flowref"
 	"mpss/internal/job"
 	"mpss/internal/obs"
 	"mpss/internal/power"
@@ -178,7 +179,7 @@ func refRoundFloat(in *job.Instance, ivs []job.Interval, cand, mj []int) (int, f
 	}
 	speed := tw / tt
 	ivNode, sink := refLayout(cand, mj)
-	g := flow.NewGraph(sink + 1)
+	g := flowref.NewGraph(sink + 1)
 	src := make([]flow.EdgeID, len(cand))
 	for i, k := range cand {
 		src[i] = g.AddEdge(0, 1+i, in.Jobs[k].Work/speed)

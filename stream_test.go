@@ -179,7 +179,7 @@ func TestSolveTraceStreamRejectsBadInput(t *testing.T) {
 // accepted round's flow is emitted as it stands. That scans ~307 edges
 // per job, counting only the arcs whose residual the kernel reads (~324
 // with blocks solved whole, ~451 when contracted phases re-solved the
-// raw network for emission, ~923 on the generic flow.Graph, ~1,110 when
+// raw network for emission, ~923 on the generic flowref.Graph, ~1,110 when
 // rejected rounds drained and re-augmented their flow instead).
 // Restarting each phase from every remaining job costs about two rounds
 // and ~7,500 edges per job, removing one job per round about sixteen
